@@ -130,21 +130,15 @@ def real_alcove_of(x, walls) -> RealAlcove:
                 raise SingularPointError(w.id, t)
             ineqs.append((w.id, lo, GE))
             ineqs.append((w.id, lo + 1, LE))
+    return _alcove_from_bounds(ineqs, d, walls)
+
+
+def _alcove_from_bounds(ineqs, d, walls) -> RealAlcove:
+    """The alcove cut out by candidate (wall_id, offset, sense) bounds, with
+    the bounds implied by the others pruned by exact LP feasibility."""
     ineqs = _canonical(ineqs)
-    alcove = RealAlcove(d, ineqs)
-    kept = irredundant(alcove.constraints(walls), d)
-    kept_idx = _match_kept(alcove.constraints(walls), kept)
-    return RealAlcove(d, _canonical([ineqs[i] for i in kept_idx]))
-
-
-def _match_kept(all_cons, kept_cons):
-    kept = list(kept_cons)
-    idx = []
-    for i, c in enumerate(all_cons):
-        if c in kept:
-            idx.append(i)
-            kept.remove(c)
-    return idx
+    kept = irredundant(RealAlcove(d, ineqs).constraints(walls), d)
+    return RealAlcove(d, tuple(ineqs[i] for i in kept))
 
 
 @dataclass(frozen=True)
@@ -307,11 +301,7 @@ def p_membership(x, p: int, walls) -> PAlcove:
         (lo, lo_m), (hi, hi_m) = p_hyperplane_window(w, t, p)
         ineqs.append((w.id, lo_m, GE))
         ineqs.append((w.id, hi_m, LE))
-    alcove = RealAlcove(d, _canonical(ineqs))
-    kept = irredundant(alcove.constraints(walls), d)
-    kept_idx = _match_kept(alcove.constraints(walls), kept)
-    A = RealAlcove(d, _canonical([alcove.inequalities[i] for i in kept_idx]))
-    pa = p_alcove_of(A, walls)
+    pa = p_alcove_of(_alcove_from_bounds(ineqs, d, walls), walls)
     if not pa.contains(x, p, walls):
         raise AssertionError("p-alcove construction does not contain x; "
                              "p is too small for the real/p-alcove bijection")
@@ -437,8 +427,7 @@ def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
         out.append((w.id, alpha, m_tilde))
     out.sort(key=lambda q: (q[0], q[1]))
     kept = irredundant([(a, m, False) for _, a, m in out], d)
-    out = [q for q in out if (q[1], q[2], False) in kept]
-    return QuantumChamber(lam, tuple(out))
+    return QuantumChamber(lam, tuple(out[i] for i in kept))
 
 
 def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls,

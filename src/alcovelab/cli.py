@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arith import rat, rat_str, vec
@@ -174,7 +173,6 @@ def dispatch(argv) -> int:
     if args.cmd is None:
         ap.print_usage()
         return 2
-    os.environ.get("ALCOVE_LAB_THREADS")  # parallelism hint; single-threaded here
     try:
         return _run(args)
     except (ConfigError, ValueError, KeyError, OSError) as exc:

@@ -1,9 +1,13 @@
 """Exact rational polyhedra in low dimension.
 
 A linear constraint is a triple (coeffs, rhs, strict) meaning
-coeffs . x >= rhs, with strict=True for >.  Feasibility goes through
-Fourier-Motzkin elimination, which is exact over Fraction and entirely
-adequate at the ranks that occur here (d <= 4, a handful of constraints).
+coeffs . x >= rhs, with strict=True for >.  One Fourier-Motzkin elimination
+routine, exact over Fraction, serves both `feasible` (its verdict) and
+`find_point` (back-substitution over its levels).  Derived rows are not
+pruned, so their number can grow doubly exponentially with the number of
+eliminated variables; that is the cost cliff of every alcove computation
+(ROADMAP open item 2).  One row reduction serves `solve_linear` and
+`matrix_rank`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,17 @@ def _normalize(con):
     return tuple(rat(c) for c in coeffs), rat(rhs), bool(strict)
 
 
-def feasible(constraints, dim) -> bool:
-    """Whether {x in R^dim : coeffs.x >= rhs (or >)} is nonempty."""
+def _eliminate(constraints, dim):
+    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn.
+
+    Returns (levels, ok): levels[k] is the system over x_0..x_k (before x_k
+    is eliminated), and ok tells whether the variable-free rows left at the
+    end all hold, i.e. whether the system is feasible.
+    """
     cons = [_normalize(c) for c in constraints]
+    levels = []
     for k in range(dim - 1, -1, -1):
+        levels.append(cons)
         lower, upper, rest = [], [], []
         for coeffs, rhs, strict in cons:
             a = coeffs[k]
@@ -33,52 +44,35 @@ def feasible(constraints, dim) -> bool:
                 upper.append((coeffs, rhs, strict, a))
             else:
                 rest.append((coeffs[:k], rhs, strict))
-        new = list(rest)
+        new = rest
         for lc, lr, ls, la in lower:
             for uc, ur, us, ua in upper:
                 # la > 0: lower bound; ua < 0: upper bound. Combine to
                 # eliminate x_k: (1/la)(lr - l_rest) <= x_k <= (1/ua)(ur - u_rest)
                 coeffs = tuple(lc[j] / la - uc[j] / ua for j in range(k))
-                rhs = lr / la - ur / ua
-                new.append((coeffs, rhs, ls or us))
+                new.append((coeffs, lr / la - ur / ua, ls or us))
         cons = new
-    for _, rhs, strict in cons:
-        # all variables eliminated: constraint is 0 >= rhs (or >)
-        if rhs > 0 or (strict and rhs == 0):
-            return False
-    return True
+    # all variables eliminated: each row reads 0 >= rhs (or >)
+    ok = not any(rhs > 0 or (strict and rhs == 0) for _, rhs, strict in cons)
+    return levels[::-1], ok
+
+
+def feasible(constraints, dim) -> bool:
+    """Whether {x in R^dim : coeffs.x >= rhs (or >)} is nonempty."""
+    return _eliminate(constraints, dim)[1]
 
 
 def find_point(constraints, dim):
     """An exact rational point satisfying the constraints, or None.
 
-    Fourier-Motzkin elimination keeping the constraint stack per level, then
-    back-substitution choosing midpoints of the surviving slabs.
+    Back-substitution over the elimination levels, choosing midpoints of the
+    surviving slabs.
     """
-    levels = []
-    cons = [_normalize(c) for c in constraints]
-    for k in range(dim - 1, -1, -1):
-        levels.append(cons)
-        lower, upper, rest = [], [], []
-        for coeffs, rhs, strict in cons:
-            a = coeffs[k]
-            if a > 0:
-                lower.append((coeffs, rhs, strict, a))
-            elif a < 0:
-                upper.append((coeffs, rhs, strict, a))
-            else:
-                rest.append((coeffs[:k], rhs, strict))
-        new = list(rest)
-        for lc, lr, ls, la in lower:
-            for uc, ur, us, ua in upper:
-                coeffs = tuple(lc[j] / la - uc[j] / ua for j in range(k))
-                new.append((coeffs, lr / la - ur / ua, ls or us))
-        cons = new
-    for _, rhs, strict in cons:
-        if rhs > 0 or (strict and rhs == 0):
-            return None
+    levels, ok = _eliminate(constraints, dim)
+    if not ok:
+        return None
     point = []
-    for k, level_cons in zip(range(dim), reversed(levels)):
+    for k, level_cons in enumerate(levels):
         lo = hi = None
         lo_strict = hi_strict = False
         for coeffs, rhs, strict in level_cons:
@@ -108,57 +102,43 @@ def find_point(constraints, dim):
     return tuple(point)
 
 
+def _row_reduce(m, n_cols):
+    """Bring the rows of m, in place, to reduced echelon form on their first
+    n_cols columns (later columns ride along); returns the pivot columns."""
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
 def solve_linear(rows, rhs):
     """Solve a square (or overdetermined, consistent) exact linear system.
 
     Returns the unique solution tuple, or None if singular/inconsistent.
     """
     m = [list(map(rat, row)) + [rat(b)] for row, b in zip(rows, rhs, strict=True)]
-    n_rows, n_cols = len(m), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    if len(pivots) < n_cols:
+    n_cols = len(rows[0])
+    pivots = _row_reduce(m, n_cols)
+    if len(pivots) < n_cols or any(row[-1] != 0 for row in m[n_cols:]):
         return None
-    for i in range(r, n_rows):
-        if m[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * n_cols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][-1]
-    return tuple(sol)
+    return tuple(row[-1] for row in m[:n_cols])
 
 
 def matrix_rank(rows) -> int:
     m = [list(map(rat, row)) for row in rows]
-    if not m:
-        return 0
-    n_cols = len(m[0])
-    rank = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c] / m[rank][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    return len(_row_reduce(m, len(m[0]))) if m else 0
 
 
 def vertices(constraints, dim):
@@ -168,10 +148,7 @@ def vertices(constraints, dim):
     cons = [_normalize(c) for c in constraints]
     verts = set()
     for subset in combinations(cons, dim):
-        rows = [c for c, _, _ in subset]
-        if matrix_rank(rows) < dim:
-            continue
-        sol = solve_linear(rows, [r for _, r, _ in subset])
+        sol = solve_linear([c for c, _, _ in subset], [r for _, r, _ in subset])
         if sol is None:
             continue
         if all(pairing(c, sol) >= r for c, r, _ in cons):
@@ -191,16 +168,18 @@ def interior_point(constraints, dim):
 
 def is_redundant(constraints, idx, dim) -> bool:
     """Whether dropping constraint idx leaves the region unchanged: the rest
-    together with the strict negation of idx must be infeasible."""
+    together with the negation of idx must be infeasible."""
     cons = [_normalize(c) for c in constraints]
-    coeffs, rhs, _ = cons[idx]
+    coeffs, rhs, strict = cons[idx]
     rest = [c for i, c in enumerate(cons) if i != idx]
-    negated = (tuple(-a for a in coeffs), -rhs, True)  # coeffs.x < rhs
+    # coeffs.x < rhs, or coeffs.x <= rhs when idx itself is strict
+    negated = (tuple(-a for a in coeffs), -rhs, not strict)
     return not feasible(rest + [negated], dim)
 
 
 def irredundant(constraints, dim):
-    """Prune constraints implied by the others; deterministic order."""
+    """Indices, ascending, of the constraints kept after pruning those
+    implied by the others (tried in order)."""
     cons = [_normalize(c) for c in constraints]
     keep = list(range(len(cons)))
     i = 0
@@ -210,4 +189,4 @@ def irredundant(constraints, dim):
             keep.pop(i)
         else:
             i += 1
-    return [constraints[j] for j in keep]
+    return keep
