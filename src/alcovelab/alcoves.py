@@ -47,16 +47,6 @@ def _wall_map(walls):
     return {w.id: w for w in walls}
 
 
-def _floor_in_coset(t: Fraction, rep: Fraction):
-    """Largest element of rep + Z that is < t; raises if t is in the coset
-    boundary (t == element)."""
-    d = t - rep
-    k = d.numerator // d.denominator
-    if d.denominator == 1:
-        return None  # t itself is in the coset
-    return rep + k
-
-
 @dataclass(frozen=True)
 class RealAlcove:
     """Closure of a connected component of the hyperplane complement, as a
@@ -115,27 +105,49 @@ def _canonical(ineqs):
 def real_alcove_of(x, walls) -> RealAlcove:
     """The unique alcove whose interior contains x.
 
-    For each wall the offsets in Sigma_Gamma + Z directly below and above
-    <alpha, x> bound the alcove; redundant bounds are pruned by exact LP
-    feasibility.
+    On each wall only the nearest hyperplane below and the nearest above
+    <alpha, x> (offsets in Sigma_Gamma + Z) are candidate bounds; bounds
+    implied by the others are then pruned by exact LP feasibility.
     """
+    return _alcove_around(x, walls)
+
+
+def _bracket(wall: Wall, t: Fraction, p=None):
+    """Real offsets (lo, hi) of the wall's hyperplanes directly below and
+    above the pairing value t.
+
+    The offsets m run over sigma + Z for sigma in sigma_tilde.  The real
+    family puts a hyperplane at the value m; at a prime p the p-family puts
+    one at p*m + sigma.  When t is itself a value, raises
+    SingularPointError (real family) or OnPWallError with the integer
+    m - sigma (p-family).
+    """
+    lo = hi = lo_v = hi_v = None
+    for sigma in sorted(wall.sigma_tilde):
+        scale, shift = (1, 0) if p is None else (p, sigma)
+        k = ((t - shift) / scale - sigma).__floor__()
+        v = scale * (sigma + k) + shift
+        if v == t:
+            if p is None:
+                raise SingularPointError(wall.id, t)
+            raise OnPWallError(wall.id, sigma, k)
+        if lo_v is None or v > lo_v:
+            lo, lo_v = sigma + k, v
+        if hi_v is None or v + scale < hi_v:
+            hi, hi_v = sigma + k + 1, v + scale
+    return lo, hi
+
+
+def _alcove_around(x, walls, p=None) -> RealAlcove:
+    """The real alcove bounded, on each wall, by the offsets that _bracket
+    finds around <alpha, x>, with the bounds implied by the others pruned
+    by exact LP feasibility."""
     x = vec(x)
     d = len(x)
     ineqs = []
     for w in walls:
-        t = pairing(w.alpha, x)
-        for rep in sorted(w.classes):
-            lo = _floor_in_coset(t, rep)
-            if lo is None:
-                raise SingularPointError(w.id, t)
-            ineqs.append((w.id, lo, GE))
-            ineqs.append((w.id, lo + 1, LE))
-    return _alcove_from_bounds(ineqs, d, walls)
-
-
-def _alcove_from_bounds(ineqs, d, walls) -> RealAlcove:
-    """The alcove cut out by candidate (wall_id, offset, sense) bounds, with
-    the bounds implied by the others pruned by exact LP feasibility."""
+        lo, hi = _bracket(w, pairing(w.alpha, x), p)
+        ineqs += [(w.id, lo, GE), (w.id, hi, LE)]
     ineqs = _canonical(ineqs)
     kept = irredundant(RealAlcove(d, ineqs).constraints(walls), d)
     return RealAlcove(d, tuple(ineqs[i] for i in kept))
@@ -260,30 +272,6 @@ def p_alcove_of(A: RealAlcove, walls) -> PAlcove:
     return PAlcove(A, tuple(sorted(out, key=lambda t: (t[0], t[1]))))
 
 
-def p_hyperplane_window(wall: Wall, t: Fraction, p: int):
-    """For one wall: the p-hyperplane values directly below/above t.
-
-    Values have the form (p+1)*sigma + p*k.  Returns ((lo, m_lo), (hi, m_hi))
-    where m = sigma + k is the real offset the bounding hyperplane rescales
-    to; raises OnPWallError if t hits a hyperplane exactly.
-    """
-    lo = hi = None
-    lo_m = hi_m = None
-    for sigma in sorted(wall.sigma_tilde):
-        base = (p + 1) * sigma
-        k = (t - base) / p
-        k_floor = k.numerator // k.denominator
-        v = base + p * k_floor
-        if v == t:
-            raise OnPWallError(wall.id, sigma, k_floor)
-        v_hi = v + p
-        if lo is None or v > lo:
-            lo, lo_m = v, sigma + k_floor
-        if hi is None or v_hi < hi:
-            hi, hi_m = v_hi, sigma + k_floor + 1
-    return (lo, lo_m), (hi, hi_m)
-
-
 def p_membership(x, p: int, walls) -> PAlcove:
     """The p-alcove containing the lattice point x at the concrete prime p.
 
@@ -294,14 +282,7 @@ def p_membership(x, p: int, walls) -> PAlcove:
     x = vec(x)
     if not is_lattice(x):
         raise ValueError("p_membership expects a lattice point")
-    d = len(x)
-    ineqs = []
-    for w in walls:
-        t = pairing(w.alpha, x)
-        (lo, lo_m), (hi, hi_m) = p_hyperplane_window(w, t, p)
-        ineqs.append((w.id, lo_m, GE))
-        ineqs.append((w.id, hi_m, LE))
-    pa = p_alcove_of(_alcove_from_bounds(ineqs, d, walls), walls)
+    pa = p_alcove_of(_alcove_around(x, walls, p), walls)
     if not pa.contains(x, p, walls):
         raise AssertionError("p-alcove construction does not contain x; "
                              "p is too small for the real/p-alcove bijection")

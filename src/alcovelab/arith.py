@@ -13,9 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 
-Rat = Fraction
-
-
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and "num/den" strings to an exact rational."""
     if isinstance(x, Fraction):
@@ -37,16 +34,6 @@ def rat_str(x: Fraction) -> str:
 
 def vec(coords) -> tuple:
     return tuple(rat(c) for c in coords)
-
-
-def ivec(coords) -> tuple:
-    out = []
-    for c in coords:
-        c = rat(c)
-        if c.denominator != 1:
-            raise ValueError(f"lattice vector entry {c} is not an integer")
-        out.append(c.numerator)
-    return tuple(out)
 
 
 def vadd(u, v):
@@ -151,11 +138,6 @@ class Wall:
         m = rat(m)
         return sorted(x for x in self.sigma_tilde if (m - x).denominator == 1)
 
-    def on_class(self, value) -> bool:
-        """Whether a pairing value lies on the wall's hyperplane family."""
-        value = rat(value)
-        return any((value - c).denominator == 1 for c in self.classes)
-
     def to_json(self) -> dict:
         return {
             "id": self.id,
@@ -224,9 +206,6 @@ class AffineInP:
     def __ge__(self, other):
         return self._key() >= affine(other)._key()
 
-    def is_integral_at(self, p) -> bool:
-        return self.eval_at(p).denominator == 1
-
     def crossing_threshold(self, other) -> Fraction | None:
         """The p-value where self and other cross, or None for parallel lines.
 
@@ -237,6 +216,20 @@ class AffineInP:
         if self.slope == other.slope:
             return None
         return (other.const - self.const) / (self.slope - other.slope)
+
+    @staticmethod
+    def max_crossing_threshold(fs) -> int:
+        """Smallest integer P >= 0 at or above every pairwise
+        crossing_threshold of the affine functions fs: for every prime above
+        P each pair compares as it does for all large p."""
+        fs = list(fs)
+        best = 0
+        for i, f in enumerate(fs):
+            for g in fs[i + 1:]:
+                t = f.crossing_threshold(g)
+                if t is not None:
+                    best = max(best, t.__ceil__())
+        return best
 
     def __str__(self):
         if self.slope == 0:

@@ -71,8 +71,7 @@ def _normalize_mod_lattice(A: RealAlcove, face: Face, walls):
     return shift, (wall_key, A2.inequalities, active2)
 
 
-def find_compatible(A: RealAlcove, face: Face, walls, box_radius=None,
-                    use_cache=True) -> CompatiblePair:
+def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:
     """Construct a parameter compatible with (A, face).
 
     mu is the face's rational interior witness; lambda is the
@@ -81,43 +80,36 @@ def find_compatible(A: RealAlcove, face: Face, walls, box_radius=None,
     wall.  Results are cached modulo lattice translation.
     """
     d = A.rank
-    if use_cache:
-        shift, key = _normalize_mod_lattice(A, face, walls)
-        with _cache_lock:
-            hit = _cache.get(key)
-        if hit is not None:
-            lam, mu_norm = hit
-            back = tuple(-s for s in shift)
-            return CompatiblePair(lam, vadd(mu_norm, back), A, face)
+    shift, key = _normalize_mod_lattice(A, face, walls)
+    with _cache_lock:
+        hit = _cache.get(key)
+    if hit is not None:
+        lam, mu_norm = hit
+        back = tuple(-s for s in shift)
+        return CompatiblePair(lam, vadd(mu_norm, back), A, face)
 
     mu = face.witness
     through, _ = _split_facets(A, face, walls)
     constraints = [(alpha_or, pairing(alpha_or, mu), sigma)
                    for _, alpha_or, m_or, sigma in through]
-    if box_radius is None:
-        needed = max((sigma - base for _, base, sigma in constraints),
-                     default=Fraction(0))
-        radii = []
-        r = max(2, int(needed) + 2)
-        while r <= 32:
-            radii.append(r)
-            r *= 2
-    else:
-        radii = [box_radius]
+    needed = max((sigma - base for _, base, sigma in constraints),
+                 default=Fraction(0))
+    radii = []
+    r = max(2, int(needed) + 2)
+    while r <= 32:
+        radii.append(r)
+        r *= 2
     for radius in radii:
         for v in sorted(product(range(-radius, radius + 1), repeat=d)):
             lam = vadd(mu, v)
             if all(base + pairing(alpha_or, v) > sigma
                    for alpha_or, base, sigma in constraints):
-                pair = CompatiblePair(lam, mu, A, face)
-                if use_cache:
-                    # the same lambda serves every lattice translate of (A, face)
-                    with _cache_lock:
-                        _cache.setdefault(key, (lam, vadd(mu, shift)))
-                return pair
+                # the same lambda serves every lattice translate of (A, face)
+                with _cache_lock:
+                    _cache.setdefault(key, (lam, vadd(mu, shift)))
+                return CompatiblePair(lam, mu, A, face)
     raise ValueError(
-        f"compatible-lambda search box exhausted (radius {radii[-1]}); "
-        "retry with a larger box_radius")
+        f"compatible-lambda search box exhausted (radius {radii[-1]})")
 
 
 def verify_compatible(pair: CompatiblePair, walls, p_samples=()) -> dict:

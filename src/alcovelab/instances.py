@@ -47,16 +47,6 @@ class FixedPointInstance:
             return partition_str(x)
         return str(x)
 
-    def point_from_str(self, s: str):
-        if self.meta.get("points") == "permutations":
-            return tuple(int(v) for v in s.split(","))
-        if self.meta.get("points") == "partitions":
-            return partition_from_str(s)
-        for x in self.points:
-            if self.point_str(x) == s:
-                return x
-        raise KeyError(f"unknown point id: {s}")
-
     def with_lambdas(self, lambdas) -> "FixedPointInstance":
         return FixedPointInstance(
             self.name, self.rank, self.points, self.c_const, self.c_linear,

@@ -227,10 +227,6 @@ class PreOrder:
     classes: tuple        # tuple of tuples of labels, ascending slope
     class_slopes: tuple
 
-    def class_index(self, label: Label) -> int:
-        s = label.kappa.slope
-        return self.class_slopes.index(s)
-
     def leq(self, a: Label, b: Label) -> bool:
         return b.kappa.slope >= a.kappa.slope
 
@@ -346,13 +342,7 @@ def crossing_threshold_bound(pre: PreOrder) -> int:
     agrees with the concrete evaluation at p; concrete-prime checks below
     this bound can see spurious ties.
     """
-    best = 0
-    for a in pre.labels:
-        for b in pre.labels:
-            t = a.kappa.crossing_threshold(b.kappa)
-            if t is not None:
-                best = max(best, t.__ceil__())
-    return best
+    return AffineInP.max_crossing_threshold(l.kappa for l in pre.labels)
 
 
 def order_compat_check(poset: LabeledPoset, pre: PreOrder, p: int) -> dict:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .arith import rat_str
+from .arith import AffineInP, rat_str
 from .alcoves import p_alcove_of
 from .polyhedra import vertices
 
@@ -47,15 +48,7 @@ def p_lattice_point(pa, p: int, walls, limit=100_000):
 
 
 def _denominator_lcm(walls):
-    lcm = 1
-    for w in walls:
-        for s in w.sigma_tilde:
-            d = s.denominator
-            g = lcm
-            while d:
-                g, d = d, g % d
-            lcm = lcm * s.denominator // g
-    return lcm
+    return lcm(*(s.denominator for w in walls for s in w.sigma_tilde))
 
 
 def validate_p(p: int, instance, alcoves=(), walls=None) -> dict:
@@ -133,14 +126,8 @@ def validate_p(p: int, instance, alcoves=(), walls=None) -> dict:
                 entry["witness"] = [rat_str(Fraction(c)) for c in pt]
             # above this bound the facet bound values keep a fixed order,
             # the regime where the real/p-alcove correspondence is stable
-            bound = 0
-            rhss = [rhs for _, _, rhs in pa.inequalities]
-            for i, r1 in enumerate(rhss):
-                for r2 in rhss[i + 1:]:
-                    t = r1.crossing_threshold(r2)
-                    if t is not None:
-                        bound = max(bound, t.__ceil__())
-            entry["stable_above"] = bound
+            entry["stable_above"] = AffineInP.max_crossing_threshold(
+                rhs for _, _, rhs in pa.inequalities)
         except ValueError as exc:
             entry["ok"] = False
             entry["error"] = str(exc)

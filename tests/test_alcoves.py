@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcovelab.arith import AffineInP, Wall
+from alcovelab.arith import AffineInP, Wall, pairing, vec
 from alcovelab.alcoves import (GE, LE, OnPWallError, NonRegularError,
-                               SingularPointError, faces_of,
+                               RealAlcove, SingularPointError, faces_of,
                                integral_chambers,
                                integral_walls_and_positive_chamber,
                                p_alcove_of, p_membership, quantum_chamber,
                                real_alcove_of, translation_path)
 from alcovelab.instances import hilb_instance, weyl_a_instance
+from alcovelab.polyhedra import irredundant
 from alcovelab.validate import validate_p
 
 A2 = weyl_a_instance(3)
@@ -35,8 +36,51 @@ def test_real_alcove_a2_fundamental():
 
 
 def test_real_alcove_singular_point():
-    with pytest.raises(SingularPointError, match="singular point"):
+    with pytest.raises(SingularPointError, match="singular point") as exc:
         real_alcove_of((F(1, 2),), [HALF_WALL])
+    assert (exc.value.wall_id, exc.value.offset) == (0, F(1, 2))
+    with pytest.raises(SingularPointError) as exc:
+        real_alcove_of((F(1, 3), F(2, 3)), A2.walls)
+    assert (exc.value.wall_id, exc.value.offset) == (1, F(1))
+
+
+def reference_real_alcove(x, walls):
+    """real_alcove_of as first written: both bounds around x for every
+    class of sigma_tilde mod Z on every wall, then irredundant.  None for a
+    point on a hyperplane."""
+    x = vec(x)
+    ineqs = []
+    for w in walls:
+        t = pairing(w.alpha, x)
+        for rep in sorted(w.classes):
+            if (t - rep).denominator == 1:
+                return None
+            lo = rep + (t - rep).__floor__()
+            ineqs += [(w.id, lo, GE), (w.id, lo + 1, LE)]
+    ineqs = sorted(ineqs, key=lambda b: (b[0], b[2], b[1]))
+    kept = irredundant(RealAlcove(len(x), tuple(ineqs)).constraints(walls),
+                       len(x))
+    return RealAlcove(len(x), tuple(ineqs[i] for i in kept))
+
+
+DIFF_INSTANCES = ([hilb_instance(n, ell) for n in range(2, 9)
+                   for ell in (0, 1)]
+                  + [weyl_a_instance(3), weyl_a_instance(4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_real_alcove_matches_all_class_reference(data):
+    inst = data.draw(st.sampled_from(DIFF_INSTANCES))
+    x = data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=13),
+        min_size=inst.rank, max_size=inst.rank))
+    expected = reference_real_alcove(x, inst.walls)
+    if expected is None:
+        with pytest.raises(SingularPointError):
+            real_alcove_of(x, inst.walls)
+    else:
+        assert real_alcove_of(x, inst.walls) == expected
 
 
 def test_same_alcove_same_inequalities():
@@ -163,10 +207,11 @@ def test_p_membership_hilb_examples():
     pa = p_membership((5,), 5, HILB2.walls)
     assert pa.source == real_alcove_of((1,), HILB2.walls)
     assert all(pa.contains((c,), 5, HILB2.walls) for c in (4, 5, 6, 7))
-    with pytest.raises(OnPWallError):
-        p_membership((3,), 5, HILB2.walls)
-    with pytest.raises(OnPWallError):
-        p_membership((8,), 5, HILB2.walls)
+    for c, k in [(3, 0), (8, 1)]:
+        with pytest.raises(OnPWallError) as exc:
+            p_membership((c,), 5, HILB2.walls)
+        assert (exc.value.wall_id, exc.value.sigma, exc.value.m) == \
+            (0, F(1, 2), k)
 
 
 def test_p_membership_a2_rho():

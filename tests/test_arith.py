@@ -91,6 +91,14 @@ def test_cmp_agrees_with_eval_above_threshold(a1, b1, a2, b2):
             assert diff > 0
 
 
+@given(st.lists(st.tuples(rationals, rationals), max_size=6))
+def test_max_crossing_threshold_over_ordered_pairs(coeffs):
+    fs = [AffineInP(a, b) for a, b in coeffs]
+    expected = max([math.ceil(t) for f in fs for g in fs
+                    if (t := f.crossing_threshold(g)) is not None] + [0])
+    assert AffineInP.max_crossing_threshold(iter(fs)) == expected
+
+
 @given(rationals, rationals, rationals, rationals)
 def test_affine_arithmetic_exact(a1, b1, a2, b2):
     f, g = AffineInP(a1, b1), AffineInP(a2, b2)
