@@ -172,6 +172,9 @@ class Face:
 def faces_of(A: RealAlcove, walls):
     """All faces of all codimensions, duplicates (same vertex set) merged.
 
+    The vertex-facet incidence is computed once: a subset of the
+    inequalities picks the vertices whose tight sets contain it, and the
+    face's active inequalities are the intersection of those tight sets.
     Requires a bounded alcove, i.e. the wall covectors span the space.
     """
     wm = _wall_map(walls)
@@ -183,31 +186,22 @@ def faces_of(A: RealAlcove, walls):
     if not verts:
         raise ValueError("empty alcove")
     n = len(A.inequalities)
-
-    def tight_set(vset):
-        out = []
-        for i, (coeffs, rhs, _) in enumerate(cons):
-            if all(pairing(coeffs, v) == rhs for v in vset):
-                out.append(i)
-        return tuple(out)
+    tight = [frozenset(i for i, (coeffs, rhs, _) in enumerate(cons)
+                       if pairing(coeffs, v) == rhs) for v in verts]
 
     seen = {}
     for r in range(n + 1):
         for subset in combinations(range(n), r):
-            vset = tuple(v for v in verts
-                         if all(pairing(cons[i][0], v) == cons[i][1]
-                                for i in subset))
-            if not vset:
+            on = [j for j, t in enumerate(tight) if t.issuperset(subset)]
+            vset = tuple(verts[j] for j in on)
+            if not vset or vset in seen:
                 continue
-            key = vset
-            if key in seen:
-                continue
-            active_idx = tight_set(vset)
+            active_idx = frozenset.intersection(*(tight[j] for j in on))
             base = vset[0]
             dim = matrix_rank([vsub(v, base) for v in vset[1:]]) if len(vset) > 1 else 0
             witness = tuple(sum(v[j] for v in vset) / len(vset)
                             for j in range(A.rank))
-            seen[key] = Face(
+            seen[vset] = Face(
                 parent=A,
                 active=_canonical([A.inequalities[i] for i in active_idx]),
                 codim=A.rank - dim,

@@ -22,8 +22,45 @@ from .orders import (equivalence_classes, export_poset, hw_order,
 from .validate import validate_p
 
 
-def _parse_point(text: str) -> tuple:
-    return vec(rat(part) for part in text.split(","))
+def _parse_point(text: str, cfg, flag: str) -> tuple:
+    """A comma-separated rational point with one coordinate per rank."""
+    x = vec(rat(part) for part in text.split(","))
+    if len(x) != cfg.instance.rank:
+        raise ConfigError(f"{flag} has {len(x)} coordinates but the "
+                          f"instance has rank {cfg.instance.rank}")
+    return x
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 primes as bases: exact for every
+    n < 3.3e24, and fast however large n is."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_primes(args) -> None:
+    """Every --p and --p-samples entry must be a prime."""
+    primes = [("--p", args.p)] if getattr(args, "p", None) is not None else []
+    primes += [("--p-samples", int(p))
+               for p in getattr(args, "p_samples", "").split(",") if p]
+    for flag, p in primes:
+        if not _is_prime(p):
+            raise ConfigError(f"{flag} {p} is not a prime")
 
 
 def _parse_window(text: str) -> tuple:
@@ -35,9 +72,9 @@ def _load_config(args):
     if getattr(args, "config", None):
         return load_instance(args.config)
     if getattr(args, "builtin", None):
-        data = {"builtin": args.builtin}
-        if args.n is not None:
-            data["n"] = args.n
+        if args.n is None:
+            raise ConfigError(f"--builtin {args.builtin} needs --n")
+        data = {"builtin": args.builtin, "n": args.n}
         if getattr(args, "ell", None) is not None:
             data["ell"] = args.ell
         return parse_config(data)
@@ -54,7 +91,7 @@ def _add_instance_flags(sub):
 
 
 def _face_of(args, cfg):
-    A = real_alcove_of(_parse_point(args.point), cfg.walls)
+    A = real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
     faces = faces_of(A, cfg.walls)
     if args.face < 0 or args.face >= len(faces):
         raise ConfigError(f"--face must be in [0, {len(faces)})")
@@ -67,7 +104,7 @@ def _alcove_from_args(args, cfg) -> RealAlcove:
             return RealAlcove.from_json(json.load(fh))
     if not getattr(args, "point", None):
         raise ConfigError("identify the alcove with --point or --alcove-id")
-    return real_alcove_of(_parse_point(args.point), cfg.walls)
+    return real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,6 +211,7 @@ def dispatch(argv) -> int:
         ap.print_usage()
         return 2
     try:
+        _check_primes(args)
         return _run(args)
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
@@ -223,13 +261,13 @@ def _run(args) -> int:
               "config": cfg.raw}
 
     if cmd == "alcove":
-        A = real_alcove_of(_parse_point(args.point), cfg.walls)
+        A = real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
         _emit(run_report(cmd, inputs, {"alcove": A.to_json(),
                                        "warnings": list(cfg.warnings)}))
         return 0
 
     if cmd == "faces":
-        A = real_alcove_of(_parse_point(args.point), cfg.walls)
+        A = real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
         faces = faces_of(A, cfg.walls)
         out = [{"index": i, "codim": f.codim,
                 "witness": [rat_str(c) for c in f.witness],
@@ -250,12 +288,13 @@ def _run(args) -> int:
         return 0
 
     if cmd == "membership":
-        pa = p_membership(_parse_point(args.point), args.p, cfg.walls)
+        pa = p_membership(_parse_point(args.point, cfg, "--point"), args.p,
+                          cfg.walls)
         _emit(run_report(cmd, inputs, {"palcove": pa.to_json()}))
         return 0
 
     if cmd == "chambers":
-        lam = _parse_point(args.lam)
+        lam = _parse_point(args.lam, cfg, "--lambda")
         int_walls, chamber = integral_walls_and_positive_chamber(lam, cfg.walls)
         _emit(run_report(cmd, inputs, {
             "integral_walls": [w.id for w in int_walls],
@@ -263,21 +302,23 @@ def _run(args) -> int:
         return 0
 
     if cmd == "quantum":
-        lam = _parse_point(args.lam)
+        lam = _parse_point(args.lam, cfg, "--lambda")
         _, chamber = integral_walls_and_positive_chamber(lam, cfg.walls)
         q = quantum_chamber(lam, chamber, cfg.walls)
         _emit(run_report(cmd, inputs, {"quantum_chamber": q.to_json()}))
         return 0
 
     if cmd == "validate-p":
-        alcoves = [real_alcove_of(_parse_point(pt), cfg.walls)
+        alcoves = [real_alcove_of(_parse_point(pt, cfg, "--alcove-point"),
+                                  cfg.walls)
                    for pt in args.alcove_point]
         report = validate_p(args.p, cfg.instance, alcoves=alcoves)
         _emit(run_report(cmd, inputs, {}, checks=report))
         return 0 if report["passed"] else 1
 
     if cmd == "path":
-        src, dst = _parse_point(args.src), _parse_point(args.dst)
+        src = _parse_point(args.src, cfg, "--from")
+        dst = _parse_point(args.dst, cfg, "--to")
         pa = p_membership(src, args.p, cfg.walls)
         steps = translation_path(src, dst, pa, args.p,
                                  cfg.instance.generators, cfg.walls)
@@ -302,8 +343,9 @@ def _run(args) -> int:
         return 0 if report["passed"] else 1
 
     if cmd == "order":
-        poset = hw_order(cfg.instance, _parse_point(args.lam_prime), args.p,
-                         _parse_window(args.window))
+        poset = hw_order(cfg.instance,
+                         _parse_point(args.lam_prime, cfg, "--lambda-prime"),
+                         args.p, _parse_window(args.window))
         if args.format == "dot":
             print(export_poset(poset, "dot", cfg.instance))
         else:
@@ -338,8 +380,9 @@ def _run(args) -> int:
         return 0 if report["passed"] else 1
 
     if cmd == "check-phw":
-        poset = hw_order(cfg.instance, _parse_point(args.lam_prime), args.p,
-                         _parse_window(args.window))
+        poset = hw_order(cfg.instance,
+                         _parse_point(args.lam_prime, cfg, "--lambda-prime"),
+                         args.p, _parse_window(args.window))
         d_bound = args.d_bound
         if d_bound is None:
             d_bound = 2 * len(cfg.instance.points) * args.p

@@ -3,11 +3,13 @@
 A linear constraint is a triple (coeffs, rhs, strict) meaning
 coeffs . x >= rhs, with strict=True for >.  One Fourier-Motzkin elimination
 routine, exact over Fraction, serves both `feasible` (its verdict) and
-`find_point` (back-substitution over its levels).  Derived rows are not
-pruned, so their number can grow doubly exponentially with the number of
-eliminated variables; that is the cost cliff of every alcove computation
-(ROADMAP open item 2).  One row reduction serves `solve_linear` and
-`matrix_rank`.
+`find_point` (back-substitution over its levels).  After each elimination
+level the derived rows keep only the tightest row per direction (Imbert,
+"Fourier's elimination: which to choose?", 1993): a dropped row is a
+parallel, looser copy of a kept one, so every level describes the same
+region and back-substitution picks the same bounds, while parallel copies
+no longer multiply from level to level.  One row reduction serves
+`solve_linear` and `matrix_rank`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,23 @@ from .arith import pairing, rat, vec
 def _normalize(con):
     coeffs, rhs, strict = con
     return tuple(rat(c) for c in coeffs), rat(rhs), bool(strict)
+
+
+def _tightest_per_direction(rows):
+    """One row per direction: each row is scaled so that its first nonzero
+    coefficient is +-1, and of the rows with equal scaled coefficients the
+    one with the highest rhs is kept (the strict one on a tie), at the
+    position of the first of them."""
+    best = {}
+    for coeffs, rhs, strict in rows:
+        lead = next((abs(c) for c in coeffs if c != 0), 1)
+        if lead != 1:
+            coeffs = tuple(c / lead for c in coeffs)
+            rhs = rhs / lead
+        kept = best.get(coeffs)
+        if kept is None or rhs > kept[0] or (rhs == kept[0] and strict):
+            best[coeffs] = (rhs, strict)
+    return [(coeffs, rhs, strict) for coeffs, (rhs, strict) in best.items()]
 
 
 def _eliminate(constraints, dim):
@@ -51,7 +70,7 @@ def _eliminate(constraints, dim):
                 # eliminate x_k: (1/la)(lr - l_rest) <= x_k <= (1/ua)(ur - u_rest)
                 coeffs = tuple(lc[j] / la - uc[j] / ua for j in range(k))
                 new.append((coeffs, lr / la - ur / ua, ls or us))
-        cons = new
+        cons = _tightest_per_direction(new)
     # all variables eliminated: each row reads 0 >= rhs (or >)
     ok = not any(rhs > 0 or (strict and rhs == 0) for _, rhs, strict in cons)
     return levels[::-1], ok

@@ -1,18 +1,19 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcovelab.arith import AffineInP, Wall, pairing, vec
-from alcovelab.alcoves import (GE, LE, OnPWallError, NonRegularError,
+from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
                                RealAlcove, SingularPointError, faces_of,
                                integral_chambers,
                                integral_walls_and_positive_chamber,
                                p_alcove_of, p_membership, quantum_chamber,
                                real_alcove_of, translation_path)
 from alcovelab.instances import hilb_instance, weyl_a_instance
-from alcovelab.polyhedra import irredundant
+from alcovelab.polyhedra import irredundant, matrix_rank, vertices
 from alcovelab.validate import validate_p
 
 A2 = weyl_a_instance(3)
@@ -145,6 +146,62 @@ def test_faces_form_intersection_lattice():
     assert len(codim1) == len(A.inequalities)
     actives = {f.active[0] for f in codim1 if len(f.active) == 1}
     assert actives == set(A.inequalities)
+
+
+def reference_faces(A, walls):
+    """faces_of as first written: for every subset of the inequalities, the
+    vertices tight on all of them, and the active set recomputed from
+    pairings."""
+    cons = A.constraints(walls)
+    verts = vertices(cons, A.rank)
+    seen = {}
+    for r in range(len(cons) + 1):
+        for subset in combinations(range(len(cons)), r):
+            vset = tuple(v for v in verts
+                         if all(pairing(cons[i][0], v) == cons[i][1]
+                                for i in subset))
+            if not vset or vset in seen:
+                continue
+            active = [A.inequalities[i] for i, (coeffs, rhs, _) in
+                      enumerate(cons)
+                      if all(pairing(coeffs, v) == rhs for v in vset)]
+            dim = matrix_rank([tuple(a - b for a, b in zip(v, vset[0]))
+                               for v in vset[1:]]) if len(vset) > 1 else 0
+            seen[vset] = Face(
+                parent=A,
+                active=tuple(sorted(active, key=lambda t: (t[0], t[2], t[1]))),
+                codim=A.rank - dim,
+                witness=tuple(sum(v[j] for v in vset) / len(vset)
+                              for j in range(A.rank)),
+                vertex_set=vset)
+    return sorted(seen.values(), key=lambda f: (f.codim, f.active))
+
+
+FACE_INSTANCES = ([hilb_instance(n) for n in range(2, 9)]
+                  + [weyl_a_instance(n) for n in range(3, 6)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_faces_match_per_subset_reference(data):
+    inst = data.draw(st.sampled_from(FACE_INSTANCES))
+    x = data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=13),
+        min_size=inst.rank, max_size=inst.rank))
+    try:
+        A = real_alcove_of(x, inst.walls)
+    except SingularPointError:
+        return
+    assert faces_of(A, inst.walls) == reference_faces(A, inst.walls)
+
+
+def test_faces_weyl_a6_simplex():
+    inst = weyl_a_instance(6)
+    A = real_alcove_of(tuple(F(1, 11) for _ in range(inst.rank)), inst.walls)
+    assert len(A.inequalities) == 6
+    faces = faces_of(A, inst.walls)
+    assert len(faces) == 63
+    assert [f.codim for f in faces].count(inst.rank) == 6
 
 
 def test_p_alcove_type_a_fundamental_symbolic():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from alcovelab.cli import dispatch
+from alcovelab.cli import _is_prime, dispatch
 from alcovelab.config import ConfigError, load_instance, parse_config
 
 
@@ -227,3 +227,49 @@ def test_cli_singular_point_errors_cleanly():
                          "--point", "1/2"])
     assert code == 1
     assert "singular point" in json.loads(out)["error"]
+
+
+def test_cli_builtin_without_n_names_the_flag():
+    for name, point in (("hilb", "5/12"), ("weyl_a", "1/3,1/3")):
+        code, out = run_cli(["alcove", "--builtin", name, "--point", point])
+        assert code == 1
+        assert json.loads(out)["error"] == f"--builtin {name} needs --n"
+
+
+def test_cli_point_of_wrong_length_states_both_lengths():
+    cases = [
+        (["alcove", "--builtin", "weyl_a", "--n", "3", "--point", "1/3"],
+         "--point has 1 coordinates but the instance has rank 2"),
+        (["quantum", "--builtin", "weyl_a", "--n", "3", "--lambda", "1,2,3"],
+         "--lambda has 3 coordinates but the instance has rank 2"),
+        (["order", "--builtin", "hilb", "--n", "2", "--lambda-prime", "5,5",
+          "--p", "5", "--window", "0:15"],
+         "--lambda-prime has 2 coordinates but the instance has rank 1"),
+        (["path", "--builtin", "hilb", "--n", "2", "--from", "4",
+          "--to", "7,1", "--p", "5"],
+         "--to has 2 coordinates but the instance has rank 1"),
+    ]
+    for argv, message in cases:
+        code, out = run_cli(argv)
+        assert code == 1
+        assert json.loads(out)["error"] == message
+
+
+def test_cli_rejects_non_prime_p():
+    code, out = run_cli(["membership", "--builtin", "hilb", "--n", "3",
+                         "--point", "5", "--p", "4"])
+    assert code == 1
+    assert json.loads(out)["error"] == "--p 4 is not a prime"
+    code, out = run_cli(["compatible", "--builtin", "hilb", "--n", "2",
+                         "--point", "1", "--face", "1",
+                         "--p-samples", "23,49"])
+    assert code == 1
+    assert json.loads(out)["error"] == "--p-samples 49 is not a prime"
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 1000):
+        assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((2**61 - 1) * (2**31 - 1))
+    assert not _is_prime(3215031751)   # strong pseudoprime to bases 2, 3, 5, 7

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcovelab.polyhedra import (feasible, find_point, interior_point,
+from alcovelab import polyhedra
+from alcovelab.polyhedra import (_tightest_per_direction, feasible, find_point, interior_point,
                                  irredundant, is_redundant, matrix_rank,
                                  solve_linear, vertices)
 
@@ -107,3 +109,65 @@ def test_irredundant_keeps_indices_implying_the_dropped_rows(system):
     kept_rows = [cons[i] for i in kept]
     for j in set(range(len(cons))) - set(kept):
         assert is_redundant(kept_rows + [cons[j]], len(kept_rows), dim)
+
+
+def unpruned_eliminate(constraints, dim):
+    """polyhedra._eliminate without pruning: every derived row is kept."""
+    cons = [polyhedra._normalize(c) for c in constraints]
+    levels = []
+    for k in range(dim - 1, -1, -1):
+        levels.append(cons)
+        lower, upper, rest = [], [], []
+        for coeffs, rhs, strict in cons:
+            a = coeffs[k]
+            if a > 0:
+                lower.append((coeffs, rhs, strict, a))
+            elif a < 0:
+                upper.append((coeffs, rhs, strict, a))
+            else:
+                rest.append((coeffs[:k], rhs, strict))
+        new = rest
+        for lc, lr, ls, la in lower:
+            for uc, ur, us, ua in upper:
+                coeffs = tuple(lc[j] / la - uc[j] / ua for j in range(k))
+                new.append((coeffs, lr / la - ur / ua, ls or us))
+        cons = new
+    ok = not any(rhs > 0 or (strict and rhs == 0) for _, rhs, strict in cons)
+    return levels[::-1], ok
+
+
+def test_tightest_per_direction_keeps_the_tightest_parallel_row():
+    rows = [((F(2), F(4)), F(6), False), ((F(1), F(2)), F(3), True),
+            ((F(1), F(2)), F(2), False), ((F(0), F(-3)), F(3), False),
+            ((), F(-1), False), ((), F(0), False)]
+    assert _tightest_per_direction(rows) == [
+        ((F(1), F(2)), F(3), True), ((F(0), F(-1)), F(1), False),
+        ((), F(0), False)]
+
+
+@st.composite
+def systems_with_parallel_rows(draw):
+    """(constraints, dim): dimension 1-4, up to 8 rows, where some rows are
+    duplicates, positive multiples or strict/non-strict twins of others, so
+    that parallel rows meet at every elimination level."""
+    dim = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    row = st.tuples(st.tuples(*[small] * dim), small.map(F), st.booleans())
+    cons = draw(st.lists(row, min_size=1, max_size=5))
+    while len(cons) < 8 and draw(st.booleans()):
+        coeffs, rhs, strict = draw(st.sampled_from(cons))
+        scale = draw(st.sampled_from([1, 2, 3]))
+        cons.append((tuple(scale * c for c in coeffs),
+                     scale * rhs - draw(st.integers(0, 1)),
+                     draw(st.booleans())))
+    return cons, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_with_parallel_rows())
+def test_pruned_elimination_matches_unpruned_oracle(system):
+    cons, dim = system
+    pruned = (feasible(cons, dim), find_point(cons, dim))
+    with mock.patch.object(polyhedra, "_eliminate", unpruned_eliminate):
+        oracle = (feasible(cons, dim), find_point(cons, dim))
+    assert pruned == oracle
