@@ -7,6 +7,7 @@ deterministic JSON report; nonzero exit signals a failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,9 +64,16 @@ def _check_primes(args) -> None:
             raise ConfigError(f"{flag} {p} is not a prime")
 
 
-def _parse_window(text: str) -> tuple:
-    z1, z2 = text.split(":")
-    return int(z1), int(z2)
+def _parse_window(text: str, flag: str) -> tuple:
+    """A window z1:z2 of exactly two integers."""
+    parts = text.split(":")
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise ConfigError(f"{flag} must have the form z1:z2 with integers "
+                      f"z1, z2, not {text!r}")
 
 
 def _load_config(args):
@@ -107,7 +115,10 @@ def _alcove_from_args(args, cfg) -> RealAlcove:
     return real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: argparse reads
+    but never mutates a parser while parsing, so dispatch can reuse it."""
     ap = argparse.ArgumentParser(
         prog="alcove-lab",
         description="exact alcove and label-set combinatorics")
@@ -345,7 +356,7 @@ def _run(args) -> int:
     if cmd == "order":
         poset = hw_order(cfg.instance,
                          _parse_point(args.lam_prime, cfg, "--lambda-prime"),
-                         args.p, _parse_window(args.window))
+                         args.p, _parse_window(args.window, "--window"))
         if args.format == "dot":
             print(export_poset(poset, "dot", cfg.instance))
         else:
@@ -356,8 +367,9 @@ def _run(args) -> int:
     if cmd in ("preorder", "classes", "check-compat"):
         A, face = _face_of(args, cfg)
         pair = find_compatible(A, face, cfg.walls)
-        window = _parse_window(args.m_window if cmd == "check-compat"
-                               else args.window)
+        window = (_parse_window(args.m_window, "--m-window")
+                  if cmd == "check-compat"
+                  else _parse_window(args.window, "--window"))
         pre = ss_preorder(cfg.instance, pair, window)
         if cmd == "preorder":
             if args.format == "dot":
@@ -373,7 +385,7 @@ def _run(args) -> int:
             return 0
         lam_prime = pair.p_point(args.p)
         poset = hw_order(cfg.instance, lam_prime, args.p,
-                         _parse_window(args.window))
+                         _parse_window(args.window, "--window"))
         report = order_compat_check(poset, pre, args.p)
         _emit(run_report(cmd, inputs, {
             "lambda_prime": [rat_str(c) for c in lam_prime]}, checks=report))
@@ -382,7 +394,7 @@ def _run(args) -> int:
     if cmd == "check-phw":
         poset = hw_order(cfg.instance,
                          _parse_point(args.lam_prime, cfg, "--lambda-prime"),
-                         args.p, _parse_window(args.window))
+                         args.p, _parse_window(args.window, "--window"))
         d_bound = args.d_bound
         if d_bound is None:
             d_bound = 2 * len(cfg.instance.points) * args.p

@@ -19,8 +19,6 @@ class ConfigError(ValueError):
 @dataclass
 class InstanceConfig:
     instance: FixedPointInstance
-    box: tuple | None = None
-    p_list: tuple = ()
     warnings: tuple = ()
     raw: dict = field(default_factory=dict)
 
@@ -62,6 +60,9 @@ def _parse_walls(entries, path):
 def parse_config(data: dict, path="config") -> InstanceConfig:
     warnings = []
     if "builtin" in data:
+        if "n" not in data:
+            raise ConfigError(
+                f'{path}: builtin {data["builtin"]!r} needs a size "n"')
         params = {k: v for k, v in data.items()
                   if k in ("n", "ell", "lambdas")}
         if "lambdas" in params:
@@ -99,13 +100,7 @@ def parse_config(data: dict, path="config") -> InstanceConfig:
         inst = FixedPointInstance(
             inst.name, inst.rank, inst.points, inst.c_const, inst.c_linear,
             walls, inst.lambdas, inst.generators, inst.nu_pairing, inst.meta)
-    box = None
-    if "box" in data:
-        box = (vec(data["box"]["lo"]), vec(data["box"]["hi"]))
-    return InstanceConfig(
-        instance=inst, box=box,
-        p_list=tuple(int(p) for p in data.get("p_list", [])),
-        warnings=tuple(warnings), raw=data)
+    return InstanceConfig(instance=inst, warnings=tuple(warnings), raw=data)
 
 
 def load_instance(path: str) -> InstanceConfig:

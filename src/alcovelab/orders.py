@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .arith import AffineInP, affine, rat_str
+from .arith import AffineInP, rat_str
 from .instances import FixedPointInstance, wt_chi
 
 
@@ -233,9 +233,6 @@ class PreOrder:
     def strictly_less(self, a: Label, b: Label) -> bool:
         return a.kappa.slope < b.kappa.slope
 
-    def equivalent(self, a: Label, b: Label) -> bool:
-        return a.kappa.slope == b.kappa.slope
-
     def within_class_order(self, cls) -> list:
         """Class members sorted ascending for the stratified side: the
         symbolic hw comparison (by constant term) reversed."""
@@ -286,26 +283,19 @@ def equivalence_classes(pre: PreOrder) -> tuple:
     """Classes computed two ways: (a) slope levels of the pre-order and
     (b) the direct formula (same h-block and equal c - kappa as affine
     functions); a mismatch falsifies the combinatorial lemma and raises.
+
+    Two labels are directly equivalent iff their c values differ by an
+    integer and c - kappa agree as affine functions of p, that is iff they
+    share the key (frac(c), c - kappa.const, kappa.slope); so (b) groups the
+    labels by that key.
     """
     inst, lam_bar = pre.instance, pre.lam_bar
-
-    def direct_equiv(a: Label, b: Label) -> bool:
-        ca = inst.c_value(a.point, lam_bar)
-        cb = inst.c_value(b.point, lam_bar)
-        if (ca - cb).denominator != 1:
-            return False
-        return (affine(ca) - a.kappa) == (affine(cb) - b.kappa)
-
-    direct = []
+    direct = defaultdict(list)
     for l in pre.labels:
-        for cls in direct:
-            if direct_equiv(cls[0], l):
-                cls.append(l)
-                break
-        else:
-            direct.append([l])
+        c = inst.c_value(l.point, lam_bar)
+        direct[(c % 1, c - l.kappa.const, l.kappa.slope)].append(l)
     path_a = {frozenset(cls) for cls in pre.classes}
-    path_b = {frozenset(cls) for cls in direct}
+    path_b = {frozenset(cls) for cls in direct.values()}
     if path_a != path_b:
         raise AssertionError(
             "equivalence-class mismatch between slope closure and the direct "

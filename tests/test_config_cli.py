@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -5,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from alcovelab.cli import _is_prime, dispatch
-from alcovelab.config import ConfigError, load_instance, parse_config
+from alcovelab import cli
+from alcovelab.cli import _is_prime, build_parser, dispatch
+from alcovelab.config import (ConfigError, load_instance, parse_config,
+                              run_report)
 
 
 def run_cli(argv):
@@ -37,6 +40,15 @@ def test_malformed_json_reports_offset(tmp_path):
     path.write_text('{"builtin": "hilb", }')
     with pytest.raises(ConfigError, match="byte offset"):
         load_instance(str(path))
+
+
+def test_builtin_config_without_n_names_path_and_key(tmp_path):
+    path = tmp_path / "hilb.json"
+    path.write_text(json.dumps({"builtin": "hilb"}))
+    code, out = run_cli(["alcove", "--config", str(path), "--point", "5/12"])
+    assert code == 1
+    assert json.loads(out)["error"] == \
+        f"{path}: builtin 'hilb' needs a size \"n\""
 
 
 def test_unsaturated_sigma_warns_and_saturates():
@@ -273,3 +285,80 @@ def test_is_prime_matches_trial_division():
     assert _is_prime(2**61 - 1)
     assert not _is_prime((2**61 - 1) * (2**31 - 1))
     assert not _is_prime(3215031751)   # strong pseudoprime to bases 2, 3, 5, 7
+
+
+HILB2 = ["--builtin", "hilb", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["order", *HILB2, "--lambda-prime", "5", "--p", "5",
+      "--window", "0:1:2"], "--window", "0:1:2"),
+    (["order", *HILB2, "--lambda-prime", "5", "--p", "5",
+      "--window", "15"], "--window", "15"),
+    (["check-phw", *HILB2, "--lambda-prime", "5", "--p", "5",
+      "--window", "0:1/2"], "--window", "0:1/2"),
+    (["preorder", *HILB2, "--point", "1", "--face", "1",
+      "--window=-2:"], "--window", "-2:"),
+    (["classes", *HILB2, "--point", "1", "--face", "1",
+      "--window", "a:b"], "--window", "a:b"),
+    (["check-compat", *HILB2, "--point", "1", "--face", "1", "--p", "23",
+      "--window=-69:69", "--m-window=-2:0:2"], "--m-window", "-2:0:2"),
+    (["check-compat", *HILB2, "--point", "1", "--face", "1", "--p", "23",
+      "--window", "0"], "--window", "0"),
+])
+def test_cli_malformed_window_names_flag_and_form(argv, flag, text):
+    code, out = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        f"{flag} must have the form z1:z2 with integers z1, z2, not {text!r}")
+
+
+VALIDATE = ["validate-p", "--builtin", "hilb", "--n", "3", "--p", "23"]
+
+
+def test_cli_reused_parser_keeps_no_appended_points(monkeypatch):
+    # --alcove-point appends to a default list; a reused parser must not
+    # carry one call's points into the next call's report
+    inputs = []
+
+    def recording_run_report(command, inp, outputs, checks=None):
+        inputs.append(inp)
+        return run_report(command, inp, outputs, checks)
+
+    monkeypatch.setattr(cli, "run_report", recording_run_report)
+    build_parser.cache_clear()
+    _, fresh = run_cli(VALIDATE)
+    code, _ = run_cli(VALIDATE + ["--alcove-point", "5/12"])
+    assert code == 0
+    assert inputs[-1]["argv"]["alcove_point"] == ["5/12"]
+    _, again = run_cli(VALIDATE)
+    assert inputs[-1]["argv"]["alcove_point"] == []
+    assert again == fresh
+
+
+def test_cli_dispatch_works_after_an_argparse_exit():
+    build_parser.cache_clear()
+    argv = ["alcove", *HILB2, "--point", "1"]
+    _, fresh = run_cli(argv)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["alcove", "--builtin", "hilb", "--n", "x", "--point", "1"])
+    assert exc.value.code == 2
+    code, out = run_cli(argv)
+    assert code == 0 and out == fresh
+
+
+def test_cli_second_dispatch_builds_no_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    run_cli(["alcove", *HILB2, "--point", "1"])
+    assert built
+    first = len(built)
+    run_cli(["faces", *HILB2, "--point", "1"])
+    assert len(built) == first

@@ -1,14 +1,18 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from alcovelab.alcoves import faces_of, real_alcove_of
+from alcovelab.alcoves import SingularPointError, faces_of, real_alcove_of
 from alcovelab.compat import find_compatible
-from alcovelab.instances import hilb_instance, weyl_a_instance
-from alcovelab.arith import vadd
+from alcovelab.instances import (FixedPointInstance, hilb_instance,
+                                 weyl_a_instance)
+from alcovelab.arith import AffineInP, affine, vadd
 from alcovelab.compat import CompatiblePair
-from alcovelab.orders import (Label, LabeledPoset, block_of, c_bar,
+from alcovelab.orders import (Label, LabeledPoset, PreOrder, block_of, c_bar,
                               crossing_threshold_bound, equivalence_classes,
                               export_poset, hw_order, interval_image,
                               label_translate, order_compat_check,
@@ -214,6 +218,85 @@ def test_equivalence_classes_weyl_h_blocks():
     for cls in pre.classes:
         cvals = [A2.c_value(l.point, pair.lam) for l in cls]
         assert all((a - b).denominator == 1 for a in cvals for b in cvals)
+
+
+def pairwise_direct_classes(pre):
+    """Test-only oracle for the direct formula: each label is compared with
+    the first member of every class found so far."""
+    inst, lam_bar = pre.instance, pre.lam_bar
+
+    def direct_equiv(a, b):
+        ca = inst.c_value(a.point, lam_bar)
+        cb = inst.c_value(b.point, lam_bar)
+        if (ca - cb).denominator != 1:
+            return False
+        return (affine(ca) - a.kappa) == (affine(cb) - b.kappa)
+
+    direct = []
+    for l in pre.labels:
+        for cls in direct:
+            if direct_equiv(cls[0], l):
+                cls.append(l)
+                break
+        else:
+            direct.append([l])
+    return {frozenset(cls) for cls in direct}
+
+
+def nudged(pre, label, delta):
+    """pre with one label's kappa moved by the constant delta, in the labels
+    and in its class alike; the slope, hence the class, stays."""
+    moved = Label(label.point, label.kappa + delta)
+
+    def swap(labels):
+        return tuple(moved if l == label else l for l in labels)
+
+    return replace(pre, labels=swap(pre.labels),
+                   classes=tuple(swap(cls) for cls in pre.classes))
+
+
+HILB_2_TO_8 = tuple(hilb_instance(n, 0) for n in range(2, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equivalence_classes_matches_pairwise_oracle(data):
+    inst = data.draw(st.sampled_from(HILB_2_TO_8))
+    x = data.draw(st.fractions(min_value=-2, max_value=3, max_denominator=24))
+    try:
+        A = real_alcove_of((x,), inst.walls)
+    except SingularPointError:
+        assume(False)
+    face = data.draw(st.sampled_from(faces_of(A, inst.walls)))
+    m = data.draw(st.integers(0, 4))
+    pre = ss_preorder(inst, find_compatible(A, face, inst.walls), (-m, m))
+    if data.draw(st.booleans()):
+        pre = nudged(pre, data.draw(st.sampled_from(pre.labels)),
+                     data.draw(st.sampled_from((F(1, 2), F(1), F(-3)))))
+    if pairwise_direct_classes(pre) == {frozenset(c) for c in pre.classes}:
+        assert equivalence_classes(pre) == pre.classes
+    else:
+        with pytest.raises(AssertionError, match="mismatch"):
+            equivalence_classes(pre)
+
+
+def test_equivalence_classes_rejects_a_nudged_kappa():
+    pair = hilb_face_pair(HILB3, F(1, 2))
+    pre = ss_preorder(HILB3, pair, (-2, 2))
+    label = next(cls[0] for cls in pre.classes if len(cls) > 1)
+    with pytest.raises(AssertionError, match="mismatch"):
+        equivalence_classes(nudged(pre, label, F(1, 2)))
+
+
+def test_equivalence_classes_rejects_one_slope_across_h_blocks():
+    # equal slope and equal c - kappa, but c(b) - c(a) = 1/2 is no integer
+    inst = FixedPointInstance("split", 1, ("a", "b"),
+                              {"a": F(0), "b": F(1, 2)},
+                              {"a": (F(0),), "b": (F(0),)})
+    labels = (Label("a", AffineInP(0, 1)), Label("b", AffineInP(F(1, 2), 1)))
+    pre = PreOrder(inst, (F(0),), (F(0),), labels, (labels,), (F(1),))
+    with pytest.raises(AssertionError, match="mismatch"):
+        equivalence_classes(pre)
 
 
 def test_order_compat_chain():
