@@ -1,7 +1,9 @@
 """Command-line front end: thin shells over the library operations.
 
-Every subcommand loads a config, runs one library call, and prints a
-deterministic JSON report; nonzero exit signals a failed check.
+Every subcommand computes its outputs and checks and prints one
+deterministic JSON report, or the DOT, CSV or JSON text asked for instead.
+The exit code is 1 exactly when the checks did not pass or the input was
+rejected.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from .alcoves import (faces_of, integral_walls_and_positive_chamber,
                       real_alcove_of, translation_path, RealAlcove)
 from .compat import find_compatible, opposite_pair, verify_compatible
 from .config import ConfigError, load_instance, parse_config, report_to_json, run_report
+from .instances import BUILTINS
 from .mullineux import wc_bijection_hilb
 from .orders import (equivalence_classes, export_poset, hw_order,
-                     order_compat_check, phw_axiom_check, ss_preorder)
+                     order_compat_check, phw_axiom_check, ss_preorder, to_dot)
 from .validate import validate_p
 
 
@@ -91,28 +94,24 @@ def _load_config(args):
 
 def _add_instance_flags(sub):
     sub.add_argument("--config", help="instance config JSON")
-    sub.add_argument("--builtin", choices=("hilb", "weyl_a"),
+    sub.add_argument("--builtin", choices=BUILTINS,
                      help="builtin instance instead of a config file")
     sub.add_argument("--n", type=int, help="builtin size parameter")
     sub.add_argument("--ell", type=int, default=None,
                      help="builtin hilb window parameter (default 0)")
 
 
+def _alcove_at(text: str, cfg, flag: str = "--point") -> RealAlcove:
+    """The real alcove containing the point given by a flag."""
+    return real_alcove_of(_parse_point(text, cfg, flag), cfg.walls)
+
+
 def _face_of(args, cfg):
-    A = real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
+    A = _alcove_at(args.point, cfg)
     faces = faces_of(A, cfg.walls)
     if args.face < 0 or args.face >= len(faces):
         raise ConfigError(f"--face must be in [0, {len(faces)})")
     return A, faces[args.face]
-
-
-def _alcove_from_args(args, cfg) -> RealAlcove:
-    if getattr(args, "alcove_id", None):
-        with open(args.alcove_id, "r", encoding="utf-8") as fh:
-            return RealAlcove.from_json(json.load(fh))
-    if not getattr(args, "point", None):
-        raise ConfigError("identify the alcove with --point or --alcove-id")
-    return real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
 
 
 @functools.cache
@@ -214,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv) -> int:
     ap = build_parser()
-    if not argv:
-        ap.print_usage()
-        return 2
     args = ap.parse_args(argv)
     if args.cmd is None:
         ap.print_usage()
@@ -224,108 +220,94 @@ def dispatch(argv) -> int:
     try:
         _check_primes(args)
         return _run(args)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
 
 
-def _emit(report) -> None:
-    print(report_to_json(report))
-
-
 def _run(args) -> int:
-    cmd = args.cmd
-
+    """Print the subcommand's report, or the text it prints instead; exit 1
+    exactly when the report carries checks that did not pass."""
+    cmd, inputs, checks = args.cmd, None, None
     if cmd == "export":
         with open(args.infile, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if args.format == "json":
-            print(json.dumps(data, sort_keys=True, indent=2))
-        else:
-            lines = ["digraph poset {", "  rankdir=BT;"]
-            for a, b in data.get("covers", []):
-                lines.append(f'  "{a[0]}|{a[1]}" -> "{b[0]}|{b[1]}";')
-            lines.append("}")
-            print("\n".join(lines))
-        return 0
-
-    if cmd == "wallcross":
+        out = (json.dumps(data, sort_keys=True, indent=2)
+               if args.format == "json" else to_dot((), data.get("covers", [])))
+    elif cmd == "wallcross":
         n = args.n
         if n is None:
             n = _load_config(args).instance.meta.get("n")
         if n is None:
             raise ConfigError("wallcross needs --n or a hilb config")
-        table = wc_bijection_hilb(n, args.b, args.variant)
+        inputs = {"cmd": cmd, "n": n, "b": args.b, "variant": args.variant}
+        out = wc_bijection_hilb(n, args.b, args.variant)
         if args.csv:
-            print("partition,image,provenance")
-            for key in sorted(table["map"]):
-                entry = table["map"][key]
-                print(f"{key},{entry['image'] or ''},{entry['provenance']}")
-        else:
-            inputs = {"cmd": cmd, "n": n, "b": args.b, "variant": args.variant}
-            _emit(run_report(cmd, inputs, table))
-        return 0
+            out = "\n".join(["partition,image,provenance"] + [
+                f"{key},{e['image'] or ''},{e['provenance']}"
+                for key, e in sorted(out["map"].items())])
+    else:
+        cfg = _load_config(args)
+        inputs = {"cmd": cmd,
+                  "argv": {k: v for k, v in sorted(vars(args).items())
+                           if k != "cmd"},
+                  "config": cfg.raw}
+        out, checks = _outputs(args, cfg)
+    print(out if isinstance(out, str)
+          else report_to_json(run_report(cmd, inputs, out, checks)))
+    return 0 if checks is None or checks["passed"] else 1
 
-    cfg = _load_config(args)
-    inputs = {"cmd": cmd, "argv": {k: v for k, v in sorted(vars(args).items())
-                                   if k != "cmd"},
-              "config": cfg.raw}
 
+def _outputs(args, cfg):
+    """(outputs, checks) of a subcommand on a loaded instance; a DOT text
+    in place of the outputs for --format dot."""
+    cmd = args.cmd
     if cmd == "alcove":
-        A = real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
-        _emit(run_report(cmd, inputs, {"alcove": A.to_json(),
-                                       "warnings": list(cfg.warnings)}))
-        return 0
+        return {"alcove": _alcove_at(args.point, cfg).to_json(),
+                "warnings": list(cfg.warnings)}, None
 
     if cmd == "faces":
-        A = real_alcove_of(_parse_point(args.point, cfg, "--point"), cfg.walls)
-        faces = faces_of(A, cfg.walls)
-        out = [{"index": i, "codim": f.codim,
-                "witness": [rat_str(c) for c in f.witness],
-                "active": [[wid, rat_str(m), s] for wid, m, s in f.active]}
-               for i, f in enumerate(faces)]
-        _emit(run_report(cmd, inputs, {"alcove": A.to_json(), "faces": out}))
-        return 0
+        A = _alcove_at(args.point, cfg)
+        faces = [{"index": i, "codim": f.codim,
+                  "witness": [rat_str(c) for c in f.witness],
+                  "active": [[wid, rat_str(m), s] for wid, m, s in f.active]}
+                 for i, f in enumerate(faces_of(A, cfg.walls))]
+        return {"alcove": A.to_json(), "faces": faces}, None
 
     if cmd == "palcove":
-        A = _alcove_from_args(args, cfg)
+        if args.alcove_id:
+            with open(args.alcove_id, "r", encoding="utf-8") as fh:
+                A = RealAlcove.from_json(json.load(fh))
+        elif args.point:
+            A = _alcove_at(args.point, cfg)
+        else:
+            raise ConfigError("identify the alcove with --point or --alcove-id")
         pa = p_alcove_of(A, cfg.walls)
         out = pa.to_json()
         if args.p:
             out["at_p"] = {str(args.p): [
                 [wid, orient, rat_str(rhs.eval_at(args.p))]
                 for wid, orient, rhs in pa.inequalities]}
-        _emit(run_report(cmd, inputs, {"palcove": out}))
-        return 0
+        return {"palcove": out}, None
 
     if cmd == "membership":
         pa = p_membership(_parse_point(args.point, cfg, "--point"), args.p,
                           cfg.walls)
-        _emit(run_report(cmd, inputs, {"palcove": pa.to_json()}))
-        return 0
+        return {"palcove": pa.to_json()}, None
 
-    if cmd == "chambers":
+    if cmd in ("chambers", "quantum"):
         lam = _parse_point(args.lam, cfg, "--lambda")
         int_walls, chamber = integral_walls_and_positive_chamber(lam, cfg.walls)
-        _emit(run_report(cmd, inputs, {
-            "integral_walls": [w.id for w in int_walls],
-            "positive_chamber": chamber.to_json()}))
-        return 0
-
-    if cmd == "quantum":
-        lam = _parse_point(args.lam, cfg, "--lambda")
-        _, chamber = integral_walls_and_positive_chamber(lam, cfg.walls)
+        if cmd == "chambers":
+            return {"integral_walls": [w.id for w in int_walls],
+                    "positive_chamber": chamber.to_json()}, None
         q = quantum_chamber(lam, chamber, cfg.walls)
-        _emit(run_report(cmd, inputs, {"quantum_chamber": q.to_json()}))
-        return 0
+        return {"quantum_chamber": q.to_json()}, None
 
     if cmd == "validate-p":
-        alcoves = [real_alcove_of(_parse_point(pt, cfg, "--alcove-point"),
-                                  cfg.walls)
+        alcoves = [_alcove_at(pt, cfg, "--alcove-point")
                    for pt in args.alcove_point]
-        report = validate_p(args.p, cfg.instance, alcoves=alcoves)
-        _emit(run_report(cmd, inputs, {}, checks=report))
-        return 0 if report["passed"] else 1
+        return {}, validate_p(args.p, cfg.instance, alcoves=alcoves)
 
     if cmd == "path":
         src = _parse_point(args.src, cfg, "--from")
@@ -333,9 +315,7 @@ def _run(args) -> int:
         pa = p_membership(src, args.p, cfg.walls)
         steps = translation_path(src, dst, pa, args.p,
                                  cfg.instance.generators, cfg.walls)
-        _emit(run_report(cmd, inputs, {
-            "steps": [[rat_str(c) for c in s] for s in steps]}))
-        return 0
+        return {"steps": [[rat_str(c) for c in s] for s in steps]}, None
 
     if cmd == "compatible":
         A, face = _face_of(args, cfg)
@@ -350,19 +330,20 @@ def _run(args) -> int:
             pm, chi = opposite_pair(A, face, pair, cfg.walls)
             out["opposite"] = {"lambda": [rat_str(c) for c in pm.lam],
                                "chi": [rat_str(c) for c in chi]}
-        _emit(run_report(cmd, inputs, out, checks=report))
-        return 0 if report["passed"] else 1
+        return out, report
 
-    if cmd == "order":
+    if cmd in ("order", "check-phw"):
         poset = hw_order(cfg.instance,
                          _parse_point(args.lam_prime, cfg, "--lambda-prime"),
                          args.p, _parse_window(args.window, "--window"))
+        if cmd == "check-phw":
+            d_bound = args.d_bound
+            if d_bound is None:
+                d_bound = 2 * len(cfg.instance.points) * args.p
+            return {}, phw_axiom_check(poset, d_bound)
         if args.format == "dot":
-            print(export_poset(poset, "dot", cfg.instance))
-        else:
-            _emit(run_report(cmd, inputs,
-                             {"poset": poset.to_json(cfg.instance)}))
-        return 0
+            return export_poset(poset, "dot", cfg.instance), None
+        return {"poset": poset.to_json(cfg.instance)}, None
 
     if cmd in ("preorder", "classes", "check-compat"):
         A, face = _face_of(args, cfg)
@@ -373,34 +354,17 @@ def _run(args) -> int:
         pre = ss_preorder(cfg.instance, pair, window)
         if cmd == "preorder":
             if args.format == "dot":
-                print(export_poset(pre, "dot"))
-            else:
-                _emit(run_report(cmd, inputs, {"preorder": pre.to_json()}))
-            return 0
+                return export_poset(pre, "dot"), None
+            return {"preorder": pre.to_json()}, None
         if cmd == "classes":
-            classes = equivalence_classes(pre)
-            _emit(run_report(cmd, inputs, {
-                "classes": [[f"{cfg.instance.point_str(l.point)}|{l.kappa}"
-                             for l in cls] for cls in classes]}))
-            return 0
+            return {"classes": [
+                [f"{cfg.instance.point_str(l.point)}|{l.kappa}" for l in cls]
+                for cls in equivalence_classes(pre)]}, None
         lam_prime = pair.p_point(args.p)
         poset = hw_order(cfg.instance, lam_prime, args.p,
                          _parse_window(args.window, "--window"))
-        report = order_compat_check(poset, pre, args.p)
-        _emit(run_report(cmd, inputs, {
-            "lambda_prime": [rat_str(c) for c in lam_prime]}, checks=report))
-        return 0 if report["passed"] else 1
-
-    if cmd == "check-phw":
-        poset = hw_order(cfg.instance,
-                         _parse_point(args.lam_prime, cfg, "--lambda-prime"),
-                         args.p, _parse_window(args.window, "--window"))
-        d_bound = args.d_bound
-        if d_bound is None:
-            d_bound = 2 * len(cfg.instance.points) * args.p
-        report = phw_axiom_check(poset, d_bound)
-        _emit(run_report(cmd, inputs, {}, checks=report))
-        return 0 if report["passed"] else 1
+        return ({"lambda_prime": [rat_str(c) for c in lam_prime]},
+                order_compat_check(poset, pre, args.p))
 
     raise ConfigError(f"unknown subcommand: {cmd}")
 

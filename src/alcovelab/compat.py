@@ -100,7 +100,8 @@ def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:
         radii.append(r)
         r *= 2
     for radius in radii:
-        for v in sorted(product(range(-radius, radius + 1), repeat=d)):
+        # product yields the box in lex order, so the first hit is lex-min
+        for v in product(range(-radius, radius + 1), repeat=d):
             lam = vadd(mu, v)
             if all(base + pairing(alpha_or, v) > sigma
                    for alpha_or, base, sigma in constraints):

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .arith import Wall, is_saturated, rat, saturate, vec
-from .instances import FixedPointInstance, builtin_instance
+from .instances import BUILTINS, FixedPointInstance, builtin_instance
 
 TOOL_VERSION = "0.1.0"
 
@@ -60,6 +60,9 @@ def _parse_walls(entries, path):
 def parse_config(data: dict, path="config") -> InstanceConfig:
     warnings = []
     if "builtin" in data:
+        if data["builtin"] not in BUILTINS:
+            raise ConfigError(f'{path}: unknown builtin {data["builtin"]!r}; '
+                              f'expected one of {", ".join(BUILTINS)}')
         if "n" not in data:
             raise ConfigError(
                 f'{path}: builtin {data["builtin"]!r} needs a size "n"')
@@ -97,9 +100,7 @@ def parse_config(data: dict, path="config") -> InstanceConfig:
     if "walls" in data and "builtin" in data:
         walls, wall_warnings = _parse_walls(data["walls"], path)
         warnings.extend(wall_warnings)
-        inst = FixedPointInstance(
-            inst.name, inst.rank, inst.points, inst.c_const, inst.c_linear,
-            walls, inst.lambdas, inst.generators, inst.nu_pairing, inst.meta)
+        inst = replace(inst, walls=walls)
     return InstanceConfig(instance=inst, warnings=tuple(warnings), raw=data)
 
 

@@ -9,7 +9,7 @@ only this interface, so other examples can be loaded as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -28,7 +28,6 @@ class FixedPointInstance:
     walls: tuple = ()
     lambdas: tuple = ()      # registered rational parameters (the set Lambda)
     generators: tuple = ()   # lattice generators (the set P_2)
-    nu_pairing: tuple = (1,)  # projection of torus characters for comparison
     meta: dict = field(default_factory=dict)
 
     def c_value(self, x, lam) -> Fraction:
@@ -48,27 +47,7 @@ class FixedPointInstance:
         return str(x)
 
     def with_lambdas(self, lambdas) -> "FixedPointInstance":
-        return FixedPointInstance(
-            self.name, self.rank, self.points, self.c_const, self.c_linear,
-            self.walls, tuple(vec(l) for l in lambdas), self.generators,
-            self.nu_pairing, self.meta)
-
-    def kappa_value(self, kappa):
-        """The comparison value of a torus character: scalars pass through,
-        lattice characters pair with nu (the higher-rank path)."""
-        if isinstance(kappa, (int, Fraction)):
-            return rat(kappa)
-        if isinstance(kappa, AffineInP):
-            return kappa
-        return pairing(self.nu_pairing, kappa)
-
-    def compare_characters(self, k1, k2):
-        """-1/0/+1 by the nu-pairing; None for distinct characters with the
-        same pairing (incomparable labels in rank > 1)."""
-        v1, v2 = self.kappa_value(k1), self.kappa_value(k2)
-        if v1 == v2:
-            return 0 if k1 == k2 else None
-        return -1 if v1 < v2 else 1
+        return replace(self, lambdas=tuple(vec(l) for l in lambdas))
 
     def to_json(self) -> dict:
         return {
@@ -82,7 +61,6 @@ class FixedPointInstance:
             "walls": [w.to_json() for w in self.walls],
             "lambdas": [[rat_str(c) for c in l] for l in self.lambdas],
             "generators": [[rat_str(c) for c in g] for g in self.generators],
-            "nu_pairing": [rat_str(rat(c)) for c in self.nu_pairing],
             "meta": dict(self.meta),
         }
 
@@ -113,7 +91,6 @@ class FixedPointInstance:
             walls=tuple(Wall.from_json(w) for w in data.get("walls", [])),
             lambdas=tuple(vec(l) for l in data.get("lambdas", [])),
             generators=tuple(vec(g) for g in data.get("generators", [])),
-            nu_pairing=tuple(vec(data.get("nu_pairing", [1]))),
             meta=meta,
         )
 
@@ -205,6 +182,9 @@ def weyl_a_instance(n: int, lambdas=()) -> FixedPointInstance:
         meta={"points": "permutations", "n": n, "nu": "rho_vee",
               "coords": "fundamental weights"},
     )
+
+
+BUILTINS = ("hilb", "weyl_a")
 
 
 def builtin_instance(name: str, **params) -> FixedPointInstance:

@@ -2,14 +2,15 @@
 
 Labels are pairs (fixed point, kappa).  In concrete-prime posets kappa is an
 integer T-character; in the symbolic pre-order kappa is affine in p, with the
-slope carrying the "mp" part.  The torus is rank one on the primary path;
-higher rank compares characters through their pairings with nu.
+slope carrying the "mp" part.  The torus has rank one, so a character is a
+single scalar; higher rank is not implemented.
 """
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import AffineInP, rat_str
@@ -56,7 +57,6 @@ class LabeledPoset:
     blocks: dict
     p: int
     window: tuple
-    residues: dict = field(default_factory=dict, compare=False)
 
     def _descendants(self):
         succ = defaultdict(list)
@@ -135,7 +135,7 @@ def hw_order(instance: FixedPointInstance, lam, p: int, window) -> LabeledPoset:
         for lo, hi in zip(ks, ks[1:]):
             covers.extend((a, b) for a in levels[lo] for b in levels[hi])
     return LabeledPoset(labels=labels, covers=tuple(covers), blocks=blocks,
-                        p=p, window=(z1, z2), residues=res)
+                        p=p, window=(z1, z2))
 
 
 def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
@@ -158,21 +158,12 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     report["axiom1_shift"] = {"orbits": len(period), "free": free,
                               "ok": free and len(period) > 0}
 
-    invariant = True
-    witness = None
-    for a in poset.labels:
-        for b in poset.closure.get(a, ()):
-            sa, sb = shift(a, 1, p), shift(b, 1, p)
-            if sa in labels and sb in labels and not poset.less(sa, sb):
-                invariant, witness = False, (a, b)
-                break
-            sa, sb = shift(a, -1, p), shift(b, -1, p)
-            if sa in labels and sb in labels and not poset.less(sa, sb):
-                invariant, witness = False, (a, b)
-                break
-        if not invariant:
-            break
-    report["axiom2_invariance"] = {"ok": invariant, "witness": witness}
+    # the first pair a < b whose shift by 1, then by -1, is not ordered
+    witness = next(
+        ((a, b) for a in poset.labels for b in poset.closure.get(a, ())
+         for sa, sb in ((shift(a, z, p), shift(b, z, p)) for z in (1, -1))
+         if sa in labels and sb in labels and not poset.less(sa, sb)), None)
+    report["axiom2_invariance"] = {"ok": witness is None, "witness": witness}
 
     below_shift = all(
         poset.less(l, shift(l, 1, p))
@@ -342,13 +333,14 @@ def order_compat_check(poset: LabeledPoset, pre: PreOrder, p: int) -> dict:
     pairs outside the window are skipped.  The report carries the crossing
     threshold: at p below it the implications can legitimately fail.
     """
+    window_labels = set(poset.labels)
     in_window = {}
     for l in pre.labels:
         v = l.kappa.eval_at(p)
         if v.denominator != 1:
             raise ValueError(f"kappa not integral at p={p}")
         cl = Label(l.point, v.numerator)
-        if cl in set(poset.labels):
+        if cl in window_labels:
             in_window[l] = cl
     first = second = below = True
     w1 = w2 = None
@@ -418,40 +410,44 @@ def interval_image(pre: PreOrder, interval, chi) -> tuple:
     return image
 
 
+PALETTE = ("lightblue", "lightgreen", "lightyellow", "lightpink",
+           "lightgray", "orange", "cyan", "violet")
+
+
+def to_dot(nodes, edges, edge_style="") -> str:
+    """DOT Hasse diagram.  Nodes are ((name, kappa), color) pairs, edges
+    ((name, kappa), (name, kappa)) pairs as in a poset's JSON "covers";
+    every label is drawn as "name|kappa"."""
+    lines = ["digraph poset {", "  rankdir=BT;"]
+    lines += [f'  "{x}|{k}" [style=filled, fillcolor={color}];'
+              for (x, k), color in nodes]
+    lines += [f'  "{x}|{k}" -> "{y}|{m}"{edge_style};'
+              for (x, k), (y, m) in edges]
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def export_poset(obj, fmt: str, instance=None) -> str:
     """DOT Hasse diagram or canonical JSON for a poset or pre-order."""
-    import json as _json
-
     if fmt == "json":
         payload = obj.to_json(instance) if isinstance(obj, LabeledPoset) \
             else obj.to_json()
-        return _json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2)
     if fmt != "dot":
         raise ValueError(f"unknown format: {fmt}")
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    palette = ["lightblue", "lightgreen", "lightyellow", "lightpink",
-               "lightgray", "orange", "cyan", "violet"]
     if isinstance(obj, LabeledPoset):
         name = instance.point_str if instance is not None else str
-        for l in obj.labels:
-            color = palette[obj.blocks[l] % len(palette)]
-            lines.append(
-                f'  "{name(l.point)}|{l.kappa}" '
-                f'[style=filled, fillcolor={color}];')
-        for a, b in obj.covers:
-            lines.append(f'  "{name(a.point)}|{a.kappa}" -> '
-                         f'"{name(b.point)}|{b.kappa}";')
-    else:
-        name = obj.instance.point_str
-        for ci, cls in enumerate(obj.classes):
-            color = palette[ci % len(palette)]
-            for l in cls:
-                lines.append(f'  "{name(l.point)}|{l.kappa}" '
-                             f'[style=filled, fillcolor={color}];')
-        for ci in range(len(obj.classes) - 1):
-            a = obj.within_class_order(obj.classes[ci])[-1]
-            b = obj.within_class_order(obj.classes[ci + 1])[0]
-            lines.append(f'  "{name(a.point)}|{a.kappa}" -> '
-                         f'"{name(b.point)}|{b.kappa}" [style=dashed];')
-    lines.append("}")
-    return "\n".join(lines)
+        return to_dot(
+            [((name(l.point), l.kappa), PALETTE[obj.blocks[l] % len(PALETTE)])
+             for l in obj.labels],
+            [((name(a.point), a.kappa), (name(b.point), b.kappa))
+             for a, b in obj.covers])
+    # one dashed edge from the top of each class to the bottom of the next
+    name = obj.instance.point_str
+    ranked = [obj.within_class_order(cls) for cls in obj.classes]
+    return to_dot(
+        [((name(l.point), l.kappa), PALETTE[ci % len(PALETTE)])
+         for ci, cls in enumerate(obj.classes) for l in cls],
+        [((name(lo[-1].point), lo[-1].kappa), (name(hi[0].point), hi[0].kappa))
+         for lo, hi in zip(ranked, ranked[1:])],
+        " [style=dashed]")

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 from .arith import AffineInP, rat_str
 from .alcoves import p_alcove_of
+from .orders import c_bar
 from .polyhedra import vertices
 
 
@@ -75,10 +77,16 @@ def validate_p(p: int, instance, alcoves=(), walls=None) -> dict:
     report["b_lambdas"] = {"checks": lam_checks,
                            "ok": all(c["ok"] for c in lam_checks)}
 
+    def residues(lam):
+        """c_bar at lam, or None where some (p+1)*c is not integral."""
+        try:
+            return c_bar(instance, lam, p)
+        except ValueError:
+            return None
+
+    lam_residues = [residues(lam) for lam in instance.lambdas]
     if instance.lambdas:
-        c_ok = all(
-            ((p + 1) * instance.c_value(x, lam)).denominator == 1
-            for lam in instance.lambdas for x in instance.points)
+        c_ok = None not in lam_residues
     else:
         c_ok = all(((p + 1) * instance.c_const[x]).denominator == 1
                    and all(((p + 1) * c).denominator == 1
@@ -87,30 +95,16 @@ def validate_p(p: int, instance, alcoves=(), walls=None) -> dict:
     report["c_scalars"] = {"ok": c_ok}
 
     block_checks = []
-    for lam in instance.lambdas:
-        ok = True
-        values = {}
-        for x in instance.points:
-            v = (p + 1) * instance.c_value(x, lam)
-            if v.denominator != 1:
-                ok = False
-                break
-            values[x] = v.numerator % p
+    for lam, res in zip(instance.lambdas, lam_residues):
+        ok = res is not None
         if ok:
-            blocks = []
+            # an h-block is a class of c values mod 1; each block's residues
+            # must fill an interval that no other block's residues enter
+            blocks = defaultdict(list)
             for x in instance.points:
-                for blk in blocks:
-                    if (instance.c_value(x, lam)
-                            - instance.c_value(blk[0], lam)).denominator == 1:
-                        blk.append(x)
-                        break
-                else:
-                    blocks.append([x])
-            ranges = [(min(values[x] for x in blk), max(values[x] for x in blk))
-                      for blk in blocks]
-            ranges.sort()
-            ok = all(ranges[i][1] < ranges[i + 1][0]
-                     for i in range(len(ranges) - 1))
+                blocks[instance.c_value(x, lam) % 1].append(res[x])
+            ranges = sorted((min(v), max(v)) for v in blocks.values())
+            ok = all(lo[1] < hi[0] for lo, hi in zip(ranges, ranges[1:]))
         block_checks.append({"lambda": [rat_str(c) for c in lam], "ok": ok})
     report["d_block_order"] = {"checks": block_checks,
                                "ok": all(c["ok"] for c in block_checks)}

@@ -359,6 +359,52 @@ def test_validate_p_block_order_separation():
     assert good["d_block_order"]["ok"]
 
 
+def pairwise_block_checks(p, inst, lam):
+    """Test-only oracle for validate_p (c) and (d) at one lambda: residues
+    point by point and h-blocks by a pairwise scan of c differences."""
+    values = {}
+    for x in inst.points:
+        v = (p + 1) * inst.c_value(x, lam)
+        if v.denominator != 1:
+            return False, False
+        values[x] = v.numerator % p
+    blocks = []
+    for x in inst.points:
+        for blk in blocks:
+            if (inst.c_value(x, lam) - inst.c_value(blk[0], lam)).denominator == 1:
+                blk.append(x)
+                break
+        else:
+            blocks.append([x])
+    ranges = sorted((min(values[x] for x in blk), max(values[x] for x in blk))
+                    for blk in blocks)
+    return True, all(ranges[i][1] < ranges[i + 1][0]
+                     for i in range(len(ranges) - 1))
+
+
+BLOCK_INSTANCES = ([hilb_instance(n, 0) for n in range(2, 9)]
+                   + [weyl_a_instance(n) for n in (3, 4)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_validate_p_blocks_match_pairwise_oracle(data):
+    inst = data.draw(st.sampled_from(BLOCK_INSTANCES))
+    p = data.draw(st.sampled_from((5, 7, 11, 13, 23, 29, 47)))
+    # denominators dividing p + 1 keep (p+1)*c integral; 5 and 2(p+1)
+    # mostly break (c)
+    lams = [tuple(F(data.draw(st.integers(-60, 60)),
+                    data.draw(st.sampled_from((1, 2, 3, 4, 6, 5, p + 1,
+                                               2 * (p + 1)))))
+                  for _ in range(inst.rank))
+            for _ in range(data.draw(st.integers(1, 2)))]
+    rep = validate_p(p, inst.with_lambdas(lams))
+    expected = [pairwise_block_checks(p, inst, lam) for lam in lams]
+    assert rep["c_scalars"]["ok"] == all(c for c, _ in expected)
+    assert [c["ok"] for c in rep["d_block_order"]["checks"]] == \
+        [d for _, d in expected]
+
+
 def test_validate_p_small_p_empty_alcove():
     # at p=5 with n=4 data the alcove (1/4, 1/3) has window
     # [6/4*... ] -> (p+1)/4 + 1 = 2.5 territory: lattice gap

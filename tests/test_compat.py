@@ -1,13 +1,17 @@
 from fractions import Fraction as F
+from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alcovelab.alcoves import faces_of, p_membership, real_alcove_of
+from alcovelab import compat
+from alcovelab.alcoves import (SingularPointError, faces_of, p_membership,
+                               real_alcove_of)
 from alcovelab.arith import pairing, vadd
-from alcovelab.compat import (CompatiblePair, find_compatible,
-                              opposite_alcove, opposite_pair,
+from alcovelab.compat import (CompatiblePair, _split_facets,
+                              find_compatible, opposite_alcove, opposite_pair,
                               verify_compatible)
 from alcovelab.instances import hilb_instance, weyl_a_instance
 
@@ -151,3 +155,44 @@ def test_compatible_cache_translation():
     assert moved.lam == base.lam
     assert moved.mu == (F(7, 2),)
     assert verify_compatible(moved, inst.walls, p_samples=(23,))["passed"]
+
+
+def sorted_scan_lambda(A, face, walls):
+    """Test-only oracle for find_compatible on a fresh cache: the radius
+    schedule with each box sorted before its first test."""
+    mu = face.witness
+    through, _ = _split_facets(A, face, walls)
+    constraints = [(alpha_or, pairing(alpha_or, mu), sigma)
+                   for _, alpha_or, _, sigma in through]
+    needed = max((sigma - base for _, base, sigma in constraints),
+                 default=F(0))
+    radius = max(2, int(needed) + 2)
+    while radius <= 32:
+        for v in sorted(product(range(-radius, radius + 1), repeat=A.rank)):
+            if all(base + pairing(alpha_or, v) > sigma
+                   for alpha_or, base, sigma in constraints):
+                return vadd(mu, v)
+        radius *= 2
+    return None
+
+
+SCAN_INSTANCES = ([hilb_instance(n, 0) for n in range(2, 7)]
+                  + [weyl_a_instance(n) for n in (3, 4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_find_compatible_matches_sorted_scan(data):
+    inst = data.draw(st.sampled_from(SCAN_INSTANCES))
+    point = tuple(F(data.draw(st.integers(-90, 90)),
+                    data.draw(st.integers(7, 31))) for _ in range(inst.rank))
+    try:
+        A = real_alcove_of(point, inst.walls)
+    except SingularPointError:
+        assume(False)
+    faces = faces_of(A, inst.walls)
+    face = faces[data.draw(st.integers(0, len(faces) - 1))]
+    with mock.patch.dict(compat._cache, clear=True):
+        pair = find_compatible(A, face, inst.walls)
+    assert pair.mu == face.witness
+    assert pair.lam == sorted_scan_lambda(A, face, inst.walls)

@@ -3,10 +3,11 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
-from alcovelab import cli
+from alcovelab import cli, compat
 from alcovelab.cli import _is_prime, build_parser, dispatch
 from alcovelab.config import (ConfigError, load_instance, parse_config,
                               run_report)
@@ -49,6 +50,17 @@ def test_builtin_config_without_n_names_path_and_key(tmp_path):
     assert code == 1
     assert json.loads(out)["error"] == \
         f"{path}: builtin 'hilb' needs a size \"n\""
+
+
+def test_unknown_builtin_config_names_path_and_choices(tmp_path):
+    path = tmp_path / "foo.json"
+    path.write_text(json.dumps({"builtin": "foo", "n": 3}))
+    with pytest.raises(ConfigError):
+        load_instance(str(path))
+    code, out = run_cli(["alcove", "--config", str(path), "--point", "1"])
+    assert code == 1
+    assert json.loads(out)["error"] == \
+        f"{path}: unknown builtin 'foo'; expected one of hilb, weyl_a"
 
 
 def test_unsaturated_sigma_warns_and_saturates():
@@ -362,3 +374,82 @@ def test_cli_second_dispatch_builds_no_parser(monkeypatch):
     first = len(built)
     run_cli(["faces", *HILB2, "--point", "1"])
     assert len(built) == first
+
+
+@pytest.mark.parametrize("argv, passed", [
+    (["check-phw", *HILB2, "--lambda-prime", "5", "--p", "5",
+      "--window", "0:15"], True),
+    (["check-phw", *HILB2, "--lambda-prime", "5", "--p", "5",
+      "--window", "0:15", "--d-bound", "1"], False),
+    (["compatible", "--builtin", "hilb", "--n", "3", "--point", "5/12",
+      "--face", "0", "--p-samples", "47,59"], True),
+    # the margin -23/12 + p/12 of this pair is 0 at p = 23
+    (["compatible", "--builtin", "hilb", "--n", "3", "--point", "5/12",
+      "--face", "0", "--p-samples", "23,47"], False),
+    (["check-compat", *HILB2, "--point", "1", "--face", "1", "--p", "23",
+      "--window=-69:69"], True),
+    (["check-compat", "--builtin", "hilb", "--n", "3", "--point", "5/12",
+      "--face", "1", "--p", "5", "--window=-15:15"], False),
+])
+def test_cli_exits_one_exactly_when_checks_fail(argv, passed):
+    # a fresh compatible-parameter cache, as in a new process
+    with mock.patch.dict(compat._cache, clear=True):
+        code, out = run_cli(argv)
+    assert json.loads(out)["checks"]["passed"] is passed
+    assert code == (0 if passed else 1)
+
+
+ORDER_DOT = """digraph poset {
+  rankdir=BT;
+  "2|0" [style=filled, fillcolor=lightyellow];
+  "2|1" [style=filled, fillcolor=lightgreen];
+  "2|2" [style=filled, fillcolor=lightblue];
+  "2|3" [style=filled, fillcolor=lightyellow];
+  "2|4" [style=filled, fillcolor=lightgreen];
+  "2|5" [style=filled, fillcolor=lightblue];
+  "1+1|0" [style=filled, fillcolor=lightblue];
+  "1+1|1" [style=filled, fillcolor=lightyellow];
+  "1+1|2" [style=filled, fillcolor=lightgreen];
+  "1+1|3" [style=filled, fillcolor=lightblue];
+  "1+1|4" [style=filled, fillcolor=lightyellow];
+  "1+1|5" [style=filled, fillcolor=lightgreen];
+"""
+COVERS_DOT = """  "2|0" -> "1+1|1";
+  "1+1|1" -> "2|3";
+  "2|3" -> "1+1|4";
+  "2|1" -> "1+1|2";
+  "1+1|2" -> "2|4";
+  "2|4" -> "1+1|5";
+  "1+1|0" -> "2|2";
+  "2|2" -> "1+1|3";
+  "1+1|3" -> "2|5";
+}
+"""
+HEADER_DOT = "digraph poset {\n  rankdir=BT;\n"
+PREORDER_DOT = """digraph poset {
+  rankdir=BT;
+  "1+1|-3/2p - 5/2" [style=filled, fillcolor=lightblue];
+  "1+1|-1/2p - 5/2" [style=filled, fillcolor=lightgreen];
+  "2|-1/2p + 3/2" [style=filled, fillcolor=lightgreen];
+  "1+1|1/2p - 5/2" [style=filled, fillcolor=lightyellow];
+  "2|1/2p + 3/2" [style=filled, fillcolor=lightyellow];
+  "2|3/2p + 3/2" [style=filled, fillcolor=lightpink];
+  "1+1|-3/2p - 5/2" -> "2|-1/2p + 3/2" [style=dashed];
+  "1+1|-1/2p - 5/2" -> "2|1/2p + 3/2" [style=dashed];
+  "1+1|1/2p - 5/2" -> "2|3/2p + 3/2" [style=dashed];
+}
+"""
+
+
+def test_cli_dot_texts_are_golden(tmp_path):
+    order = ["order", *HILB2, "--lambda-prime", "5", "--p", "3",
+             "--window", "0:6"]
+    assert run_cli(order + ["--format", "dot"]) == (0, ORDER_DOT + COVERS_DOT)
+    # export draws the covers of a poset report, without node lines
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(json.loads(run_cli(order)[1])["outputs"]["poset"]))
+    assert run_cli(["export", "--in", str(path)]) == (0, HEADER_DOT + COVERS_DOT)
+    with mock.patch.dict(compat._cache, clear=True):
+        assert run_cli(["preorder", *HILB2, "--point", "1", "--face", "1",
+                        "--window=-1:1", "--format", "dot"]) == \
+            (0, PREORDER_DOT)

@@ -162,18 +162,3 @@ def test_instance_json_roundtrip():
 def test_builtin_dispatch():
     assert builtin_instance("hilb", n=3).name == "hilb(3)"
     assert builtin_instance("weyl_a", n=3).name == "weyl_a(3)"
-
-
-def test_character_comparison_rank1_and_higher():
-    inst = hilb_instance(2, 0)
-    assert inst.compare_characters(3, 5) == -1
-    assert inst.compare_characters(5, 5) == 0
-    # higher-rank path: lattice characters compare by their nu-pairing,
-    # distinct characters with equal pairing are incomparable
-    two = FixedPointInstance(
-        name="rank2", rank=1, points=("*",),
-        c_const={"*": F(0)}, c_linear={"*": (F(0),)},
-        nu_pairing=(2, 1))
-    assert two.compare_characters((1, 0), (0, 3)) == -1
-    assert two.compare_characters((1, 0), (0, 2)) is None
-    assert two.compare_characters((1, 0), (1, 0)) == 0

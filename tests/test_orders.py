@@ -126,6 +126,34 @@ def test_phw_negative_control_broken_invariance():
     assert not rep["passed"]
 
 
+def invariance_witness_oracle(poset):
+    """Test-only oracle for axiom 2: the first pair a < b, in label then
+    closure order, whose shift by 1 and then by -1 leaves the window order."""
+    labels, p = set(poset.labels), poset.p
+    for a in poset.labels:
+        for b in poset.closure.get(a, ()):
+            for z in (1, -1):
+                sa, sb = shift(a, z, p), shift(b, z, p)
+                if sa in labels and sb in labels and not poset.less(sa, sb):
+                    return (a, b)
+    return None
+
+
+def test_phw_invariance_witness_matches_oracle():
+    # every single cover removed in turn: the witness comes from the +1
+    # shift for some removals and from the -1 shift for others
+    poset = hw_order(HILB2, (5,), 5, (0, 15))
+    for victim in poset.covers:
+        broken = LabeledPoset(
+            labels=poset.labels,
+            covers=tuple(c for c in poset.covers if c != victim),
+            blocks=poset.blocks, p=poset.p, window=poset.window)
+        rep = phw_axiom_check(broken, d_bound=2 * 2 * 5)["axiom2_invariance"]
+        witness = invariance_witness_oracle(broken)
+        assert witness is not None
+        assert rep == {"ok": False, "witness": witness}
+
+
 def test_phw_single_orbit_line():
     inst = hilb_instance(1)
     poset = hw_order(inst, (4,), 5, (0, 15))
