@@ -405,8 +405,10 @@ def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
     return QuantumChamber(lam, tuple(out[i] for i in kept))
 
 
-def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls,
-                     max_nodes=200_000):
+MAX_PATH_NODES = 200_000  # lattice points translation_path may visit
+
+
+def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls):
     """A lattice path lam1 -> lam2 through the p-alcove by +-generator steps.
 
     Breadth-first search over the p-alcove's lattice points; every partial
@@ -439,8 +441,9 @@ def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls,
                     path.append(step)
                 return path[::-1]
             queue.append(nxt)
-            if len(prev) > max_nodes:
-                raise RuntimeError("translation_path: search space exceeded")
+            if len(prev) > MAX_PATH_NODES:
+                raise ValueError("translation_path: search space exceeded "
+                                 f"({MAX_PATH_NODES} lattice points)")
     raise ValueError(
         "no path: lattice points of the p-alcove reached from lam1 "
         f"({len(prev)} of them) do not include lam2")

@@ -18,7 +18,8 @@ from .alcoves import (faces_of, integral_walls_and_positive_chamber,
                       p_alcove_of, p_membership, quantum_chamber,
                       real_alcove_of, translation_path, RealAlcove)
 from .compat import find_compatible, opposite_pair, verify_compatible
-from .config import ConfigError, load_instance, parse_config, report_to_json, run_report
+from .config import (ConfigError, load_instance, parse_config, report_to_json,
+                     require_keys, run_report)
 from .instances import BUILTINS
 from .mullineux import wc_bijection_hilb
 from .orders import (equivalence_classes, export_poset, hw_order,
@@ -33,6 +34,20 @@ def _parse_point(text: str, cfg, flag: str) -> tuple:
         raise ConfigError(f"{flag} has {len(x)} coordinates but the "
                           f"instance has rank {cfg.instance.rank}")
     return x
+
+
+def _poset_covers(data, path):
+    """The "covers" of a poset JSON, each a [[name, kappa], [name, kappa]]
+    pair; anything else (a pre-order's class-index covers, or a whole
+    report) is a ConfigError naming the file."""
+    covers = data.get("covers") if isinstance(data, dict) else None
+    if not isinstance(covers, list) or not all(
+            isinstance(c, list) and len(c) == 2
+            and all(isinstance(e, list) and len(e) == 2 for e in c)
+            for c in covers):
+        raise ConfigError(f'{path}: expected a poset JSON whose "covers" are '
+                          "[[name, kappa], [name, kappa]] pairs")
+    return covers
 
 
 def _is_prime(n: int) -> bool:
@@ -232,8 +247,9 @@ def _run(args) -> int:
     if cmd == "export":
         with open(args.infile, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        covers = _poset_covers(data, args.infile)
         out = (json.dumps(data, sort_keys=True, indent=2)
-               if args.format == "json" else to_dot((), data.get("covers", [])))
+               if args.format == "json" else to_dot((), covers))
     elif cmd == "wallcross":
         n = args.n
         if n is None:
@@ -277,7 +293,9 @@ def _outputs(args, cfg):
     if cmd == "palcove":
         if args.alcove_id:
             with open(args.alcove_id, "r", encoding="utf-8") as fh:
-                A = RealAlcove.from_json(json.load(fh))
+                data = json.load(fh)
+            require_keys(data, ("rank", "inequalities"), args.alcove_id)
+            A = RealAlcove.from_json(data)
         elif args.point:
             A = _alcove_at(args.point, cfg)
         else:

@@ -7,14 +7,13 @@ constant in p on the face walls and growing linearly in p on the others.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .arith import AffineInP, is_lattice, pairing, vadd, vscale, vsub
 from .alcoves import (Face, PAlcove, RealAlcove, faces_of, oriented_facet,
                       p_alcove_of, real_alcove_of)
+from .polyhedra import first_lattice_point
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ def _split_facets(A: RealAlcove, face: Face, walls):
 
 
 _cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def _normalize_mod_lattice(A: RealAlcove, face: Face, walls):
@@ -81,8 +79,7 @@ def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:
     """
     d = A.rank
     shift, key = _normalize_mod_lattice(A, face, walls)
-    with _cache_lock:
-        hit = _cache.get(key)
+    hit = _cache.get(key)
     if hit is not None:
         lam, mu_norm = hit
         back = tuple(-s for s in shift)
@@ -90,25 +87,24 @@ def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:
 
     mu = face.witness
     through, _ = _split_facets(A, face, walls)
-    constraints = [(alpha_or, pairing(alpha_or, mu), sigma)
-                   for _, alpha_or, m_or, sigma in through]
-    needed = max((sigma - base for _, base, sigma in constraints),
-                 default=Fraction(0))
+    # lambda = mu + v with v integral: <alpha, v> > sigma - <alpha, mu>
+    rows = [(alpha_or, sigma - pairing(alpha_or, mu), True)
+            for _, alpha_or, _, sigma in through]
+    needed = max((rhs for _, rhs, _ in rows), default=Fraction(0))
     radii = []
     r = max(2, int(needed) + 2)
     while r <= 32:
         radii.append(r)
         r *= 2
     for radius in radii:
-        # product yields the box in lex order, so the first hit is lex-min
-        for v in product(range(-radius, radius + 1), repeat=d):
+        box = [(tuple(sign if i == j else 0 for i in range(d)), -radius, False)
+               for j in range(d) for sign in (1, -1)]
+        v = first_lattice_point(rows + box, d)
+        if v is not None:
             lam = vadd(mu, v)
-            if all(base + pairing(alpha_or, v) > sigma
-                   for alpha_or, base, sigma in constraints):
-                # the same lambda serves every lattice translate of (A, face)
-                with _cache_lock:
-                    _cache.setdefault(key, (lam, vadd(mu, shift)))
-                return CompatiblePair(lam, mu, A, face)
+            # the same lambda serves every lattice translate of (A, face)
+            _cache[key] = (lam, vadd(mu, shift))
+            return CompatiblePair(lam, mu, A, face)
     raise ValueError(
         f"compatible-lambda search box exhausted (radius {radii[-1]})")
 
@@ -129,24 +125,15 @@ def verify_compatible(pair: CompatiblePair, walls, p_samples=()) -> dict:
         "samples": {},
         "localization_conditions": "not verified",
     }
-    for wid, alpha_or, m_or, sigma in through:
-        margin = AffineInP(
-            const=pairing(alpha_or, pair.lam) - sigma,
-            slope=pairing(alpha_or, pair.mu) - m_or)
-        report["face_walls"].append({
-            "wall": wid,
-            "margin": margin.to_json(),
-            "ok": margin.slope == 0 and margin.const > 0,
-        })
-    for wid, alpha_or, m_or, sigma in others:
-        margin = AffineInP(
-            const=pairing(alpha_or, pair.lam) - sigma,
-            slope=pairing(alpha_or, pair.mu) - m_or)
-        report["other_walls"].append({
-            "wall": wid,
-            "margin": margin.to_json(),
-            "ok": margin.slope > 0,
-        })
+    for key, facets, ok in (("face_walls", through,
+                             lambda m: m.slope == 0 and m.const > 0),
+                            ("other_walls", others, lambda m: m.slope > 0)):
+        for wid, alpha_or, m_or, sigma in facets:
+            margin = AffineInP(
+                const=pairing(alpha_or, pair.lam) - sigma,
+                slope=pairing(alpha_or, pair.mu) - m_or)
+            report[key].append({"wall": wid, "margin": margin.to_json(),
+                                "ok": ok(margin)})
     pa = pair.p_alcove(walls)
     for p in p_samples:
         pt = pair.p_point(p)

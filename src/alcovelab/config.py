@@ -27,15 +27,26 @@ class InstanceConfig:
         return self.instance.walls
 
 
+WALL_KEYS = ("id", "alpha", "sigma_tilde")
+
+
+def require_keys(entry, keys, where):
+    """Raise a ConfigError naming where unless entry is a JSON object with
+    every one of keys; the message names the first missing key."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in entry:
+            raise ConfigError(f"{where}: missing key {key!r}")
+
+
 def _parse_walls(entries, path):
     walls = []
     warnings = []
     seen = set()
     for i, entry in enumerate(entries):
         where = f"{path}.walls[{i}]"
-        for key in ("id", "alpha", "sigma_tilde"):
-            if key not in entry:
-                raise ConfigError(f"{where}: missing key {key!r}")
+        require_keys(entry, WALL_KEYS, where)
         st = frozenset(rat(x) for x in entry["sigma_tilde"])
         if not st:
             raise ConfigError(f"{where}: sigma_tilde must be nonempty")
@@ -72,6 +83,12 @@ def parse_config(data: dict, path="config") -> InstanceConfig:
             params["lambdas"] = tuple(vec(l) for l in params["lambdas"])
         inst = builtin_instance(data["builtin"], **params)
     elif "points" in data:
+        require_keys(data, ("name", "rank"), path)
+        for i, entry in enumerate(data["points"]):
+            require_keys(entry, ("id", "c_const", "c_linear"),
+                         f"{path}.points[{i}]")
+        for i, entry in enumerate(data.get("walls", [])):
+            require_keys(entry, WALL_KEYS, f"{path}.walls[{i}]")
         inst = FixedPointInstance.from_json(data)
     elif "walls" in data:
         if "rank" not in data:

@@ -2,14 +2,17 @@
 
 A linear constraint is a triple (coeffs, rhs, strict) meaning
 coeffs . x >= rhs, with strict=True for >.  One Fourier-Motzkin elimination
-routine, exact over Fraction, serves both `feasible` (its verdict) and
-`find_point` (back-substitution over its levels).  After each elimination
-level the derived rows keep only the tightest row per direction (Imbert,
-"Fourier's elimination: which to choose?", 1993): a dropped row is a
-parallel, looser copy of a kept one, so every level describes the same
-region and back-substitution picks the same bounds, while parallel copies
-no longer multiply from level to level.  One row reduction serves
-`solve_linear` and `matrix_rank`.
+routine, exact over Fraction, serves `feasible` (its verdict), `find_point`
+and `first_lattice_point`.  After each elimination level the derived rows
+keep only the tightest row per direction (Imbert, "Fourier's elimination:
+which to choose?", 1993): a dropped row is a parallel, looser copy of a
+kept one, so every level describes the same region, while parallel copies
+no longer multiply from level to level.  Level k is the system over
+x_0..x_k: once x_0..x_{k-1} satisfy level k-1, it bounds x_k to a nonempty
+slab.  `find_point` takes the midpoint of each slab; `first_lattice_point`
+steps x_k upward through the integers of its slab, depth first, and
+backtracks when a slab holds none, which gives the lexicographically first
+integer point.  One row reduction serves `solve_linear` and `matrix_rank`.
 """
 
 from __future__ import annotations
@@ -81,6 +84,26 @@ def feasible(constraints, dim) -> bool:
     return _eliminate(constraints, dim)[1]
 
 
+def _slab(level_cons, k, prefix):
+    """Bounds (lo, lo_strict, hi, hi_strict) on x_k from the rows of one
+    elimination level, with x_0..x_{k-1} fixed to prefix; lo or hi is None
+    where no row bounds that side."""
+    lo = hi = None
+    lo_strict = hi_strict = False
+    for coeffs, rhs, strict in level_cons:
+        a = coeffs[k]
+        if a == 0:
+            continue
+        bound = (rhs - sum(coeffs[j] * prefix[j] for j in range(k))) / a
+        if a > 0:
+            if lo is None or bound > lo or (bound == lo and strict):
+                lo, lo_strict = bound, strict
+        else:
+            if hi is None or bound < hi or (bound == hi and strict):
+                hi, hi_strict = bound, strict
+    return lo, lo_strict, hi, hi_strict
+
+
 def find_point(constraints, dim):
     """An exact rational point satisfying the constraints, or None.
 
@@ -92,33 +115,39 @@ def find_point(constraints, dim):
         return None
     point = []
     for k, level_cons in enumerate(levels):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for coeffs, rhs, strict in level_cons:
-            a = coeffs[k]
-            if a == 0:
-                continue
-            bound = (rhs - sum(coeffs[j] * point[j] for j in range(k))) / a
-            if a > 0:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
-            else:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
+        lo, lo_strict, hi, hi_strict = _slab(level_cons, k, point)
         if lo is None and hi is None:
             x = Fraction(0)
         elif lo is None:
             x = hi - 1 if hi_strict else hi
         elif hi is None:
             x = lo + 1 if lo_strict else lo
-        elif lo == hi:
-            if lo_strict or hi_strict:
-                return None
-            x = lo
         else:
             x = (lo + hi) / 2
         point.append(x)
     return tuple(point)
+
+
+def first_lattice_point(constraints, dim):
+    """The lexicographically first integer point of a bounded polyhedron,
+    or None if it holds none."""
+    levels, ok = _eliminate(constraints, dim)
+
+    def search(prefix):
+        k = len(prefix)
+        if k == dim:
+            return tuple(prefix)
+        lo, lo_strict, hi, hi_strict = _slab(levels[k], k, prefix)
+        if lo is None or hi is None:
+            raise ValueError("first_lattice_point: unbounded polyhedron")
+        for x in range(lo.__floor__() + 1 if lo_strict else lo.__ceil__(),
+                       hi.__ceil__() if hi_strict else hi.__floor__() + 1):
+            found = search(prefix + [x])
+            if found is not None:
+                return found
+        return None
+
+    return search([]) if ok else None
 
 
 def _row_reduce(m, n_cols):

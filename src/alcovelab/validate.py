@@ -4,49 +4,33 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .arith import AffineInP, rat_str
 from .alcoves import p_alcove_of
 from .orders import c_bar
-from .polyhedra import vertices
+from .polyhedra import first_lattice_point, vertices
 
 
-def p_lattice_point(pa, p: int, walls, limit=100_000):
+def p_lattice_point(pa, p: int, walls):
     """A lattice point of the p-alcove at p, or None if there is none.
 
     The rounded center of the evaluated polytope works once p is moderately
-    large (margins grow linearly in p); small cases fall back to exhaustive
-    enumeration over the bounding box.
+    large (margins grow linearly in p); otherwise the answer is the
+    lexicographically first lattice point of the open polytope.
     """
     wm = {w.id: w for w in walls}
-    cons = []
-    for wid, orient, rhs in pa.inequalities:
-        alpha = tuple(orient * a for a in wm[wid].alpha)
-        cons.append((alpha, rhs.eval_at(p), False))
+    cons = [(tuple(orient * a for a in wm[wid].alpha), rhs.eval_at(p), True)
+            for wid, orient, rhs in pa.inequalities]
     d = pa.source.rank
     verts = vertices(cons, d)
     if not verts:
         return None
-
-    def inside(x):
-        return pa.contains(x, p, walls)
-
     center = tuple(sum(v[j] for v in verts) / len(verts) for j in range(d))
     cand = tuple((c + Fraction(1, 2)).__floor__() for c in center)
-    if inside(cand):
+    if pa.contains(cand, p, walls):
         return cand
-    lo = [min(v[j] for v in verts).__ceil__() for j in range(d)]
-    hi = [max(v[j] for v in verts).__floor__() for j in range(d)]
-    size = 1
-    for a, b in zip(lo, hi):
-        size *= max(0, b - a + 1)
-    if 0 < size <= limit:
-        for x in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            if inside(x):
-                return x
-    return None
+    return first_lattice_point(cons, d)
 
 
 def _denominator_lcm(walls):

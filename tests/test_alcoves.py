@@ -1,20 +1,26 @@
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alcovelab.arith import AffineInP, Wall, pairing, vec
+from alcovelab import alcoves
 from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
                                RealAlcove, SingularPointError, faces_of,
                                integral_chambers,
                                integral_walls_and_positive_chamber,
                                p_alcove_of, p_membership, quantum_chamber,
                                real_alcove_of, translation_path)
+from alcovelab.cli import dispatch
 from alcovelab.instances import hilb_instance, weyl_a_instance
 from alcovelab.polyhedra import irredundant, matrix_rank, vertices
-from alcovelab.validate import validate_p
+from alcovelab.validate import p_lattice_point, validate_p
 
 A2 = weyl_a_instance(3)
 HILB2 = hilb_instance(2, 0)
@@ -417,6 +423,63 @@ def test_validate_p_small_p_empty_alcove():
     assert big["e_nonempty"]["ok"]
 
 
+def capped_scan_lattice_point(pa, p, walls, limit=100_000):
+    """Test-only oracle for p_lattice_point: the rounded center of the
+    evaluated polytope, then a lex scan of its vertices' integer bounding
+    box when that holds at most limit points.  Returns (point, whether the
+    center hit)."""
+    wm = {w.id: w for w in walls}
+    cons = [(tuple(orient * a for a in wm[wid].alpha), rhs.eval_at(p), False)
+            for wid, orient, rhs in pa.inequalities]
+    d = pa.source.rank
+    verts = vertices(cons, d)
+    if not verts:
+        return None, False
+    center = tuple(sum(v[j] for v in verts) / len(verts) for j in range(d))
+    cand = tuple((c + F(1, 2)).__floor__() for c in center)
+    if pa.contains(cand, p, walls):
+        return cand, True
+    lo = [min(v[j] for v in verts).__ceil__() for j in range(d)]
+    hi = [max(v[j] for v in verts).__floor__() for j in range(d)]
+    size = 1
+    for a, b in zip(lo, hi):
+        size *= max(0, b - a + 1)
+    assert size <= limit, "oracle box above its cap"
+    return next((x for x in product(*(range(a, b + 1)
+                                      for a, b in zip(lo, hi)))
+                 if pa.contains(x, p, walls)), None), False
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_p_lattice_point_matches_capped_scan(data):
+    inst = data.draw(st.sampled_from(BLOCK_INSTANCES))
+    point = tuple(F(data.draw(st.integers(-90, 90)),
+                    data.draw(st.integers(7, 31))) for _ in range(inst.rank))
+    try:
+        A = real_alcove_of(point, inst.walls)
+    except SingularPointError:
+        assume(False)
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    pa = p_alcove_of(A, inst.walls)
+    assert p_lattice_point(pa, p, inst.walls) == \
+        capped_scan_lattice_point(pa, p, inst.walls)[0]
+
+
+@pytest.mark.parametrize("point, witness", [
+    ((F(-9, 8), F(3, 4), F(4, 3)), (-8, 4, 7)),
+    ((F(20, 9), F(11, 6), F(-29, 9)), (12, 9, -18)),
+    ((F(3, 2), F(13, 7), F(37, 6)), (7, 9, 32)),
+])
+def test_p_lattice_point_after_a_center_miss(point, witness):
+    # weyl_a(4) at p = 5: the rounded center lies outside the p-alcove,
+    # which still holds lattice points
+    walls = weyl_a_instance(4).walls
+    pa = p_alcove_of(real_alcove_of(point, walls), walls)
+    assert capped_scan_lattice_point(pa, 5, walls) == (witness, False)
+    assert p_lattice_point(pa, 5, walls) == witness
+
+
 def test_p_membership_against_bruteforce_oracle():
     # rank 1 oracle: enumerate the excluded values (p+1)*sigma + p*k
     # directly and compare the lattice window
@@ -460,6 +523,22 @@ def test_translation_path_interval():
     assert steps == [(1,), (1,), (1,)]
     assert translation_path((5,), (5,), pa, 5, inst.generators,
                             inst.walls) == []
+
+
+def test_translation_path_search_cap_is_a_value_error():
+    inst = hilb_instance(2, 0)
+    pa = p_membership((4,), 5, inst.walls)
+    with mock.patch.object(alcoves, "MAX_PATH_NODES", 2):
+        with pytest.raises(ValueError, match="search space exceeded"):
+            translation_path((4,), (7,), pa, 5, inst.generators, inst.walls)
+        # the CLI prints it as one error line
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = dispatch(["path", "--builtin", "hilb", "--n", "2",
+                             "--from", "4", "--to", "7", "--p", "5"])
+    assert code == 1
+    assert json.loads(buf.getvalue()) == {
+        "error": "translation_path: search space exceeded (2 lattice points)"}
 
 
 def test_translation_path_2d_replayed_through_membership():

@@ -196,3 +196,19 @@ def test_find_compatible_matches_sorted_scan(data):
         pair = find_compatible(A, face, inst.walls)
     assert pair.mu == face.witness
     assert pair.lam == sorted_scan_lambda(A, face, inst.walls)
+
+
+@pytest.mark.parametrize("n, n_faces", [(5, 31), (6, 63)])
+def test_find_compatible_every_face_of_the_fundamental_alcove(n, n_faces):
+    # a cold search on every face: the lex box scan needed about a minute
+    # for weyl_a(6), the lattice-point search well under a second
+    inst = weyl_a_instance(n)
+    A = real_alcove_of(tuple(F(1, 2 * n) for _ in range(inst.rank)),
+                       inst.walls)
+    faces = faces_of(A, inst.walls)
+    assert len(faces) == n_faces
+    with mock.patch.dict(compat._cache, clear=True):
+        for face in faces:
+            pair = find_compatible(A, face, inst.walls)
+            assert pair.mu == face.witness
+            assert verify_compatible(pair, inst.walls)["passed"]

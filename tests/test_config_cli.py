@@ -226,6 +226,66 @@ def test_cli_palcove_by_alcove_id(tmp_path):
     assert "23" in data["at_p"]
 
 
+POINTS_CONFIG = {
+    "name": "custom", "rank": 1,
+    "points": [{"id": "a", "c_const": "0", "c_linear": ["2"]}],
+    "walls": [{"id": 0, "alpha": [1], "sigma_tilde": ["-1/2", "1/2"]}],
+}
+
+
+def _without(data, *keys):
+    """A deep copy of data with the key at the path keys removed."""
+    data = json.loads(json.dumps(data))
+    inner = data
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return data
+
+
+@pytest.mark.parametrize("cmd, data, where, key", [
+    ("alcove", _without(POINTS_CONFIG, "name"), "", "name"),
+    ("alcove", _without(POINTS_CONFIG, "rank"), "", "rank"),
+    ("alcove", _without(POINTS_CONFIG, "points", 0, "c_linear"),
+     ".points[0]", "c_linear"),
+    ("alcove", _without(POINTS_CONFIG, "points", 0, "id"), ".points[0]", "id"),
+    ("alcove", _without(POINTS_CONFIG, "walls", 0, "alpha"),
+     ".walls[0]", "alpha"),
+    ("palcove", {"rank": 1}, "", "inequalities"),
+    ("alcove", {**POINTS_CONFIG, "points": [5]}, ".points[0]", None),
+    ("palcove", [1, 2], "", None),
+])
+def test_missing_json_key_names_path_and_key(tmp_path, cmd, data, where, key):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    if cmd == "alcove":
+        argv = ["alcove", "--config", str(path), "--point", "1"]
+    else:
+        argv = ["palcove", "--builtin", "hilb", "--n", "2",
+                "--alcove-id", str(path)]
+    what = "expected a JSON object" if key is None else f"missing key {key!r}"
+    assert run_cli(argv) == (1, json.dumps(
+        {"error": f"{path}{where}: {what}"}) + "\n")
+
+
+def test_cli_export_rejects_a_preorder_and_a_whole_report(tmp_path):
+    code, out = run_cli(["preorder", "--builtin", "hilb", "--n", "3",
+                         "--point", "5/12", "--face", "1", "--window=-1:1"])
+    pre = tmp_path / "preorder.json"
+    pre.write_text(json.dumps(json.loads(out)["outputs"]["preorder"]))
+    code, out = run_cli(["order", "--builtin", "hilb", "--n", "2",
+                         "--lambda-prime", "5", "--p", "5", "--window", "0:10"])
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    for path in (pre, report):
+        for fmt in ("dot", "json"):
+            code, out = run_cli(["export", "--in", str(path), "--format", fmt])
+            assert code == 1
+            assert json.loads(out)["error"] == (
+                f'{path}: expected a poset JSON whose "covers" are '
+                "[[name, kappa], [name, kappa]] pairs")
+
+
 def test_cli_compatible_opposite():
     code, out = run_cli(["compatible", "--builtin", "hilb", "--n", "2",
                          "--point", "1", "--face", "1", "--opposite"])

@@ -1,11 +1,15 @@
 from fractions import Fraction as F
+from itertools import product
 from unittest import mock
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcovelab import polyhedra
-from alcovelab.polyhedra import (_tightest_per_direction, feasible, find_point, interior_point,
+from alcovelab.polyhedra import (_tightest_per_direction, feasible, find_point,
+                                 first_lattice_point, interior_point,
                                  irredundant, is_redundant, matrix_rank,
                                  solve_linear, vertices)
 
@@ -171,3 +175,49 @@ def test_pruned_elimination_matches_unpruned_oracle(system):
     with mock.patch.object(polyhedra, "_eliminate", unpruned_eliminate):
         oracle = (feasible(cons, dim), find_point(cons, dim))
     assert pruned == oracle
+
+
+def box_rows(dim, radius):
+    """-radius <= x_j <= radius for every coordinate j."""
+    return [(tuple(sign if i == j else 0 for i in range(dim)), -radius, False)
+            for j in range(dim) for sign in (1, -1)]
+
+
+def lex_scan(cons, dim, radius):
+    """Test-only oracle for first_lattice_point: the first integer point of
+    the box, in lex order, that satisfies every row."""
+    return next((x for x in product(range(-radius, radius + 1), repeat=dim)
+                 if all(satisfies(x, c) for c in cons)), None)
+
+
+@st.composite
+def boxed_systems(draw):
+    """(constraints, dim, radius): dimension 1-4, up to 6 rows with
+    coefficients in [-3, 3], rational right-hand sides and mixed
+    strictness, inside a box of radius 0-3."""
+    dim = draw(st.integers(1, 4))
+    rhs = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
+    row = st.tuples(st.tuples(*[coefficient] * dim), rhs, st.booleans())
+    return (draw(st.lists(row, max_size=6)), dim,
+            draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_systems())
+def test_first_lattice_point_matches_lex_scan(system):
+    cons, dim, radius = system
+    assert first_lattice_point(cons + box_rows(dim, radius), dim) == \
+        lex_scan(cons, dim, radius)
+
+
+def test_first_lattice_point_backtracks_and_respects_strictness():
+    # x_0 = 0 leaves 1/3 <= x_1 <= 2/3 (no integer), so x_0 steps to 1
+    cons = [((1, 0), F(0), False), ((-1, 0), F(-1), False),
+            ((-1, 3), F(1), False), ((1, -3), F(-2), False)]
+    assert first_lattice_point(cons, 2) == (1, 1)
+    assert first_lattice_point([((1,), F(2), True), ((-1,), F(-3), False)],
+                               1) == (3,)
+    assert first_lattice_point([((1,), F(2), True), ((-1,), F(-3), True)],
+                               1) is None
+    with pytest.raises(ValueError, match="unbounded"):
+        first_lattice_point([((1, 0), F(0), False)], 2)
