@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vadd,
-                    vec, vsub)
+from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
+                    vsub)
+from .config import ConfigError, require_keys
 from .polyhedra import (feasible, find_point, interior_point, irredundant,
                         matrix_rank, vertices)
 
@@ -93,9 +94,30 @@ class RealAlcove:
                                  for wid, m, sense in self.inequalities]}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(int(data["rank"]),
-                   tuple((int(w), rat(m), s) for w, m, s in data["inequalities"]))
+    def from_json(cls, data, path="alcove"):
+        """The alcove of a `to_json` object; anything else is a ConfigError
+        naming path and the key or entry at fault."""
+        require_keys(data, ("rank", "inequalities"), path)
+        if not isinstance(data["rank"], int):
+            raise ConfigError(f"{path}: key 'rank' must be an integer")
+        if not isinstance(data["inequalities"], list):
+            raise ConfigError(f"{path}: key 'inequalities' must be a JSON array")
+        return cls(data["rank"], tuple(
+            _inequality_from_json(entry, f"{path}.inequalities[{i}]")
+            for i, entry in enumerate(data["inequalities"])))
+
+
+def _inequality_from_json(entry, where):
+    """(wall_id, offset, sense) from [wall_id, "num/den", ">=" or "<="]."""
+    if isinstance(entry, list) and len(entry) == 3:
+        wid, m, sense = entry
+        if (isinstance(wid, int) and isinstance(m, (int, str))
+                and sense in (GE, LE)):
+            try:
+                return wid, rat(m), sense
+            except ValueError:
+                pass
+    raise ConfigError(f'{where}: expected [wall_id, offset, ">=" or "<="]')
 
 
 def _canonical(ineqs):
@@ -412,35 +434,60 @@ def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls):
     """A lattice path lam1 -> lam2 through the p-alcove by +-generator steps.
 
     Breadth-first search over the p-alcove's lattice points; every partial
-    sum stays inside P.  Returns the list of steps (each a +-generator).
+    sum stays inside P.  Returns the list of steps (each a +-generator,
+    in the order of `generators`, + before -).  The endpoints and the
+    generators must be lattice vectors (else ValueError).  The search runs
+    on integers: P's inequalities become oriented integer covectors c with
+    thresholds floor(rhs(p)), since an integer <c, x> exceeds rhs(p)
+    exactly when it exceeds its floor, and each node carries its pairings
+    with the covectors, moved by the precomputed pairings of each step.
     """
     lam1, lam2 = vec(lam1), vec(lam2)
-    if not (P.contains(lam1, p, walls) and P.contains(lam2, p, walls)):
+    gens = [vec(g) for g in generators]
+    if not all(is_lattice(v) for v in (lam1, lam2, *gens)):
+        raise ValueError("translation_path: endpoints and generators must "
+                         "be lattice vectors")
+    wm = _wall_map(walls)
+    covectors = [tuple(orient * a for a in wm[wid].alpha)
+                 for wid, orient, _ in P.inequalities]
+    floors = [rhs.eval_at(p).__floor__() for _, _, rhs in P.inequalities]
+
+    def lattice(v):
+        return tuple(int(c) for c in v)
+
+    def pairings(v):
+        return tuple(sum(a * b for a, b in zip(c, v)) for c in covectors)
+
+    def inside(values):
+        return all(v > t for v, t in zip(values, floors))
+
+    start, goal = lattice(lam1), lattice(lam2)
+    if not (inside(pairings(start)) and inside(pairings(goal))):
         raise ValueError("endpoints must lie in the p-alcove at p")
-    if lam1 == lam2:
+    if start == goal:
         return []
-    steps = []
-    for g in generators:
-        g = vec(g)
-        steps.append(g)
-        steps.append(tuple(-c for c in g))
-    prev = {lam1: None}
-    queue = deque([lam1])
+    steps = [s for g in gens for s in (g, tuple(-c for c in g))]
+    moves = [(i, v, pairings(v)) for i, v in enumerate(map(lattice, steps))]
+    prev = {start: None}
+    queue = deque([(start, pairings(start))])
     while queue:
-        cur = queue.popleft()
-        for s in steps:
-            nxt = vadd(cur, s)
-            if nxt in prev or not P.contains(nxt, p, walls):
+        cur, values = queue.popleft()
+        for i, step, delta in moves:
+            nxt = tuple(a + b for a, b in zip(cur, step))
+            if nxt in prev:
                 continue
-            prev[nxt] = (cur, s)
-            if nxt == lam2:
+            nxt_values = tuple(a + b for a, b in zip(values, delta))
+            if not inside(nxt_values):
+                continue
+            prev[nxt] = (cur, i)
+            if nxt == goal:
                 path = []
                 node = nxt
                 while prev[node] is not None:
-                    node, step = prev[node]
-                    path.append(step)
+                    node, i = prev[node]
+                    path.append(steps[i])
                 return path[::-1]
-            queue.append(nxt)
+            queue.append((nxt, nxt_values))
             if len(prev) > MAX_PATH_NODES:
                 raise ValueError("translation_path: search space exceeded "
                                  f"({MAX_PATH_NODES} lattice points)")

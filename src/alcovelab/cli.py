@@ -19,7 +19,7 @@ from .alcoves import (faces_of, integral_walls_and_positive_chamber,
                       real_alcove_of, translation_path, RealAlcove)
 from .compat import find_compatible, opposite_pair, verify_compatible
 from .config import (ConfigError, load_instance, parse_config, report_to_json,
-                     require_keys, run_report)
+                     run_report)
 from .instances import BUILTINS
 from .mullineux import wc_bijection_hilb
 from .orders import (equivalence_classes, export_poset, hw_order,
@@ -294,8 +294,7 @@ def _outputs(args, cfg):
         if args.alcove_id:
             with open(args.alcove_id, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            require_keys(data, ("rank", "inequalities"), args.alcove_id)
-            A = RealAlcove.from_json(data)
+            A = RealAlcove.from_json(data, args.alcove_id)
         elif args.point:
             A = _alcove_at(args.point, cfg)
         else:

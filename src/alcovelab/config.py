@@ -68,7 +68,34 @@ def _parse_walls(entries, path):
     return tuple(walls), warnings
 
 
+ARRAY_KEYS = ("points", "walls", "lambdas", "generators")
+VECTOR_KEYS = ("lambdas", "generators")
+
+
+def _check_types(data, path):
+    """Raise a ConfigError naming path and the key unless data is a JSON
+    object whose array keys hold arrays, whose vector arrays hold arrays,
+    and whose builtin sizes are integers."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    for key in ARRAY_KEYS:
+        entries = data.get(key, [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"{path}: key {key!r} must be a JSON array")
+        if key in VECTOR_KEYS:
+            for i, entry in enumerate(entries):
+                if not isinstance(entry, list):
+                    raise ConfigError(
+                        f"{path}.{key}[{i}]: expected a JSON array")
+    if "builtin" in data:
+        for key in ("n", "ell"):
+            if key in data and (not isinstance(data[key], int)
+                                or isinstance(data[key], bool)):
+                raise ConfigError(f"{path}: key {key!r} must be an integer")
+
+
 def parse_config(data: dict, path="config") -> InstanceConfig:
+    _check_types(data, path)
     warnings = []
     if "builtin" in data:
         if data["builtin"] not in BUILTINS:

@@ -2,23 +2,30 @@
 
 A linear constraint is a triple (coeffs, rhs, strict) meaning
 coeffs . x >= rhs, with strict=True for >.  One Fourier-Motzkin elimination
-routine, exact over Fraction, serves `feasible` (its verdict), `find_point`
-and `first_lattice_point`.  After each elimination level the derived rows
-keep only the tightest row per direction (Imbert, "Fourier's elimination:
-which to choose?", 1993): a dropped row is a parallel, looser copy of a
-kept one, so every level describes the same region, while parallel copies
-no longer multiply from level to level.  Level k is the system over
-x_0..x_k: once x_0..x_{k-1} satisfy level k-1, it bounds x_k to a nonempty
-slab.  `find_point` takes the midpoint of each slab; `first_lattice_point`
-steps x_k upward through the integers of its slab, depth first, and
-backtracks when a slab holds none, which gives the lexicographically first
-integer point.  One row reduction serves `solve_linear` and `matrix_rank`.
+routine serves `feasible` (its verdict), `find_point` and
+`first_lattice_point`.  It works on integer rows: each input row is scaled
+once, by a positive factor, to integer coefficients with gcd 1, and x_k is
+eliminated by integer cross-multiplication, so only the right-hand sides
+stay `Fraction`.  A row times a positive factor bounds every variable by the
+same value on the same side, so the scaling moves no slab bound below.
+After each elimination level the derived rows keep only the tightest row
+per direction (Imbert, "Fourier's elimination: which to choose?", 1993),
+keyed on their primitive integer coefficients: a dropped row is a parallel,
+looser copy of a kept one, so every level describes the same region, while
+parallel copies no longer multiply from level to level.  Level k is the
+system over x_0..x_k: once x_0..x_{k-1} satisfy level k-1, it bounds x_k to
+a nonempty slab.  `find_point` takes the midpoint of each slab;
+`first_lattice_point` steps x_k upward through the integers of its slab,
+depth first, and backtracks when a slab holds none, which gives the
+lexicographically first integer point.  One row reduction serves
+`solve_linear` and `matrix_rank`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .arith import pairing, rat, vec
 
@@ -28,17 +35,25 @@ def _normalize(con):
     return tuple(rat(c) for c in coeffs), rat(rhs), bool(strict)
 
 
+def _primitive(coeffs, rhs):
+    """The row coeffs . x >= rhs times the positive factor that turns coeffs
+    into integers with gcd 1; all-zero coeffs are returned as they are."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints) or 1
+    if g != 1:
+        ints = [c // g for c in ints]
+    return tuple(ints), (rhs if den == g else rhs * den / g)
+
+
 def _tightest_per_direction(rows):
-    """One row per direction: each row is scaled so that its first nonzero
-    coefficient is +-1, and of the rows with equal scaled coefficients the
-    one with the highest rhs is kept (the strict one on a tie), at the
-    position of the first of them."""
+    """One row per direction: each row is scaled to its primitive integer
+    coefficients, and of the rows with equal scaled coefficients the one
+    with the highest rhs is kept (the strict one on a tie), at the position
+    of the first of them."""
     best = {}
     for coeffs, rhs, strict in rows:
-        lead = next((abs(c) for c in coeffs if c != 0), 1)
-        if lead != 1:
-            coeffs = tuple(c / lead for c in coeffs)
-            rhs = rhs / lead
+        coeffs, rhs = _primitive(coeffs, rhs)
         kept = best.get(coeffs)
         if kept is None or rhs > kept[0] or (rhs == kept[0] and strict):
             best[coeffs] = (rhs, strict)
@@ -46,13 +61,17 @@ def _tightest_per_direction(rows):
 
 
 def _eliminate(constraints, dim):
-    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn.
+    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn, on rows
+    with primitive integer coefficients.
 
     Returns (levels, ok): levels[k] is the system over x_0..x_k (before x_k
     is eliminated), and ok tells whether the variable-free rows left at the
     end all hold, i.e. whether the system is feasible.
     """
-    cons = [_normalize(c) for c in constraints]
+    cons = []
+    for c in constraints:
+        coeffs, rhs, strict = _normalize(c)
+        cons.append((*_primitive(coeffs, rhs), strict))
     levels = []
     for k in range(dim - 1, -1, -1):
         levels.append(cons)
@@ -63,16 +82,17 @@ def _eliminate(constraints, dim):
                 # x_k >= (rhs - rest)/a
                 lower.append((coeffs, rhs, strict, a))
             elif a < 0:
-                upper.append((coeffs, rhs, strict, a))
+                upper.append((coeffs, rhs, strict, -a))
             else:
                 rest.append((coeffs[:k], rhs, strict))
         new = rest
         for lc, lr, ls, la in lower:
             for uc, ur, us, ua in upper:
-                # la > 0: lower bound; ua < 0: upper bound. Combine to
-                # eliminate x_k: (1/la)(lr - l_rest) <= x_k <= (1/ua)(ur - u_rest)
-                coeffs = tuple(lc[j] / la - uc[j] / ua for j in range(k))
-                new.append((coeffs, lr / la - ur / ua, ls or us))
+                # la > 0 bounds x_k below, ua = |a| > 0 above; the sum of
+                # ua times the lower row and la times the upper row is free
+                # of x_k
+                coeffs = tuple(lc[j] * ua + uc[j] * la for j in range(k))
+                new.append((coeffs, lr * ua + ur * la, ls or us))
         cons = _tightest_per_direction(new)
     # all variables eliminated: each row reads 0 >= rhs (or >)
     ok = not any(rhs > 0 or (strict and rhs == 0) for _, rhs, strict in cons)

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import deque
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -552,3 +553,107 @@ def test_translation_path_2d_replayed_through_membership():
         cur = tuple(a + b for a, b in zip(cur, s))
         assert p_membership(cur, p, A2.walls).source == pa.source
     assert cur == dst
+
+
+def fraction_bfs_path(lam1, lam2, P, p, generators, walls):
+    """Test-only oracle for translation_path: the breadth-first search over
+    Fraction points, each tested with PAlcove.contains."""
+    lam1, lam2 = vec(lam1), vec(lam2)
+    if not (P.contains(lam1, p, walls) and P.contains(lam2, p, walls)):
+        raise ValueError("endpoints must lie in the p-alcove at p")
+    if lam1 == lam2:
+        return []
+    steps = []
+    for g in generators:
+        g = vec(g)
+        steps.append(g)
+        steps.append(tuple(-c for c in g))
+    prev = {lam1: None}
+    queue = deque([lam1])
+    while queue:
+        cur = queue.popleft()
+        for s in steps:
+            nxt = tuple(a + b for a, b in zip(cur, s))
+            if nxt in prev or not P.contains(nxt, p, walls):
+                continue
+            prev[nxt] = (cur, s)
+            if nxt == lam2:
+                path = []
+                node = nxt
+                while prev[node] is not None:
+                    node, step = prev[node]
+                    path.append(step)
+                return path[::-1]
+            queue.append(nxt)
+            if len(prev) > alcoves.MAX_PATH_NODES:
+                raise ValueError("search space exceeded")
+    raise ValueError("no path")
+
+
+PATH_INSTANCES = [weyl_a_instance(n) for n in (3, 4, 5)] + \
+    [hilb_instance(n, 0) for n in (2, 3, 4)]
+PRIMES_5_113 = [q for q in range(5, 114)
+                if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+
+
+def path_outcome(search, *args):
+    """The steps search returns, or the type of the exception it raises."""
+    try:
+        return search(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_translation_path_matches_fraction_bfs_oracle(data):
+    inst = data.draw(st.sampled_from(PATH_INSTANCES))
+    p = data.draw(st.sampled_from(PRIMES_5_113))
+    src = tuple(data.draw(st.integers(-2 * p, 2 * p))
+                for _ in range(inst.rank))
+    try:
+        pa = p_membership(src, p, inst.walls)
+    except OnPWallError:
+        assume(False)
+    moves = [tuple(sign * c for c in g)
+             for g in inst.generators for sign in (1, -1)]
+    kind = data.draw(st.sampled_from(("walk", "near", "far")))
+    if kind == "walk":
+        # a short walk inside P: reachable
+        dst = src
+        for _ in range(data.draw(st.integers(0, 4))):
+            nxt = tuple(a + b for a, b in
+                        zip(dst, data.draw(st.sampled_from(moves))))
+            if pa.contains(nxt, p, inst.walls):
+                dst = nxt
+    elif kind == "near":
+        # inside P, outside it, or inside but cut off
+        dst = tuple(c + data.draw(st.integers(-3, 3)) for c in src)
+    else:
+        dst = tuple(c + data.draw(st.sampled_from((-1, 1))) * 3 * p
+                    for c in src)
+    args = (src, dst, pa, p, inst.generators, inst.walls)
+    with mock.patch.object(alcoves, "MAX_PATH_NODES", 1000):
+        got = path_outcome(translation_path, *args)
+        assert got == path_outcome(fraction_bfs_path, *args)
+    if kind == "walk":
+        assert isinstance(got, list) or got is ValueError
+
+
+def test_translation_path_rejects_non_lattice_inputs():
+    inst = hilb_instance(2, 0)
+    pa = p_membership((4,), 5, inst.walls)
+    for src, dst, gens in [((4,), (F(5, 2),), inst.generators),
+                           ((F(9, 2),), (4,), inst.generators),
+                           ((4,), (7,), [(F(1, 2),)]),
+                           ((4,), (4,), [(1,), (F(1, 2),)])]:
+        with pytest.raises(ValueError, match="must be lattice vectors"):
+            translation_path(src, dst, pa, 5, gens, inst.walls)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = dispatch(["path", "--builtin", "hilb", "--n", "2",
+                         "--from", "4", "--to", "5/2", "--p", "5"])
+    assert code == 1
+    assert buf.getvalue() == json.dumps({
+        "error": "translation_path: endpoints and generators must be "
+                 "lattice vectors"}) + "\n"

@@ -268,6 +268,65 @@ def test_missing_json_key_names_path_and_key(tmp_path, cmd, data, where, key):
         {"error": f"{path}{where}: {what}"}) + "\n")
 
 
+WALLS_CONFIG = {"rank": 1, "walls": POINTS_CONFIG["walls"]}
+
+
+@pytest.mark.parametrize("data, where, what", [
+    (5, "", "expected a JSON object"),
+    ({**POINTS_CONFIG, "points": 5}, "", "key 'points' must be a JSON array"),
+    ({**POINTS_CONFIG, "walls": 5}, "", "key 'walls' must be a JSON array"),
+    ({**WALLS_CONFIG, "walls": 5}, "", "key 'walls' must be a JSON array"),
+    ({"builtin": "hilb", "n": 2, "walls": 5}, "",
+     "key 'walls' must be a JSON array"),
+    ({"builtin": "hilb", "n": 2, "lambdas": 5}, "",
+     "key 'lambdas' must be a JSON array"),
+    ({**POINTS_CONFIG, "lambdas": 5}, "", "key 'lambdas' must be a JSON array"),
+    ({**WALLS_CONFIG, "generators": 5}, "",
+     "key 'generators' must be a JSON array"),
+    ({**WALLS_CONFIG, "generators": [[1], 5]}, ".generators[1]",
+     "expected a JSON array"),
+    ({"builtin": "hilb", "n": "x"}, "", "key 'n' must be an integer"),
+    ({"builtin": "hilb", "n": 2, "ell": [0]}, "",
+     "key 'ell' must be an integer"),
+])
+def test_config_of_the_wrong_json_type_names_path_and_key(tmp_path, data,
+                                                         where, what):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as info:
+        load_instance(str(path))
+    assert str(info.value) == f"{path}{where}: {what}"
+    assert run_cli(["alcove", "--config", str(path), "--point", "1"]) == (
+        1, json.dumps({"error": f"{path}{where}: {what}"}) + "\n")
+
+
+ALCOVE_ENTRY = 'expected [wall_id, offset, ">=" or "<="]'
+
+
+@pytest.mark.parametrize("data, where, what", [
+    ({"rank": 1, "inequalities": [[0, "1/2"]]}, ".inequalities[0]",
+     ALCOVE_ENTRY),
+    ({"rank": 1, "inequalities": [[0, "1/2", ">="], [0, "3/2", "=<"]]},
+     ".inequalities[1]", ALCOVE_ENTRY),
+    ({"rank": 1, "inequalities": [[0, "x", ">="]]}, ".inequalities[0]",
+     ALCOVE_ENTRY),
+    ({"rank": 1, "inequalities": [[0, 1, ">"]]}, ".inequalities[0]",
+     ALCOVE_ENTRY),
+    ({"rank": 1, "inequalities": [["0", "1/2", ">="]]}, ".inequalities[0]",
+     ALCOVE_ENTRY),
+    ({"rank": 1, "inequalities": 5}, "",
+     "key 'inequalities' must be a JSON array"),
+    ({"rank": [1], "inequalities": []}, "", "key 'rank' must be an integer"),
+])
+def test_cli_palcove_rejects_a_malformed_alcove_file(tmp_path, data, where,
+                                                     what):
+    path = tmp_path / "alcove.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["palcove", "--builtin", "hilb", "--n", "2",
+                    "--alcove-id", str(path)]) == (
+        1, json.dumps({"error": f"{path}{where}: {what}"}) + "\n")
+
+
 def test_cli_export_rejects_a_preorder_and_a_whole_report(tmp_path):
     code, out = run_cli(["preorder", "--builtin", "hilb", "--n", "3",
                          "--point", "5/12", "--face", "1", "--window=-1:1"])

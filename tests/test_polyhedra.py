@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -221,3 +222,40 @@ def test_first_lattice_point_backtracks_and_respects_strictness():
                                1) is None
     with pytest.raises(ValueError, match="unbounded"):
         first_lattice_point([((1, 0), F(0), False)], 2)
+
+
+# a coefficient as an int, a Fraction with denominator 2-4, or a "num/den"
+# string, so that the integer scaling of the input rows meets denominators
+rational_coefficient = st.one_of(
+    coefficient,
+    st.builds(F, st.integers(-6, 6), st.integers(2, 4)),
+    st.builds("{}/{}".format, st.integers(-6, 6), st.integers(2, 4)))
+
+
+@st.composite
+def rational_systems(draw):
+    """(constraints, dim, radius): dimension 1-3, up to 6 rows with
+    rational coefficients, rational right-hand sides and mixed strictness,
+    and a box radius of 0-3."""
+    dim = draw(st.integers(1, 3))
+    rhs = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
+    row = st.tuples(st.tuples(*[rational_coefficient] * dim), rhs,
+                    st.booleans())
+    return (draw(st.lists(row, max_size=6)), dim,
+            draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_integer_rows_of_rational_systems_match_the_oracles(system):
+    cons, dim, radius = system
+    got = (feasible(cons, dim), find_point(cons, dim))
+    with mock.patch.object(polyhedra, "_eliminate", unpruned_eliminate):
+        assert got == (feasible(cons, dim), find_point(cons, dim))
+    assert first_lattice_point(cons + box_rows(dim, radius), dim) == \
+        lex_scan(cons, dim, radius)
+    levels, _ = polyhedra._eliminate(cons, dim)
+    for level in levels:
+        for coeffs, _, _ in level:
+            assert all(type(c) is int for c in coeffs)
+            assert gcd(*coeffs) in (0, 1)
