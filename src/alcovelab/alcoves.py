@@ -16,8 +16,8 @@ from itertools import combinations, product
 from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
                     vsub)
 from .config import ConfigError, require_keys
-from .polyhedra import (feasible, find_point, interior_point, irredundant,
-                        matrix_rank, vertices)
+from .polyhedra import (feasible, interior_point, irredundant, matrix_rank,
+                        vertices)
 
 GE, LE = ">=", "<="
 
@@ -94,25 +94,29 @@ class RealAlcove:
                                  for wid, m, sense in self.inequalities]}
 
     @classmethod
-    def from_json(cls, data, path="alcove"):
-        """The alcove of a `to_json` object; anything else is a ConfigError
-        naming path and the key or entry at fault."""
+    def from_json(cls, data, path="alcove", walls=None):
+        """The alcove of a `to_json` object; anything else, or a wall id
+        that walls (when given) lack, is a ConfigError naming path and the
+        key or entry at fault."""
         require_keys(data, ("rank", "inequalities"), path)
         if not isinstance(data["rank"], int):
             raise ConfigError(f"{path}: key 'rank' must be an integer")
         if not isinstance(data["inequalities"], list):
             raise ConfigError(f"{path}: key 'inequalities' must be a JSON array")
+        ids = None if walls is None else {w.id for w in walls}
         return cls(data["rank"], tuple(
-            _inequality_from_json(entry, f"{path}.inequalities[{i}]")
+            _inequality_from_json(entry, f"{path}.inequalities[{i}]", ids)
             for i, entry in enumerate(data["inequalities"])))
 
 
-def _inequality_from_json(entry, where):
+def _inequality_from_json(entry, where, wall_ids=None):
     """(wall_id, offset, sense) from [wall_id, "num/den", ">=" or "<="]."""
     if isinstance(entry, list) and len(entry) == 3:
         wid, m, sense = entry
         if (isinstance(wid, int) and isinstance(m, (int, str))
                 and sense in (GE, LE)):
+            if wall_ids is not None and wid not in wall_ids:
+                raise ConfigError(f"{where}: no wall with id {wid}")
             try:
                 return wid, rat(m), sense
             except ValueError:
@@ -134,15 +138,15 @@ def real_alcove_of(x, walls) -> RealAlcove:
     return _alcove_around(x, walls)
 
 
-def _bracket(wall: Wall, t: Fraction, p=None):
+def _bracket(wall: Wall, t: Fraction, p=None, slope=0):
     """Real offsets (lo, hi) of the wall's hyperplanes directly below and
-    above the pairing value t.
+    above the value t + eps*slope, for every small eps > 0.
 
     The offsets m run over sigma + Z for sigma in sigma_tilde.  The real
     family puts a hyperplane at the value m; at a prime p the p-family puts
-    one at p*m + sigma.  When t is itself a value, raises
-    SingularPointError (real family) or OnPWallError with the integer
-    m - sigma (p-family).
+    one at p*m + sigma.  A hyperplane at t bounds from below for slope > 0
+    and from above for slope < 0; for slope 0 it raises SingularPointError
+    (real family) or OnPWallError with the integer m - sigma (p-family).
     """
     lo = hi = lo_v = hi_v = None
     for sigma in sorted(wall.sigma_tilde):
@@ -150,9 +154,12 @@ def _bracket(wall: Wall, t: Fraction, p=None):
         k = ((t - shift) / scale - sigma).__floor__()
         v = scale * (sigma + k) + shift
         if v == t:
-            if p is None:
-                raise SingularPointError(wall.id, t)
-            raise OnPWallError(wall.id, sigma, k)
+            if slope == 0:
+                if p is None:
+                    raise SingularPointError(wall.id, t)
+                raise OnPWallError(wall.id, sigma, k)
+            if slope < 0:
+                k, v = k - 1, v - scale
         if lo_v is None or v > lo_v:
             lo, lo_v = sigma + k, v
         if hi_v is None or v + scale < hi_v:
@@ -160,15 +167,16 @@ def _bracket(wall: Wall, t: Fraction, p=None):
     return lo, hi
 
 
-def _alcove_around(x, walls, p=None) -> RealAlcove:
+def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
     """The real alcove bounded, on each wall, by the offsets that _bracket
-    finds around <alpha, x>, with the bounds implied by the others pruned
-    by exact LP feasibility."""
+    finds around <alpha, x> (moved by eps*direction when given), with the
+    bounds implied by the others pruned by exact LP feasibility."""
     x = vec(x)
     d = len(x)
     ineqs = []
     for w in walls:
-        lo, hi = _bracket(w, pairing(w.alpha, x), p)
+        slope = 0 if direction is None else pairing(w.alpha, direction)
+        lo, hi = _bracket(w, pairing(w.alpha, x), p, slope)
         ineqs += [(w.id, lo, GE), (w.id, hi, LE)]
     ineqs = _canonical(ineqs)
     kept = irredundant(RealAlcove(d, ineqs).constraints(walls), d)
@@ -233,6 +241,16 @@ def faces_of(A: RealAlcove, walls):
     return sorted(seen.values(), key=lambda f: (f.codim, f.active))
 
 
+def opposite_alcove(A: RealAlcove, face: Face, walls) -> RealAlcove:
+    """The alcove opposite to A across a face of codimension >= 1: the one
+    entered by an infinitesimal step from the face witness f away from A's
+    interior point a, which pairs nonzero with every hyperplane through f."""
+    if face.codim == 0:
+        raise ValueError("codimension-0 face has no opposite alcove")
+    f = face.witness
+    return _alcove_around(f, walls, direction=vsub(f, A.interior_point(walls)))
+
+
 @dataclass(frozen=True)
 class PAlcove:
     """The p-alcove of a real alcove: strict inequalities
@@ -241,13 +259,15 @@ class PAlcove:
     source: RealAlcove
     inequalities: tuple  # ((wall_id, orient, rhs: AffineInP), ...)
 
-    def contains(self, x, p, walls) -> bool:
+    def rows(self, p, walls):
+        """The inequalities <c, x> > r at the prime p, as pairs
+        (c, r) = (orient * alpha, rhs(p))."""
         wm = _wall_map(walls)
-        for wid, orient, rhs in self.inequalities:
-            alpha = wm[wid].alpha
-            if not orient * pairing(alpha, x) > rhs.eval_at(p):
-                return False
-        return True
+        return [(tuple(orient * a for a in wm[wid].alpha), rhs.eval_at(p))
+                for wid, orient, rhs in self.inequalities]
+
+    def contains(self, x, p, walls) -> bool:
+        return all(pairing(c, x) > r for c, r in self.rows(p, walls))
 
     def to_json(self):
         return {"source": self.source.to_json(),
@@ -313,19 +333,9 @@ class Chamber:
     rank: int
     covectors: tuple  # oriented covectors
 
-    def constraints(self, strict=False):
-        return [(a, Fraction(0), strict) for a in self.covectors]
-
     def contains(self, x, strict=False) -> bool:
         return all(pairing(a, x) > 0 or (not strict and pairing(a, x) == 0)
                    for a in self.covectors)
-
-    def interior_direction(self):
-        cons = [(a, Fraction(1), False) for a in self.covectors]
-        pt = find_point(cons, self.rank)
-        if pt is None:
-            raise ValueError("chamber has empty interior")
-        return pt
 
     def to_json(self):
         return {"rank": self.rank, "covectors": [list(a) for a in self.covectors]}
@@ -394,14 +404,13 @@ class QuantumChamber:
 def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
     """The quantum chamber shifted from an integral chamber for lambda.
 
-    For each integral wall, with alpha oriented nonnegative on the chamber,
-    m~ is the smallest element of <alpha, lambda> + Z strictly above
-    max(sigma_tilde in that class); the minimality assertion m~ - 1 in
-    sigma_tilde holds by saturation.
+    On each integral wall the chamber's covectors give the side (alpha or
+    -alpha, else ValueError) and m~ = sigma* + 1, sigma* the largest element
+    of the oriented sigma_tilde in the class of <alpha, lambda>; the
+    minimality assertion m~ - 1 in sigma_tilde holds by construction.
     """
     lam = vec(lam)
     d = len(lam)
-    interior = chamber.interior_direction() if chamber.covectors else None
     out = []
     for w in walls:
         t = pairing(w.alpha, lam)
@@ -409,17 +418,14 @@ def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
             raise NonRegularError(f"non-regular parameter on wall {w.id}")
         if not w.class_part(t):
             continue
-        if interior is None:
-            orient = 1
+        if w.alpha in chamber.covectors:
+            sense = GE
+        elif tuple(-a for a in w.alpha) in chamber.covectors:
+            sense = LE
         else:
-            v = pairing(w.alpha, interior)
-            if v == 0:
-                raise ValueError(f"chamber is not transverse to integral wall {w.id}")
-            orient = 1 if v > 0 else -1
-        alpha = tuple(orient * a for a in w.alpha)
-        part = sorted(orient * s for s in w.sigma_tilde
-                      if (t - s).denominator == 1)
-        m_tilde = part[-1] + 1
+            raise ValueError(f"chamber is not transverse to integral wall {w.id}")
+        orient, alpha, _, sigma_star = oriented_facet(w, t, sense)
+        m_tilde = sigma_star + 1
         assert m_tilde - 1 in {orient * s for s in w.sigma_tilde}
         out.append((w.id, alpha, m_tilde))
     out.sort(key=lambda q: (q[0], q[1]))
@@ -447,10 +453,8 @@ def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls):
     if not all(is_lattice(v) for v in (lam1, lam2, *gens)):
         raise ValueError("translation_path: endpoints and generators must "
                          "be lattice vectors")
-    wm = _wall_map(walls)
-    covectors = [tuple(orient * a for a in wm[wid].alpha)
-                 for wid, orient, _ in P.inequalities]
-    floors = [rhs.eval_at(p).__floor__() for _, _, rhs in P.inequalities]
+    covectors = [c for c, _ in P.rows(p, walls)]
+    floors = [r.__floor__() for _, r in P.rows(p, walls)]
 
     def lattice(v):
         return tuple(int(c) for c in v)

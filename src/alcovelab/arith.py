@@ -13,6 +13,9 @@ from fractions import Fraction
 from math import gcd
 
 
+RATIONAL_LITERAL = re.compile(r"-?\d+(/\d+)?")
+
+
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and "num/den" strings to an exact rational."""
     if isinstance(x, Fraction):
@@ -20,7 +23,7 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        if not re.fullmatch(r"-?\d+(/\d+)?", x.strip()):
+        if not RATIONAL_LITERAL.fullmatch(x.strip()):
             raise ValueError(f"not a rational literal: {x!r}")
         return Fraction(x.strip())
     raise TypeError(f"cannot interpret {x!r} as a rational")
@@ -80,14 +83,7 @@ def primitivize(v) -> tuple:
 def is_saturated(s) -> bool:
     """True if integer gaps inside the set are filled: z, z+n in S forces
     z+1, ..., z+n-1 in S."""
-    s = {rat(x) for x in s}
-    for z in s:
-        for w in s:
-            d = w - z
-            if d.denominator == 1 and d > 1:
-                if any(z + j not in s for j in range(1, d.numerator)):
-                    return False
-    return True
+    return {rat(x) for x in s} == saturate(s)
 
 
 def saturate(s) -> frozenset:

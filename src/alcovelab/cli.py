@@ -294,7 +294,7 @@ def _outputs(args, cfg):
         if args.alcove_id:
             with open(args.alcove_id, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            A = RealAlcove.from_json(data, args.alcove_id)
+            A = RealAlcove.from_json(data, args.alcove_id, cfg.walls)
         elif args.point:
             A = _alcove_at(args.point, cfg)
         else:

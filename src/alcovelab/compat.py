@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import AffineInP, is_lattice, pairing, vadd, vscale, vsub
-from .alcoves import (Face, PAlcove, RealAlcove, faces_of, oriented_facet,
-                      p_alcove_of, real_alcove_of)
+from .alcoves import (Face, PAlcove, RealAlcove, faces_of, opposite_alcove,
+                      oriented_facet, p_alcove_of)
 from .polyhedra import first_lattice_point
 
 
@@ -151,34 +151,6 @@ def verify_compatible(pair: CompatiblePair, walls, p_samples=()) -> dict:
         and all(e["ok"] for e in report["other_walls"])
         and all(e["ok"] for e in report["samples"].values()))
     return report
-
-
-def opposite_alcove(A: RealAlcove, face: Face, walls) -> RealAlcove:
-    """The alcove opposite to A across a face of codimension >= 1.
-
-    Found by stepping from the face witness away from A's interior; every
-    arrangement hyperplane through the witness contains the face span, so a
-    small enough step flips exactly the face walls.
-    """
-    if face.codim == 0:
-        raise ValueError("codimension-0 face has no opposite alcove")
-    a = A.interior_point(walls)
-    f = face.witness
-    step = vsub(f, a)
-    t = Fraction(1, 2)
-    for _ in range(64):
-        x = vadd(f, vscale(t, step))
-        try:
-            B = real_alcove_of(x, walls)
-        except ValueError:
-            t /= 2
-            continue
-        if B != A and any(g.vertex_set == face.vertex_set
-                          for g in faces_of(B, walls)):
-            return B
-        t /= 2
-    raise ValueError("could not locate the opposite alcove (face on the "
-                     "boundary of the locally bounded region?)")
 
 
 def matching_face(B: RealAlcove, face: Face, walls) -> Face:

@@ -6,7 +6,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
-from .arith import Wall, is_saturated, rat, saturate, vec
+from .arith import (RATIONAL_LITERAL, Wall, is_saturated, rat, saturate,
+                    vec)
 from .instances import BUILTINS, FixedPointInstance, builtin_instance
 
 TOOL_VERSION = "0.1.0"
@@ -27,9 +28,6 @@ class InstanceConfig:
         return self.instance.walls
 
 
-WALL_KEYS = ("id", "alpha", "sigma_tilde")
-
-
 def require_keys(entry, keys, where):
     """Raise a ConfigError naming where unless entry is a JSON object with
     every one of keys; the message names the first missing key."""
@@ -40,13 +38,46 @@ def require_keys(entry, keys, where):
             raise ConfigError(f"{where}: missing key {key!r}")
 
 
+def _is_integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rational(x):
+    """Whether rat reads x: a JSON integer or a "num/den" string."""
+    return _is_integer(x) or (isinstance(x, str) and
+                              RATIONAL_LITERAL.fullmatch(x.strip()) is not None)
+
+
+def _array_of(is_item):
+    return lambda x: isinstance(x, list) and all(map(is_item, x))
+
+
+# (key, JSON type, test) of the values read from wall and point entries
+WALL_TYPES = (("id", "an integer", _is_integer),
+              ("alpha", "an array of integers", _array_of(_is_integer)),
+              ("sigma_tilde", "an array of rationals",
+               _array_of(_is_rational)))
+POINT_TYPES = (("c_const", "a rational", _is_rational),
+               ("c_linear", "an array of rationals", _array_of(_is_rational)))
+
+
+def _require_types(entry, types, where, untyped=()):
+    """require_keys for the untyped keys and those of types, then a
+    ConfigError naming where and the key unless each value of types has
+    its JSON type."""
+    require_keys(entry, untyped + tuple(key for key, _, _ in types), where)
+    for key, kind, ok in types:
+        if not ok(entry[key]):
+            raise ConfigError(f"{where}: key {key!r} must be {kind}")
+
+
 def _parse_walls(entries, path):
     walls = []
     warnings = []
     seen = set()
     for i, entry in enumerate(entries):
         where = f"{path}.walls[{i}]"
-        require_keys(entry, WALL_KEYS, where)
+        _require_types(entry, WALL_TYPES, where)
         st = frozenset(rat(x) for x in entry["sigma_tilde"])
         if not st:
             raise ConfigError(f"{where}: sigma_tilde must be nonempty")
@@ -54,12 +85,11 @@ def _parse_walls(entries, path):
             st = saturate(st)
             warnings.append(
                 f"{where}: sigma_tilde was not saturated; saturated on load")
-        wid = int(entry["id"])
+        wid = entry["id"]
         if wid in seen:
             raise ConfigError(f"{where}: duplicate wall id {wid}")
         seen.add(wid)
-        wall = Wall(id=wid, alpha=tuple(int(a) for a in entry["alpha"]),
-                    sigma_tilde=st)
+        wall = Wall(id=wid, alpha=tuple(entry["alpha"]), sigma_tilde=st)
         if any(w.alpha == wall.alpha for w in walls):
             raise ConfigError(
                 f"{where}: duplicate wall covector {wall.alpha}; distinct "
@@ -74,8 +104,8 @@ VECTOR_KEYS = ("lambdas", "generators")
 
 def _check_types(data, path):
     """Raise a ConfigError naming path and the key unless data is a JSON
-    object whose array keys hold arrays, whose vector arrays hold arrays,
-    and whose builtin sizes are integers."""
+    object whose array keys hold arrays, whose vector arrays hold arrays of
+    rationals, and whose builtin sizes or rank are integers."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     for key in ARRAY_KEYS:
@@ -87,11 +117,12 @@ def _check_types(data, path):
                 if not isinstance(entry, list):
                     raise ConfigError(
                         f"{path}.{key}[{i}]: expected a JSON array")
-    if "builtin" in data:
-        for key in ("n", "ell"):
-            if key in data and (not isinstance(data[key], int)
-                                or isinstance(data[key], bool)):
-                raise ConfigError(f"{path}: key {key!r} must be an integer")
+                if not all(map(_is_rational, entry)):
+                    raise ConfigError(
+                        f"{path}.{key}[{i}]: expected an array of rationals")
+    for key in ("n", "ell") if "builtin" in data else ("rank",):
+        if key in data and not _is_integer(data[key]):
+            raise ConfigError(f"{path}: key {key!r} must be an integer")
 
 
 def parse_config(data: dict, path="config") -> InstanceConfig:
@@ -112,17 +143,17 @@ def parse_config(data: dict, path="config") -> InstanceConfig:
     elif "points" in data:
         require_keys(data, ("name", "rank"), path)
         for i, entry in enumerate(data["points"]):
-            require_keys(entry, ("id", "c_const", "c_linear"),
-                         f"{path}.points[{i}]")
+            _require_types(entry, POINT_TYPES, f"{path}.points[{i}]",
+                           untyped=("id",))
         for i, entry in enumerate(data.get("walls", [])):
-            require_keys(entry, WALL_KEYS, f"{path}.walls[{i}]")
+            _require_types(entry, WALL_TYPES, f"{path}.walls[{i}]")
         inst = FixedPointInstance.from_json(data)
     elif "walls" in data:
         if "rank" not in data:
             raise ConfigError(f"{path}: wall configs need a rank")
         walls, wall_warnings = _parse_walls(data["walls"], path)
         warnings.extend(wall_warnings)
-        rank = int(data["rank"])
+        rank = data["rank"]
         for w in walls:
             if len(w.alpha) != rank:
                 raise ConfigError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .arith import AffineInP, rat_str
@@ -58,7 +59,10 @@ class LabeledPoset:
     p: int
     window: tuple
 
-    def _descendants(self):
+    @cached_property
+    def closure(self):
+        """Strict successors of each label: the transitive closure of the
+        covers."""
         succ = defaultdict(list)
         for a, b in self.covers:
             succ[a].append(b)
@@ -77,12 +81,6 @@ class LabeledPoset:
         for v in self.labels:
             visit(v)
         return desc
-
-    @property
-    def closure(self):
-        if not hasattr(self, "_closure_cache"):
-            object.__setattr__(self, "_closure_cache", self._descendants())
-        return self._closure_cache
 
     def less(self, a: Label, b: Label) -> bool:
         return b in self.closure.get(a, ())

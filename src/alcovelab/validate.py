@@ -9,7 +9,7 @@ from math import lcm
 from .arith import AffineInP, rat_str
 from .alcoves import p_alcove_of
 from .orders import c_bar
-from .polyhedra import first_lattice_point, vertices
+from .polyhedra import first_lattice_point, interior_point
 
 
 def p_lattice_point(pa, p: int, walls):
@@ -19,14 +19,11 @@ def p_lattice_point(pa, p: int, walls):
     large (margins grow linearly in p); otherwise the answer is the
     lexicographically first lattice point of the open polytope.
     """
-    wm = {w.id: w for w in walls}
-    cons = [(tuple(orient * a for a in wm[wid].alpha), rhs.eval_at(p), True)
-            for wid, orient, rhs in pa.inequalities]
+    cons = [(c, r, True) for c, r in pa.rows(p, walls)]
     d = pa.source.rank
-    verts = vertices(cons, d)
-    if not verts:
+    center = interior_point(cons, d)
+    if center is None:
         return None
-    center = tuple(sum(v[j] for v in verts) / len(verts) for j in range(d))
     cand = tuple((c + Fraction(1, 2)).__floor__() for c in center)
     if pa.contains(cand, p, walls):
         return cand

@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 from alcovelab.arith import AffineInP, Wall, pairing, vec
 from alcovelab import alcoves
 from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
-                               RealAlcove, SingularPointError, faces_of,
+                               QuantumChamber, RealAlcove, SingularPointError,
+                               _alcove_around, _bracket, faces_of,
                                integral_chambers,
                                integral_walls_and_positive_chamber,
                                p_alcove_of, p_membership, quantum_chamber,
                                real_alcove_of, translation_path)
 from alcovelab.cli import dispatch
 from alcovelab.instances import hilb_instance, weyl_a_instance
-from alcovelab.polyhedra import irredundant, matrix_rank, vertices
+from alcovelab.polyhedra import (find_point, irredundant, matrix_rank,
+                                vertices)
 from alcovelab.validate import p_lattice_point, validate_p
 
 A2 = weyl_a_instance(3)
@@ -657,3 +659,97 @@ def test_translation_path_rejects_non_lattice_inputs():
     assert buf.getvalue() == json.dumps({
         "error": "translation_path: endpoints and generators must be "
                  "lattice vectors"}) + "\n"
+
+
+@pytest.mark.parametrize("wall, t, p, below, above", [
+    # real family of HALF_WALL: hyperplanes at -1/2 + Z
+    (HALF_WALL, F(1, 2), None, (F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))),
+    # p-family of INT_WALL at p = 5: hyperplanes at 5*Z
+    (INT_WALL, F(10), 5, (1, 2), (2, 3)),
+    # p-family of HALF_WALL at p = 5: 5*m - 1/2 for m in -1/2 + Z
+    (HALF_WALL, F(2), 5, (F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))),
+])
+def test_bracket_reads_the_side_of_a_tie_from_the_slope(wall, t, p, below,
+                                                        above):
+    assert _bracket(wall, t, p, slope=-1) == below
+    assert _bracket(wall, t, p, slope=1) == above
+    assert _bracket(wall, t + F(1, 7), p, slope=-1) == above
+    error = SingularPointError if p is None else OnPWallError
+    with pytest.raises(error):
+        _bracket(wall, t, p)
+    with pytest.raises(error):
+        _bracket(wall, t, p, slope=0)
+
+
+def test_alcove_around_a_wall_point_follows_the_direction():
+    origin = (F(0), F(0))
+    for side in (1, -1):
+        got = _alcove_around(origin, A2.walls, direction=(side, side))
+        assert got == real_alcove_of((F(side, 3), F(side, 3)), A2.walls)
+    with pytest.raises(SingularPointError):
+        _alcove_around(origin, A2.walls)
+
+
+def lp_quantum_chamber(lam, chamber, walls):
+    """quantum_chamber as first written: the side of each integral wall is
+    the sign of its pairing with an interior direction of the chamber,
+    found by Fourier-Motzkin."""
+    lam = vec(lam)
+    d = len(lam)
+    interior = None
+    if chamber.covectors:
+        interior = find_point([(a, F(1), False) for a in chamber.covectors],
+                              chamber.rank)
+        if interior is None:
+            raise ValueError("chamber has empty interior")
+    out = []
+    for w in walls:
+        t = pairing(w.alpha, lam)
+        if t in w.sigma_tilde:
+            raise NonRegularError(f"non-regular parameter on wall {w.id}")
+        if not w.class_part(t):
+            continue
+        if interior is None:
+            orient = 1
+        else:
+            v = pairing(w.alpha, interior)
+            if v == 0:
+                raise ValueError(
+                    f"chamber is not transverse to integral wall {w.id}")
+            orient = 1 if v > 0 else -1
+        alpha = tuple(orient * a for a in w.alpha)
+        part = sorted(orient * s for s in w.sigma_tilde
+                      if (t - s).denominator == 1)
+        out.append((w.id, alpha, part[-1] + 1))
+    out.sort(key=lambda q: (q[0], q[1]))
+    kept = irredundant([(a, m, False) for _, a, m in out], d)
+    return QuantumChamber(lam, tuple(out[i] for i in kept))
+
+
+QUANTUM_INSTANCES = ([weyl_a_instance(n) for n in (3, 4, 5)]
+                     + [hilb_instance(n, ell) for n in range(2, 7)
+                        for ell in (0, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quantum_chamber_matches_lp_oracle(data):
+    inst = data.draw(st.sampled_from(QUANTUM_INSTANCES))
+    # small denominators make several walls integral at once
+    lam = data.draw(st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        min_size=inst.rank, max_size=inst.rank))
+    try:
+        iw, positive = integral_walls_and_positive_chamber(lam, inst.walls)
+    except NonRegularError:
+        assume(False)
+    for chamber in [positive] + integral_chambers(iw, inst.rank):
+        assert quantum_chamber(lam, chamber, inst.walls) == \
+            lp_quantum_chamber(lam, chamber, inst.walls)
+
+
+def test_quantum_chamber_needs_a_side_on_every_integral_wall():
+    iw, C = integral_walls_and_positive_chamber((1, 2), A2.walls)
+    lacking = alcoves.Chamber(C.rank, C.covectors[1:])
+    with pytest.raises(ValueError, match="not transverse to integral wall"):
+        quantum_chamber((1, 2), lacking, A2.walls)

@@ -62,6 +62,25 @@ def test_saturate_matches_oracle_and_is_saturated(s):
     assert s <= out
 
 
+def pairwise_is_saturated(s):
+    """is_saturated as first written: every integer gap between two
+    elements of one class must be filled."""
+    s = {F(x) for x in s}
+    for z in s:
+        for w in s:
+            d = w - z
+            if d.denominator == 1 and d > 1:
+                if any(z + j not in s for j in range(1, d.numerator)):
+                    return False
+    return True
+
+
+@given(st.sets(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+               min_size=0, max_size=7))
+def test_is_saturated_matches_pairwise_oracle(s):
+    assert is_saturated(s) == pairwise_is_saturated(s)
+
+
 @given(st.sets(rationals, min_size=1, max_size=4),
        st.sets(rationals, min_size=0, max_size=3))
 def test_saturate_monotone(s, extra):

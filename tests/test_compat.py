@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from alcovelab import compat
 from alcovelab.alcoves import (SingularPointError, faces_of, p_membership,
                                real_alcove_of)
-from alcovelab.arith import pairing, vadd
+from alcovelab.arith import pairing, vadd, vscale, vsub
 from alcovelab.compat import (CompatiblePair, _split_facets,
                               find_compatible, opposite_alcove, opposite_pair,
                               verify_compatible)
@@ -212,3 +212,49 @@ def test_find_compatible_every_face_of_the_fundamental_alcove(n, n_faces):
             pair = find_compatible(A, face, inst.walls)
             assert pair.mu == face.witness
             assert verify_compatible(pair, inst.walls)["passed"]
+
+
+def probing_opposite_alcove(A, face, walls):
+    """opposite_alcove as first written: step from the face witness away
+    from A's interior by halving steps until the alcove there differs from
+    A and shares the face."""
+    a = A.interior_point(walls)
+    f = face.witness
+    step = vsub(f, a)
+    t = F(1, 2)
+    for _ in range(64):
+        x = vadd(f, vscale(t, step))
+        try:
+            B = real_alcove_of(x, walls)
+        except ValueError:
+            t /= 2
+            continue
+        if B != A and any(g.vertex_set == face.vertex_set
+                          for g in faces_of(B, walls)):
+            return B
+        t /= 2
+    raise ValueError("could not locate the opposite alcove")
+
+
+OPPOSITE_INSTANCES = ([hilb_instance(n) for n in range(2, 9)]
+                      + [weyl_a_instance(n) for n in range(3, 6)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_opposite_alcove_matches_probing_oracle(data):
+    inst = data.draw(st.sampled_from(OPPOSITE_INSTANCES))
+    x = data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=13),
+        min_size=inst.rank, max_size=inst.rank))
+    try:
+        A = real_alcove_of(x, inst.walls)
+    except SingularPointError:
+        assume(False)
+    for face in faces_of(A, inst.walls):
+        if face.codim == 0:
+            with pytest.raises(ValueError, match="codimension-0"):
+                opposite_alcove(A, face, inst.walls)
+        else:
+            assert opposite_alcove(A, face, inst.walls) == \
+                probing_opposite_alcove(A, face, inst.walls)

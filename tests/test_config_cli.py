@@ -288,6 +288,31 @@ WALLS_CONFIG = {"rank": 1, "walls": POINTS_CONFIG["walls"]}
     ({"builtin": "hilb", "n": "x"}, "", "key 'n' must be an integer"),
     ({"builtin": "hilb", "n": 2, "ell": [0]}, "",
      "key 'ell' must be an integer"),
+    ({"builtin": "hilb", "n": 2, "lambdas": [[0.5]]}, ".lambdas[0]",
+     "expected an array of rationals"),
+    ({**POINTS_CONFIG, "lambdas": [["x"]]}, ".lambdas[0]",
+     "expected an array of rationals"),
+    ({**POINTS_CONFIG, "walls": [{**POINTS_CONFIG["walls"][0],
+                                  "sigma_tilde": [0.5]}]},
+     ".walls[0]", "key 'sigma_tilde' must be an array of rationals"),
+    ({"builtin": "hilb", "n": 2, "walls": [{**POINTS_CONFIG["walls"][0],
+                                            "sigma_tilde": [0.5]}]},
+     ".walls[0]", "key 'sigma_tilde' must be an array of rationals"),
+    ({**POINTS_CONFIG, "points": [{**POINTS_CONFIG["points"][0],
+                                   "c_const": 0.5}]},
+     ".points[0]", "key 'c_const' must be a rational"),
+    ({**POINTS_CONFIG, "points": [{**POINTS_CONFIG["points"][0],
+                                   "c_linear": 2}]},
+     ".points[0]", "key 'c_linear' must be an array of rationals"),
+    ({**POINTS_CONFIG, "rank": [1]}, "", "key 'rank' must be an integer"),
+    ({**WALLS_CONFIG, "rank": "1"}, "", "key 'rank' must be an integer"),
+    ({**WALLS_CONFIG, "walls": [{**POINTS_CONFIG["walls"][0], "alpha": 5}]},
+     ".walls[0]", "key 'alpha' must be an array of integers"),
+    ({**POINTS_CONFIG, "walls": [{**POINTS_CONFIG["walls"][0],
+                                  "alpha": [True]}]},
+     ".walls[0]", "key 'alpha' must be an array of integers"),
+    ({**WALLS_CONFIG, "walls": [{**POINTS_CONFIG["walls"][0], "id": "a"}]},
+     ".walls[0]", "key 'id' must be an integer"),
 ])
 def test_config_of_the_wrong_json_type_names_path_and_key(tmp_path, data,
                                                          where, what):
@@ -317,6 +342,8 @@ ALCOVE_ENTRY = 'expected [wall_id, offset, ">=" or "<="]'
     ({"rank": 1, "inequalities": 5}, "",
      "key 'inequalities' must be a JSON array"),
     ({"rank": [1], "inequalities": []}, "", "key 'rank' must be an integer"),
+    ({"rank": 1, "inequalities": [[7, "1/2", ">="], [0, "3/2", "<="]]},
+     ".inequalities[0]", "no wall with id 7"),
 ])
 def test_cli_palcove_rejects_a_malformed_alcove_file(tmp_path, data, where,
                                                      what):

@@ -85,6 +85,11 @@ def test_hw_order_strict_partial_order():
                 assert c in closure[a]
 
 
+def test_hw_order_closure_is_computed_once():
+    poset = hw_order(HILB2, (5,), 5, (0, 20))
+    assert poset.closure is poset.closure
+
+
 def test_shift_trivia():
     l = Label((2,), 4)
     assert shift(l, 1, 5) == Label((2,), 9)
