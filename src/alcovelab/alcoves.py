@@ -94,28 +94,28 @@ class RealAlcove:
                                  for wid, m, sense in self.inequalities]}
 
     @classmethod
-    def from_json(cls, data, path="alcove", walls=None):
+    def from_json(cls, data, path, walls):
         """The alcove of a `to_json` object; anything else, or a wall id
-        that walls (when given) lack, is a ConfigError naming path and the
-        key or entry at fault."""
+        that walls lack, is a ConfigError naming path and the key or entry
+        at fault."""
         require_keys(data, ("rank", "inequalities"), path)
         if not isinstance(data["rank"], int):
             raise ConfigError(f"{path}: key 'rank' must be an integer")
         if not isinstance(data["inequalities"], list):
             raise ConfigError(f"{path}: key 'inequalities' must be a JSON array")
-        ids = None if walls is None else {w.id for w in walls}
+        ids = {w.id for w in walls}
         return cls(data["rank"], tuple(
             _inequality_from_json(entry, f"{path}.inequalities[{i}]", ids)
             for i, entry in enumerate(data["inequalities"])))
 
 
-def _inequality_from_json(entry, where, wall_ids=None):
+def _inequality_from_json(entry, where, wall_ids):
     """(wall_id, offset, sense) from [wall_id, "num/den", ">=" or "<="]."""
     if isinstance(entry, list) and len(entry) == 3:
         wid, m, sense = entry
         if (isinstance(wid, int) and isinstance(m, (int, str))
                 and sense in (GE, LE)):
-            if wall_ids is not None and wid not in wall_ids:
+            if wid not in wall_ids:
                 raise ConfigError(f"{where}: no wall with id {wid}")
             try:
                 return wid, rat(m), sense
@@ -453,8 +453,9 @@ def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls):
     if not all(is_lattice(v) for v in (lam1, lam2, *gens)):
         raise ValueError("translation_path: endpoints and generators must "
                          "be lattice vectors")
-    covectors = [c for c, _ in P.rows(p, walls)]
-    floors = [r.__floor__() for _, r in P.rows(p, walls)]
+    rows = P.rows(p, walls)
+    covectors = [c for c, _ in rows]
+    floors = [r.__floor__() for _, r in rows]
 
     def lattice(v):
         return tuple(int(c) for c in v)

@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import gcd
 
 
-RATIONAL_LITERAL = re.compile(r"-?\d+(/\d+)?")
+# an integer or "num/den" with a nonzero denominator
+RATIONAL_LITERAL = re.compile(r"-?\d+(/0*[1-9]\d*)?")
 
 
 def rat(x) -> Fraction:
@@ -80,10 +81,20 @@ def primitivize(v) -> tuple:
     return v
 
 
+def _z_classes(s):
+    """The elements of a finite set of rationals, grouped by Z-coset."""
+    by_class: dict[Fraction, list[Fraction]] = {}
+    for x in {rat(x) for x in s}:
+        by_class.setdefault(x - x.numerator // x.denominator, []).append(x)
+    return by_class.values()
+
+
 def is_saturated(s) -> bool:
     """True if integer gaps inside the set are filled: z, z+n in S forces
-    z+1, ..., z+n-1 in S."""
-    return {rat(x) for x in s} == saturate(s)
+    z+1, ..., z+n-1 in S.  Each Z-coset is saturated exactly when its
+    elements are as many as the integers from its minimum to its maximum,
+    so no gap value is built."""
+    return all(int(max(e) - min(e)) + 1 == len(e) for e in _z_classes(s))
 
 
 def saturate(s) -> frozenset:
@@ -92,16 +103,10 @@ def saturate(s) -> frozenset:
     Elements split into Z-cosets; within each coset the integer gap between
     the minimum and the maximum is filled.
     """
-    s = {rat(x) for x in s}
-    by_class: dict[Fraction, list[Fraction]] = {}
-    for x in s:
-        by_class.setdefault(x - x.numerator // x.denominator, []).append(x)
     out = set()
-    for elems in by_class.values():
-        lo, hi = min(elems), max(elems)
-        steps = int(hi - lo)
-        out.update(lo + j for j in range(steps + 1))
-        out.update(elems)
+    for elems in _z_classes(s):
+        lo = min(elems)
+        out.update(lo + j for j in range(int(max(elems) - lo) + 1))
     return frozenset(out)
 
 

@@ -81,6 +81,13 @@ def test_is_saturated_matches_pairwise_oracle(s):
     assert is_saturated(s) == pairwise_is_saturated(s)
 
 
+def test_is_saturated_builds_no_gap_value():
+    # a gap of 10**9 is answered from the counts, not by listing it
+    assert not is_saturated({0, 10**9})
+    assert is_saturated({0, F(1, 2), 10**9 + F(1, 2)}) is False
+    assert is_saturated({F(10**9, 3)})
+
+
 @given(st.sets(rationals, min_size=1, max_size=4),
        st.sets(rationals, min_size=0, max_size=3))
 def test_saturate_monotone(s, extra):

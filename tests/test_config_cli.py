@@ -313,6 +313,14 @@ WALLS_CONFIG = {"rank": 1, "walls": POINTS_CONFIG["walls"]}
      ".walls[0]", "key 'alpha' must be an array of integers"),
     ({**WALLS_CONFIG, "walls": [{**POINTS_CONFIG["walls"][0], "id": "a"}]},
      ".walls[0]", "key 'id' must be an integer"),
+    ({"builtin": "hilb", "n": 2, "lambdas": [["1/0"]]}, ".lambdas[0]",
+     "expected an array of rationals"),
+    ({**POINTS_CONFIG, "walls": [{**POINTS_CONFIG["walls"][0],
+                                  "sigma_tilde": ["1/0"]}]},
+     ".walls[0]", "key 'sigma_tilde' must be an array of rationals"),
+    ({**POINTS_CONFIG, "points": [{**POINTS_CONFIG["points"][0],
+                                   "c_const": "1/0"}]},
+     ".points[0]", "key 'c_const' must be a rational"),
 ])
 def test_config_of_the_wrong_json_type_names_path_and_key(tmp_path, data,
                                                          where, what):
@@ -344,6 +352,8 @@ ALCOVE_ENTRY = 'expected [wall_id, offset, ">=" or "<="]'
     ({"rank": [1], "inequalities": []}, "", "key 'rank' must be an integer"),
     ({"rank": 1, "inequalities": [[7, "1/2", ">="], [0, "3/2", "<="]]},
      ".inequalities[0]", "no wall with id 7"),
+    ({"rank": 1, "inequalities": [[0, "1/0", ">="]]}, ".inequalities[0]",
+     ALCOVE_ENTRY),
 ])
 def test_cli_palcove_rejects_a_malformed_alcove_file(tmp_path, data, where,
                                                      what):
