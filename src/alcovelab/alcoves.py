@@ -15,7 +15,6 @@ from itertools import combinations, product
 
 from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
                     vsub)
-from .config import ConfigError, require_keys
 from .polyhedra import (feasible, interior_point, irredundant, matrix_rank,
                         vertices)
 
@@ -92,36 +91,6 @@ class RealAlcove:
         return {"rank": self.rank,
                 "inequalities": [[wid, rat_str(m), sense]
                                  for wid, m, sense in self.inequalities]}
-
-    @classmethod
-    def from_json(cls, data, path, walls):
-        """The alcove of a `to_json` object; anything else, or a wall id
-        that walls lack, is a ConfigError naming path and the key or entry
-        at fault."""
-        require_keys(data, ("rank", "inequalities"), path)
-        if not isinstance(data["rank"], int):
-            raise ConfigError(f"{path}: key 'rank' must be an integer")
-        if not isinstance(data["inequalities"], list):
-            raise ConfigError(f"{path}: key 'inequalities' must be a JSON array")
-        ids = {w.id for w in walls}
-        return cls(data["rank"], tuple(
-            _inequality_from_json(entry, f"{path}.inequalities[{i}]", ids)
-            for i, entry in enumerate(data["inequalities"])))
-
-
-def _inequality_from_json(entry, where, wall_ids):
-    """(wall_id, offset, sense) from [wall_id, "num/den", ">=" or "<="]."""
-    if isinstance(entry, list) and len(entry) == 3:
-        wid, m, sense = entry
-        if (isinstance(wid, int) and isinstance(m, (int, str))
-                and sense in (GE, LE)):
-            if wid not in wall_ids:
-                raise ConfigError(f"{where}: no wall with id {wid}")
-            try:
-                return wid, rat(m), sense
-            except ValueError:
-                pass
-    raise ConfigError(f'{where}: expected [wall_id, offset, ">=" or "<="]')
 
 
 def _canonical(ineqs):

@@ -81,7 +81,7 @@ def primitivize(v) -> tuple:
     return v
 
 
-def _z_classes(s):
+def z_classes(s):
     """The elements of a finite set of rationals, grouped by Z-coset."""
     by_class: dict[Fraction, list[Fraction]] = {}
     for x in {rat(x) for x in s}:
@@ -94,7 +94,7 @@ def is_saturated(s) -> bool:
     z+1, ..., z+n-1 in S.  Each Z-coset is saturated exactly when its
     elements are as many as the integers from its minimum to its maximum,
     so no gap value is built."""
-    return all(int(max(e) - min(e)) + 1 == len(e) for e in _z_classes(s))
+    return all(int(max(e) - min(e)) + 1 == len(e) for e in z_classes(s))
 
 
 def saturate(s) -> frozenset:
@@ -104,7 +104,7 @@ def saturate(s) -> frozenset:
     the minimum and the maximum is filled.
     """
     out = set()
-    for elems in _z_classes(s):
+    for elems in z_classes(s):
         lo = min(elems)
         out.update(lo + j for j in range(int(max(elems) - lo) + 1))
     return frozenset(out)
@@ -145,11 +145,6 @@ class Wall:
             "alpha": list(self.alpha),
             "sigma_tilde": sorted(rat_str(x) for x in self.sigma_tilde),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Wall":
-        return cls(id=int(data["id"]), alpha=tuple(int(a) for a in data["alpha"]),
-                   sigma_tilde=frozenset(rat(x) for x in data["sigma_tilde"]))
 
 
 @dataclass(frozen=True, order=False)

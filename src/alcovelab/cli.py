@@ -18,8 +18,8 @@ from .alcoves import (faces_of, integral_walls_and_positive_chamber,
                       p_alcove_of, p_membership, quantum_chamber,
                       real_alcove_of, translation_path, RealAlcove)
 from .compat import find_compatible, opposite_pair, verify_compatible
-from .config import (ConfigError, load_instance, parse_config, report_to_json,
-                     run_report)
+from .config import (ConfigError, load_instance, load_json, parse_alcove,
+                     parse_config, report_to_json, run_report)
 from .instances import BUILTINS
 from .mullineux import wc_bijection_hilb
 from .orders import (equivalence_classes, export_poset, hw_order,
@@ -245,8 +245,7 @@ def _run(args) -> int:
     exactly when the report carries checks that did not pass."""
     cmd, inputs, checks = args.cmd, None, None
     if cmd == "export":
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = load_json(args.infile)
         covers = _poset_covers(data, args.infile)
         out = (json.dumps(data, sort_keys=True, indent=2)
                if args.format == "json" else to_dot((), covers))
@@ -292,9 +291,8 @@ def _outputs(args, cfg):
 
     if cmd == "palcove":
         if args.alcove_id:
-            with open(args.alcove_id, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            A = RealAlcove.from_json(data, args.alcove_id, cfg.walls)
+            A = parse_alcove(load_json(args.alcove_id), args.alcove_id,
+                             cfg.instance)
         elif args.point:
             A = _alcove_at(args.point, cfg)
         else:

@@ -1,4 +1,7 @@
-"""Instance configuration files and deterministic run reports."""
+"""Instance configuration files and deterministic run reports.
+
+The one module that reads JSON input: configs and the files fed back in.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +9,18 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
+from .alcoves import GE, LE, RealAlcove
 from .arith import (RATIONAL_LITERAL, Wall, is_saturated, rat, saturate,
-                    vec)
+                    vec, z_classes)
 from .instances import BUILTINS, FixedPointInstance, builtin_instance
+from .partitions import partition_from_str
+from .polyhedra import feasible
 
 TOOL_VERSION = "0.1.0"
+
+# Saturating a sigma_tilde lists every value of each Z-coset's integer
+# span, so a span (max - min) above this is rejected before any is listed.
+MAX_SATURATED_SPAN = 10_000
 
 
 class ConfigError(ValueError):
@@ -57,39 +67,59 @@ WALL_TYPES = (("id", "an integer", _is_integer),
               ("alpha", "an array of integers", _array_of(_is_integer)),
               ("sigma_tilde", "an array of rationals",
                _array_of(_is_rational)))
-POINT_TYPES = (("c_const", "a rational", _is_rational),
+POINT_TYPES = (("id", "a string", lambda x: isinstance(x, str)),
+               ("c_const", "a rational", _is_rational),
                ("c_linear", "an array of rationals", _array_of(_is_rational)))
+# how a point id parses under each "meta": {"points": ...} kind
+POINT_IDS = {None: str, "partitions": partition_from_str,
+             "permutations": lambda s: tuple(int(v) for v in s.split(","))}
 
 
-def _require_types(entry, types, where, untyped=()):
-    """require_keys for the untyped keys and those of types, then a
-    ConfigError naming where and the key unless each value of types has
-    its JSON type."""
-    require_keys(entry, untyped + tuple(key for key, _, _ in types), where)
+def _require_types(entry, types, where):
+    """require_keys for the keys of types, then a ConfigError naming where
+    and the key unless each value has its JSON type."""
+    require_keys(entry, tuple(key for key, _, _ in types), where)
     for key, kind, ok in types:
         if not ok(entry[key]):
             raise ConfigError(f"{where}: key {key!r} must be {kind}")
 
 
-def _parse_walls(entries, path):
+def _vector(coords, rank, where):
+    """The vector of a JSON array of rank rationals; anything else is a
+    ConfigError naming where."""
+    if not isinstance(coords, list):
+        raise ConfigError(f"{where}: expected a JSON array")
+    if not all(map(_is_rational, coords)):
+        raise ConfigError(f"{where}: expected an array of rationals")
+    if len(coords) != rank:
+        raise ConfigError(
+            f"{where}: expected {rank} coordinates, got {len(coords)}")
+    return vec(coords)
+
+
+def _parse_walls(entries, path, rank):
     walls = []
     warnings = []
-    seen = set()
     for i, entry in enumerate(entries):
         where = f"{path}.walls[{i}]"
         _require_types(entry, WALL_TYPES, where)
+        alpha = _vector(entry["alpha"], rank, f"{where}.alpha")
         st = frozenset(rat(x) for x in entry["sigma_tilde"])
         if not st:
             raise ConfigError(f"{where}: sigma_tilde must be nonempty")
+        span = max(int(max(e) - min(e)) for e in z_classes(st))
+        if span > MAX_SATURATED_SPAN:
+            raise ConfigError(
+                f"{where}: a Z-coset of sigma_tilde spans {span} (max - min); "
+                f"the bound is {MAX_SATURATED_SPAN}")
         if not is_saturated(st):
             st = saturate(st)
             warnings.append(
                 f"{where}: sigma_tilde was not saturated; saturated on load")
         wid = entry["id"]
-        if wid in seen:
+        if any(w.id == wid for w in walls):
             raise ConfigError(f"{where}: duplicate wall id {wid}")
-        seen.add(wid)
-        wall = Wall(id=wid, alpha=tuple(entry["alpha"]), sigma_tilde=st)
+        wall = Wall(id=wid, alpha=alpha, sigma_tilde=st)
         if any(w.alpha == wall.alpha for w in walls):
             raise ConfigError(
                 f"{where}: duplicate wall covector {wall.alpha}; distinct "
@@ -98,36 +128,56 @@ def _parse_walls(entries, path):
     return tuple(walls), warnings
 
 
+def _parse_points(entries, path, rank, kind):
+    """(points, c_const, c_linear) of a points table, in file order."""
+    if not entries:
+        raise ConfigError(f"{path}: key 'points' must be nonempty")
+    c_const, c_linear = {}, {}
+    for i, entry in enumerate(entries):
+        where = f"{path}.points[{i}]"
+        _require_types(entry, POINT_TYPES, where)
+        try:
+            x = POINT_IDS[kind](entry["id"])
+        except ValueError:
+            raise ConfigError(f"{where}: id {entry['id']!r} does not parse "
+                              f"under meta points {kind!r}") from None
+        if x in c_const:
+            raise ConfigError(f"{where}: duplicate point id {entry['id']!r}")
+        c_const[x] = rat(entry["c_const"])
+        c_linear[x] = _vector(entry["c_linear"], rank, f"{where}.c_linear")
+    return tuple(c_const), c_const, c_linear
+
+
 ARRAY_KEYS = ("points", "walls", "lambdas", "generators")
-VECTOR_KEYS = ("lambdas", "generators")
 
 
 def _check_types(data, path):
     """Raise a ConfigError naming path and the key unless data is a JSON
-    object whose array keys hold arrays, whose vector arrays hold arrays of
-    rationals, and whose builtin sizes or rank are integers."""
+    object whose array keys hold arrays, whose builtin sizes or rank are
+    integers, and whose meta is an object with a known points kind."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     for key in ARRAY_KEYS:
         entries = data.get(key, [])
         if not isinstance(entries, list):
             raise ConfigError(f"{path}: key {key!r} must be a JSON array")
-        if key in VECTOR_KEYS:
-            for i, entry in enumerate(entries):
-                if not isinstance(entry, list):
-                    raise ConfigError(
-                        f"{path}.{key}[{i}]: expected a JSON array")
-                if not all(map(_is_rational, entry)):
-                    raise ConfigError(
-                        f"{path}.{key}[{i}]: expected an array of rationals")
     for key in ("n", "ell") if "builtin" in data else ("rank",):
         if key in data and not _is_integer(data[key]):
             raise ConfigError(f"{path}: key {key!r} must be an integer")
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: key 'meta' must be a JSON object")
+    if meta.get("points") not in list(POINT_IDS):   # compares, never hashes
+        raise ConfigError(f"{path}.meta: key 'points' must be "
+                          '"partitions" or "permutations"')
 
 
 def parse_config(data: dict, path="config") -> InstanceConfig:
+    """The instance of a config in one of three forms: a builtin, a
+    points table, or walls alone over the single point "*".  Walls,
+    lambdas and generators are read alike in every form and override a
+    builtin's own; generators default to the unit vectors of Z^rank."""
     _check_types(data, path)
-    warnings = []
     if "builtin" in data:
         if data["builtin"] not in BUILTINS:
             raise ConfigError(f'{path}: unknown builtin {data["builtin"]!r}; '
@@ -135,60 +185,90 @@ def parse_config(data: dict, path="config") -> InstanceConfig:
         if "n" not in data:
             raise ConfigError(
                 f'{path}: builtin {data["builtin"]!r} needs a size "n"')
-        params = {k: v for k, v in data.items()
-                  if k in ("n", "ell", "lambdas")}
-        if "lambdas" in params:
-            params["lambdas"] = tuple(vec(l) for l in params["lambdas"])
-        inst = builtin_instance(data["builtin"], **params)
-    elif "points" in data:
-        require_keys(data, ("name", "rank"), path)
-        for i, entry in enumerate(data["points"]):
-            _require_types(entry, POINT_TYPES, f"{path}.points[{i}]",
-                           untyped=("id",))
-        for i, entry in enumerate(data.get("walls", [])):
-            _require_types(entry, WALL_TYPES, f"{path}.walls[{i}]")
-        inst = FixedPointInstance.from_json(data)
-    elif "walls" in data:
-        if "rank" not in data:
-            raise ConfigError(f"{path}: wall configs need a rank")
-        walls, wall_warnings = _parse_walls(data["walls"], path)
-        warnings.extend(wall_warnings)
+        base = builtin_instance(data["builtin"], **{
+            k: v for k, v in data.items() if k in ("n", "ell")})
+    elif "points" in data or "walls" in data:
+        require_keys(data, ("name", "rank") if "points" in data
+                     else ("rank",), path)
         rank = data["rank"]
-        for w in walls:
-            if len(w.alpha) != rank:
-                raise ConfigError(
-                    f"{path}: wall {w.id} covector length != rank {rank}")
-        inst = FixedPointInstance(
-            name=data.get("name", "walls-only"), rank=rank,
-            points=("*",), c_const={"*": rat(0)},
-            c_linear={"*": tuple(rat(0) for _ in range(rank))},
-            walls=walls,
-            lambdas=tuple(vec(l) for l in data.get("lambdas", [])),
-            generators=tuple(vec(g) for g in data.get("generators", [])) or
-            tuple(tuple(1 if i == j else 0 for j in range(rank))
-                  for i in range(rank)),
-        )
+        if rank < 1:
+            raise ConfigError(f"{path}: key 'rank' must be at least 1")
+        meta = dict(data.get("meta", {}))
+        if "points" in data:
+            table = _parse_points(data["points"], path, rank,
+                                  meta.get("points"))
+        else:
+            table = ("*",), {"*": rat(0)}, {"*": (rat(0),) * rank}
+        base = FixedPointInstance(
+            data.get("name", "walls-only"), rank, *table,
+            generators=tuple(tuple(int(i == j) for j in range(rank))
+                             for i in range(rank)),
+            meta=meta)
     else:
         raise ConfigError(
             f"{path}: expected a builtin name, an inline points table, or "
             "a walls array")
-    if "walls" in data and "builtin" in data:
-        walls, wall_warnings = _parse_walls(data["walls"], path)
-        warnings.extend(wall_warnings)
-        inst = replace(inst, walls=walls)
+    walls, warnings = base.walls, []
+    if "walls" in data:
+        walls, warnings = _parse_walls(data["walls"], path, base.rank)
+
+    def vectors(key):
+        return tuple(_vector(v, base.rank, f"{path}.{key}[{i}]")
+                     for i, v in enumerate(data.get(key, [])))
+
+    inst = replace(base, walls=walls, lambdas=vectors("lambdas"),
+                   generators=vectors("generators") or base.generators)
     return InstanceConfig(instance=inst, warnings=tuple(warnings), raw=data)
 
 
-def load_instance(path: str) -> InstanceConfig:
+def _inequality(entry, where, wall_ids):
+    """(wall_id, offset, sense) from [wall_id, "num/den", ">=" or "<="]."""
+    if isinstance(entry, list) and len(entry) == 3:
+        wid, m, sense = entry
+        if _is_integer(wid) and _is_rational(m) and sense in (GE, LE):
+            if wid not in wall_ids:
+                raise ConfigError(f"{where}: no wall with id {wid}")
+            return wid, rat(m), sense
+    raise ConfigError(f'{where}: expected [wall_id, offset, ">=" or "<="]')
+
+
+def parse_alcove(data, path, instance) -> RealAlcove:
+    """The alcove of a `RealAlcove.to_json` object of instance.  Anything
+    else, a wall id the instance lacks, another rank or an empty interior
+    is a ConfigError naming path and the key or entry at fault."""
+    require_keys(data, ("rank", "inequalities"), path)
+    if not _is_integer(data["rank"]):
+        raise ConfigError(f"{path}: key 'rank' must be an integer")
+    if data["rank"] != instance.rank:
+        raise ConfigError(f"{path}: key 'rank' is {data['rank']} but the "
+                          f"instance has rank {instance.rank}")
+    if not isinstance(data["inequalities"], list):
+        raise ConfigError(f"{path}: key 'inequalities' must be a JSON array")
+    ids = {w.id for w in instance.walls}
+    A = RealAlcove(instance.rank, tuple(
+        _inequality(entry, f"{path}.inequalities[{i}]", ids)
+        for i, entry in enumerate(data["inequalities"])))
+    strict = [(c, r, True) for c, r, _ in A.constraints(instance.walls)]
+    if not feasible(strict, instance.rank):
+        raise ConfigError(f"{path}: the inequalities have no interior point")
+    return A
+
+
+def load_json(path: str):
+    """The JSON value in the file at path; malformed JSON is a ConfigError
+    naming the file and the byte offset."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}") \
             from exc
-    return parse_config(data, path)
+
+
+def load_instance(path: str) -> InstanceConfig:
+    return parse_config(load_json(path), path)
 
 
 def run_report(command: str, inputs, outputs, checks=None) -> dict:

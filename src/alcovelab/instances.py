@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations
 
-from .arith import AffineInP, Wall, pairing, rat, rat_str, vec
-from .partitions import (cont, n_stat, partition_from_str, partition_str,
-                         partitions)
+from .arith import AffineInP, Wall, pairing, rat_str, vec
+from .partitions import cont, n_stat, partition_str, partitions
 
 
 @dataclass(frozen=True)
@@ -63,36 +62,6 @@ class FixedPointInstance:
             "generators": [[rat_str(c) for c in g] for g in self.generators],
             "meta": dict(self.meta),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FixedPointInstance":
-        meta = dict(data.get("meta", {}))
-        kind = meta.get("points")
-
-        def parse_id(s):
-            if kind == "permutations":
-                return tuple(int(v) for v in s.split(","))
-            if kind == "partitions":
-                return partition_from_str(s)
-            return s
-
-        points, c_const, c_linear = [], {}, {}
-        for entry in data["points"]:
-            x = parse_id(entry["id"])
-            points.append(x)
-            c_const[x] = rat(entry["c_const"])
-            c_linear[x] = vec(entry["c_linear"])
-        return cls(
-            name=data["name"],
-            rank=int(data["rank"]),
-            points=tuple(points),
-            c_const=c_const,
-            c_linear=c_linear,
-            walls=tuple(Wall.from_json(w) for w in data.get("walls", [])),
-            lambdas=tuple(vec(l) for l in data.get("lambdas", [])),
-            generators=tuple(vec(g) for g in data.get("generators", [])),
-            meta=meta,
-        )
 
 
 def wt_chi(instance: FixedPointInstance, x, chi) -> Fraction:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from alcovelab.arith import (AffineInP, Wall, cmp_large_p, is_saturated,
                              primitivize, rat, rat_str, saturate)
+from alcovelab.config import parse_config
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -158,7 +159,7 @@ def test_wall_normalizes_and_validates():
 
 def test_wall_json_roundtrip():
     w = Wall(id=4, alpha=(1, -2), sigma_tilde=frozenset([F(-1, 2), F(1, 2)]))
-    assert Wall.from_json(w.to_json()) == w
+    assert parse_config({"rank": 2, "walls": [w.to_json()]}).walls == (w,)
 
 
 def test_wall_class_part_sorted():

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from alcovelab import cli, compat
+from alcovelab import cli, compat, config
 from alcovelab.cli import _is_prime, build_parser, dispatch
 from alcovelab.config import (ConfigError, load_instance, parse_config,
                               run_report)
@@ -61,15 +61,6 @@ def test_unknown_builtin_config_names_path_and_choices(tmp_path):
     assert code == 1
     assert json.loads(out)["error"] == \
         f"{path}: unknown builtin 'foo'; expected one of hilb, weyl_a"
-
-
-def test_unsaturated_sigma_warns_and_saturates():
-    cfg = parse_config({
-        "rank": 1,
-        "walls": [{"id": 0, "alpha": [1], "sigma_tilde": ["0", "2"]}],
-    })
-    assert any("saturated" in w for w in cfg.warnings)
-    assert sorted(cfg.walls[0].sigma_tilde) == [F(0), F(1), F(2)]
 
 
 def test_wall_config_schema_errors():
@@ -271,6 +262,118 @@ def test_missing_json_key_names_path_and_key(tmp_path, cmd, data, where, key):
 WALLS_CONFIG = {"rank": 1, "walls": POINTS_CONFIG["walls"]}
 
 
+
+def test_unsaturated_sigma_warns_and_saturates():
+    # in each of the three forms: walls only, builtin and points table
+    for data in ({"rank": 1}, {"builtin": "hilb", "n": 2}, POINTS_CONFIG):
+        cfg = parse_config({**data, "walls": [
+            {"id": 0, "alpha": [1], "sigma_tilde": ["0", "2"]}]})
+        assert cfg.warnings == ("config.walls[0]: sigma_tilde was not "
+                                "saturated; saturated on load",)
+        assert sorted(cfg.walls[0].sigma_tilde) == [F(0), F(1), F(2)]
+
+
+def test_saturation_span_is_bounded_before_saturating():
+    def walls_config(*sigma_tilde):
+        return {"rank": 1, "walls": [
+            {"id": 0, "alpha": [1], "sigma_tilde": list(sigma_tilde)}]}
+
+    # the check lists nothing, so the real size is safe to ask for
+    with pytest.raises(ConfigError) as info:
+        parse_config(walls_config(0, 1000000000))
+    assert str(info.value) == (
+        "config.walls[0]: a Z-coset of sigma_tilde spans 1000000000 "
+        f"(max - min); the bound is {config.MAX_SATURATED_SPAN}")
+    with mock.patch.object(config, "MAX_SATURATED_SPAN", 2):
+        assert len(parse_config(walls_config("1/2", "5/2", "0")).walls[0]
+                   .sigma_tilde) == 4
+        with pytest.raises(ConfigError, match=r"spans 3 .* bound is 2$"):
+            parse_config(walls_config("1/2", "7/2", "0"))
+
+
+WALL = POINTS_CONFIG["walls"][0]
+POINT = POINTS_CONFIG["points"][0]
+ALCOVE_AT_1 = ["alcove", "--config", "{path}", "--point", "1"]
+
+
+@pytest.mark.parametrize("data, argv, expected", [
+    pytest.param(
+        {**POINTS_CONFIG, "walls": [WALL, {**WALL, "sigma_tilde": ["1/3"]}]},
+        ALCOVE_AT_1, "{path}.walls[1]: duplicate wall id 0",
+        id="duplicate-wall-id"),
+    pytest.param(
+        {**POINTS_CONFIG, "walls": [{**WALL, "alpha": [1, 2]}]}, ALCOVE_AT_1,
+        "{path}.walls[0].alpha: expected 1 coordinates, got 2",
+        id="alpha-length-points"),
+    pytest.param(
+        {"builtin": "hilb", "n": 2, "walls": [{**WALL, "alpha": [1, 2]}]},
+        ALCOVE_AT_1, "{path}.walls[0].alpha: expected 1 coordinates, got 2",
+        id="alpha-length-builtin"),
+    pytest.param(
+        {**POINTS_CONFIG, "points": [{**POINT, "c_linear": ["2", "3"]}]},
+        ALCOVE_AT_1, "{path}.points[0].c_linear: expected 1 coordinates, got 2",
+        id="c-linear-length"),
+    pytest.param(
+        {"builtin": "hilb", "n": 2, "lambdas": [["1/3", "1"]]},
+        ["validate-p", "--config", "{path}", "--p", "23"],
+        "{path}.lambdas[0]: expected 1 coordinates, got 2",
+        id="lambda-length"),
+    pytest.param(
+        {**POINTS_CONFIG, "meta": 5}, ALCOVE_AT_1,
+        "{path}: key 'meta' must be a JSON object", id="meta-not-object"),
+    pytest.param(
+        {**POINTS_CONFIG, "meta": {"points": "tableaux"}}, ALCOVE_AT_1,
+        "{path}.meta: key 'points' must be \"partitions\" or \"permutations\"",
+        id="meta-points-kind"),
+    pytest.param(
+        {**POINTS_CONFIG, "meta": {"points": "permutations"},
+         "points": [{**POINT, "id": 5}]}, ALCOVE_AT_1,
+        "{path}.points[0]: key 'id' must be a string",
+        id="point-id-not-string"),
+    pytest.param(
+        {**POINTS_CONFIG, "meta": {"points": "partitions"}}, ALCOVE_AT_1,
+        "{path}.points[0]: id 'a' does not parse under meta points "
+        "'partitions'", id="point-id-not-partition"),
+    pytest.param(
+        {**POINTS_CONFIG, "points": [POINT, POINT]}, ALCOVE_AT_1,
+        "{path}.points[1]: duplicate point id 'a'", id="duplicate-point-id"),
+    pytest.param(
+        {**POINTS_CONFIG, "points": []}, ALCOVE_AT_1,
+        "{path}: key 'points' must be nonempty", id="no-points"),
+    pytest.param(
+        {**POINTS_CONFIG, "rank": 0, "walls": [],
+         "points": [{**POINT, "c_linear": []}]}, ALCOVE_AT_1,
+        "{path}: key 'rank' must be at least 1", id="rank-0"),
+    pytest.param(
+        {"rank": -2, "walls": []}, ALCOVE_AT_1,
+        "{path}: key 'rank' must be at least 1", id="rank-negative"),
+    pytest.param(
+        POINTS_CONFIG,
+        ["path", "--config", "{path}", "--from", "1", "--to", "2", "--p", "7"],
+        {"steps": [["1"]]}, id="default-generators"),
+    pytest.param(
+        '{"rank": 1,',
+        ["palcove", "--builtin", "hilb", "--n", "2", "--alcove-id", "{path}"],
+        "{path}: malformed JSON at byte offset 11: Expecting property name "
+        "enclosed in double quotes", id="malformed-alcove-file"),
+    pytest.param(
+        '{"covers": [', ["export", "--in", "{path}"],
+        "{path}: malformed JSON at byte offset 12: Expecting value",
+        id="malformed-poset-file"),
+])
+def test_every_form_is_read_by_one_reader(tmp_path, data, argv, expected):
+    """Each row is a config or file that a reader of one form alone got
+    wrong: a traceback, an error naming no file, or a silent answer."""
+    path = tmp_path / "input.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    code, out = run_cli([a.format(path=path) for a in argv])
+    if isinstance(expected, str):
+        assert (code, out) == (1, json.dumps(
+            {"error": expected.format(path=path)}) + "\n")
+    else:
+        assert (code, json.loads(out)["outputs"]) == (0, expected)
+
+
 @pytest.mark.parametrize("data, where, what", [
     (5, "", "expected a JSON object"),
     ({**POINTS_CONFIG, "points": 5}, "", "key 'points' must be a JSON array"),
@@ -354,6 +457,10 @@ ALCOVE_ENTRY = 'expected [wall_id, offset, ">=" or "<="]'
      ".inequalities[0]", "no wall with id 7"),
     ({"rank": 1, "inequalities": [[0, "1/0", ">="]]}, ".inequalities[0]",
      ALCOVE_ENTRY),
+    ({"rank": 2, "inequalities": [[0, "1/2", ">="], [0, "3/2", "<="]]}, "",
+     "key 'rank' is 2 but the instance has rank 1"),
+    ({"rank": 1, "inequalities": [[0, "3/2", ">="], [0, "1/2", "<="]]}, "",
+     "the inequalities have no interior point"),
 ])
 def test_cli_palcove_rejects_a_malformed_alcove_file(tmp_path, data, where,
                                                      what):

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 from itertools import permutations
 
-from alcovelab.instances import (FixedPointInstance, builtin_instance,
-                                 hilb_instance, weyl_a_instance, wt_chi)
+from alcovelab.config import parse_config
+from alcovelab.instances import (builtin_instance, hilb_instance,
+                                 weyl_a_instance, wt_chi)
 from alcovelab.partitions import (cont, count_partitions, n_stat,
                                   partition_from_str, partition_str,
                                   partitions, transpose)
@@ -151,12 +152,11 @@ def test_h_block_difference_identity():
 
 
 def test_instance_json_roundtrip():
-    for inst in (hilb_instance(3, 1), weyl_a_instance(3)):
-        back = FixedPointInstance.from_json(inst.to_json())
-        assert back.points == inst.points
-        assert back.c_const == inst.c_const
-        assert back.c_linear == inst.c_linear
-        assert back.walls == inst.walls
+    for inst in (hilb_instance(3, 1), weyl_a_instance(3), weyl_a_instance(4)):
+        back = parse_config(inst.to_json()).instance
+        for key in ("points", "c_const", "c_linear", "walls", "generators",
+                    "meta"):
+            assert getattr(back, key) == getattr(inst, key), key
 
 
 def test_builtin_dispatch():
