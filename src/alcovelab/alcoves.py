@@ -163,10 +163,6 @@ class Face:
     witness: tuple
     vertex_set: tuple
 
-    def hyperplanes(self):
-        """(wall_id, offset) pairs of the active equalities."""
-        return tuple((wid, m) for wid, m, _ in self.active)
-
 
 def faces_of(A: RealAlcove, walls):
     """All faces of all codimensions, duplicates (same vertex set) merged.

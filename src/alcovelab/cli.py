@@ -103,7 +103,8 @@ def _load_config(args):
         data = {"builtin": args.builtin, "n": args.n}
         if getattr(args, "ell", None) is not None:
             data["ell"] = args.ell
-        return parse_config(data)
+        return parse_config(data, " ".join(f"--{k} {v}"
+                                           for k, v in data.items()))
     raise ConfigError("no instance: pass --config FILE or --builtin NAME")
 
 

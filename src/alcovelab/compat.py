@@ -56,10 +56,11 @@ _cache: dict = {}
 
 
 def _normalize_mod_lattice(A: RealAlcove, face: Face, walls):
-    """Translate (A, face) so the alcove interior lands in [0,1)^d; returns
-    the shift and the translated key (which pins the wall data too)."""
-    a = A.interior_point(walls)
-    shift = tuple(-(c.numerator // c.denominator) for c in a)
+    """Translate (A, face) so the face witness lands in [0,1)^d; returns
+    the shift and the translated key (which pins the wall data too).  The
+    witness moves with every lattice translate of (A, face), so the key
+    depends only on the lattice class."""
+    shift = tuple(-(c.numerator // c.denominator) for c in face.witness)
     A2 = A.translate(shift, walls)
     wm = {w.id: w for w in walls}
     active2 = tuple(sorted(

@@ -9,9 +9,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
-from .alcoves import GE, LE, RealAlcove
-from .arith import (RATIONAL_LITERAL, Wall, is_saturated, rat, saturate,
-                    vec, z_classes)
+from .alcoves import GE, LE, RealAlcove, SingularPointError, real_alcove_of
+from .arith import (RATIONAL_LITERAL, Wall, is_saturated, rat, rat_str,
+                    saturate, vec, z_classes)
 from .instances import BUILTINS, FixedPointInstance, builtin_instance
 from .partitions import partition_from_str
 from .polyhedra import feasible
@@ -21,6 +21,9 @@ TOOL_VERSION = "0.1.0"
 # Saturating a sigma_tilde lists every value of each Z-coset's integer
 # span, so a span (max - min) above this is rejected before any is listed.
 MAX_SATURATED_SPAN = 10_000
+# A points or walls-only config builds rank x rank default generator
+# entries, so a rank above this is rejected before any vector is built.
+MAX_RANK = 1000
 
 
 class ConfigError(ValueError):
@@ -185,14 +188,20 @@ def parse_config(data: dict, path="config") -> InstanceConfig:
         if "n" not in data:
             raise ConfigError(
                 f'{path}: builtin {data["builtin"]!r} needs a size "n"')
-        base = builtin_instance(data["builtin"], **{
-            k: v for k, v in data.items() if k in ("n", "ell")})
+        try:
+            base = builtin_instance(data["builtin"], **{
+                k: v for k, v in data.items() if k in ("n", "ell")})
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     elif "points" in data or "walls" in data:
         require_keys(data, ("name", "rank") if "points" in data
                      else ("rank",), path)
         rank = data["rank"]
         if rank < 1:
             raise ConfigError(f"{path}: key 'rank' must be at least 1")
+        if rank > MAX_RANK:
+            raise ConfigError(f"{path}: key 'rank' is {rank}; the bound is "
+                              f"{MAX_RANK}")
         meta = dict(data.get("meta", {}))
         if "points" in data:
             table = _parse_points(data["points"], path, rank,
@@ -233,9 +242,11 @@ def _inequality(entry, where, wall_ids):
 
 
 def parse_alcove(data, path, instance) -> RealAlcove:
-    """The alcove of a `RealAlcove.to_json` object of instance.  Anything
-    else, a wall id the instance lacks, another rank or an empty interior
-    is a ConfigError naming path and the key or entry at fault."""
+    """The alcove of instance that a `RealAlcove.to_json` object names, in
+    canonical form.  Anything else, a wall id the instance lacks, another
+    rank, an empty interior or inequalities other than those of the
+    instance's alcove at their vertex average is a ConfigError naming path
+    and the key or entry at fault."""
     require_keys(data, ("rank", "inequalities"), path)
     if not _is_integer(data["rank"]):
         raise ConfigError(f"{path}: key 'rank' must be an integer")
@@ -251,7 +262,20 @@ def parse_alcove(data, path, instance) -> RealAlcove:
     strict = [(c, r, True) for c, r, _ in A.constraints(instance.walls)]
     if not feasible(strict, instance.rank):
         raise ConfigError(f"{path}: the inequalities have no interior point")
-    return A
+    center = A.interior_point(instance.walls)
+    if center is None:
+        raise ConfigError(f"{path}: the inequalities have no vertex average")
+    shown = ",".join(map(rat_str, center))
+    try:
+        alcove = real_alcove_of(center, instance.walls)
+    except SingularPointError as exc:
+        raise ConfigError(
+            f"{path}: the vertex average {shown} lies on wall {exc.wall_id} "
+            f"at offset {rat_str(exc.offset)}") from exc
+    if set(alcove.inequalities) != set(A.inequalities):
+        raise ConfigError(f"{path}: the inequalities are not those of the "
+                          f"alcove at their vertex average {shown}")
+    return alcove
 
 
 def load_json(path: str):

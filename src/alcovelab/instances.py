@@ -89,6 +89,8 @@ def hilb_instance(n: int, ell: int = 0, lambdas=()) -> FixedPointInstance:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
     pts = tuple(partitions(n))
     c_const = {mu: Fraction(-n_stat(mu)) for mu in pts}
     c_linear = {mu: (Fraction(cont(mu)),) for mu in pts}

@@ -60,27 +60,33 @@ class LabeledPoset:
     window: tuple
 
     @cached_property
+    def _walk(self):
+        """(descendants, longest chain) of each label, filled in by one pass
+        in descending kappa.  Every cover must raise kappa inside the
+        window, so a label's successors are done when the pass reaches it."""
+        window = set(self.labels)
+        succ = defaultdict(list)
+        for a, b in self.covers:
+            if a not in window or b not in window or not a.kappa < b.kappa:
+                raise ValueError(f"cover {a} -> {b} does not raise kappa "
+                                 "inside the window")
+            succ[a].append(b)
+        desc, depth = {}, {}
+        for v in sorted(self.labels, key=lambda l: l.kappa, reverse=True):
+            acc, longest = set(), 0
+            for w in succ[v]:
+                acc.add(w)
+                acc |= desc[w]
+                if depth[w] > longest:
+                    longest = depth[w]
+            desc[v], depth[v] = acc, longest + 1
+        return desc, depth
+
+    @cached_property
     def closure(self):
         """Strict successors of each label: the transitive closure of the
         covers."""
-        succ = defaultdict(list)
-        for a, b in self.covers:
-            succ[a].append(b)
-        desc = {}
-
-        def visit(v):
-            if v in desc:
-                return desc[v]
-            acc = set()
-            for w in succ[v]:
-                acc.add(w)
-                acc |= visit(w)
-            desc[v] = acc
-            return acc
-
-        for v in self.labels:
-            visit(v)
-        return desc
+        return self._walk[0]
 
     def less(self, a: Label, b: Label) -> bool:
         return b in self.closure.get(a, ())
@@ -89,15 +95,8 @@ class LabeledPoset:
         return self.less(a, b) or self.less(b, a)
 
     def max_chain_length(self) -> int:
-        """Longest chain in the window (covers increase kappa, so processing
-        labels by descending kappa is a reverse topological order)."""
-        succ = defaultdict(list)
-        for a, b in self.covers:
-            succ[a].append(b)
-        depth = {}
-        for v in sorted(self.labels, key=lambda l: -l.kappa):
-            depth[v] = 1 + max((depth[w] for w in succ[v]), default=0)
-        return max(depth.values(), default=0)
+        """Number of labels in the longest chain of the window."""
+        return max(self._walk[1].values(), default=0)
 
     def to_json(self, instance=None):
         name = (instance.point_str if instance is not None else str)

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from unittest import mock
@@ -215,6 +216,11 @@ def test_cli_palcove_by_alcove_id(tmp_path):
     data = json.loads(out)["outputs"]["palcove"]
     assert data["source"] == alcove
     assert "23" in data["at_p"]
+    # reordered and repeated inequalities name the same alcove
+    ineqs = alcove["inequalities"]
+    path.write_text(json.dumps({**alcove, "inequalities": ineqs[::-1] * 2}))
+    assert run_cli(["palcove", "--builtin", "hilb", "--n", "2",
+                    "--alcove-id", str(path), "--p", "23"]) == (code, out)
 
 
 POINTS_CONFIG = {
@@ -289,6 +295,35 @@ def test_saturation_span_is_bounded_before_saturating():
                    .sigma_tilde) == 4
         with pytest.raises(ConfigError, match=r"spans 3 .* bound is 2$"):
             parse_config(walls_config("1/2", "7/2", "0"))
+
+
+def test_rank_is_bounded_before_any_vector_is_built():
+    # the check builds nothing, so the real size is safe to ask for
+    with pytest.raises(ConfigError) as info:
+        parse_config({"rank": 2000, "walls": []})
+    assert str(info.value) == (
+        f"config: key 'rank' is 2000; the bound is {config.MAX_RANK}")
+    with mock.patch.object(config, "MAX_RANK", 2):
+        assert parse_config({"rank": 2, "walls": []}).instance.rank == 2
+        with pytest.raises(ConfigError, match=r"'rank' is 3; .* bound is 2$"):
+            parse_config({**POINTS_CONFIG, "rank": 3})
+
+
+@pytest.mark.parametrize("data, flags, what", [
+    ({"builtin": "weyl_a", "n": 1}, "--builtin weyl_a --n 1",
+     "n must be >= 2"),
+    ({"builtin": "hilb", "n": 0}, "--builtin hilb --n 0", "n must be >= 1"),
+    ({"builtin": "hilb", "n": 3, "ell": -1}, "--builtin hilb --n 3 --ell -1",
+     "ell must be >= 0"),
+])
+def test_builtin_size_errors_name_the_source_and_key(tmp_path, data, flags,
+                                                     what):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    for source, argv in ((path, ["--config", str(path)]),
+                         (flags, flags.split())):
+        assert run_cli(["alcove", *argv, "--point", "1"]) == (
+            1, json.dumps({"error": f"{source}: {what}"}) + "\n")
 
 
 WALL = POINTS_CONFIG["walls"][0]
@@ -461,6 +496,13 @@ ALCOVE_ENTRY = 'expected [wall_id, offset, ">=" or "<="]'
      "key 'rank' is 2 but the instance has rank 1"),
     ({"rank": 1, "inequalities": [[0, "3/2", ">="], [0, "1/2", "<="]]}, "",
      "the inequalities have no interior point"),
+    ({"rank": 1, "inequalities": [[0, "1/2", ">="], [0, "5/2", "<="]]}, "",
+     "the vertex average 3/2 lies on wall 0 at offset 3/2"),
+    ({"rank": 1, "inequalities": []}, "",
+     "the inequalities have no vertex average"),
+    ({"rank": 1, "inequalities": [[0, "1/2", ">="], [0, "7/2", "<="]]}, "",
+     "the inequalities are not those of the alcove at their vertex "
+     "average 2"),
 ])
 def test_cli_palcove_rejects_a_malformed_alcove_file(tmp_path, data, where,
                                                      what):
@@ -716,3 +758,33 @@ def test_cli_dot_texts_are_golden(tmp_path):
         assert run_cli(["preorder", *HILB2, "--point", "1", "--face", "1",
                         "--window=-1:1", "--format", "dot"]) == \
             (0, PREORDER_DOT)
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("argv, chain_flag", [
+    (["check-phw", "--builtin", "hilb", "--n", "2", "--lambda-prime", "5",
+      "--p", "2", "--window", "0:{top}"], "axiom5_chains"),
+    (["check-compat", "--builtin", "hilb", "--n", "2", "--point", "1",
+      "--face", "1", "--p", "3", "--window=-{top}:{top}"], None),
+])
+def test_a_block_chain_longer_than_the_recursion_limit_gives_one_report(
+        argv, chain_flag):
+    """The order's closure is a loop, not a recursion: a block chain longer
+    than the recursion limit in force still prints one JSON report."""
+    limit = stack_depth() + 200
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        code, out = run_cli([a.format(top=limit + 100) for a in argv])
+    finally:
+        sys.setrecursionlimit(saved)
+    report = json.loads(out)
+    assert code == (0 if report["checks"]["passed"] else 1)
+    if chain_flag:
+        assert report["checks"][chain_flag]["observed_max"] > limit

@@ -1,3 +1,5 @@
+import re
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -88,6 +90,89 @@ def test_hw_order_strict_partial_order():
 def test_hw_order_closure_is_computed_once():
     poset = hw_order(HILB2, (5,), 5, (0, 20))
     assert poset.closure is poset.closure
+
+
+def successors(poset):
+    succ = defaultdict(list)
+    for a, b in poset.covers:
+        succ[a].append(b)
+    return succ
+
+
+def recursive_closure(poset):
+    """Test-only oracle: the transitive closure by memoized depth-first
+    recursion over the covers, as LabeledPoset.closure first computed it."""
+    succ, desc = successors(poset), {}
+
+    def visit(v):
+        if v in desc:
+            return desc[v]
+        acc = set()
+        for w in succ[v]:
+            acc.add(w)
+            acc |= visit(w)
+        desc[v] = acc
+        return acc
+
+    for v in poset.labels:
+        visit(v)
+    return desc
+
+
+def sorted_chain_length(poset):
+    """Test-only oracle: the longest chain by one pass over the labels
+    sorted by descending kappa, as max_chain_length first computed it."""
+    succ, depth = successors(poset), {}
+    for v in sorted(poset.labels, key=lambda l: -l.kappa):
+        depth[v] = 1 + max((depth[w] for w in succ[v]), default=0)
+    return max(depth.values(), default=0)
+
+
+def assert_walk_matches_oracles(poset):
+    assert poset.closure == recursive_closure(poset)
+    assert poset.max_chain_length() == sorted_chain_length(poset)
+
+
+ORDER_INSTANCES = tuple(hilb_instance(n, 0) for n in range(1, 9)) + (A2,)
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_walk_matches_the_recursive_closure_and_sorted_chain(data):
+    inst = data.draw(st.sampled_from(ORDER_INSTANCES))
+    p = data.draw(st.sampled_from(PRIMES_TO_31))
+    # a lambda' with denominator p + 1 keeps (p + 1) * c integral
+    den = data.draw(st.sampled_from((1, p + 1)))
+    lam = tuple(F(data.draw(st.integers(-40, 40)), den)
+                for _ in range(inst.rank))
+    z1 = data.draw(st.integers(-3 * p, 3 * p))
+    width = data.draw(st.integers(2 * p, 3 * p))
+    assert_walk_matches_oracles(hw_order(inst, lam, p, (z1, z1 + width)))
+
+
+@pytest.mark.parametrize("lam", range(5))
+def test_walk_matches_the_oracles_with_any_one_cover_removed(lam):
+    poset = hw_order(HILB2, (lam,), 5, (0, 15))
+    assert_walk_matches_oracles(poset)
+    for victim in poset.covers:
+        assert_walk_matches_oracles(replace(poset, covers=tuple(
+            c for c in poset.covers if c != victim)))
+
+
+@pytest.mark.parametrize("bad", [
+    (Label((2,), 3), Label((1, 1), 3)),
+    (Label((2,), 7), Label((2,), 2)),
+    (Label((2,), 12), Label((2,), 17)),
+    (Label((2,), -3), Label((2,), 2)),
+], ids=["keeps-kappa", "lowers-kappa", "leaves-window", "enters-window"])
+def test_a_cover_that_does_not_raise_kappa_in_the_window_is_named(bad):
+    poset = hw_order(HILB2, (5,), 5, (0, 15))
+    named = re.escape(f"cover {bad[0]} -> {bad[1]}")
+    for read in (lambda P: P.closure, lambda P: P.less(*bad),
+                 lambda P: phw_axiom_check(P, d_bound=20)):
+        with pytest.raises(ValueError, match=named):
+            read(replace(poset, covers=poset.covers + (bad,)))
 
 
 def test_shift_trivia():
