@@ -12,11 +12,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
                     vsub)
 from .polyhedra import (feasible, interior_point, irredundant, matrix_rank,
-                        vertices)
+                        vertex_average, vertices)
 
 GE, LE = ">=", "<="
 
@@ -116,24 +117,39 @@ def _bracket(wall: Wall, t: Fraction, p=None, slope=0):
     one at p*m + sigma.  A hyperplane at t bounds from below for slope > 0
     and from above for slope < 0; for slope 0 it raises SingularPointError
     (real family) or OnPWallError with the integer m - sigma (p-family).
+
+    The search runs on integer numerators over d, the lcm of t's and the
+    offsets' denominators: with T = t*d and S = sigma*d, the hyperplane of
+    sigma nearest below t is m = sigma + k with k one floor division, and
+    its value scale*m + shift is compared with T, in integers.  Offsets are
+    tried in ascending order (Wall.offsets), the first one wins a tie, and
+    Fractions are made only for the two offsets returned.
     """
+    den, offsets = wall.offsets
+    d = lcm(den, t.denominator)
+    f = d // den
+    big_t = t.numerator * (d // t.denominator)
+    scale = 1 if p is None else p
+    step = scale * d  # gap between two hyperplanes of one offset, times d
     lo = hi = lo_v = hi_v = None
-    for sigma in sorted(wall.sigma_tilde):
-        scale, shift = (1, 0) if p is None else (p, sigma)
-        k = ((t - shift) / scale - sigma).__floor__()
-        v = scale * (sigma + k) + shift
-        if v == t:
+    for sigma, s in offsets:
+        s *= f
+        shift = 0 if p is None else s
+        k = (big_t - shift - scale * s) // step
+        m = s + k * d
+        v = scale * m + shift
+        if v == big_t:
             if slope == 0:
                 if p is None:
                     raise SingularPointError(wall.id, t)
                 raise OnPWallError(wall.id, sigma, k)
             if slope < 0:
-                k, v = k - 1, v - scale
+                m, v = m - d, v - step
         if lo_v is None or v > lo_v:
-            lo, lo_v = sigma + k, v
-        if hi_v is None or v + scale < hi_v:
-            hi, hi_v = sigma + k + 1, v + scale
-    return lo, hi
+            lo, lo_v = m, v
+        if hi_v is None or v + step < hi_v:
+            hi, hi_v = m + d, v + step
+    return Fraction(lo, d), Fraction(hi, d)
 
 
 def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
@@ -194,13 +210,11 @@ def faces_of(A: RealAlcove, walls):
             active_idx = frozenset.intersection(*(tight[j] for j in on))
             base = vset[0]
             dim = matrix_rank([vsub(v, base) for v in vset[1:]]) if len(vset) > 1 else 0
-            witness = tuple(sum(v[j] for v in vset) / len(vset)
-                            for j in range(A.rank))
             seen[vset] = Face(
                 parent=A,
                 active=_canonical([A.inequalities[i] for i in active_idx]),
                 codim=A.rank - dim,
-                witness=witness,
+                witness=vertex_average(vset),
                 vertex_set=vset,
             )
     return sorted(seen.values(), key=lambda f: (f.codim, f.active))

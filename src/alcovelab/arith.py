@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 
 # an integer or "num/den" with a nonzero denominator
@@ -133,6 +134,17 @@ class Wall:
     def classes(self) -> frozenset:
         """Sigma_Gamma: classes of sigma_tilde in Q/Z, as representatives in [0,1)."""
         return frozenset(x - (x.numerator // x.denominator) for x in self.sigma_tilde)
+
+    @cached_property
+    def offsets(self) -> tuple:
+        """(den, ((sigma, sigma * den), ...)): sigma_tilde in ascending
+        order, with the lcm den of its denominators and each element's
+        integer numerator over den.  Cached on first use; not a field, so
+        equality, hashing and to_json do not see it."""
+        ordered = sorted(self.sigma_tilde)
+        den = lcm(*(s.denominator for s in ordered))
+        return den, tuple((s, s.numerator * (den // s.denominator))
+                          for s in ordered)
 
     def class_part(self, m) -> list[Fraction]:
         """Elements of sigma_tilde in the Z-coset of m (sorted, possibly empty)."""

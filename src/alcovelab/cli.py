@@ -50,9 +50,14 @@ def _poset_covers(data, path):
     return covers
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2017)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the first 13 primes as bases: exact for every
-    n < 3.3e24, and fast however large n is."""
+    n < PRIME_TEST_BOUND, and fast however large n is."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % b == 0 for b in bases):
         return n in bases
@@ -73,11 +78,15 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_primes(args) -> None:
-    """Every --p and --p-samples entry must be a prime."""
+    """Every --p and --p-samples entry must be a prime below
+    PRIME_TEST_BOUND, where the prime test is exact."""
     primes = [("--p", args.p)] if getattr(args, "p", None) is not None else []
     primes += [("--p-samples", int(p))
                for p in getattr(args, "p_samples", "").split(",") if p]
     for flag, p in primes:
+        if p >= PRIME_TEST_BOUND:
+            raise ConfigError(f"{flag} {p} is not below {PRIME_TEST_BOUND}, "
+                              "the bound of the exact prime test")
         if not _is_prime(p):
             raise ConfigError(f"{flag} {p} is not a prime")
 

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, count, permutations
+from operator import mul
 
 from .arith import AffineInP, Wall, pairing, rat_str, vec
-from .partitions import cont, n_stat, partition_str, partitions
+from .partitions import (cont, n_stat, partition_numbers, partition_str,
+                         partitions)
+
+# fixed points a builtin instance may list; about 200 times weyl_a(7)'s
+# 5040, the largest instance any test, demo or benchmark builds
+MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,18 @@ def hilb_sigma_tilde(n: int, ell: int) -> frozenset:
     return frozenset(s + k for s in base for k in range(-ell, ell + 1))
 
 
+def _check_point_count(counts, n):
+    """The size error if the n-th of the increasing point counts
+    counts[0], counts[1], ... exceeds MAX_POINTS; no count after the first
+    one above the bound is computed, so a huge n costs nothing."""
+    for size, c in enumerate(counts):
+        if c > MAX_POINTS:
+            raise ValueError(f"n = {n} gives more than {MAX_POINTS} fixed "
+                             "points (the bound)")
+        if size == n:
+            return
+
+
 def hilb_instance(n: int, ell: int = 0, lambdas=()) -> FixedPointInstance:
     """Hilbert-scheme fixed points: partitions of n with
     c(mu; c) = c * cont(mu) - n(mu) in c-coordinates (c = lambda - 1/2).
@@ -91,6 +109,7 @@ def hilb_instance(n: int, ell: int = 0, lambdas=()) -> FixedPointInstance:
         raise ValueError("n must be >= 1")
     if ell < 0:
         raise ValueError("ell must be >= 0")
+    _check_point_count(partition_numbers(), n)
     pts = tuple(partitions(n))
     c_const = {mu: Fraction(-n_stat(mu)) for mu in pts}
     c_linear = {mu: (Fraction(cont(mu)),) for mu in pts}
@@ -127,6 +146,7 @@ def weyl_a_instance(n: int, lambdas=()) -> FixedPointInstance:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_point_count(accumulate(count(1), mul, initial=1), n)  # n!
     r = n - 1
     pts = tuple(sorted(permutations(range(1, n + 1))))
     # rho_vee in epsilon coordinates: entry m is (n+1)/2 - m

@@ -6,7 +6,7 @@ partition is ().
 
 from __future__ import annotations
 
-from functools import cache
+from itertools import count, islice
 
 
 def check_partition(mu) -> tuple:
@@ -43,9 +43,26 @@ def partitions(n: int):
             rest -= take
 
 
-@cache
+def partition_numbers():
+    """p(0), p(1), p(2), ... without listing any partition, by Euler's
+    pentagonal-number recurrence: p(m) is the sum over k >= 1 of
+    (-1)^(k+1) * (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
+    p = []
+    for m in count():
+        total = 1 if m == 0 else 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+        yield total
+
+
 def count_partitions(n: int) -> int:
-    return sum(1 for _ in partitions(n))
+    return next(islice(partition_numbers(), n, None)) if n >= 0 else 0
 
 
 def boxes(mu):

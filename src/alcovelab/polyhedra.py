@@ -1,24 +1,32 @@
 """Exact rational polyhedra in low dimension.
 
 A linear constraint is a triple (coeffs, rhs, strict) meaning
-coeffs . x >= rhs, with strict=True for >.  One Fourier-Motzkin elimination
-routine serves `feasible` (its verdict), `find_point` and
-`first_lattice_point`.  It works on integer rows: each input row is scaled
-once, by a positive factor, to integer coefficients with gcd 1, and x_k is
-eliminated by integer cross-multiplication, so only the right-hand sides
-stay `Fraction`.  A row times a positive factor bounds every variable by the
-same value on the same side, so the scaling moves no slab bound below.
-After each elimination level the derived rows keep only the tightest row
-per direction (Imbert, "Fourier's elimination: which to choose?", 1993),
-keyed on their primitive integer coefficients: a dropped row is a parallel,
-looser copy of a kept one, so every level describes the same region, while
-parallel copies no longer multiply from level to level.  Level k is the
-system over x_0..x_k: once x_0..x_{k-1} satisfy level k-1, it bounds x_k to
-a nonempty slab.  `find_point` takes the midpoint of each slab;
-`first_lattice_point` steps x_k upward through the integers of its slab,
-depth first, and backtracks when a slab holds none, which gives the
-lexicographically first integer point.  One row reduction serves
-`solve_linear` and `matrix_rank`.
+coeffs . x >= rhs, with strict=True for >.  Every kernel here works on
+integer rows and makes `Fraction`s only at its API boundary: each input row
+is scaled once, by the positive lcm of all its denominators (right-hand
+side included), to an integer row (c, b, strict) meaning c . x >= b (or >),
+which has the same solutions.
+
+One Fourier-Motzkin elimination routine serves `feasible` (its verdict),
+`find_point` and `first_lattice_point`.  It eliminates x_k by integer
+cross-multiplication.  After each elimination level the derived rows keep
+only the tightest row per direction (Imbert, "Fourier's elimination: which
+to choose?", 1993), keyed on their primitive integer coefficients c/gcd(c):
+a dropped row is a parallel, looser copy of a kept one, so every level
+describes the same region, while parallel copies no longer multiply from
+level to level; each kept row is divided by gcd(c, b) to keep the integers
+small.  Level k is the system over x_0..x_k, given as rows with primitive
+integer coefficients and a `Fraction` right-hand side: once x_0..x_{k-1}
+satisfy level k-1, it bounds x_k to a nonempty slab.  `find_point` takes
+the midpoint of each slab; `first_lattice_point` steps x_k upward through
+the integers of its slab, depth first, and backtracks when a slab holds
+none, which gives the lexicographically first integer point.
+
+One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", 1968) serves
+`solve_linear`, `matrix_rank` and `vertices`: every division in it is
+exact, so a solution comes out as integer numerators over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .arith import pairing, rat, vec
+from .arith import rat
 
 
 def _normalize(con):
@@ -35,67 +43,88 @@ def _normalize(con):
     return tuple(rat(c) for c in coeffs), rat(rhs), bool(strict)
 
 
-def _primitive(coeffs, rhs):
-    """The row coeffs . x >= rhs times the positive factor that turns coeffs
-    into integers with gcd 1; all-zero coeffs are returned as they are."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*ints) or 1
-    if g != 1:
-        ints = [c // g for c in ints]
-    return tuple(ints), (rhs if den == g else rhs * den / g)
+def _integer_row(con):
+    """The constraint as an integer row (c, b, strict) meaning c . x >= b
+    (or >): the row times the lcm of all its denominators.  A row whose
+    entries are already ints is returned as it is."""
+    coeffs, rhs, strict = con
+    if type(rhs) is int and all(type(c) is int for c in coeffs):
+        return tuple(coeffs), rhs, bool(strict)
+    coeffs, rhs, strict = _normalize(con)
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return (tuple(c.numerator * (den // c.denominator) for c in coeffs),
+            rhs.numerator * (den // rhs.denominator), strict)
 
 
 def _tightest_per_direction(rows):
-    """One row per direction: each row is scaled to its primitive integer
-    coefficients, and of the rows with equal scaled coefficients the one
-    with the highest rhs is kept (the strict one on a tie), at the position
-    of the first of them."""
+    """One integer row per direction: of the rows whose coefficients c have
+    the same primitive part c/gcd(c), the one with the highest b/gcd(c) is
+    kept (the strict one on a tie), at the position of the first of them,
+    divided by gcd(c, b)."""
     best = {}
-    for coeffs, rhs, strict in rows:
-        coeffs, rhs = _primitive(coeffs, rhs)
-        kept = best.get(coeffs)
-        if kept is None or rhs > kept[0] or (rhs == kept[0] and strict):
-            best[coeffs] = (rhs, strict)
-    return [(coeffs, rhs, strict) for coeffs, (rhs, strict) in best.items()]
+    for row in rows:
+        c, b, strict = row
+        g = gcd(*c) or 1
+        key = tuple(a // g for a in c) if g != 1 else c
+        kept = best.get(key)
+        if kept is not None:
+            kept_b, kept_g = kept[0][1], kept[1]
+            # compare b/g with kept_b/kept_g across the positive denominators
+            if b * kept_g < kept_b * g or (b * kept_g == kept_b * g
+                                           and not strict):
+                continue
+        best[key] = (row, g)
+    out = []
+    for (c, b, strict), g in best.values():
+        h = gcd(g, b)
+        if h > 1:
+            c, b = tuple(a // h for a in c), b // h
+        out.append((c, b, strict))
+    return out
+
+
+def _level(rows):
+    """Integer rows as (primitive int coefficients, Fraction rhs, strict)."""
+    out = []
+    for c, b, strict in rows:
+        g = gcd(*c) or 1
+        out.append((tuple(a // g for a in c) if g != 1 else c,
+                    Fraction(b, g), strict))
+    return out
 
 
 def _eliminate(constraints, dim):
-    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn, on rows
-    with primitive integer coefficients.
+    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn, on
+    integer rows.
 
     Returns (levels, ok): levels[k] is the system over x_0..x_k (before x_k
     is eliminated), and ok tells whether the variable-free rows left at the
     end all hold, i.e. whether the system is feasible.
     """
-    cons = []
-    for c in constraints:
-        coeffs, rhs, strict = _normalize(c)
-        cons.append((*_primitive(coeffs, rhs), strict))
+    rows = [_integer_row(c) for c in constraints]
     levels = []
     for k in range(dim - 1, -1, -1):
-        levels.append(cons)
-        lower, upper, rest = [], [], []
-        for coeffs, rhs, strict in cons:
-            a = coeffs[k]
+        levels.append(_level(rows))
+        lower, upper, new = [], [], []
+        for c, b, strict in rows:
+            a = c[k]
             if a > 0:
-                # x_k >= (rhs - rest)/a
-                lower.append((coeffs, rhs, strict, a))
+                # x_k >= (b - rest)/a
+                lower.append((c, b, strict, a))
             elif a < 0:
-                upper.append((coeffs, rhs, strict, -a))
+                upper.append((c, b, strict, -a))
             else:
-                rest.append((coeffs[:k], rhs, strict))
-        new = rest
-        for lc, lr, ls, la in lower:
-            for uc, ur, us, ua in upper:
+                new.append((c[:k], b, strict))
+        for lc, lb, ls, la in lower:
+            for uc, ub, us, ua in upper:
                 # la > 0 bounds x_k below, ua = |a| > 0 above; the sum of
                 # ua times the lower row and la times the upper row is free
                 # of x_k
-                coeffs = tuple(lc[j] * ua + uc[j] * la for j in range(k))
-                new.append((coeffs, lr * ua + ur * la, ls or us))
-        cons = _tightest_per_direction(new)
-    # all variables eliminated: each row reads 0 >= rhs (or >)
-    ok = not any(rhs > 0 or (strict and rhs == 0) for _, rhs, strict in cons)
+                new.append((tuple(lc[j] * ua + uc[j] * la for j in range(k)),
+                            lb * ua + ub * la, ls or us))
+        rows = _tightest_per_direction(new)
+    # all variables eliminated: each row reads 0 >= b (or >)
+    ok = not any(b > 0 or (strict and b == 0) for _, b, strict in rows)
     return levels[::-1], ok
 
 
@@ -170,25 +199,52 @@ def first_lattice_point(constraints, dim):
     return search([]) if ok else None
 
 
-def _row_reduce(m, n_cols):
-    """Bring the rows of m, in place, to reduced echelon form on their first
-    n_cols columns (later columns ride along); returns the pivot columns."""
+
+def _bareiss(m, n_cols):
+    """Fraction-free Gauss-Jordan elimination of the integer rows of m, in
+    place, on their first n_cols columns (later columns ride along).
+
+    Returns the pivot columns.  Each step cross-multiplies every other row
+    with the pivot row and divides by the previous pivot, which is exact
+    (every entry stays a minor of the input, by Sylvester's identity).
+    Afterwards row i < len(pivots) is zero on the pivot columns except at
+    pivots[i], where each of them holds the last pivot, and the rows below
+    are zero on the first n_cols columns.
+    """
     pivots = []
-    for c in range(n_cols):
+    prev = 1
+    for col in range(n_cols):
         r = len(pivots)
         if r == len(m):
             break
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
+        pivot_row = m[r]
+        d = pivot_row[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(d * x - f * y) // prev
+                        for x, y in zip(row, pivot_row)]
+        prev = d
+        pivots.append(col)
     return pivots
+
+
+def _solve(m, n_cols):
+    """The unique solution of the integer augmented rows m (each row n_cols
+    coefficients and a right-hand side; m is overwritten) as integer
+    numerators over one positive denominator, (nums, den), or None if the
+    system is singular or inconsistent."""
+    pivots = _bareiss(m, n_cols)
+    if len(pivots) < n_cols or any(row[-1] for row in m[n_cols:]):
+        return None
+    den = m[0][0]
+    if den < 0:
+        return tuple(-row[-1] for row in m[:n_cols]), -den
+    return tuple(row[-1] for row in m[:n_cols]), den
 
 
 def solve_linear(rows, rhs):
@@ -196,64 +252,69 @@ def solve_linear(rows, rhs):
 
     Returns the unique solution tuple, or None if singular/inconsistent.
     """
-    m = [list(map(rat, row)) + [rat(b)] for row, b in zip(rows, rhs, strict=True)]
-    n_cols = len(rows[0])
-    pivots = _row_reduce(m, n_cols)
-    if len(pivots) < n_cols or any(row[-1] != 0 for row in m[n_cols:]):
+    m = [[*c, b] for c, b, _ in (_integer_row((row, b, False))
+                                 for row, b in zip(rows, rhs, strict=True))]
+    sol = _solve(m, len(rows[0]))
+    if sol is None:
         return None
-    return tuple(row[-1] for row in m[:n_cols])
+    nums, den = sol
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def matrix_rank(rows) -> int:
-    m = [list(map(rat, row)) for row in rows]
-    return len(_row_reduce(m, len(m[0]))) if m else 0
+    m = [list(_integer_row((row, 0, False))[0]) for row in rows]
+    return len(_bareiss(m, len(m[0]))) if m else 0
 
 
 def vertices(constraints, dim):
     """All vertices of {x : coeffs.x >= rhs}, from d-subsets of the
     (non-strict) constraint list.  The polyhedron must be pointed for the
-    result to describe it fully."""
-    cons = [_normalize(c) for c in constraints]
+    result to describe it fully.  A candidate nums/den is tested against
+    every integer row (c, b) as c.nums >= b*den."""
+    rows = [_integer_row(c) for c in constraints]
     verts = set()
-    for subset in combinations(cons, dim):
-        sol = solve_linear([c for c, _, _ in subset], [r for _, r, _ in subset])
+    for subset in combinations(rows, dim):
+        sol = _solve([[*c, b] for c, b, _ in subset], dim)
         if sol is None:
             continue
-        if all(pairing(c, sol) >= r for c, r, _ in cons):
-            verts.add(vec(sol))
+        nums, den = sol
+        if all(sum(a * x for a, x in zip(c, nums)) >= b * den
+               for c, b, _ in rows):
+            verts.add(tuple(Fraction(x, den) for x in nums))
     return sorted(verts)
+
+
+def vertex_average(points):
+    """The average of a nonempty list of points, coordinate by coordinate."""
+    return tuple(sum(coords) / len(points) for coords in zip(*points))
 
 
 def interior_point(constraints, dim):
     """A rational point strictly inside a full-dimensional polytope, as the
     average of its vertices."""
     verts = vertices(constraints, dim)
-    if not verts:
-        return None
-    n = len(verts)
-    return tuple(sum(v[j] for v in verts) / n for j in range(dim))
+    return vertex_average(verts) if verts else None
 
 
 def is_redundant(constraints, idx, dim) -> bool:
     """Whether dropping constraint idx leaves the region unchanged: the rest
     together with the negation of idx must be infeasible."""
-    cons = [_normalize(c) for c in constraints]
-    coeffs, rhs, strict = cons[idx]
-    rest = [c for i, c in enumerate(cons) if i != idx]
-    # coeffs.x < rhs, or coeffs.x <= rhs when idx itself is strict
-    negated = (tuple(-a for a in coeffs), -rhs, not strict)
-    return not feasible(rest + [negated], dim)
+    rows = [_integer_row(c) for c in constraints]
+    c, b, strict = rows[idx]
+    # c.x < b, or c.x <= b when idx itself is strict
+    negated = (tuple(-a for a in c), -b, not strict)
+    return not feasible(rows[:idx] + rows[idx + 1:] + [negated], dim)
 
 
 def irredundant(constraints, dim):
     """Indices, ascending, of the constraints kept after pruning those
-    implied by the others (tried in order)."""
-    cons = [_normalize(c) for c in constraints]
-    keep = list(range(len(cons)))
+    implied by the others (tried in order).  The rows are made integer
+    once; is_redundant and feasible take them as they are."""
+    rows = [_integer_row(c) for c in constraints]
+    keep = list(range(len(rows)))
     i = 0
     while i < len(keep):
-        trial = [cons[j] for j in keep]
-        if is_redundant(trial, i, dim):
+        if is_redundant([rows[j] for j in keep], i, dim):
             keep.pop(i)
         else:
             i += 1

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from collections import deque
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alcovelab.arith import AffineInP, Wall, pairing, vec
+from alcovelab.arith import AffineInP, Wall, pairing, rat_str, saturate, vec
 from alcovelab import alcoves
 from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
                                QuantumChamber, RealAlcove, SingularPointError,
@@ -211,6 +212,59 @@ def test_faces_weyl_a6_simplex():
     faces = faces_of(A, inst.walls)
     assert len(faces) == 63
     assert [f.codim for f in faces].count(inst.rank) == 6
+
+
+def faces_digest(faces):
+    """sha256 of every face's codim, active set, witness and vertices."""
+    data = [[f.codim, [[w, rat_str(m), s] for w, m, s in f.active],
+             [rat_str(c) for c in f.witness],
+             [[rat_str(c) for c in v] for v in f.vertex_set]] for f in faces]
+    return hashlib.sha256(
+        json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+
+
+# (n, point, inequalities of real_alcove_of, number of faces, faces_digest)
+# for the first three regular points of weyl_a(n) drawn by random.Random(n)
+# with coordinates randint(-40, 40) / randint(5, 23), as computed by the
+# Fraction kernels that preceded the integer ones
+GOLDEN_WEYL_ALCOVES = [
+    (6, ['33/7', '22/13', '-36/5', '-22/23', '5/4'],
+     [[0, '5', '<='], [2, '-1', '>='], [8, '-5', '<='], [10, '-8', '<='],
+      [11, '-7', '>='], [12, '-1', '>=']],
+     63, '75639c91bc4c0d10952d89ac441651ff0804c9178ede4923bf276f1cce26c75f'),
+    (6, ['-16/21', '11/7', '-37/16', '-1/2', '-1/8'],
+     [[0, '-1', '>='], [3, '-2', '<='], [6, '-1', '>='], [9, '-2', '<='],
+      [11, '-3', '>='], [14, '0', '<=']],
+     63, '728eb1fbe1cc13b2c981692734fcc1e79feb04162d029ebe2c8948694661fadd'),
+    (6, ['2/5', '-4/3', '36/11', '26/5', '-8/5'],
+     [[1, '-1', '>='], [4, '6', '<='], [6, '2', '<='], [7, '7', '>='],
+      [9, '3', '>='], [14, '-2', '>=']],
+     63, 'ae0f272b744b41f4d787e4e744036fad114e3fa6d711f78807649a67c6ad8207'),
+    (7, ['1/9', '5/3', '-31/22', '-7/4', '17/3', '24/11'],
+     [[0, '0', '>='], [1, '2', '<='], [9, '4', '>='], [12, '-3', '<='],
+      [16, '4', '<='], [17, '6', '>='], [19, '8', '<=']],
+     127, '05da63d9344c3b0626d2e437a2ed52a065cc299b4a1c0cfdfccca2523ebbd100'),
+    (7, ['7/8', '30/7', '16/3', '39/11', '23/22', '14/15'],
+     [[0, '1', '<='], [5, '16', '>='], [7, '10', '<='], [11, '5', '>='],
+      [13, '10', '<='], [18, '1', '>='], [19, '2', '<=']],
+     127, '94faf604adc23d0d183f2158b9def0a1cf82523ecb395d9adce212f20a7e3b40'),
+    (7, ['19/23', '9/8', '-1/6', '-17/12', '-30/23', '-2/21'],
+     [[4, '-1', '>='], [5, '-1', '<='], [6, '1', '>='], [7, '1', '<='],
+      [14, '-3', '>='], [15, '-1', '<='], [18, '-1', '<=']],
+     127, '195521e0cd4abdad57c570f214c0bfa855462bd5b761c7b7b2952de1ec9e9491'),
+]
+
+
+@pytest.mark.parametrize("n, point, inequalities, n_faces, digest",
+                         GOLDEN_WEYL_ALCOVES)
+def test_weyl_a_alcoves_and_faces_match_the_golden_table(n, point,
+                                                         inequalities,
+                                                         n_faces, digest):
+    walls = weyl_a_instance(n).walls
+    A = real_alcove_of(point, walls)
+    assert A.to_json() == {"rank": n - 1, "inequalities": inequalities}
+    faces = faces_of(A, walls)
+    assert (len(faces), faces_digest(faces)) == (n_faces, digest)
 
 
 def test_p_alcove_type_a_fundamental_symbolic():
@@ -679,6 +733,78 @@ def test_bracket_reads_the_side_of_a_tie_from_the_slope(wall, t, p, below,
         _bracket(wall, t, p)
     with pytest.raises(error):
         _bracket(wall, t, p, slope=0)
+
+
+def fraction_bracket(wall, t, p=None, slope=0):
+    """Test-only oracle: alcoves._bracket as written before its integer
+    kernel, one Fraction floor per offset of the sorted sigma_tilde."""
+    lo = hi = lo_v = hi_v = None
+    for sigma in sorted(wall.sigma_tilde):
+        scale, shift = (1, 0) if p is None else (p, sigma)
+        k = ((t - shift) / scale - sigma).__floor__()
+        v = scale * (sigma + k) + shift
+        if v == t:
+            if slope == 0:
+                if p is None:
+                    raise SingularPointError(wall.id, t)
+                raise OnPWallError(wall.id, sigma, k)
+            if slope < 0:
+                k, v = k - 1, v - scale
+        if lo_v is None or v > lo_v:
+            lo, lo_v = sigma + k, v
+        if hi_v is None or v + scale < hi_v:
+            hi, hi_v = sigma + k + 1, v + scale
+    return lo, hi
+
+
+def bracket_outcome(bracket, *args):
+    """The offsets bracket returns, or the type and fields of its error."""
+    try:
+        return bracket(*args)
+    except SingularPointError as e:
+        return SingularPointError, e.wall_id, e.offset, str(e)
+    except OnPWallError as e:
+        return OnPWallError, e.wall_id, e.sigma, e.m, type(e.m), str(e)
+
+
+HILB_WALLS = [hilb_instance(n, ell).walls[0]
+              for n in range(2, 15) for ell in range(3)]
+BRACKET_PRIMES = [p for p in range(2, 114)
+                  if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def saturated_walls(draw):
+    """A wall of rank 1 whose sigma_tilde is the saturation of 1-4 integer
+    runs of classes r/den (den 1-12)."""
+    sigma = set()
+    for _ in range(draw(st.integers(1, 4))):
+        den = draw(st.integers(1, 12))
+        base = F(draw(st.integers(0, den - 1)), den)
+        lo = draw(st.integers(-3, 3))
+        sigma.update(base + k for k in range(lo, lo + draw(st.integers(1, 4))))
+    return Wall(id=draw(st.integers(0, 5)), alpha=(1,),
+                sigma_tilde=saturate(sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bracket_matches_the_fraction_oracle(data):
+    wall = data.draw(st.one_of(st.sampled_from(HILB_WALLS), saturated_walls()))
+    p = data.draw(st.one_of(st.none(), st.sampled_from(BRACKET_PRIMES)))
+    slope = data.draw(st.sampled_from([-1, 0, 1]))
+    sigma = data.draw(st.sampled_from(sorted(wall.sigma_tilde)))
+    k = data.draw(st.integers(-4, 4))
+    on_wall = sigma + k if p is None else p * (sigma + k) + sigma
+    t = data.draw(st.one_of(
+        st.just(on_wall),
+        st.fractions(min_value=-30, max_value=30, max_denominator=30),
+        st.builds(lambda a, b: on_wall + F(a, b), st.integers(-2, 2),
+                  st.integers(1, 1000))))
+    got = bracket_outcome(_bracket, wall, t, p, slope)
+    assert got == bracket_outcome(fraction_bracket, wall, t, p, slope)
+    if t == on_wall and slope == 0:
+        assert got[0] is (SingularPointError if p is None else OnPWallError)
 
 
 def test_alcove_around_a_wall_point_follows_the_direction():

@@ -8,10 +8,13 @@ from unittest import mock
 
 import pytest
 
-from alcovelab import cli, compat, config
+from alcovelab import cli, compat, config, instances
 from alcovelab.cli import _is_prime, build_parser, dispatch
 from alcovelab.config import (ConfigError, load_instance, parse_config,
                               run_report)
+from alcovelab.instances import (builtin_instance, hilb_instance,
+                                 weyl_a_instance)
+from alcovelab.partitions import count_partitions
 
 
 def run_cli(argv):
@@ -326,6 +329,36 @@ def test_builtin_size_errors_name_the_source_and_key(tmp_path, data, flags,
             1, json.dumps({"error": f"{source}: {what}"}) + "\n")
 
 
+def test_builtin_point_count_is_bounded_before_any_point_is_listed():
+    assert count_partitions(100) == 190569292   # by the recurrence
+    # the counts stop at the first one above the bound, so a huge n is safe
+    for name in ("hilb", "weyl_a"):
+        with pytest.raises(ValueError, match="^n = 10000000000 gives more "
+                           f"than {instances.MAX_POINTS} fixed points"):
+            builtin_instance(name, n=10**10)
+    assert run_cli(["alcove", "--builtin", "weyl_a", "--n", "40",
+                    "--point", "1"]) == (1, json.dumps({
+                        "error": "--builtin weyl_a --n 40: n = 40 gives more "
+                                 f"than {instances.MAX_POINTS} fixed points "
+                                 "(the bound)"}) + "\n")
+    # hilb(4) has 5 points, hilb(5) 7; weyl_a(2) has 2, weyl_a(3) 6
+    with mock.patch.object(instances, "MAX_POINTS", 5), \
+            mock.patch.object(instances, "partitions",
+                              side_effect=AssertionError("listed")) as listed:
+        with pytest.raises(ValueError, match="^n = 5 gives more than 5 "):
+            hilb_instance(5)
+        with pytest.raises(ValueError, match="^n = 3 gives more than 5 "):
+            weyl_a_instance(3)
+        listed.assert_not_called()
+    with mock.patch.object(instances, "MAX_POINTS", 5):
+        assert len(hilb_instance(4).points) == 5
+        assert len(weyl_a_instance(2).points) == 2
+        with pytest.raises(ConfigError) as info:
+            parse_config({"builtin": "hilb", "n": 6})
+        assert str(info.value) == \
+            "config: n = 6 gives more than 5 fixed points (the bound)"
+
+
 WALL = POINTS_CONFIG["walls"][0]
 POINT = POINTS_CONFIG["points"][0]
 ALCOVE_AT_1 = ["alcove", "--config", "{path}", "--point", "1"]
@@ -594,6 +627,24 @@ def test_cli_rejects_non_prime_p():
                          "--p-samples", "23,49"])
     assert code == 1
     assert json.loads(out)["error"] == "--p-samples 49 is not a prime"
+
+
+def test_cli_rejects_a_prime_beyond_the_exact_test():
+    # the least strong pseudoprime to the 13 bases: composite, yet
+    # _is_prime calls it prime
+    big = 3317044064679887385961981
+    assert big == 1287836182261 * 2575672364521 and _is_prime(big)
+    bound = "not below 3317044064679887385961981, the bound of the exact " \
+            "prime test"
+    code, out = run_cli(["membership", "--builtin", "hilb", "--n", "3",
+                         "--point", "5", "--p", str(big)])
+    assert code == 1
+    assert json.loads(out)["error"] == f"--p {big} is {bound}"
+    code, out = run_cli(["compatible", "--builtin", "hilb", "--n", "2",
+                         "--point", "1", "--face", "1",
+                         "--p-samples", f"23,{big + 2}"])
+    assert code == 1
+    assert json.loads(out)["error"] == f"--p-samples {big + 2} is {bound}"
 
 
 def test_is_prime_matches_trial_division():

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from unittest import mock
 
@@ -142,12 +142,15 @@ def unpruned_eliminate(constraints, dim):
 
 
 def test_tightest_per_direction_keeps_the_tightest_parallel_row():
-    rows = [((F(2), F(4)), F(6), False), ((F(1), F(2)), F(3), True),
-            ((F(1), F(2)), F(2), False), ((F(0), F(-3)), F(3), False),
-            ((), F(-1), False), ((), F(0), False)]
+    # integer rows (c, b, strict) meaning c.x >= b: (2, 4) >= 6 and
+    # (1, 2) > 3 tie at x_0 + 2 x_1 >= 3 and the strict one wins; a kept
+    # row is divided by gcd(c, b), so (4, 6) >= 3 stays as it is
+    rows = [((2, 4), 6, False), ((1, 2), 3, True), ((1, 2), 2, False),
+            ((0, -3), 3, False), ((4, 6), 3, False), ((2, 3), 1, True),
+            ((), -1, False), ((), 0, False)]
     assert _tightest_per_direction(rows) == [
-        ((F(1), F(2)), F(3), True), ((F(0), F(-1)), F(1), False),
-        ((), F(0), False)]
+        ((1, 2), 3, True), ((0, -1), 1, False), ((4, 6), 3, False),
+        ((), 0, False)]
 
 
 @st.composite
@@ -259,3 +262,118 @@ def test_integer_rows_of_rational_systems_match_the_oracles(system):
         for coeffs, _, _ in level:
             assert all(type(c) is int for c in coeffs)
             assert gcd(*coeffs) in (0, 1)
+
+
+def fraction_row_reduce(m, n_cols):
+    """Test-only oracle: Gauss-Jordan elimination on Fractions, as
+    polyhedra._row_reduce was written before the integer kernel.  Brings the
+    rows of m, in place, to reduced echelon form on their first n_cols
+    columns; returns the pivot columns."""
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def fraction_solve_linear(rows, rhs):
+    m = [[F(a) for a in row] + [F(b)]
+         for row, b in zip(rows, rhs, strict=True)]
+    n_cols = len(rows[0])
+    pivots = fraction_row_reduce(m, n_cols)
+    if len(pivots) < n_cols or any(row[-1] != 0 for row in m[n_cols:]):
+        return None
+    return tuple(row[-1] for row in m[:n_cols])
+
+
+def fraction_matrix_rank(rows):
+    m = [[F(a) for a in row] for row in rows]
+    return len(fraction_row_reduce(m, len(m[0]))) if m else 0
+
+
+def fraction_vertices(constraints, dim):
+    cons = [polyhedra._normalize(c) for c in constraints]
+    verts = set()
+    for subset in combinations(cons, dim):
+        sol = fraction_solve_linear([c for c, _, _ in subset],
+                                    [r for _, r, _ in subset])
+        if sol is None:
+            continue
+        if all(sum(a * x for a, x in zip(c, sol)) >= r for c, r, _ in cons):
+            verts.add(sol)
+    return sorted(verts)
+
+
+small_rational = st.builds(F, st.integers(-5, 5),
+                           st.sampled_from([1, 1, 2, 3, 4]))
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs): dimension 1-5 with n-1 to n+2 rows of rational
+    entries.  Some draws copy a row as a multiple of another (singular) and
+    some give the copy another right-hand side (inconsistent)."""
+    n = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(max(1, n - 1), n + 2))
+    entries = st.one_of(small_rational, st.just(F(0)))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n_rows, max_size=n_rows))
+    rhs = draw(st.lists(small_rational, min_size=n_rows, max_size=n_rows))
+    if n_rows > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n_rows)))[:2]
+        k = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+        rows[j] = [k * a for a in rows[i]]
+        rhs[j] = k * rhs[i] + draw(st.sampled_from([0, 0, 1]))
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+def test_bareiss_kernels_match_the_fraction_oracles(system):
+    rows, rhs = system
+    assert matrix_rank(rows) == fraction_matrix_rank(rows)
+    got = solve_linear(rows, rhs)
+    assert got == fraction_solve_linear(rows, rhs)
+    assert got is None or all(type(x) is F for x in got)
+    # as strings, so the integer scaling meets the "num/den" input form
+    as_text = [[str(a) for a in row] for row in rows]
+    assert solve_linear(as_text, [str(b) for b in rhs]) == got
+
+
+@st.composite
+def vertex_systems(draw):
+    """(constraints, dim): dimension 1-4, a box of radius 1-3 and up to 4
+    more rational rows, so that the region is a polytope, possibly empty,
+    with degenerate vertices where more than dim rows meet."""
+    dim = draw(st.integers(1, 4))
+    radius = draw(st.integers(1, 3))
+    row = st.tuples(st.lists(small_rational, min_size=dim, max_size=dim),
+                    small_rational, st.booleans())
+    extra = draw(st.lists(row, max_size=4 if dim < 4 else 2))
+    return box_rows(dim, radius) + extra, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_systems())
+def test_vertices_match_the_fraction_oracle(system):
+    cons, dim = system
+    got = vertices(cons, dim)
+    assert got == fraction_vertices(cons, dim)
+    assert all(type(x) is F for v in got for x in v)
+    if got:
+        n = len(got)
+        assert interior_point(cons, dim) == tuple(
+            sum(v[j] for v in got) / n for j in range(dim))
+    else:
+        assert interior_point(cons, dim) is None
