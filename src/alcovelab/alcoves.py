@@ -17,7 +17,7 @@ from math import lcm
 from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
                     vsub)
 from .polyhedra import (feasible, interior_point, irredundant, matrix_rank,
-                        vertex_average, vertices)
+                        vertices)
 
 GE, LE = ">=", "<="
 
@@ -183,39 +183,50 @@ class Face:
 def faces_of(A: RealAlcove, walls):
     """All faces of all codimensions, duplicates (same vertex set) merged.
 
-    The vertex-facet incidence is computed once: a subset of the
-    inequalities picks the vertices whose tight sets contain it, and the
-    face's active inequalities are the intersection of those tight sets.
+    The vertex-facet incidence is computed once, in integers: with A's
+    vertices as integer numerators N_v over one common denominator D, the
+    inequality <alpha, .> >= m (or <=) is tight at v when
+    <alpha, N_v> * den(m) = num(m) * D.  A subset of the inequalities picks
+    the vertices whose tight sets contain it, and the face is keyed by the
+    tuple of their indices.  Its active inequalities, the intersection of
+    those tight sets, are the rows tight on the whole face, and they cut
+    out its affine hull (Schrijver, "Theory of Linear and Integer
+    Programming", 1986, ch. 8), so its codimension is the rank of their
+    covectors.  Its witness, the average of its vertices, is the integer
+    column sums of their N_v over D times their number.
     Requires a bounded alcove, i.e. the wall covectors span the space.
     """
     wm = _wall_map(walls)
     alphas = [wm[wid].alpha for wid, _, _ in A.inequalities]
     if matrix_rank(alphas) < A.rank:
         raise ValueError("unbounded alcove: wall covectors do not span")
-    cons = A.constraints(walls)
-    verts = vertices(cons, A.rank)
+    verts = vertices(A.constraints(walls), A.rank)
     if not verts:
         raise ValueError("empty alcove")
-    n = len(A.inequalities)
-    tight = [frozenset(i for i, (coeffs, rhs, _) in enumerate(cons)
-                       if pairing(coeffs, v) == rhs) for v in verts]
+    den = lcm(*(x.denominator for v in verts for x in v))
+    nums = [tuple(x.numerator * (den // x.denominator) for x in v)
+            for v in verts]
+    offsets = [rat(m) for _, m, _ in A.inequalities]
+    tight = [frozenset(i for i, (alpha, m) in enumerate(zip(alphas, offsets))
+                       if sum(a * x for a, x in zip(alpha, nv)) * m.denominator
+                       == m.numerator * den) for nv in nums]
 
+    n = len(A.inequalities)
     seen = {}
     for r in range(n + 1):
         for subset in combinations(range(n), r):
-            on = [j for j, t in enumerate(tight) if t.issuperset(subset)]
-            vset = tuple(verts[j] for j in on)
-            if not vset or vset in seen:
+            on = tuple(j for j, t in enumerate(tight) if t.issuperset(subset))
+            if not on or on in seen:
                 continue
             active_idx = frozenset.intersection(*(tight[j] for j in on))
-            base = vset[0]
-            dim = matrix_rank([vsub(v, base) for v in vset[1:]]) if len(vset) > 1 else 0
-            seen[vset] = Face(
+            size = den * len(on)
+            seen[on] = Face(
                 parent=A,
                 active=_canonical([A.inequalities[i] for i in active_idx]),
-                codim=A.rank - dim,
-                witness=vertex_average(vset),
-                vertex_set=vset,
+                codim=matrix_rank([alphas[i] for i in active_idx]),
+                witness=tuple(Fraction(sum(nums[j][k] for j in on), size)
+                              for k in range(A.rank)),
+                vertex_set=tuple(verts[j] for j in on),
             )
     return sorted(seen.values(), key=lambda f: (f.codim, f.active))
 

@@ -20,10 +20,11 @@ from .alcoves import (faces_of, integral_walls_and_positive_chamber,
 from .compat import find_compatible, opposite_pair, verify_compatible
 from .config import (ConfigError, load_instance, load_json, parse_alcove,
                      parse_config, report_to_json, run_report)
-from .instances import BUILTINS
+from .instances import BUILTINS, check_point_count
 from .mullineux import wc_bijection_hilb
 from .orders import (equivalence_classes, export_poset, hw_order,
                      order_compat_check, phw_axiom_check, ss_preorder, to_dot)
+from .partitions import partition_numbers
 from .validate import validate_p
 
 
@@ -260,11 +261,18 @@ def _run(args) -> int:
         out = (json.dumps(data, sort_keys=True, indent=2)
                if args.format == "json" else to_dot((), covers))
     elif cmd == "wallcross":
-        n = args.n
+        n, source = args.n, f"--n {args.n}"
         if n is None:
-            n = _load_config(args).instance.meta.get("n")
+            n, source = _load_config(args).instance.meta.get("n"), args.config
         if n is None:
             raise ConfigError("wallcross needs --n or a hilb config")
+        if type(n) is not int:
+            raise ConfigError(f"{source}: n must be an integer, not {n!r}")
+        try:
+            # the table lists all p(n) partitions of n
+            check_point_count(partition_numbers(), n)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
         inputs = {"cmd": cmd, "n": n, "b": args.b, "variant": args.variant}
         out = wc_bijection_hilb(n, args.b, args.variant)
         if args.csv:

@@ -86,15 +86,16 @@ def hilb_sigma_tilde(n: int, ell: int) -> frozenset:
     return frozenset(s + k for s in base for k in range(-ell, ell + 1))
 
 
-def _check_point_count(counts, n):
+def check_point_count(counts, n):
     """The size error if the n-th of the increasing point counts
     counts[0], counts[1], ... exceeds MAX_POINTS; no count after the first
-    one above the bound is computed, so a huge n costs nothing."""
+    one above the bound is computed, so a huge n costs nothing, and a
+    negative n stops at counts[0]."""
     for size, c in enumerate(counts):
         if c > MAX_POINTS:
             raise ValueError(f"n = {n} gives more than {MAX_POINTS} fixed "
                              "points (the bound)")
-        if size == n:
+        if size >= n:
             return
 
 
@@ -109,7 +110,7 @@ def hilb_instance(n: int, ell: int = 0, lambdas=()) -> FixedPointInstance:
         raise ValueError("n must be >= 1")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    _check_point_count(partition_numbers(), n)
+    check_point_count(partition_numbers(), n)
     pts = tuple(partitions(n))
     c_const = {mu: Fraction(-n_stat(mu)) for mu in pts}
     c_linear = {mu: (Fraction(cont(mu)),) for mu in pts}
@@ -146,7 +147,7 @@ def weyl_a_instance(n: int, lambdas=()) -> FixedPointInstance:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    _check_point_count(accumulate(count(1), mul, initial=1), n)  # n!
+    check_point_count(accumulate(count(1), mul, initial=1), n)  # n!
     r = n - 1
     pts = tuple(sorted(permutations(range(1, n + 1))))
     # rho_vee in epsilon coordinates: entry m is (n+1)/2 - m

@@ -65,13 +65,6 @@ def count_partitions(n: int) -> int:
     return next(islice(partition_numbers(), n, None)) if n >= 0 else 0
 
 
-def boxes(mu):
-    """Boxes (i, j) of the Young diagram, rows and columns 1-indexed."""
-    for i, part in enumerate(mu, start=1):
-        for j in range(1, part + 1):
-            yield i, j
-
-
 def transpose(mu) -> tuple:
     mu = tuple(mu)
     if not mu:
@@ -81,8 +74,11 @@ def transpose(mu) -> tuple:
 
 
 def cont(mu) -> int:
-    """Sum of contents j - i over the boxes of mu."""
-    return sum(j - i for i, j in boxes(mu))
+    """Sum of contents j - i over the boxes (i, j) of mu, rows and columns
+    1-indexed, in closed form per row: the mu_i boxes of row i have
+    contents summing to mu_i(mu_i - 1)/2 - (i - 1)mu_i."""
+    return sum(part * (part - 1) // 2 - (i - 1) * part
+               for i, part in enumerate(mu, start=1))
 
 
 def n_stat(mu) -> int:

@@ -5,7 +5,9 @@ coeffs . x >= rhs, with strict=True for >.  Every kernel here works on
 integer rows and makes `Fraction`s only at its API boundary: each input row
 is scaled once, by the positive lcm of all its denominators (right-hand
 side included), to an integer row (c, b, strict) meaning c . x >= b (or >),
-which has the same solutions.
+which has the same solutions.  A row of int coefficients with a `Fraction`
+right-hand side, the form every alcove row takes, is scaled without making
+a `Fraction`.
 
 One Fourier-Motzkin elimination routine serves `feasible` (its verdict),
 `find_point` and `first_lattice_point`.  It eliminates x_k by integer
@@ -14,13 +16,15 @@ only the tightest row per direction (Imbert, "Fourier's elimination: which
 to choose?", 1993), keyed on their primitive integer coefficients c/gcd(c):
 a dropped row is a parallel, looser copy of a kept one, so every level
 describes the same region, while parallel copies no longer multiply from
-level to level; each kept row is divided by gcd(c, b) to keep the integers
-small.  Level k is the system over x_0..x_k, given as rows with primitive
-integer coefficients and a `Fraction` right-hand side: once x_0..x_{k-1}
-satisfy level k-1, it bounds x_k to a nonempty slab.  `find_point` takes
-the midpoint of each slab; `first_lattice_point` steps x_k upward through
-the integers of its slab, depth first, and backtracks when a slab holds
-none, which gives the lexicographically first integer point.
+level to level.  Every row of every level, the input rows included, is
+reduced: divided by gcd(c, b), which keeps the integers small.  Level k is
+the system over x_0..x_k, kept as those integer rows: once x_0..x_{k-1}
+satisfy level k-1, it bounds x_k to a nonempty slab.  `_slab` reads each
+bound off a row as the `Fraction` (b - sum_j c_j x_j) / c_k, the only
+`Fraction` the elimination makes, so `feasible` makes none.  `find_point`
+takes the midpoint of each slab; `first_lattice_point` steps x_k upward
+through the integers of its slab, depth first, and backtracks when a slab
+holds none, which gives the lexicographically first integer point.
 
 One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", 1968) serves
@@ -46,10 +50,17 @@ def _normalize(con):
 def _integer_row(con):
     """The constraint as an integer row (c, b, strict) meaning c . x >= b
     (or >): the row times the lcm of all its denominators.  A row whose
-    entries are already ints is returned as it is."""
+    entries are already ints is returned as it is, and one of int
+    coefficients over a `Fraction` right-hand side is scaled by that
+    denominator alone."""
     coeffs, rhs, strict = con
-    if type(rhs) is int and all(type(c) is int for c in coeffs):
-        return tuple(coeffs), rhs, bool(strict)
+    if all(type(c) is int for c in coeffs):
+        if type(rhs) is int:
+            return tuple(coeffs), rhs, bool(strict)
+        if type(rhs) is Fraction:
+            den = rhs.denominator
+            return (tuple(c * den for c in coeffs), rhs.numerator,
+                    bool(strict))
     coeffs, rhs, strict = _normalize(con)
     den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
     return (tuple(c.numerator * (den // c.denominator) for c in coeffs),
@@ -74,23 +85,14 @@ def _tightest_per_direction(rows):
                                            and not strict):
                 continue
         best[key] = (row, g)
-    out = []
-    for (c, b, strict), g in best.values():
-        h = gcd(g, b)
-        if h > 1:
-            c, b = tuple(a // h for a in c), b // h
-        out.append((c, b, strict))
-    return out
+    return [_reduced(row) for row, _ in best.values()]
 
 
-def _level(rows):
-    """Integer rows as (primitive int coefficients, Fraction rhs, strict)."""
-    out = []
-    for c, b, strict in rows:
-        g = gcd(*c) or 1
-        out.append((tuple(a // g for a in c) if g != 1 else c,
-                    Fraction(b, g), strict))
-    return out
+def _reduced(row):
+    """The integer row (c, b, strict) divided by gcd(c, b)."""
+    c, b, strict = row
+    g = gcd(*c, b)
+    return (tuple(a // g for a in c), b // g, strict) if g > 1 else row
 
 
 def _eliminate(constraints, dim):
@@ -98,13 +100,14 @@ def _eliminate(constraints, dim):
     integer rows.
 
     Returns (levels, ok): levels[k] is the system over x_0..x_k (before x_k
-    is eliminated), and ok tells whether the variable-free rows left at the
-    end all hold, i.e. whether the system is feasible.
+    is eliminated) as reduced integer rows, and ok tells whether the
+    variable-free rows left at the end all hold, i.e. whether the system is
+    feasible.
     """
-    rows = [_integer_row(c) for c in constraints]
+    rows = [_reduced(_integer_row(c)) for c in constraints]
     levels = []
     for k in range(dim - 1, -1, -1):
-        levels.append(_level(rows))
+        levels.append(rows)
         lower, upper, new = [], [], []
         for c, b, strict in rows:
             a = c[k]
@@ -134,16 +137,18 @@ def feasible(constraints, dim) -> bool:
 
 
 def _slab(level_cons, k, prefix):
-    """Bounds (lo, lo_strict, hi, hi_strict) on x_k from the rows of one
-    elimination level, with x_0..x_{k-1} fixed to prefix; lo or hi is None
-    where no row bounds that side."""
+    """Bounds (lo, lo_strict, hi, hi_strict) on x_k from the rows (c, b,
+    strict) of one elimination level, with x_0..x_{k-1} fixed to prefix;
+    lo or hi is None where no row bounds that side.  A row bounds x_k by
+    the Fraction (b - sum_j c_j prefix_j) / c_k, whether its entries are
+    ints or Fractions."""
     lo = hi = None
     lo_strict = hi_strict = False
-    for coeffs, rhs, strict in level_cons:
-        a = coeffs[k]
+    for c, b, strict in level_cons:
+        a = c[k]
         if a == 0:
             continue
-        bound = (rhs - sum(coeffs[j] * prefix[j] for j in range(k))) / a
+        bound = Fraction(b - sum(c[j] * prefix[j] for j in range(k)), a)
         if a > 0:
             if lo is None or bound > lo or (bound == lo and strict):
                 lo, lo_strict = bound, strict
@@ -284,16 +289,13 @@ def vertices(constraints, dim):
     return sorted(verts)
 
 
-def vertex_average(points):
-    """The average of a nonempty list of points, coordinate by coordinate."""
-    return tuple(sum(coords) / len(points) for coords in zip(*points))
-
-
 def interior_point(constraints, dim):
     """A rational point strictly inside a full-dimensional polytope, as the
     average of its vertices."""
     verts = vertices(constraints, dim)
-    return vertex_average(verts) if verts else None
+    if not verts:
+        return None
+    return tuple(sum(coords) / len(verts) for coords in zip(*verts))
 
 
 def is_redundant(constraints, idx, dim) -> bool:

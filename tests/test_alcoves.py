@@ -187,22 +187,45 @@ def reference_faces(A, walls):
     return sorted(seen.values(), key=lambda f: (f.codim, f.active))
 
 
-FACE_INSTANCES = ([hilb_instance(n) for n in range(2, 9)]
-                  + [weyl_a_instance(n) for n in range(3, 6)])
+# (rank, walls): every builtin alcove is a simplex, where each vertex lies
+# on exactly rank facets
+FACE_ARRANGEMENTS = [(inst.rank, inst.walls) for inst in
+                     [hilb_instance(n) for n in range(2, 9)]
+                     + [weyl_a_instance(n) for n in range(3, 6)]]
+# <alpha, x> = 1/2 + k for the four covectors (1, +-1, +-1): its alcoves
+# are octahedra, whose vertices lie on four facets each, and tetrahedra
+OCTAHEDRAL_WALLS = tuple(
+    Wall(id=i, alpha=alpha, sigma_tilde=frozenset([F(1, 2)]))
+    for i, alpha in enumerate([(1, 1, 1), (1, 1, -1), (1, -1, 1),
+                               (1, -1, -1)]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_faces_match_per_subset_reference(data):
-    inst = data.draw(st.sampled_from(FACE_INSTANCES))
+    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
+                                      st.just((3, OCTAHEDRAL_WALLS))))
     x = data.draw(st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=13),
-        min_size=inst.rank, max_size=inst.rank))
+        min_size=rank, max_size=rank))
     try:
-        A = real_alcove_of(x, inst.walls)
+        A = real_alcove_of(x, walls)
     except SingularPointError:
         return
-    assert faces_of(A, inst.walls) == reference_faces(A, inst.walls)
+    assert faces_of(A, walls) == reference_faces(A, walls)
+
+
+def test_faces_of_the_octahedron_at_the_origin():
+    A = real_alcove_of((0, 0, 0), OCTAHEDRAL_WALLS)
+    assert len(A.inequalities) == 8
+    faces = faces_of(A, OCTAHEDRAL_WALLS)
+    assert faces == reference_faces(A, OCTAHEDRAL_WALLS)
+    assert [f.codim for f in faces] == [0] + [1] * 8 + [2] * 12 + [3] * 6
+    vertex_faces = faces[-6:]
+    assert {f.vertex_set for f in vertex_faces} == {
+        (tuple(F(s, 2) if j == i else F(0) for j in range(3)),)
+        for i in range(3) for s in (1, -1)}
+    assert all(len(f.active) == 4 for f in vertex_faces)
 
 
 def test_faces_weyl_a6_simplex():

@@ -4,6 +4,7 @@ import json
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from importlib import import_module
 from unittest import mock
 
 import pytest
@@ -166,6 +167,37 @@ def test_cli_wallcross_csv():
     assert code == 0
     assert "partition,image,provenance" in out
     assert "1+1+1,," in out  # EXTERNAL row has no image
+
+
+def test_cli_wallcross_bounds_n_before_listing_partitions(tmp_path):
+    # p(4) = 5 and p(5) = 7: with the bound patched down to 5, n = 5 is
+    # rejected from --n and from a config's n before any partition is listed
+    path = tmp_path / "points.json"
+    table = {**POINTS_CONFIG, "points": [{**POINTS_CONFIG["points"][0],
+                                          "id": "1"}]}
+    path.write_text(json.dumps({**table, "meta": {"points": "partitions",
+                                                  "n": 5}}))
+    with mock.patch.object(instances, "MAX_POINTS", 5), \
+            mock.patch.object(import_module("alcovelab.mullineux"),
+                              "partitions",
+                              side_effect=AssertionError("listed")) as listed:
+        for source, argv in (("--n 5", ["--n", "5"]),
+                             (path, ["--config", str(path)])):
+            assert run_cli(["wallcross", *argv, "--b", "2"]) == (
+                1, json.dumps({"error": f"{source}: n = 5 gives more than "
+                                        "5 fixed points (the bound)"}) + "\n")
+        listed.assert_not_called()
+    with mock.patch.object(instances, "MAX_POINTS", 5):
+        code, out = run_cli(["wallcross", "--n", "4", "--b", "2"])
+    assert code == 0 and len(json.loads(out)["outputs"]["map"]) == 5
+    # a negative n passes the bound and meets the table's own check on b
+    assert run_cli(["wallcross", "--n", "-1", "--b", "2"]) == (
+        1, json.dumps({"error": "b must satisfy 2 <= b <= n, got 2"}) + "\n")
+    path.write_text(json.dumps({**table, "meta": {"points": "partitions",
+                                                  "n": "5"}}))
+    assert run_cli(["wallcross", "--config", str(path), "--b", "2"]) == (
+        1, json.dumps({"error": f"{path}: n must be an integer, not '5'"})
+        + "\n")
 
 
 def test_cli_export_roundtrip(tmp_path):

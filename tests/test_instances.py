@@ -15,6 +15,19 @@ def test_cont_examples():
     assert cont((1, 1, 1)) == -3
 
 
+def box_cont(mu):
+    """Test-only oracle for cont: j - i summed box by box over the Young
+    diagram, rows and columns 1-indexed."""
+    return sum(j - i for i, part in enumerate(mu, start=1)
+               for j in range(1, part + 1))
+
+
+def test_cont_closed_form_matches_the_box_sum():
+    for n in range(21):
+        for mu in partitions(n):
+            assert cont(mu) == box_cont(mu)
+
+
 def test_cont_transpose_antisymmetry():
     for n in range(13):
         for mu in partitions(n):

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -259,9 +259,33 @@ def test_integer_rows_of_rational_systems_match_the_oracles(system):
         lex_scan(cons, dim, radius)
     levels, _ = polyhedra._eliminate(cons, dim)
     for level in levels:
-        for coeffs, _, _ in level:
-            assert all(type(c) is int for c in coeffs)
-            assert gcd(*coeffs) in (0, 1)
+        for coeffs, rhs, _ in level:
+            assert all(type(c) is int for c in (*coeffs, rhs))
+            assert gcd(*coeffs, rhs) in (0, 1)
+
+
+def lcm_integer_row(con):
+    """Test-only oracle: polyhedra._integer_row's general path, the row
+    made Fractions and scaled by the lcm of all its denominators."""
+    coeffs, rhs, strict = polyhedra._normalize(con)
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return (tuple(c.numerator * (den // c.denominator) for c in coeffs),
+            rhs.numerator * (den // rhs.denominator), strict)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-30, 30), max_size=5),
+       st.one_of(st.integers(-30, 30),
+                 st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+                 st.builds("{}/{}".format, st.integers(-30, 30),
+                           st.integers(1, 12))),
+       st.booleans())
+def test_integer_row_of_int_coefficients_matches_the_lcm_oracle(coeffs, rhs,
+                                                                 strict):
+    con = (coeffs, rhs, strict)
+    row = polyhedra._integer_row(con)
+    assert row == lcm_integer_row(con)
+    assert all(type(x) is int for x in (*row[0], row[1]))
 
 
 def fraction_row_reduce(m, n_cols):
