@@ -83,10 +83,8 @@ class RealAlcove:
 
     def translate(self, v, walls):
         """The alcove A + v for a lattice vector v (Z-periodicity)."""
-        wm = _wall_map(walls)
-        ineqs = tuple((wid, m + pairing(wm[wid].alpha, v), sense)
-                      for wid, m, sense in self.inequalities)
-        return RealAlcove(self.rank, _canonical(ineqs))
+        return RealAlcove(self.rank,
+                          translate_inequalities(self.inequalities, v, walls))
 
     def to_json(self):
         return {"rank": self.rank,
@@ -96,6 +94,14 @@ class RealAlcove:
 
 def _canonical(ineqs):
     return tuple(sorted(ineqs, key=lambda t: (t[0], t[2], t[1])))
+
+
+def translate_inequalities(ineqs, v, walls):
+    """The inequalities (wall_id, offset, sense) moved by a lattice vector
+    v, each offset m to m + <alpha, v>, in canonical order."""
+    wm = _wall_map(walls)
+    return _canonical([(wid, m + pairing(wm[wid].alpha, v), sense)
+                       for wid, m, sense in ineqs])
 
 
 def real_alcove_of(x, walls) -> RealAlcove:
@@ -192,7 +198,11 @@ def faces_of(A: RealAlcove, walls):
     those tight sets, are the rows tight on the whole face, and they cut
     out its affine hull (Schrijver, "Theory of Linear and Integer
     Programming", 1986, ch. 8), so its codimension is the rank of their
-    covectors.  Its witness, the average of its vertices, is the integer
+    covectors.  That rank is read off without an elimination where it is
+    known: a face of one vertex is a point (codim d) and one of two
+    vertices an edge (codim d - 1), since the alcove is bounded, and no or
+    one active inequality has rank 0 or 1; only the other faces run
+    matrix_rank.  Its witness, the average of its vertices, is the integer
     column sums of their N_v over D times their number.
     Requires a bounded alcove, i.e. the wall covectors span the space.
     """
@@ -219,11 +229,19 @@ def faces_of(A: RealAlcove, walls):
             if not on or on in seen:
                 continue
             active_idx = frozenset.intersection(*(tight[j] for j in on))
+            if len(on) == 1:  # a vertex
+                codim = A.rank
+            elif len(on) == 2:  # an edge
+                codim = A.rank - 1
+            elif len(active_idx) <= 1:
+                codim = len(active_idx)
+            else:
+                codim = matrix_rank([alphas[i] for i in active_idx])
             size = den * len(on)
             seen[on] = Face(
                 parent=A,
                 active=_canonical([A.inequalities[i] for i in active_idx]),
-                codim=matrix_rank([alphas[i] for i in active_idx]),
+                codim=codim,
                 witness=tuple(Fraction(sum(nums[j][k] for j in on), size)
                               for k in range(A.rank)),
                 vertex_set=tuple(verts[j] for j in on),

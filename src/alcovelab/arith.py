@@ -53,10 +53,27 @@ def vscale(k, v):
     return tuple(k * a for a in v)
 
 
+def _num_den(v):
+    """(numerator, denominator) of an int, or else of Fraction(v)."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator, v.denominator
+
+
 def pairing(alpha, x) -> Fraction:
-    """<alpha, x> for a covector alpha and a vector x."""
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(alpha, x, strict=True)),
-               Fraction(0))
+    """<alpha, x> for a covector alpha and a vector x, as one Fraction: the
+    integer numerators of the products a*b summed over the lcm of their
+    denominators."""
+    nums, dens = [], []
+    for a, b in zip(alpha, x, strict=True):
+        an, ad = _num_den(a)
+        bn, bd = _num_den(b)
+        nums.append(an * bn)
+        dens.append(ad * bd)
+    den = lcm(*dens)
+    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 
 
 def is_lattice(v) -> bool:

@@ -22,8 +22,9 @@ from .config import (ConfigError, load_instance, load_json, parse_alcove,
                      parse_config, report_to_json, run_report)
 from .instances import BUILTINS, check_point_count
 from .mullineux import wc_bijection_hilb
-from .orders import (equivalence_classes, export_poset, hw_order,
-                     order_compat_check, phw_axiom_check, ss_preorder, to_dot)
+from .orders import (LabelBudgetError, equivalence_classes, export_poset,
+                     hw_order, order_compat_check, phw_axiom_check,
+                     ss_preorder, to_dot)
 from .partitions import partition_numbers
 from .validate import validate_p
 
@@ -102,6 +103,16 @@ def _parse_window(text: str, flag: str) -> tuple:
             pass
     raise ConfigError(f"{flag} must have the form z1:z2 with integers "
                       f"z1, z2, not {text!r}")
+
+
+def _windowed(build, flag, text, *args):
+    """build(*args, window) on the window parsed from text; an order that
+    would exceed the label budget is a ConfigError naming the flag."""
+    window = _parse_window(text, flag)
+    try:
+        return build(*args, window)
+    except LabelBudgetError as exc:
+        raise ConfigError(f"{flag} {text}: {exc}") from exc
 
 
 def _load_config(args):
@@ -366,9 +377,9 @@ def _outputs(args, cfg):
         return out, report
 
     if cmd in ("order", "check-phw"):
-        poset = hw_order(cfg.instance,
-                         _parse_point(args.lam_prime, cfg, "--lambda-prime"),
-                         args.p, _parse_window(args.window, "--window"))
+        poset = _windowed(hw_order, "--window", args.window, cfg.instance,
+                          _parse_point(args.lam_prime, cfg, "--lambda-prime"),
+                          args.p)
         if cmd == "check-phw":
             d_bound = args.d_bound
             if d_bound is None:
@@ -381,10 +392,9 @@ def _outputs(args, cfg):
     if cmd in ("preorder", "classes", "check-compat"):
         A, face = _face_of(args, cfg)
         pair = find_compatible(A, face, cfg.walls)
-        window = (_parse_window(args.m_window, "--m-window")
-                  if cmd == "check-compat"
-                  else _parse_window(args.window, "--window"))
-        pre = ss_preorder(cfg.instance, pair, window)
+        flag, text = (("--m-window", args.m_window) if cmd == "check-compat"
+                      else ("--window", args.window))
+        pre = _windowed(ss_preorder, flag, text, cfg.instance, pair)
         if cmd == "preorder":
             if args.format == "dot":
                 return export_poset(pre, "dot"), None
@@ -394,8 +404,8 @@ def _outputs(args, cfg):
                 [f"{cfg.instance.point_str(l.point)}|{l.kappa}" for l in cls]
                 for cls in equivalence_classes(pre)]}, None
         lam_prime = pair.p_point(args.p)
-        poset = hw_order(cfg.instance, lam_prime, args.p,
-                         _parse_window(args.window, "--window"))
+        poset = _windowed(hw_order, "--window", args.window, cfg.instance,
+                          lam_prime, args.p)
         return ({"lambda_prime": [rat_str(c) for c in lam_prime]},
                 order_compat_check(poset, pre, args.p))
 

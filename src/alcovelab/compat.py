@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .arith import AffineInP, is_lattice, pairing, vadd, vscale, vsub
 from .alcoves import (Face, PAlcove, RealAlcove, faces_of, opposite_alcove,
-                      oriented_facet, p_alcove_of)
+                      oriented_facet, p_alcove_of, translate_inequalities)
 from .polyhedra import first_lattice_point
 
 
@@ -61,13 +61,10 @@ def _normalize_mod_lattice(A: RealAlcove, face: Face, walls):
     witness moves with every lattice translate of (A, face), so the key
     depends only on the lattice class."""
     shift = tuple(-(c.numerator // c.denominator) for c in face.witness)
-    A2 = A.translate(shift, walls)
-    wm = {w.id: w for w in walls}
-    active2 = tuple(sorted(
-        (wid, m + pairing(wm[wid].alpha, shift), sense)
-        for wid, m, sense in face.active))
     wall_key = tuple(sorted(walls, key=lambda w: w.id))
-    return shift, (wall_key, A2.inequalities, active2)
+    return shift, (wall_key,
+                   translate_inequalities(A.inequalities, shift, walls),
+                   translate_inequalities(face.active, shift, walls))
 
 
 def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:

@@ -18,6 +18,21 @@ from .arith import AffineInP, rat_str
 from .instances import FixedPointInstance, wt_chi
 
 
+# labels hw_order or ss_preorder may build: over 300x the 3003 of the
+# largest order any test, demo or benchmark workload builds
+MAX_LABELS = 1_000_000
+
+
+class LabelBudgetError(ValueError):
+    """An order would build more than MAX_LABELS labels."""
+
+
+def _check_label_count(count: int) -> None:
+    if count > MAX_LABELS:
+        raise LabelBudgetError(f"the window asks for {count} labels, above "
+                               f"the bound of {MAX_LABELS}")
+
+
 class Label(NamedTuple):
     point: object
     kappa: object  # int (concrete posets) or AffineInP (symbolic pre-orders)
@@ -115,11 +130,14 @@ def hw_order(instance: FixedPointInstance, lam, p: int, window) -> LabeledPoset:
     """The highest-weight order on labels (x, kappa), kappa in [z1, z2).
 
     (x, kappa) < (x', kappa') iff the labels lie in the same equivariant
-    block (c_bar(x) - kappa congruent mod p) and kappa < kappa'.
+    block (c_bar(x) - kappa congruent mod p) and kappa < kappa'.  The
+    number of labels, |points| * (z2 - z1), is checked against MAX_LABELS
+    before any label is built (LabelBudgetError).
     """
     z1, z2 = window
     if z1 >= z2:
         raise ValueError(f"empty window: [{z1}, {z2})")
+    _check_label_count(len(instance.points) * (z2 - z1))
     res = c_bar(instance, lam, p)
     labels = tuple(Label(x, k) for x in instance.points for k in range(z1, z2))
     blocks = {l: (res[l.point] - l.kappa) % p for l in labels}
@@ -246,11 +264,14 @@ def ss_preorder(instance: FixedPointInstance, pair, window) -> PreOrder:
     """The pre-order determined by a compatible pair on the zero block.
 
     Admissible characters for x are kappa = c(x; lambda_bar + p*mu) + m*p;
-    the slope of kappa' - kappa decides the pre-order.
+    the slope of kappa' - kappa decides the pre-order.  The number of
+    labels, |points| * (2m + 1), is checked against MAX_LABELS before any
+    label is built (LabelBudgetError).
     """
     m_lo, m_hi = window
     if m_lo != -m_hi or m_hi < 0:
         raise ValueError("window must be symmetric in the shift: (-m, m)")
+    _check_label_count(len(instance.points) * (m_hi - m_lo + 1))
     labels = []
     for x in instance.points:
         gamma = instance.c_affine(x, pair.lam, pair.mu)

@@ -9,15 +9,16 @@ which has the same solutions.  A row of int coefficients with a `Fraction`
 right-hand side, the form every alcove row takes, is scaled without making
 a `Fraction`.
 
-One Fourier-Motzkin elimination routine serves `feasible` (its verdict),
-`find_point` and `first_lattice_point`.  It eliminates x_k by integer
-cross-multiplication.  After each elimination level the derived rows keep
-only the tightest row per direction (Imbert, "Fourier's elimination: which
-to choose?", 1993), keyed on their primitive integer coefficients c/gcd(c):
-a dropped row is a parallel, looser copy of a kept one, so every level
-describes the same region, while parallel copies no longer multiply from
-level to level.  Every row of every level, the input rows included, is
-reduced: divided by gcd(c, b), which keeps the integers small.  Level k is
+One Fourier-Motzkin elimination loop serves `feasible` (its verdict),
+`find_point`, `first_lattice_point` and the redundancy checks.  It
+eliminates x_k by integer cross-multiplication.  After each elimination
+level the derived rows keep only the tightest row per direction (Imbert,
+"Fourier's elimination: which to choose?", 1993), keyed on their primitive
+integer coefficients c/gcd(c): a dropped row is a parallel, looser copy of
+a kept one, so every level describes the same region, while parallel
+copies no longer multiply from level to level.  Every row of every level,
+the input rows included, is reduced: divided by gcd(c, b), which keeps the
+integers small.  Level k is
 the system over x_0..x_k, kept as those integer rows: once x_0..x_{k-1}
 satisfy level k-1, it bounds x_k to a nonempty slab.  `_slab` reads each
 bound off a row as the `Fraction` (b - sum_j c_j x_j) / c_k, the only
@@ -25,6 +26,10 @@ bound off a row as the `Fraction` (b - sum_j c_j x_j) / c_k, the only
 takes the midpoint of each slab; `first_lattice_point` steps x_k upward
 through the integers of its slab, depth first, and backtracks when a slab
 holds none, which gives the lexicographically first integer point.
+`irredundant` makes its rows reduced integer rows once, and each of its
+checks runs one verdict on them: the loop on the other rows and the
+negated row under test, with no row converted again.  `is_redundant`
+converts its rows once and runs the same verdict.
 
 One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", 1968) serves
@@ -95,16 +100,26 @@ def _reduced(row):
     return (tuple(a // g for a in c), b // g, strict) if g > 1 else row
 
 
+def _reduced_rows(constraints):
+    """The constraints as reduced integer rows."""
+    return [_reduced(_integer_row(c)) for c in constraints]
+
+
 def _eliminate(constraints, dim):
+    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn: the
+    constraints made reduced integer rows, then _eliminate_rows."""
+    return _eliminate_rows(_reduced_rows(constraints), dim)
+
+
+def _eliminate_rows(rows, dim):
     """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn, on
-    integer rows.
+    reduced integer rows, which it takes as they are.
 
     Returns (levels, ok): levels[k] is the system over x_0..x_k (before x_k
     is eliminated) as reduced integer rows, and ok tells whether the
     variable-free rows left at the end all hold, i.e. whether the system is
     feasible.
     """
-    rows = [_reduced(_integer_row(c)) for c in constraints]
     levels = []
     for k in range(dim - 1, -1, -1):
         levels.append(rows)
@@ -298,25 +313,35 @@ def interior_point(constraints, dim):
     return tuple(sum(coords) / len(verts) for coords in zip(*verts))
 
 
-def is_redundant(constraints, idx, dim) -> bool:
-    """Whether dropping constraint idx leaves the region unchanged: the rest
-    together with the negation of idx must be infeasible."""
-    rows = [_integer_row(c) for c in constraints]
+def _redundant(rows, idx, dim) -> bool:
+    """The verdict of is_redundant on reduced integer rows: the rest
+    together with the negation of row idx must be infeasible.  The negation
+    of a reduced row is reduced, so no row is converted."""
     c, b, strict = rows[idx]
     # c.x < b, or c.x <= b when idx itself is strict
     negated = (tuple(-a for a in c), -b, not strict)
-    return not feasible(rows[:idx] + rows[idx + 1:] + [negated], dim)
+    return not _eliminate_rows(rows[:idx] + rows[idx + 1:] + [negated],
+                               dim)[1]
+
+
+def is_redundant(constraints, idx, dim) -> bool:
+    """Whether dropping constraint idx leaves the region unchanged: the rest
+    together with the negation of idx must be infeasible.  The rows are
+    made reduced integer rows once, then judged by the same verdict as
+    irredundant's."""
+    return _redundant(_reduced_rows(constraints), idx, dim)
 
 
 def irredundant(constraints, dim):
     """Indices, ascending, of the constraints kept after pruning those
-    implied by the others (tried in order).  The rows are made integer
-    once; is_redundant and feasible take them as they are."""
-    rows = [_integer_row(c) for c in constraints]
+    implied by the others (tried in order).  The rows are made reduced
+    integer rows once, and every check runs the one verdict on them, so no
+    check converts a row again."""
+    rows = _reduced_rows(constraints)
     keep = list(range(len(rows)))
     i = 0
     while i < len(keep):
-        if is_redundant([rows[j] for j in keep], i, dim):
+        if _redundant([rows[j] for j in keep], i, dim):
             keep.pop(i)
         else:
             i += 1

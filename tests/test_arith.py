@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alcovelab.arith import (AffineInP, Wall, cmp_large_p, is_saturated,
-                             primitivize, rat, rat_str, saturate)
+                             pairing, primitivize, rat, rat_str, saturate)
 from alcovelab.config import parse_config
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -168,3 +168,25 @@ def test_wall_class_part_sorted():
     assert w.class_part(F(8, 3)) == [F(-1, 3), F(2, 3)]
     assert w.class_part(F(7, 2)) == [F(1, 2)]
     assert w.class_part(F(1, 5)) == []
+
+
+# a pairing entry as an int, a Fraction or a "num/den" string
+pairing_entry = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 12)))
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.lists(pairing_entry, min_size=n, max_size=n),
+    st.lists(pairing_entry, min_size=n, max_size=n))))
+def test_pairing_matches_the_fraction_sum(vectors):
+    alpha, x = vectors
+    got = pairing(alpha, x)
+    assert type(got) is F
+    assert got == sum((F(a) * F(b) for a, b in zip(alpha, x)), F(0))
+
+
+def test_pairing_length_mismatch_is_a_value_error():
+    with pytest.raises(ValueError):
+        pairing((1, 2), (F(1, 2),))

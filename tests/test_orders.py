@@ -1,14 +1,20 @@
+import io
+import json
 import re
 from collections import defaultdict
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from alcovelab import orders
 from alcovelab.alcoves import SingularPointError, faces_of, real_alcove_of
+from alcovelab.cli import dispatch
 from alcovelab.compat import find_compatible
 from alcovelab.instances import (FixedPointInstance, hilb_instance,
                                  weyl_a_instance)
@@ -518,3 +524,40 @@ def test_export_formats():
     pair = hilb_face_pair(HILB2, F(1, 2))
     pre = ss_preorder(HILB2, pair, (-1, 1))
     assert export_poset(pre, "dot").startswith("digraph")
+
+
+def test_label_budget_is_a_value_error_before_any_label_is_built():
+    pair = hilb_face_pair(HILB3, F(1, 2))
+    no_label = mock.Mock(side_effect=AssertionError("a label was built"))
+    with mock.patch.object(orders, "MAX_LABELS", 8), \
+            mock.patch.object(orders, "Label", no_label):
+        # 3 points times a window of 3 characters, or of 2*1 + 1 shifts
+        with pytest.raises(ValueError, match="asks for 9 labels, above the "
+                                             "bound of 8"):
+            hw_order(HILB3, (5,), 5, (0, 3))
+        with pytest.raises(ValueError, match="asks for 9 labels, above the "
+                                             "bound of 8"):
+            ss_preorder(HILB3, pair, (-1, 1))
+    with mock.patch.object(orders, "MAX_LABELS", 9):
+        assert len(hw_order(HILB3, (5,), 5, (0, 3)).labels) == 9
+        assert len(ss_preorder(HILB3, pair, (-1, 1)).labels) == 9
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["order", "--lambda-prime", "5", "--p", "5", "--window", "0:3"],
+     "--window 0:3: the window asks for 9 labels, above the bound of 8"),
+    (["preorder", "--point", "5/12", "--face", "1", "--window=-1:1"],
+     "--window -1:1: the window asks for 9 labels, above the bound of 8"),
+    (["check-compat", "--point", "5/12", "--face", "1", "--p", "5",
+      "--window=-5:5", "--m-window=-1:1"],
+     "--m-window -1:1: the window asks for 9 labels, above the bound of 8"),
+    (["check-compat", "--point", "5/12", "--face", "1", "--p", "5",
+      "--window=-5:5", "--m-window=0:0"],
+     "--window -5:5: the window asks for 30 labels, above the bound of 8"),
+])
+def test_cli_label_budget_names_the_window_flag(argv, error):
+    buf = io.StringIO()
+    with mock.patch.object(orders, "MAX_LABELS", 8), redirect_stdout(buf):
+        code = dispatch([argv[0], "--builtin", "hilb", "--n", "3", *argv[1:]])
+    assert code == 1
+    assert json.loads(buf.getvalue()) == {"error": error}

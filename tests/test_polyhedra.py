@@ -401,3 +401,74 @@ def test_vertices_match_the_fraction_oracle(system):
             sum(v[j] for v in got) / n for j in range(dim))
     else:
         assert interior_point(cons, dim) is None
+
+
+def feasible_is_redundant(constraints, idx, dim):
+    """Test-only oracle: is_redundant as it was written before the shared
+    verdict, every row made integer again and the rest with row idx negated
+    handed to feasible."""
+    rows = [polyhedra._integer_row(c) for c in constraints]
+    c, b, strict = rows[idx]
+    negated = (tuple(-a for a in c), -b, not strict)
+    return not feasible(rows[:idx] + rows[idx + 1:] + [negated], dim)
+
+
+def shrinking_list_irredundant(constraints, dim):
+    """Test-only oracle: irredundant as the loop of feasible_is_redundant
+    over the shrinking list of kept rows."""
+    keep = list(range(len(constraints)))
+    i = 0
+    while i < len(keep):
+        if feasible_is_redundant([constraints[j] for j in keep], i, dim):
+            keep.pop(i)
+        else:
+            i += 1
+    return keep
+
+
+@st.composite
+def degenerate_systems(draw):
+    """(constraints, dim): a system with parallel rows and the negation of
+    one or two of its rows added, moved by 0, which squeezes the region
+    into a hyperplane (lower-dimensional), or by 1, which empties it."""
+    cons, dim = draw(systems_with_parallel_rows())
+    for coeffs, rhs, _ in draw(st.lists(st.sampled_from(cons), min_size=1,
+                                        max_size=2)):
+        cons.append((tuple(-c for c in coeffs),
+                     -rhs + draw(st.integers(0, 1)), draw(st.booleans())))
+    return cons, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(systems(), systems_with_parallel_rows(),
+                 degenerate_systems()))
+def test_redundancy_checks_match_the_feasible_oracle(system):
+    cons, dim = system
+    assert irredundant(cons, dim) == shrinking_list_irredundant(cons, dim)
+    for i in range(len(cons)):
+        assert is_redundant(cons, i, dim) == \
+            feasible_is_redundant(cons, i, dim)
+
+
+@pytest.mark.parametrize("cons, dim, kept", [
+    # x >= 0 and -x >= 0: the point x = 0, both rows needed
+    ([((1,), F(0), False), ((-1,), F(0), False)], 1, [0, 1]),
+    # x >= 1, x <= 0, x >= 5: row 0 goes, for the other two are already
+    # empty; then neither of them is implied by the other alone
+    ([((1,), F(1), False), ((-1,), F(0), False), ((1,), F(5), False)], 1,
+     [1, 2]),
+    # a duplicate goes and the first copy stays; the strict twin x > 0
+    # implies x >= 0 and stays, tried after them
+    ([((1, 0), F(0), False), ((2, 0), F(0), False), ((1, 0), F(0), True),
+      ((0, 1), F(0), False), ((-1, -1), F(-1), False)], 2, [2, 3, 4]),
+    # the segment x_0 + x_1 = 1 in the square [0, 1]^2, lower-dimensional:
+    # on it x_0 >= 0 is x_1 <= 1 and x_0 <= 1 is x_1 >= 0, so the bounds on
+    # x_0, tried first, go
+    ([((1, 1), F(1), False), ((-1, -1), F(-1), False),
+      ((1, 0), F(0), False), ((-1, 0), F(-1), False),
+      ((0, 1), F(0), False), ((0, -1), F(-1), False)], 2, [0, 1, 4, 5]),
+])
+def test_irredundant_tries_rows_in_order_on_degenerate_systems(cons, dim,
+                                                                kept):
+    assert irredundant(cons, dim) == kept
+    assert shrinking_list_irredundant(cons, dim) == kept
