@@ -5,14 +5,14 @@ The package computes wall arrangements over a lattice, real and p-alcoves,
 integral/positive/quantum chambers, parameters compatible with an
 (alcove, face) pair, highest-weight orders with their free shift action,
 standardly stratified pre-orders with their finite equivalence classes, and
-the Mulllineux-realized wall-crossing bijections of the Hilbert-scheme case.
+the Mullineux-realized wall-crossing bijections of the Hilbert-scheme case.
 """
 
 from .arith import (AffineInP, Wall, affine, cmp_large_p, is_saturated,
                     pairing, primitivize, rat, rat_str, saturate, vec)
 from .alcoves import (Chamber, Face, NonRegularError, OnPWallError, PAlcove,
-                      QuantumChamber, RealAlcove, SingularPointError,
-                      faces_of, integral_chambers,
+                      PTooSmallError, QuantumChamber, RealAlcove,
+                      SingularPointError, faces_of, integral_chambers,
                       integral_walls_and_positive_chamber, p_alcove_of,
                       p_membership, quantum_chamber, real_alcove_of,
                       translation_path)

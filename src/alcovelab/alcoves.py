@@ -16,8 +16,8 @@ from math import lcm
 
 from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
                     vsub)
-from .polyhedra import (feasible, interior_point, irredundant, matrix_rank,
-                        vertices)
+from .polyhedra import (common_denominator, feasible, interior_point,
+                        irredundant, matrix_rank, vertex_average, vertices)
 
 GE, LE = ">=", "<="
 
@@ -38,6 +38,17 @@ class OnPWallError(ValueError):
         self.wall_id, self.sigma, self.m = wall_id, sigma, m
         super().__init__(
             f"on p-wall: wall {wall_id}, sigma={rat_str(sigma)}, m={m}")
+
+
+class PTooSmallError(ValueError):
+    """The p-alcove built around a lattice point misses it: p is too small
+    for the real/p-alcove bijection."""
+
+    def __init__(self, p, x):
+        self.p, self.x = p, x
+        super().__init__(
+            f"p={p} is too small: the p-alcove built around the point "
+            f"({', '.join(rat_str(c) for c in x)}) does not contain it")
 
 
 class NonRegularError(ValueError):
@@ -88,8 +99,13 @@ class RealAlcove:
 
     def to_json(self):
         return {"rank": self.rank,
-                "inequalities": [[wid, rat_str(m), sense]
-                                 for wid, m, sense in self.inequalities]}
+                "inequalities": inequalities_to_json(self.inequalities)}
+
+
+def inequalities_to_json(ineqs):
+    """The JSON form of (wall_id, offset, sense) inequalities: a list of
+    [wall_id, "num/den", sense]."""
+    return [[wid, rat_str(m), sense] for wid, m, sense in ineqs]
 
 
 def _canonical(ineqs):
@@ -202,8 +218,8 @@ def faces_of(A: RealAlcove, walls):
     known: a face of one vertex is a point (codim d) and one of two
     vertices an edge (codim d - 1), since the alcove is bounded, and no or
     one active inequality has rank 0 or 1; only the other faces run
-    matrix_rank.  Its witness, the average of its vertices, is the integer
-    column sums of their N_v over D times their number.
+    matrix_rank.  Its witness is the average of its vertices, taken by
+    polyhedra.vertex_average on their N_v over D.
     Requires a bounded alcove, i.e. the wall covectors span the space.
     """
     wm = _wall_map(walls)
@@ -213,9 +229,7 @@ def faces_of(A: RealAlcove, walls):
     verts = vertices(A.constraints(walls), A.rank)
     if not verts:
         raise ValueError("empty alcove")
-    den = lcm(*(x.denominator for v in verts for x in v))
-    nums = [tuple(x.numerator * (den // x.denominator) for x in v)
-            for v in verts]
+    nums, den = common_denominator(verts)
     offsets = [rat(m) for _, m, _ in A.inequalities]
     tight = [frozenset(i for i, (alpha, m) in enumerate(zip(alphas, offsets))
                        if sum(a * x for a, x in zip(alpha, nv)) * m.denominator
@@ -237,13 +251,11 @@ def faces_of(A: RealAlcove, walls):
                 codim = len(active_idx)
             else:
                 codim = matrix_rank([alphas[i] for i in active_idx])
-            size = den * len(on)
             seen[on] = Face(
                 parent=A,
                 active=_canonical([A.inequalities[i] for i in active_idx]),
                 codim=codim,
-                witness=tuple(Fraction(sum(nums[j][k] for j in on), size)
-                              for k in range(A.rank)),
+                witness=vertex_average([nums[j] for j in on], den),
                 vertex_set=tuple(verts[j] for j in on),
             )
     return sorted(seen.values(), key=lambda f: (f.codim, f.active))
@@ -328,8 +340,7 @@ def p_membership(x, p: int, walls) -> PAlcove:
         raise ValueError("p_membership expects a lattice point")
     pa = p_alcove_of(_alcove_around(x, walls, p), walls)
     if not pa.contains(x, p, walls):
-        raise AssertionError("p-alcove construction does not contain x; "
-                             "p is too small for the real/p-alcove bijection")
+        raise PTooSmallError(p, x)
     return pa
 
 
@@ -362,6 +373,21 @@ def integral_chambers(int_walls, rank) -> list:
     return out
 
 
+def _integral_walls(lam, walls):
+    """(wall, <alpha, lam>, class part) for every wall on which lam is
+    integral, i.e. whose sigma_tilde meets the class of the pairing mod Z,
+    in wall order; NonRegularError when a pairing lies in sigma_tilde."""
+    for w in walls:
+        t = pairing(w.alpha, lam)
+        if t in w.sigma_tilde:
+            raise NonRegularError(
+                f"non-regular parameter: <alpha_{w.id}, lambda> = {rat_str(t)} "
+                f"lies in sigma_tilde")
+        part = w.class_part(t)
+        if part:
+            yield w, t, part
+
+
 def integral_walls_and_positive_chamber(lam, walls):
     """Integral walls of a regular parameter and its positive chamber.
 
@@ -373,15 +399,7 @@ def integral_walls_and_positive_chamber(lam, walls):
     lam = vec(lam)
     d = len(lam)
     int_walls, covs = [], []
-    for w in walls:
-        t = pairing(w.alpha, lam)
-        if t in w.sigma_tilde:
-            raise NonRegularError(
-                f"non-regular parameter: <alpha_{w.id}, lambda> = {rat_str(t)} "
-                f"lies in sigma_tilde")
-        part = w.class_part(t)
-        if not part:
-            continue
+    for w, t, part in _integral_walls(lam, walls):
         int_walls.append(w)
         # by saturation t is strictly above or strictly below the class part
         sign = 1 if t > part[-1] else -1
@@ -420,12 +438,7 @@ def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
     lam = vec(lam)
     d = len(lam)
     out = []
-    for w in walls:
-        t = pairing(w.alpha, lam)
-        if t in w.sigma_tilde:
-            raise NonRegularError(f"non-regular parameter on wall {w.id}")
-        if not w.class_part(t):
-            continue
+    for w, t, _ in _integral_walls(lam, walls):
         if w.alpha in chamber.covectors:
             sense = GE
         elif tuple(-a for a in w.alpha) in chamber.covectors:

@@ -14,9 +14,10 @@ import json
 import sys
 
 from .arith import rat, rat_str, vec
-from .alcoves import (faces_of, integral_walls_and_positive_chamber,
-                      p_alcove_of, p_membership, quantum_chamber,
-                      real_alcove_of, translation_path, RealAlcove)
+from .alcoves import (faces_of, inequalities_to_json,
+                      integral_walls_and_positive_chamber, p_alcove_of,
+                      p_membership, quantum_chamber, real_alcove_of,
+                      translation_path, RealAlcove)
 from .compat import find_compatible, opposite_pair, verify_compatible
 from .config import (ConfigError, load_instance, load_json, parse_alcove,
                      parse_config, report_to_json, run_report)
@@ -79,18 +80,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_primes(args) -> None:
-    """Every --p and --p-samples entry must be a prime below
-    PRIME_TEST_BOUND, where the prime test is exact."""
+def _checked_p_samples(args) -> tuple:
+    """The --p-samples entries as ints, parsed once (an entry that is not
+    an integer is a ConfigError naming it).  Every --p and --p-samples
+    entry must be a prime below PRIME_TEST_BOUND, where the prime test is
+    exact."""
+    samples = []
+    for entry in getattr(args, "p_samples", "").split(","):
+        if not entry:
+            continue
+        try:
+            samples.append(int(entry))
+        except ValueError:
+            raise ConfigError(f"--p-samples entry {entry!r} is not an "
+                              "integer") from None
     primes = [("--p", args.p)] if getattr(args, "p", None) is not None else []
-    primes += [("--p-samples", int(p))
-               for p in getattr(args, "p_samples", "").split(",") if p]
+    primes += [("--p-samples", p) for p in samples]
     for flag, p in primes:
         if p >= PRIME_TEST_BOUND:
             raise ConfigError(f"{flag} {p} is not below {PRIME_TEST_BOUND}, "
                               "the bound of the exact prime test")
         if not _is_prime(p):
             raise ConfigError(f"{flag} {p} is not a prime")
+    return tuple(samples)
 
 
 def _parse_window(text: str, flag: str) -> tuple:
@@ -255,16 +267,16 @@ def dispatch(argv) -> int:
         ap.print_usage()
         return 2
     try:
-        _check_primes(args)
-        return _run(args)
+        return _run(args, _checked_p_samples(args))
     except (ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
 
 
-def _run(args) -> int:
+def _run(args, samples) -> int:
     """Print the subcommand's report, or the text it prints instead; exit 1
-    exactly when the report carries checks that did not pass."""
+    exactly when the report carries checks that did not pass.  samples are
+    the parsed --p-samples entries."""
     cmd, inputs, checks = args.cmd, None, None
     if cmd == "export":
         data = load_json(args.infile)
@@ -296,15 +308,16 @@ def _run(args) -> int:
                   "argv": {k: v for k, v in sorted(vars(args).items())
                            if k != "cmd"},
                   "config": cfg.raw}
-        out, checks = _outputs(args, cfg)
+        out, checks = _outputs(args, cfg, samples)
     print(out if isinstance(out, str)
           else report_to_json(run_report(cmd, inputs, out, checks)))
     return 0 if checks is None or checks["passed"] else 1
 
 
-def _outputs(args, cfg):
+def _outputs(args, cfg, samples):
     """(outputs, checks) of a subcommand on a loaded instance; a DOT text
-    in place of the outputs for --format dot."""
+    in place of the outputs for --format dot.  samples are the parsed
+    --p-samples entries."""
     cmd = args.cmd
     if cmd == "alcove":
         return {"alcove": _alcove_at(args.point, cfg).to_json(),
@@ -314,7 +327,7 @@ def _outputs(args, cfg):
         A = _alcove_at(args.point, cfg)
         faces = [{"index": i, "codim": f.codim,
                   "witness": [rat_str(c) for c in f.witness],
-                  "active": [[wid, rat_str(m), s] for wid, m, s in f.active]}
+                  "active": inequalities_to_json(f.active)}
                  for i, f in enumerate(faces_of(A, cfg.walls))]
         return {"alcove": A.to_json(), "faces": faces}, None
 
@@ -364,12 +377,11 @@ def _outputs(args, cfg):
     if cmd == "compatible":
         A, face = _face_of(args, cfg)
         pair = find_compatible(A, face, cfg.walls)
-        samples = tuple(int(p) for p in args.p_samples.split(",") if p)
         report = verify_compatible(pair, cfg.walls, p_samples=samples)
         out = {"lambda": [rat_str(c) for c in pair.lam],
                "mu": [rat_str(c) for c in pair.mu],
                "alcove": A.to_json(),
-               "face_active": [[wid, rat_str(m), s] for wid, m, s in face.active]}
+               "face_active": inequalities_to_json(face.active)}
         if args.opposite:
             pm, chi = opposite_pair(A, face, pair, cfg.walls)
             out["opposite"] = {"lambda": [rat_str(c) for c in pm.lam],

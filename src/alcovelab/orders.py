@@ -394,8 +394,7 @@ def label_translate(instance: FixedPointInstance, label: Label, chi) -> Label:
         raise ValueError(
             f"non-integral weight wt_chi = {rat_str(w)}; the character must "
             "be integral")
-    if isinstance(label.kappa, AffineInP):
-        return Label(label.point, label.kappa + AffineInP(w, 0))
+    # an int adds to the constant term of either kind of kappa
     return Label(label.point, label.kappa + w.numerator)
 
 
@@ -454,12 +453,12 @@ def export_poset(obj, fmt: str, instance=None) -> str:
     if fmt != "dot":
         raise ValueError(f"unknown format: {fmt}")
     if isinstance(obj, LabeledPoset):
-        name = instance.point_str if instance is not None else str
+        # labels and covers named as in the poset's JSON
+        payload = obj.to_json(instance)
         return to_dot(
-            [((name(l.point), l.kappa), PALETTE[obj.blocks[l] % len(PALETTE)])
-             for l in obj.labels],
-            [((name(a.point), a.kappa), (name(b.point), b.kappa))
-             for a, b in obj.covers])
+            [(named, PALETTE[obj.blocks[l] % len(PALETTE)])
+             for named, l in zip(payload["labels"], obj.labels)],
+            payload["covers"])
     # one dashed edge from the top of each class to the bottom of the next
     name = obj.instance.point_str
     ranked = [obj.within_class_order(cls) for cls in obj.classes]

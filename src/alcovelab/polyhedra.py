@@ -36,6 +36,11 @@ and multistep integer-preserving Gaussian elimination", 1968) serves
 `solve_linear`, `matrix_rank` and `vertices`: every division in it is
 exact, so a solution comes out as integer numerators over one common
 denominator.
+
+One vertex average, `vertex_average`, serves `interior_point` and the face
+witnesses of `alcoves.faces_of`: the vertices are given as integer
+numerators over one common denominator (`common_denominator`), each
+coordinate is summed over them, and the sum is divided once.
 """
 
 from __future__ import annotations
@@ -304,13 +309,29 @@ def vertices(constraints, dim):
     return sorted(verts)
 
 
+def common_denominator(points):
+    """Rational points as (integer numerators, den): each point is its
+    numerators over den, the lcm of all their coordinates' denominators."""
+    den = lcm(*(x.denominator for v in points for x in v))
+    return [tuple(x.numerator * (den // x.denominator) for x in v)
+            for v in points], den
+
+
+def vertex_average(nums, den):
+    """The average of points given as integer numerators over the common
+    denominator den: each coordinate is summed over the points, then
+    divided once, by den times their number."""
+    size = den * len(nums)
+    return tuple(Fraction(sum(col), size) for col in zip(*nums))
+
+
 def interior_point(constraints, dim):
     """A rational point strictly inside a full-dimensional polytope, as the
     average of its vertices."""
     verts = vertices(constraints, dim)
     if not verts:
         return None
-    return tuple(sum(coords) / len(verts) for coords in zip(*verts))
+    return vertex_average(*common_denominator(verts))
 
 
 def _redundant(rows, idx, dim) -> bool:

@@ -214,6 +214,10 @@ def test_faces_match_per_subset_reference(data):
         return
     faces = faces_of(A, walls)
     assert faces == reference_faces(A, walls)
+    # each witness is the Fraction sum of the face's vertices over their count
+    assert [f.witness for f in faces] == [
+        tuple(sum(coords) / len(f.vertex_set) for coords in zip(*f.vertex_set))
+        for f in faces]
     # faces_of reads most codims off the vertex count: each must still be
     # the rank of the face's active covectors
     alpha = {w.id: w.alpha for w in walls}
@@ -394,6 +398,15 @@ def test_integral_walls_hilb_two_chambers():
 def test_non_regular_parameter_rejected():
     with pytest.raises(NonRegularError, match="non-regular"):
         integral_walls_and_positive_chamber((F(1, 2),), HILB2.walls)
+    # quantum_chamber scans the walls the same way and raises the same error
+    message = "non-regular parameter: <alpha_0, lambda> = 1/2 lies in " \
+              "sigma_tilde"
+    for scan in (integral_walls_and_positive_chamber,
+                 lambda lam, walls: quantum_chamber(
+                     lam, alcoves.Chamber(1, ((1,),)), walls)):
+        with pytest.raises(NonRegularError) as info:
+            scan((F(1, 2),), HILB2.walls)
+        assert str(info.value) == message
 
 
 def test_quantum_chamber_sl3():

@@ -659,6 +659,25 @@ def test_cli_rejects_non_prime_p():
                          "--p-samples", "23,49"])
     assert code == 1
     assert json.loads(out)["error"] == "--p-samples 49 is not a prime"
+    code, out = run_cli(["compatible", "--builtin", "hilb", "--n", "2",
+                         "--point", "1", "--face", "1",
+                         "--p-samples", "23,x"])
+    assert code == 1
+    assert json.loads(out)["error"] == \
+        "--p-samples entry 'x' is not an integer"
+
+
+def test_cli_prime_too_small_for_the_p_alcove_is_one_error_line():
+    # at p = 2 the p-alcove built around -40 does not contain it
+    message = ("p=2 is too small: the p-alcove built around the point (-40) "
+               "does not contain it")
+    hilb = ["--builtin", "hilb", "--n", "2", "--ell", "1"]
+    for argv in (["membership", *hilb, "--point=-40", "--p", "2"],
+                 ["path", *hilb, "--from=-40", "--to=-40", "--p", "2"]):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": message}
 
 
 def test_cli_rejects_a_prime_beyond_the_exact_test():

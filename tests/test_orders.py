@@ -17,7 +17,7 @@ from alcovelab.alcoves import SingularPointError, faces_of, real_alcove_of
 from alcovelab.cli import dispatch
 from alcovelab.compat import find_compatible
 from alcovelab.instances import (FixedPointInstance, hilb_instance,
-                                 weyl_a_instance)
+                                 weyl_a_instance, wt_chi)
 from alcovelab.arith import AffineInP, affine, vadd
 from alcovelab.compat import CompatiblePair
 from alcovelab.orders import (Label, LabeledPoset, PreOrder, block_of, c_bar,
@@ -455,6 +455,13 @@ def test_label_translate_examples():
     l = Label((2, 1), 7)
     assert label_translate(
         HILB3, label_translate(HILB3, l, (2,)), (-2,)) == l
+    # on a pre-order's symbolic kappa the weight moves the constant term
+    pre = ss_preorder(HILB3, hilb_face_pair(HILB3, F(1, 3)), (-2, 2))
+    for l in pre.labels:
+        for chi in ((1,), (-2,)):
+            w = wt_chi(HILB3, l.point, chi)
+            assert label_translate(HILB3, l, chi) == \
+                Label(l.point, l.kappa + AffineInP(w, 0))
 
 
 def test_label_translate_non_integral_weight():
@@ -515,10 +522,24 @@ def test_crossing_threshold_bound():
             assert sym == conc
 
 
+def name_loop_dot(poset, instance=None):
+    """export_poset's DOT of a LabeledPoset as first written: a name
+    function applied to every label and cover end."""
+    name = instance.point_str if instance is not None else str
+    return orders.to_dot(
+        [((name(l.point), l.kappa),
+          orders.PALETTE[poset.blocks[l] % len(orders.PALETTE)])
+         for l in poset.labels],
+        [((name(a.point), a.kappa), (name(b.point), b.kappa))
+         for a, b in poset.covers])
+
+
 def test_export_formats():
     poset = hw_order(HILB2, (5,), 5, (0, 10))
     dot = export_poset(poset, "dot", HILB2)
     assert dot.startswith("digraph") and "->" in dot
+    for inst in (HILB2, None):
+        assert export_poset(poset, "dot", inst) == name_loop_dot(poset, inst)
     js = export_poset(poset, "json", HILB2)
     assert '"covers"' in js
     pair = hilb_face_pair(HILB2, F(1, 2))
