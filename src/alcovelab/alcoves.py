@@ -224,11 +224,10 @@ def faces_of(A: RealAlcove, walls):
     """
     wm = _wall_map(walls)
     alphas = [wm[wid].alpha for wid, _, _ in A.inequalities]
-    if matrix_rank(alphas) < A.rank:
-        raise ValueError("unbounded alcove: wall covectors do not span")
     verts = vertices(A.constraints(walls), A.rank)
-    if not verts:
-        raise ValueError("empty alcove")
+    if not verts:  # a vertex needs rank many independent covectors
+        raise ValueError("unbounded alcove: wall covectors do not span"
+                         if matrix_rank(alphas) < A.rank else "empty alcove")
     nums, den = common_denominator(verts)
     offsets = [rat(m) for _, m, _ in A.inequalities]
     tight = [frozenset(i for i, (alpha, m) in enumerate(zip(alphas, offsets))
@@ -352,9 +351,8 @@ class Chamber:
     rank: int
     covectors: tuple  # oriented covectors
 
-    def contains(self, x, strict=False) -> bool:
-        return all(pairing(a, x) > 0 or (not strict and pairing(a, x) == 0)
-                   for a in self.covectors)
+    def contains(self, x) -> bool:
+        return all(pairing(a, x) >= 0 for a in self.covectors)
 
     def to_json(self):
         return {"rank": self.rank, "covectors": [list(a) for a in self.covectors]}

@@ -33,8 +33,7 @@ def rat(x) -> Fraction:
 
 def rat_str(x: Fraction) -> str:
     """Canonical JSON encoding: "num/den", or just "num" for integers."""
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def vec(coords) -> tuple:
@@ -89,9 +88,7 @@ def primitivize(v) -> tuple:
     v = tuple(int(c) for c in v)
     if all(c == 0 for c in v):
         raise ValueError("degenerate wall: zero covector")
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
+    g = gcd(*v)
     v = tuple(c // g for c in v)
     lead = next(c for c in v if c != 0)
     if lead < 0:
@@ -156,8 +153,10 @@ class Wall:
     def offsets(self) -> tuple:
         """(den, ((sigma, sigma * den), ...)): sigma_tilde in ascending
         order, with the lcm den of its denominators and each element's
-        integer numerator over den.  Cached on first use; not a field, so
-        equality, hashing and to_json do not see it."""
+        integer numerator over den; class_part, the alcove brackets and
+        validate_p's denominator check read this one ordering.  Cached on
+        first use; not a field, so equality, hashing and to_json do not
+        see it."""
         ordered = sorted(self.sigma_tilde)
         den = lcm(*(s.denominator for s in ordered))
         return den, tuple((s, s.numerator * (den // s.denominator))
@@ -166,7 +165,8 @@ class Wall:
     def class_part(self, m) -> list[Fraction]:
         """Elements of sigma_tilde in the Z-coset of m (sorted, possibly empty)."""
         m = rat(m)
-        return sorted(x for x in self.sigma_tilde if (m - x).denominator == 1)
+        return [x for x, _ in self.offsets[1]
+                if (m - x).denominator == 1]
 
     def to_json(self) -> dict:
         return {

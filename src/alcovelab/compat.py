@@ -136,8 +136,7 @@ def verify_compatible(pair: CompatiblePair, walls, p_samples=()) -> dict:
     for p in p_samples:
         pt = pair.p_point(p)
         entry = {
-            "p_lambda_integral": all(((p + 1) * c).denominator == 1
-                                     for c in pair.lam),
+            "p_lambda_integral": is_lattice(vscale(p + 1, pair.lam)),
             "p_point_integral": is_lattice(pt),
             "in_p_alcove": pa.contains(pt, p, walls),
         }

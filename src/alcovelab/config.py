@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 from .alcoves import GE, LE, RealAlcove, SingularPointError, real_alcove_of
 from .arith import (RATIONAL_LITERAL, Wall, is_saturated, rat, rat_str,
                     saturate, vec, z_classes)
-from .instances import BUILTINS, FixedPointInstance, builtin_instance
-from .partitions import partition_from_str
+from .instances import (BUILTINS, POINT_KINDS, FixedPointInstance,
+                        builtin_instance)
 from .polyhedra import feasible
 
 TOOL_VERSION = "0.1.0"
@@ -73,9 +73,6 @@ WALL_TYPES = (("id", "an integer", _is_integer),
 POINT_TYPES = (("id", "a string", lambda x: isinstance(x, str)),
                ("c_const", "a rational", _is_rational),
                ("c_linear", "an array of rationals", _array_of(_is_rational)))
-# how a point id parses under each "meta": {"points": ...} kind
-POINT_IDS = {None: str, "partitions": partition_from_str,
-             "permutations": lambda s: tuple(int(v) for v in s.split(","))}
 
 
 def _require_types(entry, types, where):
@@ -107,6 +104,8 @@ def _parse_walls(entries, path, rank):
         where = f"{path}.walls[{i}]"
         _require_types(entry, WALL_TYPES, where)
         alpha = _vector(entry["alpha"], rank, f"{where}.alpha")
+        if not any(alpha):
+            raise ConfigError(f"{where}: key 'alpha' is the zero covector")
         st = frozenset(rat(x) for x in entry["sigma_tilde"])
         if not st:
             raise ConfigError(f"{where}: sigma_tilde must be nonempty")
@@ -140,7 +139,7 @@ def _parse_points(entries, path, rank, kind):
         where = f"{path}.points[{i}]"
         _require_types(entry, POINT_TYPES, where)
         try:
-            x = POINT_IDS[kind](entry["id"])
+            x = POINT_KINDS[kind][0](entry["id"])
         except ValueError:
             raise ConfigError(f"{where}: id {entry['id']!r} does not parse "
                               f"under meta points {kind!r}") from None
@@ -170,7 +169,7 @@ def _check_types(data, path):
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: key 'meta' must be a JSON object")
-    if meta.get("points") not in list(POINT_IDS):   # compares, never hashes
+    if meta.get("points") not in list(POINT_KINDS):  # compares, never hashes
         raise ConfigError(f"{path}.meta: key 'points' must be "
                           '"partitions" or "permutations"')
 

@@ -15,8 +15,14 @@ from itertools import accumulate, count, permutations
 from operator import mul
 
 from .arith import AffineInP, Wall, pairing, rat_str, vec
-from .partitions import (cont, n_stat, partition_numbers, partition_str,
-                         partitions)
+from .partitions import (cont, n_stat, partition_from_str, partition_numbers,
+                         partition_str, partitions)
+
+# (read, write) of a point id under each "meta": {"points": ...} kind
+POINT_KINDS = {None: (str, str),
+               "partitions": (partition_from_str, partition_str),
+               "permutations": (lambda s: tuple(int(v) for v in s.split(",")),
+                                lambda x: ",".join(map(str, x)))}
 
 # fixed points a builtin instance may list; about 200 times weyl_a(7)'s
 # 5040, the largest instance any test, demo or benchmark builds
@@ -45,11 +51,7 @@ class FixedPointInstance:
                          slope=pairing(self.c_linear[x], vec(mu)))
 
     def point_str(self, x) -> str:
-        if isinstance(x, tuple) and self.meta.get("points") == "permutations":
-            return ",".join(str(v) for v in x)
-        if isinstance(x, tuple):
-            return partition_str(x)
-        return str(x)
+        return POINT_KINDS[self.meta.get("points")][1](x)
 
     def with_lambdas(self, lambdas) -> "FixedPointInstance":
         return replace(self, lambdas=tuple(vec(l) for l in lambdas))
@@ -99,7 +101,7 @@ def check_point_count(counts, n):
             return
 
 
-def hilb_instance(n: int, ell: int = 0, lambdas=()) -> FixedPointInstance:
+def hilb_instance(n: int, ell: int = 0) -> FixedPointInstance:
     """Hilbert-scheme fixed points: partitions of n with
     c(mu; c) = c * cont(mu) - n(mu) in c-coordinates (c = lambda - 1/2).
 
@@ -120,8 +122,7 @@ def hilb_instance(n: int, ell: int = 0, lambdas=()) -> FixedPointInstance:
     return FixedPointInstance(
         name=f"hilb({n})", rank=1, points=pts,
         c_const=c_const, c_linear=c_linear,
-        walls=walls, lambdas=tuple(vec(l) for l in lambdas),
-        generators=((1,),),
+        walls=walls, generators=((1,),),
         meta={"points": "partitions", "n": n, "ell": ell,
               "coords": "c = lambda - 1/2"},
     )
@@ -138,7 +139,7 @@ def _coroot_covectors(n: int):
     return covs
 
 
-def weyl_a_instance(n: int, lambdas=()) -> FixedPointInstance:
+def weyl_a_instance(n: int) -> FixedPointInstance:
     """Type A_{n-1} Weyl-group fixed points: permutations w of {1..n} with
     c(w; lambda) = <w lambda, rho_vee>, nu = rho_vee.
 
@@ -168,7 +169,7 @@ def weyl_a_instance(n: int, lambdas=()) -> FixedPointInstance:
     return FixedPointInstance(
         name=f"weyl_a({n})", rank=r, points=pts,
         c_const=c_const, c_linear=c_linear,
-        walls=walls, lambdas=tuple(vec(l) for l in lambdas),
+        walls=walls,
         generators=tuple(tuple(1 if k == i else 0 for k in range(r))
                          for i in range(r)),
         meta={"points": "permutations", "n": n, "nu": "rho_vee",
@@ -181,8 +182,7 @@ BUILTINS = ("hilb", "weyl_a")
 
 def builtin_instance(name: str, **params) -> FixedPointInstance:
     if name == "hilb":
-        return hilb_instance(params["n"], params.get("ell", 0),
-                             params.get("lambdas", ()))
+        return hilb_instance(params["n"], params.get("ell", 0))
     if name == "weyl_a":
-        return weyl_a_instance(params["n"], params.get("lambdas", ()))
+        return weyl_a_instance(params["n"])
     raise KeyError(f"unknown builtin instance: {name}")

@@ -8,6 +8,7 @@ exhaustive range; neither is trusted alone.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 
 from .partitions import (check_partition, e_regular_partitions, is_e_regular,
@@ -65,21 +66,15 @@ def remove_boxes(mu, boxes):
     return check_partition(out)
 
 
+@dataclass(frozen=True)
 class MullineuxSymbol:
     """Column pairs (a_i, r_i): e-rim size and row count per peeling step."""
 
-    def __init__(self, columns):
-        self.columns = tuple((int(a), int(r)) for a, r in columns)
+    columns: tuple
 
-    def __eq__(self, other):
-        return isinstance(other, MullineuxSymbol) and \
-            self.columns == other.columns
-
-    def __hash__(self):
-        return hash(self.columns)
-
-    def __repr__(self):
-        return f"MullineuxSymbol({self.columns})"
+    def __post_init__(self):
+        object.__setattr__(self, "columns",
+                           tuple((int(a), int(r)) for a, r in self.columns))
 
     @classmethod
     def of(cls, mu, e) -> "MullineuxSymbol":
@@ -95,9 +90,6 @@ class MullineuxSymbol:
         """The image symbol: s_i = a_i - r_i, plus 1 unless e divides a_i."""
         return MullineuxSymbol(
             (a, a - r + (0 if a % e == 0 else 1)) for a, r in self.columns)
-
-    def size(self) -> int:
-        return sum(a for a, _ in self.columns)
 
 
 @cache

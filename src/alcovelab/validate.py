@@ -6,7 +6,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
-from .arith import AffineInP, rat_str
+from .arith import AffineInP, is_lattice, rat_str, vscale
 from .alcoves import p_alcove_of
 from .orders import c_bar
 from .polyhedra import first_lattice_point, interior_point
@@ -30,11 +30,7 @@ def p_lattice_point(pa, p: int, walls):
     return first_lattice_point(cons, d)
 
 
-def _denominator_lcm(walls):
-    return lcm(*(s.denominator for w in walls for s in w.sigma_tilde))
-
-
-def validate_p(p: int, instance, alcoves=(), walls=None) -> dict:
+def validate_p(p: int, instance, alcoves=()) -> dict:
     """Report whether p satisfies the congruence and size conditions.
 
     (a) p+1 divisible by every sigma_tilde denominator;
@@ -45,15 +41,15 @@ def validate_p(p: int, instance, alcoves=(), walls=None) -> dict:
     (e) each supplied real alcove has a nonempty p-alcove on the lattice
         (witnessed constructively through a compatible pair).
     """
-    walls = instance.walls if walls is None else walls
+    walls = instance.walls
     report = {"p": p}
 
-    lcm = _denominator_lcm(walls)
-    report["a_denominators"] = {"lcm": lcm, "ok": (p + 1) % lcm == 0}
+    den = lcm(*(w.offsets[0] for w in walls))
+    report["a_denominators"] = {"lcm": den, "ok": (p + 1) % den == 0}
 
     lam_checks = []
     for lam in instance.lambdas:
-        ok = all(((p + 1) * c).denominator == 1 for c in lam)
+        ok = is_lattice(vscale(p + 1, lam))
         lam_checks.append({"lambda": [rat_str(c) for c in lam], "ok": ok})
     report["b_lambdas"] = {"checks": lam_checks,
                            "ok": all(c["ok"] for c in lam_checks)}

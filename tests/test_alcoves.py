@@ -417,6 +417,9 @@ def test_quantum_chamber_sl3():
     q = quantum_chamber((1, 2), C, walls)
     assert [(a, m) for _, a, m in q.inequalities] == [
         ((1, 0), F(1)), ((0, 1), F(1)), ((1, 1), F(3))]
+    assert q.contains((1, 2))
+    assert not q.contains((0, 2))
+    assert not q.contains((1, 1))
 
 
 def test_quantum_chamber_type_a_general():

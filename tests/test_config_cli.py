@@ -78,6 +78,42 @@ def test_wall_config_schema_errors():
         parse_config({"rank": 1, "walls": [
             {"id": 0, "alpha": [1], "sigma_tilde": ["0"]},
             {"id": 0, "alpha": [1], "sigma_tilde": ["1/2"]}]})
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"rank": 2, "walls": [
+            {"id": 0, "alpha": [0, 0], "sigma_tilde": ["0"]}]})
+    assert str(exc.value) == \
+        "config.walls[0]: key 'alpha' is the zero covector"
+
+
+@pytest.mark.parametrize("config, argv, expected", [
+    (None, ["compatible", "--builtin", "hilb", "--n", "3", "--point", "5/12",
+            "--face", "9"], "--face must be in [0, 3)"),
+    (None, ["palcove", "--builtin", "hilb", "--n", "3"],
+     "identify the alcove with --point or --alcove-id"),
+    (None, ["alcove", "--point", "1"],
+     "no instance: pass --config FILE or --builtin NAME"),
+    ({"rank": 1, "walls": [{"id": 0, "alpha": [1], "sigma_tilde": ["0"]}]},
+     ["wallcross", "--config", "{path}", "--b", "2"],
+     "wallcross needs --n or a hilb config"),
+    ({"rank": 2, "walls": [{"id": 0, "alpha": [1, 0], "sigma_tilde": ["0"]}]},
+     ["faces", "--config", "{path}", "--point", "1/3,1/3"],
+     "unbounded alcove: wall covectors do not span"),
+    (None, ["membership", "--builtin", "hilb", "--n", "2", "--point", "1/2",
+            "--p", "5"], "p_membership expects a lattice point"),
+    (None, ["check-phw", "--builtin", "hilb", "--n", "2", "--lambda-prime",
+            "5", "--p", "5", "--window", "0:9"],
+     "window must contain at least two shift periods"),
+    (None, ["preorder", "--builtin", "hilb", "--n", "3", "--point", "5/12",
+            "--face", "1", "--window=-1:2"],
+     "window must be symmetric in the shift: (-m, m)"),
+])
+def test_cli_error_paths(tmp_path, config, argv, expected):
+    """Each bad invocation exits 1 with one {"error": ...} line."""
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    code, out = run_cli([a.format(path=path) for a in argv])
+    assert (code, out) == (1, json.dumps({"error": expected}) + "\n")
 
 
 def test_cli_no_args_usage():

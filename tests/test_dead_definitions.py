@@ -4,7 +4,9 @@ Standard library only: the names defined under `src/alcovelab/` (dunders
 aside) are compared with the names read anywhere in `src/`, `tests/`,
 `demos/` or `perfbench/`.  A reference is a name, an attribute, an
 imported name, a keyword argument or a string constant, so a definition
-reached through `getattr` still counts.
+reached through `getattr` still counts.  A method, a function defined
+directly in a class body, is reached only through an attribute, a keyword
+or a string: a bare name of the same spelling is some other variable.
 """
 
 import ast
@@ -17,45 +19,60 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(source):
-    """(line, name) of every function, method and class source defines."""
-    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
-            if isinstance(node, DEFINITIONS)
+    """(line, name, is_method) of every function, method and class source
+    defines."""
+    tree = ast.parse(source)
+    methods = {id(child) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for child in node.body
+               if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return [(node.lineno, node.name, id(node) in methods)
+            for node in ast.walk(tree) if isinstance(node, DEFINITIONS)
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
 def references(source):
-    """Every name source reads, imports, passes as a keyword or spells out
-    as a string constant."""
-    names = set()
+    """(names, members): every name source reads, imports, passes as a
+    keyword or spells out as a string constant, and the subset of those
+    read as an attribute, a keyword or a string."""
+    names, members = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
         elif isinstance(node, ast.keyword) and node.arg:
-            names.add(node.arg)
+            members.add(node.arg)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            members.add(node.value)
+    return names | members, members
 
 
 def dead_definitions(defining, reading):
     """(file, line, name) of each definition in the sources of defining (a
-    {file: source} map) that no source of reading references."""
-    used = set().union(*map(references, reading.values()))
+    {file: source} map) that no source of reading references; a method
+    counts only as a member."""
+    refs = [references(source) for source in reading.values()]
+    used = set().union(*(names for names, _ in refs))
+    used_members = set().union(*(members for _, members in refs))
     return sorted((path, line, name) for path, source in defining.items()
-                  for line, name in definitions(source) if name not in used)
+                  for line, name, is_method in definitions(source)
+                  if name not in (used_members if is_method else used))
 
 
 def test_the_check_sees_an_unreferenced_definition():
     defining = {"m.py": "class A:\n    def f(self):\n        pass\n"
+                        "    def width(self):\n        pass\n"
+                        "    def m(self):\n        pass\n"
                         "    def __eq__(self, other):\n        pass\n"
                         "def g():\n    pass\ndef h(k=1):\n    pass\n"}
-    reading = {**defining, "t.py": "from m import A\nA().x\nh(k=2)\n"
-                                   "getattr(A, 'g')\n"}
-    assert dead_definitions(defining, reading) == [("m.py", 2, "f")]
+    # the loop variable width is a bare name, not a use of the method A.width
+    reading = {**defining, "t.py": "from m import A\nA().m()\nh(k=2)\n"
+                                   "getattr(A, 'g')\n"
+                                   "for width in range(3):\n    pass\n"}
+    assert dead_definitions(defining, reading) == [("m.py", 2, "f"),
+                                                   ("m.py", 4, "width")]
 
 
 def test_every_definition_is_referenced():

@@ -2,8 +2,8 @@ from fractions import Fraction as F
 from itertools import permutations
 
 from alcovelab.config import parse_config
-from alcovelab.instances import (builtin_instance, hilb_instance,
-                                 weyl_a_instance, wt_chi)
+from alcovelab.instances import (POINT_KINDS, builtin_instance,
+                                 hilb_instance, weyl_a_instance, wt_chi)
 from alcovelab.partitions import (cont, count_partitions, n_stat,
                                   partition_from_str, partition_str,
                                   partitions, transpose)
@@ -170,6 +170,15 @@ def test_instance_json_roundtrip():
         for key in ("points", "c_const", "c_linear", "walls", "generators",
                     "meta"):
             assert getattr(back, key) == getattr(inst, key), key
+
+
+def test_point_ids_read_and_write_back_byte_equal():
+    insts = [*map(hilb_instance, range(2, 7)), *map(weyl_a_instance, (3, 4))]
+    for inst in insts:
+        read, write = POINT_KINDS[inst.meta["points"]]
+        for x, entry in zip(inst.points, inst.to_json()["points"]):
+            assert read(entry["id"]) == x
+            assert write(read(entry["id"])) == entry["id"]
 
 
 def test_builtin_dispatch():
