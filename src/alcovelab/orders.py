@@ -65,53 +65,62 @@ def block_of(instance: FixedPointInstance, lam, label: Label, p: int) -> int:
 
 @dataclass(frozen=True)
 class LabeledPoset:
-    """Strict partial order on a finite label window, stored as its cover
-    DAG (transitive reduction); closure is computed on demand."""
+    """Strict partial order on a finite label window, stored as the block of
+    each label: a < b iff a and b share a block and a.kappa < b.kappa.  The
+    covers and the closure are views derived from the blocks."""
 
     labels: tuple
-    covers: tuple
     blocks: dict
     p: int
     window: tuple
 
     @cached_property
-    def _walk(self):
-        """(descendants, longest chain) of each label, filled in by one pass
-        in descending kappa.  Every cover must raise kappa inside the
-        window, so a label's successors are done when the pass reaches it."""
-        window = set(self.labels)
-        succ = defaultdict(list)
-        for a, b in self.covers:
-            if a not in window or b not in window or not a.kappa < b.kappa:
-                raise ValueError(f"cover {a} -> {b} does not raise kappa "
-                                 "inside the window")
-            succ[a].append(b)
-        desc, depth = {}, {}
-        for v in sorted(self.labels, key=lambda l: l.kappa, reverse=True):
-            acc, longest = set(), 0
-            for w in succ[v]:
-                acc.add(w)
-                acc |= desc[w]
-                if depth[w] > longest:
-                    longest = depth[w]
-            desc[v], depth[v] = acc, longest + 1
-        return desc, depth
+    def _levels(self):
+        """Each block's labels as levels of ascending kappa, each level in
+        label order; blocks in the order of their first label."""
+        by_block = defaultdict(lambda: defaultdict(list))
+        for l in self.labels:
+            by_block[self.blocks[l]][l.kappa].append(l)
+        return {b: [levels[k] for k in sorted(levels)]
+                for b, levels in by_block.items()}
+
+    @cached_property
+    def covers(self):
+        """The cover pairs: blocks in the order of their first label, levels
+        ascending, each side in label order."""
+        return tuple((a, b) for levels in self._levels.values()
+                     for lo, hi in zip(levels, levels[1:])
+                     for a in lo for b in hi)
 
     @cached_property
     def closure(self):
-        """Strict successors of each label: the transitive closure of the
-        covers."""
-        return self._walk[0]
+        """Strict successors of each label, one frozenset shared by a level;
+        only perfbench reads it, for its closure_pairs count."""
+        out = {}
+        for levels in self._levels.values():
+            above = frozenset()
+            for level in reversed(levels):
+                out.update(dict.fromkeys(level, above))
+                above = above.union(level)
+        return out
+
+    def above(self, a: Label):
+        """The labels b > a, one at a time: by ascending kappa, in label
+        order within a level."""
+        for level in self._levels[self.blocks[a]]:
+            if level[0].kappa > a.kappa:
+                yield from level
 
     def less(self, a: Label, b: Label) -> bool:
-        return b in self.closure.get(a, ())
+        return (a in self.blocks and self.blocks[a] == self.blocks.get(b)
+                and a.kappa < b.kappa)
 
     def comparable(self, a, b) -> bool:
         return self.less(a, b) or self.less(b, a)
 
     def max_chain_length(self) -> int:
-        """Number of labels in the longest chain of the window."""
-        return max(self._walk[1].values(), default=0)
+        """Number of labels in the longest chain: the most levels of a block."""
+        return max(map(len, self._levels.values()), default=0)
 
     def to_json(self, instance=None):
         name = (instance.point_str if instance is not None else str)
@@ -130,9 +139,9 @@ def hw_order(instance: FixedPointInstance, lam, p: int, window) -> LabeledPoset:
     """The highest-weight order on labels (x, kappa), kappa in [z1, z2).
 
     (x, kappa) < (x', kappa') iff the labels lie in the same equivariant
-    block (c_bar(x) - kappa congruent mod p) and kappa < kappa'.  The
-    number of labels, |points| * (z2 - z1), is checked against MAX_LABELS
-    before any label is built (LabelBudgetError).
+    block (c_bar(x) - kappa congruent mod p) and kappa < kappa'; only the
+    blocks are stored.  The number of labels, |points| * (z2 - z1), is
+    checked against MAX_LABELS before any label is built (LabelBudgetError).
     """
     z1, z2 = window
     if z1 >= z2:
@@ -141,16 +150,7 @@ def hw_order(instance: FixedPointInstance, lam, p: int, window) -> LabeledPoset:
     res = c_bar(instance, lam, p)
     labels = tuple(Label(x, k) for x in instance.points for k in range(z1, z2))
     blocks = {l: (res[l.point] - l.kappa) % p for l in labels}
-    by_block = defaultdict(lambda: defaultdict(list))
-    for l in labels:
-        by_block[blocks[l]][l.kappa].append(l)
-    covers = []
-    for levels in by_block.values():
-        ks = sorted(levels)
-        for lo, hi in zip(ks, ks[1:]):
-            covers.extend((a, b) for a in levels[lo] for b in levels[hi])
-    return LabeledPoset(labels=labels, covers=tuple(covers), blocks=blocks,
-                        p=p, window=(z1, z2))
+    return LabeledPoset(labels=labels, blocks=blocks, p=p, window=(z1, z2))
 
 
 def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
@@ -159,7 +159,10 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     (1) the shift acts freely with finitely many orbits; (2) the order is
     shift-invariant; (3) L < S L; (4) cofinality: L < L' admits n <= d_bound
     with L' < S^n L; (5) chains are bounded by d_bound (observed maximum
-    reported).
+    reported).  Axioms 2 and 4 visit the pairs a < b without storing them,
+    a in label order and b in the order of LabeledPoset.above: the axiom 2
+    witness is the first pair that fails, and max_n is the largest n over
+    all pairs.
     """
     p = poset.p
     z1, z2 = poset.window
@@ -173,11 +176,21 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     report["axiom1_shift"] = {"orbits": len(period), "free": free,
                               "ok": free and len(period) > 0}
 
-    # the first pair a < b whose shift by 1, then by -1, is not ordered
-    witness = next(
-        ((a, b) for a in poset.labels for b in poset.closure.get(a, ())
-         for sa, sb in ((shift(a, z, p), shift(b, z, p)) for z in (1, -1))
-         if sa in labels and sb in labels and not poset.less(sa, sb)), None)
+    witness, cofinal, max_n = None, True, 0
+    for a in poset.labels:
+        a_shifts = [(z, sa) for z in (1, -1)
+                    if (sa := shift(a, z, p)) in labels]
+        for b in poset.above(a):
+            if witness is None and any(
+                    (sb := shift(b, z, p)) in labels and not poset.less(sa, sb)
+                    for z, sa in a_shifts):
+                witness = (a, b)
+            # b.kappa < a.kappa + n * p, so only an S^n a in the window can fail
+            n = (b.kappa - a.kappa) // p + 1
+            max_n = max(max_n, n)
+            target = shift(a, n, p)
+            if n > d_bound or (target in labels and not poset.less(b, target)):
+                cofinal = False
     report["axiom2_invariance"] = {"ok": witness is None, "witness": witness}
 
     below_shift = all(
@@ -185,23 +198,6 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
         for l in poset.labels if shift(l, 1, p) in labels)
     report["axiom3_L_below_SL"] = {"ok": below_shift}
 
-    cofinal = True
-    max_n = 0
-    for a in poset.labels:
-        for b in poset.closure.get(a, ()):
-            n = (b.kappa - a.kappa) // p + 1
-            max_n = max(max_n, n)
-            target = shift(a, n, p)
-            if target in labels:
-                ok = poset.less(b, target)
-            else:
-                ok = (poset.blocks[a] == poset.blocks[b]
-                      and b.kappa < a.kappa + n * p)
-            if not (ok and n <= d_bound):
-                cofinal = False
-                break
-        if not cofinal:
-            break
     report["axiom4_cofinality"] = {"ok": cofinal, "max_n": max_n}
 
     longest = poset.max_chain_length()

@@ -1,10 +1,13 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from importlib import import_module
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -652,6 +655,44 @@ def test_cli_determinism_byte_identical():
     assert out1 == out2
 
 
+def test_check_phw_max_n_is_the_largest_n_over_all_pairs():
+    # kappa 0 < 12 in one block need n = 12 // 2 + 1 = 7; the default
+    # d_bound 4 fails axiom 4 first at n = 5, which must not cut max_n short
+    code, out = run_cli(["check-phw", "--builtin", "hilb", "--n", "1",
+                         "--lambda-prime=0", "--p", "2", "--window=0:14"])
+    assert code == 1
+    assert json.loads(out)["checks"]["axiom4_cofinality"] == {
+        "max_n": 7, "ok": False}
+
+
+def test_check_phw_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # string point ids hash differently under each seed
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps({
+        "name": "toy", "rank": 1,
+        "points": [{"id": "a", "c_const": "0", "c_linear": ["1"]},
+                   {"id": "b", "c_const": "-1", "c_linear": ["0"]},
+                   {"id": "c", "c_const": "2", "c_linear": ["-1"]}],
+        "walls": [{"id": 0, "alpha": [1],
+                   "sigma_tilde": ["1/2", "1/3", "2/3"]}]}))
+    root = Path(__file__).resolve().parents[1]
+    outs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "alcovelab.cli", "check-phw", "--config",
+             str(path), "--lambda-prime", "0", "--p", "5", "--window", "0:60",
+             "--d-bound", "4"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["checks"]["axiom4_cofinality"] == {
+        "max_n": 12, "ok": False}
+
+
 def test_cli_singular_point_errors_cleanly():
     code, out = run_cli(["alcove", "--builtin", "hilb", "--n", "2",
                          "--point", "1/2"])
@@ -913,7 +954,7 @@ def stack_depth():
 ])
 def test_a_block_chain_longer_than_the_recursion_limit_gives_one_report(
         argv, chain_flag):
-    """The order's closure is a loop, not a recursion: a block chain longer
+    """The order keeps no closure and recurses nowhere: a block chain longer
     than the recursion limit in force still prints one JSON report."""
     limit = stack_depth() + 200
     saved = sys.getrecursionlimit()

@@ -3,10 +3,12 @@
 Standard library only: the names defined under `src/alcovelab/` (dunders
 aside) are compared with the names read anywhere in `src/`, `tests/`,
 `demos/` or `perfbench/`.  A reference is a name, an attribute, an
-imported name, a keyword argument or a string constant, so a definition
-reached through `getattr` still counts.  A method, a function defined
-directly in a class body, is reached only through an attribute, a keyword
-or a string: a bare name of the same spelling is some other variable.
+imported name or a keyword argument.  A string constant counts only under
+`perfbench/`, the one tree that reaches definitions by name (its tracer's
+`getattr`); elsewhere an error message or a fixture that spells a name is
+no use of it.  A method, a function defined directly in a class body, is
+reached only through an attribute, a keyword or such a string: a bare name
+of the same spelling is some other variable.
 """
 
 import ast
@@ -30,10 +32,10 @@ def definitions(source):
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
-def references(source):
+def references(source, strings):
     """(names, members): every name source reads, imports, passes as a
-    keyword or spells out as a string constant, and the subset of those
-    read as an attribute, a keyword or a string."""
+    keyword or, when strings is set, spells out as a string constant, and
+    the subset of those read as an attribute, a keyword or a string."""
     names, members = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -44,7 +46,8 @@ def references(source):
             members.add(node.attr)
         elif isinstance(node, ast.keyword) and node.arg:
             members.add(node.arg)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
             members.add(node.value)
     return names | members, members
 
@@ -52,8 +55,9 @@ def references(source):
 def dead_definitions(defining, reading):
     """(file, line, name) of each definition in the sources of defining (a
     {file: source} map) that no source of reading references; a method
-    counts only as a member."""
-    refs = [references(source) for source in reading.values()]
+    counts only as a member, and a string only in a file under perfbench/."""
+    refs = [references(source, path.startswith("perfbench/"))
+            for path, source in reading.items()]
     used = set().union(*(names for names, _ in refs))
     used_members = set().union(*(members for _, members in refs))
     return sorted((path, line, name) for path, source in defining.items()
@@ -65,14 +69,20 @@ def test_the_check_sees_an_unreferenced_definition():
     defining = {"m.py": "class A:\n    def f(self):\n        pass\n"
                         "    def width(self):\n        pass\n"
                         "    def m(self):\n        pass\n"
+                        "    def spelled(self):\n        pass\n"
                         "    def __eq__(self, other):\n        pass\n"
                         "def g():\n    pass\ndef h(k=1):\n    pass\n"}
-    # the loop variable width is a bare name, not a use of the method A.width
-    reading = {**defining, "t.py": "from m import A\nA().m()\nh(k=2)\n"
-                                   "getattr(A, 'g')\n"
-                                   "for width in range(3):\n    pass\n"}
+    # the loop variable width is a bare name, not a use of the method
+    # A.width, and a test's string "spelled" is no use of A.spelled; only
+    # perfbench/ reaches a definition by its name
+    reading = {**defining,
+               "tests/t.py": "from m import A\nA().m()\nh(k=2)\n"
+                             "for width in range(3):\n    pass\n"
+                             "assert 'spelled' in dir(A)\n",
+               "perfbench/b.py": "from m import A\ngetattr(A, 'g')\n"}
     assert dead_definitions(defining, reading) == [("m.py", 2, "f"),
-                                                   ("m.py", 4, "width")]
+                                                   ("m.py", 4, "width"),
+                                                   ("m.py", 8, "spelled")]
 
 
 def test_every_definition_is_referenced():
