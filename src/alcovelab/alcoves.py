@@ -273,17 +273,25 @@ def opposite_alcove(A: RealAlcove, face: Face, walls) -> RealAlcove:
 @dataclass(frozen=True)
 class PAlcove:
     """The p-alcove of a real alcove: strict inequalities
-    <orient * alpha, x> > rhs(p) with rhs affine in the symbolic prime."""
+    <orient * alpha, x> > rhs(p) with rhs affine in the symbolic prime; the
+    one oriented form of an alcove's facets, which compat reads too."""
 
     source: RealAlcove
     inequalities: tuple  # ((wall_id, orient, rhs: AffineInP), ...)
 
+    def facets(self, walls, face=None):
+        """(wall_id, c = orient * alpha, rhs, on_face) per inequality, with
+        on_face true when the face's active set holds its wall and side."""
+        wm = _wall_map(walls)
+        sides = _face_sides(face) if face else ()
+        return [(wid, tuple(orient * a for a in wm[wid].alpha), rhs,
+                 (wid, orient) in sides)
+                for wid, orient, rhs in self.inequalities]
+
     def rows(self, p, walls):
         """The inequalities <c, x> > r at the prime p, as pairs
         (c, r) = (orient * alpha, rhs(p))."""
-        wm = _wall_map(walls)
-        return [(tuple(orient * a for a in wm[wid].alpha), rhs.eval_at(p))
-                for wid, orient, rhs in self.inequalities]
+        return [(c, rhs.eval_at(p)) for _, c, rhs, _ in self.facets(walls)]
 
     def contains(self, x, p, walls) -> bool:
         return all(pairing(c, x) > r for c, r in self.rows(p, walls))
@@ -325,6 +333,12 @@ def p_alcove_of(A: RealAlcove, walls) -> PAlcove:
         orient, _, m_or, sigma = oriented_facet(wm[wid], m, sense)
         out.append((wid, orient, AffineInP(const=sigma, slope=m_or)))
     return PAlcove(A, tuple(sorted(out, key=lambda t: (t[0], t[1]))))
+
+
+def _face_sides(face: Face) -> set:
+    """The face's active inequalities (wall_id, m, sense) as the facets
+    (wall_id, orient) of ^pA, oriented as in p_alcove_of (>= is +1)."""
+    return {(wid, 1 if sense == GE else -1) for wid, _, sense in face.active}
 
 
 def p_membership(x, p: int, walls) -> PAlcove:

@@ -246,15 +246,14 @@ class AffineInP:
     def max_crossing_threshold(fs) -> int:
         """Smallest integer P >= 0 at or above every pairwise
         crossing_threshold of the affine functions fs: for every prime above
-        P each pair compares as it does for all large p."""
-        fs = list(fs)
-        best = 0
-        for i, f in enumerate(fs):
-            for g in fs[i + 1:]:
-                t = f.crossing_threshold(g)
-                if t is not None:
-                    best = max(best, t.__ceil__())
-        return best
+        P each pair compares as it does for all large p.  Only the n - 1
+        neighbours in the large-p order (_key) are compared: just right of
+        the last crossing no pair crosses again, so the lines through it are
+        contiguous in that order, and two neighbours among them with
+        different slopes cross there."""
+        fs = sorted(fs, key=AffineInP._key)
+        return max([0] + [t.__ceil__() for f, g in zip(fs, fs[1:])
+                          if (t := f.crossing_threshold(g)) is not None])
 
     def __str__(self):
         if self.slope == 0:

@@ -3,6 +3,8 @@
 A compatible pair packages lambda and a face-interior direction mu so that
 the family ^p(lambda) = lambda + p*mu sits inside the p-alcove with margins
 constant in p on the face walls and growing linearly in p on the others.
+Each facet <c, x> > rhs(p) of the p-alcove (PAlcove.facets) gives the
+margin <c, lambda + p*mu> - rhs(p).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from .arith import AffineInP, is_lattice, pairing, vadd, vscale, vsub
 from .alcoves import (Face, PAlcove, RealAlcove, faces_of, opposite_alcove,
-                      oriented_facet, p_alcove_of, translate_inequalities)
+                      p_alcove_of, translate_inequalities)
 from .polyhedra import first_lattice_point
 
 
@@ -36,35 +38,23 @@ class CompatiblePair:
         return p_alcove_of(self.alcove, walls)
 
 
-def _split_facets(A: RealAlcove, face: Face, walls):
-    """Facet inequalities of A split into those containing the face (the
-    face walls Gamma_i) and the rest (Gamma'_j), both oriented into A."""
-    wm = {w.id: w for w in walls}
-    face_set = set(face.active)
-    through, others = [], []
-    for wid, m, sense in A.inequalities:
-        orient, alpha_or, m_or, sigma = oriented_facet(wm[wid], m, sense)
-        entry = (wid, alpha_or, m_or, sigma)
-        if (wid, m, sense) in face_set:
-            through.append(entry)
-        else:
-            others.append(entry)
-    return through, others
+def _face_facets(A: RealAlcove, face: Face, walls):
+    """(c, rhs) of the facets of the p-alcove of A that hold the face."""
+    return [(c, rhs) for _, c, rhs, on_face
+            in p_alcove_of(A, walls).facets(walls, face) if on_face]
 
 
 _cache: dict = {}
 
 
 def _normalize_mod_lattice(A: RealAlcove, face: Face, walls):
-    """Translate (A, face) so the face witness lands in [0,1)^d; returns
-    the shift and the translated key (which pins the wall data too).  The
-    witness moves with every lattice translate of (A, face), so the key
-    depends only on the lattice class."""
+    """The cache key: (A, face) translated so the face witness lands in
+    [0,1)^d, with the wall data.  The witness moves with every lattice
+    translate of (A, face), so equal keys mean the same translated face."""
     shift = tuple(-(c.numerator // c.denominator) for c in face.witness)
     wall_key = tuple(sorted(walls, key=lambda w: w.id))
-    return shift, (wall_key,
-                   translate_inequalities(A.inequalities, shift, walls),
-                   translate_inequalities(face.active, shift, walls))
+    return (wall_key, translate_inequalities(A.inequalities, shift, walls),
+            translate_inequalities(face.active, shift, walls))
 
 
 def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:
@@ -72,22 +62,21 @@ def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:
 
     mu is the face's rational interior witness; lambda is the
     lexicographically smallest element of mu + Z^d inside a search box with
-    <alpha, lambda> strictly above the sigma_tilde maximum on every face
-    wall.  Results are cached modulo lattice translation.
+    <c, lambda> > rhs.const on every facet of the p-alcove through the face.
+    The first lambda found for a lattice class is cached and returned, with
+    the translate's own witness as mu, for every later translate: a hit
+    gives the first caller's lambda (ROADMAP item 1 (a)).
     """
     d = A.rank
-    shift, key = _normalize_mod_lattice(A, face, walls)
-    hit = _cache.get(key)
-    if hit is not None:
-        lam, mu_norm = hit
-        back = tuple(-s for s in shift)
-        return CompatiblePair(lam, vadd(mu_norm, back), A, face)
+    key = _normalize_mod_lattice(A, face, walls)
+    lam = _cache.get(key)
+    if lam is not None:
+        return CompatiblePair(lam, face.witness, A, face)
 
     mu = face.witness
-    through, _ = _split_facets(A, face, walls)
-    # lambda = mu + v with v integral: <alpha, v> > sigma - <alpha, mu>
-    rows = [(alpha_or, sigma - pairing(alpha_or, mu), True)
-            for _, alpha_or, _, sigma in through]
+    # lambda = mu + v with v integral: <c, v> > rhs.const - <c, mu>
+    rows = [(c, rhs.const - pairing(c, mu), True)
+            for c, rhs in _face_facets(A, face, walls)]
     needed = max((rhs for _, rhs, _ in rows), default=Fraction(0))
     radii = []
     r = max(2, int(needed) + 2)
@@ -100,8 +89,7 @@ def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:
         v = first_lattice_point(rows + box, d)
         if v is not None:
             lam = vadd(mu, v)
-            # the same lambda serves every lattice translate of (A, face)
-            _cache[key] = (lam, vadd(mu, shift))
+            _cache[key] = lam
             return CompatiblePair(lam, mu, A, face)
     raise ValueError(
         f"compatible-lambda search box exhausted (radius {radii[-1]})")
@@ -112,10 +100,9 @@ def verify_compatible(pair: CompatiblePair, walls, p_samples=()) -> dict:
 
     Face walls must have p-margin of slope 0 and positive constant, the
     remaining alcove walls positive slope; each sample prime additionally
-    checks integrality of (p+1)*lambda and of lambda + p*mu, and membership
-    of the family point in the p-alcove.
+    checks integrality of (p+1)*lambda and of lambda + p*mu, and that every
+    margin is positive at p (the family point is in the p-alcove).
     """
-    through, others = _split_facets(pair.alcove, pair.face, walls)
     report = {
         "lattice_diff": is_lattice(vsub(pair.lam, pair.mu)),
         "face_walls": [],
@@ -123,22 +110,19 @@ def verify_compatible(pair: CompatiblePair, walls, p_samples=()) -> dict:
         "samples": {},
         "localization_conditions": "not verified",
     }
-    for key, facets, ok in (("face_walls", through,
-                             lambda m: m.slope == 0 and m.const > 0),
-                            ("other_walls", others, lambda m: m.slope > 0)):
-        for wid, alpha_or, m_or, sigma in facets:
-            margin = AffineInP(
-                const=pairing(alpha_or, pair.lam) - sigma,
-                slope=pairing(alpha_or, pair.mu) - m_or)
-            report[key].append({"wall": wid, "margin": margin.to_json(),
-                                "ok": ok(margin)})
-    pa = pair.p_alcove(walls)
+    margins = []
+    for wid, c, rhs, on_face in pair.p_alcove(walls).facets(walls, pair.face):
+        margin = AffineInP(pairing(c, pair.lam), pairing(c, pair.mu)) - rhs
+        margins.append(margin)
+        ok = (margin.slope == 0 and margin.const > 0 if on_face
+              else margin.slope > 0)
+        report["face_walls" if on_face else "other_walls"].append(
+            {"wall": wid, "margin": margin.to_json(), "ok": ok})
     for p in p_samples:
-        pt = pair.p_point(p)
         entry = {
             "p_lambda_integral": is_lattice(vscale(p + 1, pair.lam)),
-            "p_point_integral": is_lattice(pt),
-            "in_p_alcove": pa.contains(pt, p, walls),
+            "p_point_integral": is_lattice(pair.p_point(p)),
+            "in_p_alcove": all(m.eval_at(p) > 0 for m in margins),
         }
         entry["ok"] = all(entry.values())
         report["samples"][p] = entry
@@ -171,9 +155,8 @@ def opposite_pair(A: RealAlcove, face: Face, pair: CompatiblePair, walls):
         # same geometric face, same vertex average
         raise AssertionError("face witness mismatch between opposite alcoves")
     candidate = vsub(vscale(2, mu), pair.lam)
-    through, _ = _split_facets(B, face_b, walls)
-    if all(pairing(alpha_or, candidate) > sigma
-           for _, alpha_or, m_or, sigma in through):
+    if all(pairing(c, candidate) > rhs.const
+           for c, rhs in _face_facets(B, face_b, walls)):
         pair_minus = CompatiblePair(candidate, mu, B, face_b)
     else:
         pair_minus = find_compatible(B, face_b, walls)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -118,12 +119,46 @@ def test_cmp_agrees_with_eval_above_threshold(a1, b1, a2, b2):
             assert diff > 0
 
 
+def pairwise_max_crossing_threshold(fs):
+    """Test-only oracle for AffineInP.max_crossing_threshold: the ceiling
+    of every pairwise crossing, floored at 0."""
+    fs = list(fs)
+    best = 0
+    for i, f in enumerate(fs):
+        for g in fs[i + 1:]:
+            t = f.crossing_threshold(g)
+            if t is not None:
+                best = max(best, t.__ceil__())
+    return best
+
+
 @given(st.lists(st.tuples(rationals, rationals), max_size=6))
 def test_max_crossing_threshold_over_ordered_pairs(coeffs):
     fs = [AffineInP(a, b) for a, b in coeffs]
     expected = max([math.ceil(t) for f in fs for g in fs
                     if (t := f.crossing_threshold(g)) is not None] + [0])
     assert AffineInP.max_crossing_threshold(iter(fs)) == expected
+
+
+# few distinct coefficients: parallel and equal lines, and crossings at
+# integers, at non-integers and below 0, are all common
+few = st.sampled_from([F(-3), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(2),
+                       F(7)])
+
+
+@given(st.lists(st.builds(AffineInP, few, few), max_size=9))
+def test_max_crossing_threshold_matches_the_pairwise_loop(fs):
+    assert AffineInP.max_crossing_threshold(fs) == \
+        pairwise_max_crossing_threshold(fs)
+
+
+def test_max_crossing_threshold_compares_only_neighbours():
+    fs = [AffineInP(c, s) for s in range(-4, 5) for c in range(-3, 4)]
+    with mock.patch.object(AffineInP, "crossing_threshold", autospec=True,
+                           side_effect=AffineInP.crossing_threshold) as spy:
+        got = AffineInP.max_crossing_threshold(fs)
+    assert got == pairwise_max_crossing_threshold(fs) == 6
+    assert spy.call_count <= len(fs) - 1
 
 
 @given(rationals, rationals, rationals, rationals)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from alcovelab import compat
 from alcovelab.alcoves import (SingularPointError, faces_of, p_membership,
                                real_alcove_of)
-from alcovelab.arith import pairing, vadd, vscale, vsub
-from alcovelab.compat import (CompatiblePair, _split_facets,
-                              find_compatible, opposite_alcove, opposite_pair,
+from alcovelab.arith import (AffineInP, is_lattice, pairing, vadd, vscale,
+                             vsub)
+from alcovelab.compat import (CompatiblePair, find_compatible,
+                              matching_face, opposite_alcove, opposite_pair,
                               verify_compatible)
 from alcovelab.instances import hilb_instance, weyl_a_instance
+from test_alcoves import OCTAHEDRAL_WALLS
 
 HILB2 = hilb_instance(2, 0)
 A2 = weyl_a_instance(3)
@@ -157,11 +159,61 @@ def test_compatible_cache_translation():
     assert verify_compatible(moved, inst.walls, p_samples=(23,))["passed"]
 
 
+def split_facets(A, face, walls):
+    """Test-only oracle for the facets of the p-alcove: A's inequalities
+    oriented into A here, without PAlcove, as (wid, alpha_or, m_or, sigma*)
+    with sigma* the largest element of the oriented sigma_tilde in the
+    class of m_or, split into those in the face's active set and the
+    rest."""
+    wm = {w.id: w for w in walls}
+    through, others = [], []
+    for wid, m, sense in A.inequalities:
+        alpha, part = wm[wid].alpha, wm[wid].class_part(m)
+        if sense == ">=":
+            entry = (wid, alpha, m, part[-1])
+        else:
+            entry = (wid, tuple(-a for a in alpha), -m, -part[0])
+        (through if (wid, m, sense) in face.active else others).append(entry)
+    return through, others
+
+
+def split_facets_report(pair, walls, p_samples):
+    """Test-only oracle for verify_compatible: each margin built from the
+    hand-oriented facets of split_facets, and each sample tested against
+    those facets at p."""
+    through, others = split_facets(pair.alcove, pair.face, walls)
+    report = {"lattice_diff": is_lattice(vsub(pair.lam, pair.mu)),
+              "face_walls": [], "other_walls": [], "samples": {},
+              "localization_conditions": "not verified"}
+    for key, facets, ok in (("face_walls", through,
+                             lambda m: m.slope == 0 and m.const > 0),
+                            ("other_walls", others, lambda m: m.slope > 0)):
+        for wid, alpha_or, m_or, sigma in facets:
+            margin = AffineInP(const=pairing(alpha_or, pair.lam) - sigma,
+                               slope=pairing(alpha_or, pair.mu) - m_or)
+            report[key].append({"wall": wid, "margin": margin.to_json(),
+                                "ok": ok(margin)})
+    for p in p_samples:
+        pt = vadd(pair.lam, vscale(p, pair.mu))
+        entry = {"p_lambda_integral": is_lattice(vscale(p + 1, pair.lam)),
+                 "p_point_integral": is_lattice(pt),
+                 "in_p_alcove": all(pairing(alpha_or, pt) > p * m_or + sigma
+                                    for _, alpha_or, m_or, sigma
+                                    in through + others)}
+        entry["ok"] = all(entry.values())
+        report["samples"][p] = entry
+    report["passed"] = (
+        report["lattice_diff"]
+        and all(e["ok"] for e in report["face_walls"] + report["other_walls"])
+        and all(e["ok"] for e in report["samples"].values()))
+    return report
+
+
 def sorted_scan_lambda(A, face, walls):
     """Test-only oracle for find_compatible on a fresh cache: the radius
     schedule with each box sorted before its first test."""
     mu = face.witness
-    through, _ = _split_facets(A, face, walls)
+    through, _ = split_facets(A, face, walls)
     constraints = [(alpha_or, pairing(alpha_or, mu), sigma)
                    for _, alpha_or, _, sigma in through]
     needed = max((sigma - base for _, base, sigma in constraints),
@@ -258,3 +310,57 @@ def test_opposite_alcove_matches_probing_oracle(data):
         else:
             assert opposite_alcove(A, face, inst.walls) == \
                 probing_opposite_alcove(A, face, inst.walls)
+
+
+# (rank, walls) of hilb(2..8) with ell 0-2 and weyl_a(3..5); the margin
+# check draws these or the octahedra and tetrahedra of OCTAHEDRAL_WALLS
+MARGIN_ARRANGEMENTS = [(inst.rank, inst.walls) for inst in
+                       [hilb_instance(n, ell) for n in range(2, 9)
+                        for ell in range(3)]
+                       + [weyl_a_instance(n) for n in range(3, 6)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_margin_report_matches_the_hand_oriented_facets(data):
+    rank, walls = data.draw(st.one_of(st.sampled_from(MARGIN_ARRANGEMENTS),
+                                      st.just((3, OCTAHEDRAL_WALLS))))
+    x = tuple(F(data.draw(st.integers(-90, 90)),
+                data.draw(st.integers(7, 31))) for _ in range(rank))
+    try:
+        A = real_alcove_of(x, walls)
+    except SingularPointError:
+        assume(False)
+    faces = faces_of(A, walls)
+    face = faces[data.draw(st.integers(0, len(faces) - 1))]
+    mu = face.witness
+    # lambda: the search's answer, mu plus a small lattice vector (often
+    # not compatible), or a point off mu + Z^d
+    v = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rank,
+                                 max_size=rank)))
+    kind = data.draw(st.sampled_from(("found", "lattice", "off")))
+    with mock.patch.dict(compat._cache, clear=True):
+        found = find_compatible(A, face, walls)
+        lam = {"found": found.lam, "lattice": vadd(mu, v),
+               "off": vadd(mu, vadd(v, (F(1, 3),) * rank))}[kind]
+        pair = CompatiblePair(lam, mu, A, face)
+        primes = data.draw(st.lists(st.sampled_from(
+            (2, 3, 5, 7, 11, 13, 23, 47, 101)), max_size=4, unique=True))
+        assert verify_compatible(pair, walls, primes) == \
+            split_facets_report(pair, walls, primes)
+        if face.codim == 0 or kind == "off":
+            return
+        # opposite_pair keeps the reflected candidate exactly when the
+        # hand-oriented face facets of the opposite alcove hold it
+        B = opposite_alcove(A, face, walls)
+        face_b = matching_face(B, face, walls)
+        candidate = vsub(vscale(2, mu), lam)
+        through, _ = split_facets(B, face_b, walls)
+        reflected = all(pairing(alpha_or, candidate) > sigma
+                        for _, alpha_or, _, sigma in through)
+        pm, chi = opposite_pair(A, face, pair, walls)
+    assert pm.alcove == B
+    assert (pm.lam == candidate) is reflected
+    if not reflected:
+        with mock.patch.dict(compat._cache, clear=True):
+            assert pm.lam == find_compatible(B, face_b, walls).lam

@@ -1,8 +1,12 @@
-"""The core modules never import the config module.
+"""The core modules never import the config module, and the facet rule
+stays in alcoves.
 
 Standard library only.  `config` is the one module that reads JSON input,
 so the modules below it know nothing of the input contract: a core module
-that imported `.config` would start a second reader.
+that imported `.config` would start a second reader.  Likewise `alcoves`
+is the one module that orients an alcove's inequalities: a module that
+used `oriented_facet` or the senses `GE`/`LE` would start a second copy of
+the p-alcove's facets.
 """
 
 import ast
@@ -45,3 +49,42 @@ def test_the_check_sees_each_import_form():
 def test_core_module_does_not_import_config(name):
     path = PACKAGE / f"{name}.py"
     assert imports_config(path.read_text(encoding="utf-8")) == []
+
+
+# The facet rule lives in alcoves: only it orients an inequality of an
+# alcove (oriented_facet) or reads its sense (GE, LE); config, the JSON
+# reader, may check a sense.  Every other module reads the p-alcove's
+# oriented facets (PAlcove.facets).
+FACET_RULE = {"oriented_facet": {"alcoves"},
+              "GE": {"alcoves", "config"}, "LE": {"alcoves", "config"}}
+
+
+def facet_rule_names(source):
+    """The names of FACET_RULE that source reads, imports or defines."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found & set(FACET_RULE)
+
+
+def test_the_check_sees_each_use_of_the_facet_rule():
+    source = ("from .alcoves import GE as ge, oriented_facet\n"
+              "from . import alcoves\n"
+              "x = alcoves.LE\n")
+    assert facet_rule_names(source) == {"GE", "LE", "oriented_facet"}
+    assert facet_rule_names("x = '>='\n") == set()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_facet_rule_stays_in_alcoves(path):
+    assert {name for name in facet_rule_names(path.read_text(encoding="utf-8"))
+            if path.stem not in FACET_RULE[name]} == set()
