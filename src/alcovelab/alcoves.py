@@ -9,14 +9,14 @@ complete.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
-                    vsub)
-from .polyhedra import (common_denominator, feasible, interior_point,
+from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vadd,
+                    vec, vsub)
+from .polyhedra import (common_denominator, facets_and_vertices, feasible,
                         irredundant, matrix_rank, vertex_average, vertices)
 
 GE, LE = ">=", "<="
@@ -62,10 +62,16 @@ def _wall_map(walls):
 @dataclass(frozen=True)
 class RealAlcove:
     """Closure of a connected component of the hyperplane complement, as a
-    canonical irredundant list of (wall_id, offset, sense) constraints."""
+    canonical irredundant list of (wall_id, offset, sense) constraints.
+
+    An alcove built by real_alcove_of (or moved by translate) carries its
+    sorted vertices, which vertices, interior_point and faces_of read;
+    equality, hash and JSON see only rank and inequalities, and an alcove
+    made without them solves for them when asked."""
 
     rank: int
     inequalities: tuple  # ((wall_id, offset: Fraction, sense), ...)
+    verts: tuple | None = field(default=None, compare=False, repr=False)
 
     def constraints(self, walls):
         """As (coeffs, rhs, strict=False) triples oriented to >=."""
@@ -87,15 +93,22 @@ class RealAlcove:
         return True
 
     def vertices(self, walls):
+        if self.verts is not None:
+            return list(self.verts)
         return vertices(self.constraints(walls), self.rank)
 
     def interior_point(self, walls):
-        return interior_point(self.constraints(walls), self.rank)
+        """The average of the vertices, or None when there are none."""
+        verts = self.vertices(walls)
+        return vertex_average(*common_denominator(verts)) if verts else None
 
     def translate(self, v, walls):
-        """The alcove A + v for a lattice vector v (Z-periodicity)."""
-        return RealAlcove(self.rank,
-                          translate_inequalities(self.inequalities, v, walls))
+        """The alcove A + v for a lattice vector v (Z-periodicity), its
+        carried vertices moved by v."""
+        return RealAlcove(
+            self.rank, translate_inequalities(self.inequalities, v, walls),
+            None if self.verts is None else
+            tuple(vadd(u, v) for u in self.verts))
 
     def to_json(self):
         return {"rank": self.rank,
@@ -124,8 +137,9 @@ def real_alcove_of(x, walls) -> RealAlcove:
     """The unique alcove whose interior contains x.
 
     On each wall only the nearest hyperplane below and the nearest above
-    <alpha, x> (offsets in Sigma_Gamma + Z) are candidate bounds; bounds
-    implied by the others are then pruned by exact LP feasibility.
+    <alpha, x> (offsets in Sigma_Gamma + Z) are candidate bounds; the facets
+    among them and the vertices come from one double-description pass
+    (polyhedra.facets_and_vertices).
     """
     return _alcove_around(x, walls)
 
@@ -176,8 +190,8 @@ def _bracket(wall: Wall, t: Fraction, p=None, slope=0):
 
 def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
     """The real alcove bounded, on each wall, by the offsets that _bracket
-    finds around <alpha, x> (moved by eps*direction when given), with the
-    bounds implied by the others pruned by exact LP feasibility."""
+    finds around <alpha, x> (moved by eps*direction when given): the bounds
+    that polyhedra.facets_and_vertices keeps, carrying its vertices."""
     x = vec(x)
     d = len(x)
     ineqs = []
@@ -186,8 +200,9 @@ def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
         lo, hi = _bracket(w, pairing(w.alpha, x), p, slope)
         ineqs += [(w.id, lo, GE), (w.id, hi, LE)]
     ineqs = _canonical(ineqs)
-    kept = irredundant(RealAlcove(d, ineqs).constraints(walls), d)
-    return RealAlcove(d, tuple(ineqs[i] for i in kept))
+    cons = RealAlcove(d, ineqs).constraints(walls)
+    kept, verts = facets_and_vertices(cons, d)
+    return RealAlcove(d, tuple(ineqs[i] for i in kept), tuple(verts))
 
 
 @dataclass(frozen=True)
@@ -224,7 +239,7 @@ def faces_of(A: RealAlcove, walls):
     """
     wm = _wall_map(walls)
     alphas = [wm[wid].alpha for wid, _, _ in A.inequalities]
-    verts = vertices(A.constraints(walls), A.rank)
+    verts = A.vertices(walls)
     if not verts:  # a vertex needs rank many independent covectors
         raise ValueError("unbounded alcove: wall covectors do not span"
                          if matrix_rank(alphas) < A.rank else "empty alcove")

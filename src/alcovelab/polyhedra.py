@@ -33,9 +33,22 @@ converts its rows once and runs the same verdict.
 
 One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", 1968) serves
-`solve_linear`, `matrix_rank` and `vertices`: every division in it is
-exact, so a solution comes out as integer numerators over one common
-denominator.
+`solve_linear` and `matrix_rank`: every division in it is exact, so a
+solution comes out as integer numerators over one common denominator.
+
+One double-description pass (Motzkin, Raiffa, Thompson and Thrall, "The
+double description method", 1953; Fukuda and Prodon, "Double description
+method revisited", 1996) serves `vertices` and `facets_and_vertices`, the
+alcove build: it adds t >= 0 and then the rows, one at a time, to the cone
+{(x, t) : c.x >= b*t}, keeping its extreme rays as primitive integer vectors
+with the bitmask of the rows tight on each, and two rays are adjacent when
+no third ray is tight on every row tight on both.  The rays with t > 0 are
+the vertices.  For a polytope with interior a row is a facet when its set
+of tight vertices is nonempty and lies in no other row's set; of two rows
+with the same set the later one is kept, as `irredundant`, which tries rows
+in order, keeps it.  Any other system (a lineality space, unbounded, empty
+or lower-dimensional) keeps `irredundant`'s indices; `irredundant` also
+serves `alcoves.quantum_chamber`.
 
 One vertex average, `vertex_average`, serves `interior_point` and the face
 witnesses of `alcoves.faces_of`: the vertices are given as integer
@@ -46,8 +59,8 @@ coordinate is summed over them, and the sum is divided once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .arith import rat
 
@@ -258,20 +271,6 @@ def _bareiss(m, n_cols):
     return pivots
 
 
-def _solve(m, n_cols):
-    """The unique solution of the integer augmented rows m (each row n_cols
-    coefficients and a right-hand side; m is overwritten) as integer
-    numerators over one positive denominator, (nums, den), or None if the
-    system is singular or inconsistent."""
-    pivots = _bareiss(m, n_cols)
-    if len(pivots) < n_cols or any(row[-1] for row in m[n_cols:]):
-        return None
-    den = m[0][0]
-    if den < 0:
-        return tuple(-row[-1] for row in m[:n_cols]), -den
-    return tuple(row[-1] for row in m[:n_cols]), den
-
-
 def solve_linear(rows, rhs):
     """Solve a square (or overdetermined, consistent) exact linear system.
 
@@ -279,11 +278,11 @@ def solve_linear(rows, rhs):
     """
     m = [[*c, b] for c, b, _ in (_integer_row((row, b, False))
                                  for row, b in zip(rows, rhs, strict=True))]
-    sol = _solve(m, len(rows[0]))
-    if sol is None:
+    n = len(rows[0])
+    if len(_bareiss(m, n)) < n or any(row[-1] for row in m[n:]):
         return None
-    nums, den = sol
-    return tuple(Fraction(x, den) for x in nums)
+    # each solved row holds the last pivot on the diagonal
+    return tuple(Fraction(row[-1], m[0][0]) for row in m[:n])
 
 
 def matrix_rank(rows) -> int:
@@ -292,21 +291,126 @@ def matrix_rank(rows) -> int:
 
 
 def vertices(constraints, dim):
-    """All vertices of {x : coeffs.x >= rhs}, from d-subsets of the
-    (non-strict) constraint list.  The polyhedron must be pointed for the
-    result to describe it fully.  A candidate nums/den is tested against
-    every integer row (c, b) as c.nums >= b*den."""
+    """All vertices of {x : coeffs.x >= rhs}, every row read as non-strict,
+    sorted: the rays with t > 0 of the double-description pass, none for a
+    polyhedron with a lineality space."""
+    return _vertices(*_extreme_rays([_integer_row(c) for c in constraints],
+                                    dim), dim)
+
+
+def _vertices(lineality, rays, dim):
+    """The vertices, sorted, that the rays of _extreme_rays give."""
+    return [] if lineality else sorted(
+        tuple(Fraction(x, r[dim]) for x in r[:dim]) for r, _ in rays if r[dim])
+
+
+def _combine(a, u, b, v):
+    """a*u + b*v for integer vectors u, v, divided by its gcd."""
+    w = [a * x + b * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple([x // g for x in w] if g > 1 else w)
+
+
+def facets_and_vertices(constraints, dim):
+    """(irredundant indices, vertices) of {x : coeffs.x >= rhs}, every row
+    read as non-strict: the answer of irredundant and vertices on those
+    rows, from one double-description pass.
+
+    The pass builds the extreme rays of the cone {(x, t) : c.x >= b*t,
+    t >= 0} over the integer rows (c, b), adding t >= 0 and then the rows in
+    order, each ray with the bitmask of the rows tight on it.  A polytope
+    with interior is read off the rays: the rays with t > 0 are its
+    vertices, and a row is kept when its set of tight vertices is nonempty
+    and lies in no other row's set, the later index winning a tie.  Any
+    other system, one with a lineality space (no vertices), an unbounded,
+    an empty or a lower-dimensional one, keeps irredundant's indices, and
+    the vertices still come from the rays.
+    """
     rows = [_integer_row(c) for c in constraints]
-    verts = set()
-    for subset in combinations(rows, dim):
-        sol = _solve([[*c, b] for c, b, _ in subset], dim)
-        if sol is None:
-            continue
-        nums, den = sol
-        if all(sum(a * x for a, x in zip(c, nums)) >= b * den
-               for c, b, _ in rows):
-            verts.add(tuple(Fraction(x, den) for x in nums))
-    return sorted(verts)
+    lineality, rays = _extreme_rays(rows, dim)
+    verts = _vertices(lineality, rays, dim)
+    # per row, the bitmask of the rays tight on it
+    tight = [sum(1 << j for j, (_, mask) in enumerate(rays) if mask >> i & 1)
+             for i in range(len(rows))]
+    if (lineality or not rays or len(verts) < len(rays)
+            or (1 << len(rays)) - 1 in tight):
+        return irredundant([(c, b, False) for c, b, _ in rows], dim), verts
+    last = {}
+    for i, t in enumerate(tight):
+        if t:
+            last[t] = i
+    facets = []
+    for t in sorted(last, key=int.bit_count, reverse=True):
+        if not any(t & f == t for f in facets):
+            facets.append(t)
+    return sorted(last[t] for t in facets), verts
+
+
+def _extreme_rays(rows, dim):
+    """The cone {(x, t) : c.x >= b*t, t >= 0} of the integer rows (c, b,
+    strict), strict read as non-strict, by double description (Motzkin,
+    Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, "Double
+    description method revisited", 1996).
+
+    Returns (lineality, rays): a basis of its lineality space and its
+    extreme rays modulo that space, each ray as (primitive integer vector,
+    bitmask of the rows tight on it: bit i for row i, bit len(rows) for
+    t >= 0).  The cone starts as the half-space t >= 0: the ray e_t, with
+    the unit vectors of x as lineality.  A row nonzero on a lineality
+    vector l (oriented to be positive on it) moves every other lineality
+    vector and every ray into its hyperplane along l, and l becomes a ray:
+    this is an incremental echelon.  A row zero on the lineality space
+    keeps the rays on its side and adds the positive combination in its
+    hyperplane of each adjacent pair on opposite sides; two rays are
+    adjacent when no third ray is tight on every row tight on both (the
+    combinatorial test).
+    """
+    unit = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim + 1)]
+    lineality, rays = unit[:dim], [(unit[dim], 0)]
+    done = 1 << len(rows)  # the rows added so far: t >= 0
+    for i, (c, b, _) in enumerate(rows):
+        h, bit = (*c, -b), 1 << i
+        for k, l in enumerate(lineality):
+            s = sum(map(mul, h, l))
+            if s:
+                if s < 0:
+                    l, s = tuple(-x for x in l), -s
+                del lineality[k]
+                lineality = [_along(h, s, l, u) for u in lineality]
+                rays = [(_along(h, s, l, r), mask | bit) for r, mask in rays]
+                rays.append((l, done))
+                break
+        else:
+            pos, neg, kept = [], [], []
+            for r, mask in rays:
+                s = sum(map(mul, h, r))
+                if s > 0:
+                    pos.append((r, mask, s))
+                    kept.append((r, mask))
+                elif s < 0:
+                    neg.append((r, mask, s))
+                else:
+                    kept.append((r, mask | bit))
+            # the rows tight on a 2-face have rank dim - 1 - len(lineality)
+            need = dim - 1 - len(lineality)
+            masks = [mask for _, mask in rays]
+            for r, rmask, rs in pos:
+                for q, qmask, qs in neg:
+                    common = rmask & qmask
+                    if common.bit_count() < need or sum(
+                            common & m == common for m in masks) > 2:
+                        continue
+                    kept.append((_combine(rs, q, -qs, r), common | bit))
+            rays = kept
+        done |= bit
+    return lineality, rays
+
+
+def _along(h, s, l, u):
+    """The integer vector u moved along l into the hyperplane h.u = 0,
+    where h.l = s > 0, divided by its gcd; u itself when h.u = 0."""
+    a = sum(map(mul, h, u))
+    return _combine(s, u, -a, l) if a else u
 
 
 def common_denominator(points):

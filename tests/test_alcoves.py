@@ -1,8 +1,8 @@
 import hashlib
 import io
 import json
-from collections import deque
-from contextlib import redirect_stdout
+from collections import Counter, deque
+from contextlib import ExitStack, redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations, product
 from unittest import mock
@@ -11,20 +11,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alcovelab.arith import AffineInP, Wall, pairing, rat_str, saturate, vec
-from alcovelab import alcoves
+from alcovelab.arith import (AffineInP, Wall, pairing, rat_str, saturate, vadd,
+                             vec)
+from alcovelab import alcoves, polyhedra
 from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
-                               QuantumChamber, RealAlcove, SingularPointError,
-                               _alcove_around, _bracket, faces_of,
-                               integral_chambers,
+                               PTooSmallError, QuantumChamber, RealAlcove,
+                               SingularPointError, _alcove_around, _bracket,
+                               _canonical, faces_of, integral_chambers,
                                integral_walls_and_positive_chamber,
-                               p_alcove_of, p_membership, quantum_chamber,
-                               real_alcove_of, translation_path)
+                               opposite_alcove, p_alcove_of, p_membership,
+                               quantum_chamber, real_alcove_of,
+                               translation_path)
 from alcovelab.cli import dispatch
 from alcovelab.instances import hilb_instance, weyl_a_instance
-from alcovelab.polyhedra import (find_point, irredundant, matrix_rank,
-                                vertices)
+from alcovelab.polyhedra import (facets_and_vertices, find_point,
+                                 interior_point, irredundant, matrix_rank,
+                                 vertices)
 from alcovelab.validate import p_lattice_point, validate_p
+from test_polyhedra import irredundant_and_vertices
 
 A2 = weyl_a_instance(3)
 HILB2 = hilb_instance(2, 0)
@@ -223,6 +227,122 @@ def test_faces_match_per_subset_reference(data):
     alpha = {w.id: w.alpha for w in walls}
     assert [f.codim for f in faces] == [
         matrix_rank([alpha[wid] for wid, _, _ in f.active]) for f in faces]
+
+
+def bracket_rows(x, walls, p=None):
+    """The inequalities _alcove_around starts from, in canonical order: the
+    offsets that _bracket finds around <alpha, x> on every wall."""
+    ineqs = []
+    for w in walls:
+        lo, hi = _bracket(w, pairing(w.alpha, vec(x)), p)
+        ineqs += [(w.id, lo, GE), (w.id, hi, LE)]
+    return _canonical(ineqs)
+
+
+def regular_alcove(data, walls, rank):
+    """The alcove of a drawn point off every hyperplane, or None."""
+    x = data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=13),
+        min_size=rank, max_size=rank))
+    try:
+        return x, real_alcove_of(x, walls)
+    except SingularPointError:
+        return x, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_alcove_facets_and_vertices_match_irredundant_and_vertices(data):
+    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
+                                      st.just((3, OCTAHEDRAL_WALLS))))
+    x, A = regular_alcove(data, walls, rank)
+    if A is None:
+        return
+    cons = RealAlcove(rank, bracket_rows(x, walls)).constraints(walls)
+    kept, verts = facets_and_vertices(cons, rank)
+    assert (kept, verts) == irredundant_and_vertices(cons, rank)
+    assert verts == A.vertices(walls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_carried_vertices_leave_equality_hash_and_json_alone(data):
+    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
+                                      st.just((3, OCTAHEDRAL_WALLS))))
+    x, A = regular_alcove(data, walls, rank)
+    if A is None:
+        return
+    bare = RealAlcove(A.rank, A.inequalities)
+    assert A.verts is not None and bare.verts is None
+    assert A == bare and hash(A) == hash(bare)
+    assert A.to_json() == bare.to_json()
+    assert A.vertices(walls) == bare.vertices(walls)
+    assert A.interior_point(walls) == interior_point(A.constraints(walls),
+                                                     rank)
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                 max_size=rank)))
+    B = A.translate(v, walls)
+    assert B == bare.translate(v, walls) == real_alcove_of(vadd(x, v), walls)
+    assert B.vertices(walls) == vertices(B.constraints(walls), rank)
+    assert B.interior_point(walls) == interior_point(B.constraints(walls),
+                                                     rank)
+
+
+def test_faces_and_opposite_alcoves_solve_no_vertices_again():
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    cases = [((F(1, 3), F(1, 5)), A2.walls), ((F(1, 10),), HILB3.walls),
+             ((F(1, 7), F(1, 5), F(-1, 3)), OCTAHEDRAL_WALLS),
+             ((F(1, 9), F(1, 5), F(2, 7)), weyl_a_instance(4).walls)]
+    with ExitStack() as stack:
+        for module in (polyhedra, alcoves):
+            for name in ("vertices", "irredundant"):
+                stack.enter_context(mock.patch.object(
+                    module, name, counting(name, getattr(module, name))))
+        for x, walls in cases:
+            A = real_alcove_of(x, walls)
+            faces = faces_of(A, walls)
+            A.interior_point(walls)
+            for face in faces[1:]:
+                opposite_alcove(A, face, walls)
+        assert counts == Counter()
+        # an alcove made without its vertices solves for them, once
+        RealAlcove(A.rank, A.inequalities).interior_point(walls)
+        assert counts == Counter(vertices=1)
+
+
+def test_walls_that_do_not_span_keep_irredundant_bounds():
+    # one wall in the plane: the alcove is a strip, with no vertex
+    walls = [Wall(id=0, alpha=(1, 0), sigma_tilde=frozenset([F(0)]))]
+    A = real_alcove_of((F(1, 3), F(5)), walls)
+    assert A.inequalities == ((0, F(1), LE), (0, F(0), GE))
+    assert A.verts == () and A.interior_point(walls) is None
+    with pytest.raises(ValueError, match="^unbounded alcove: wall covectors "
+                                         "do not span$"):
+        faces_of(A, walls)
+
+
+@pytest.mark.parametrize("n, ell, p, x, bounds, verts", [
+    # the p-hyperplanes around x rescale to one point, -39/2
+    (2, 1, 2, -39, ((0, F(-39, 2), LE), (0, F(-39, 2), GE)),
+     [(F(-39, 2),)]),
+    # ... or to an empty interval, [-8/3, -11/4]
+    (4, 1, 13, -35, ((0, F(-11, 4), LE), (0, F(-8, 3), GE)), []),
+])
+def test_small_p_alcoves_without_interior_keep_irredundant_bounds(
+        n, ell, p, x, bounds, verts):
+    walls = hilb_instance(n, ell).walls
+    assert bracket_rows((x,), walls, p) == bounds
+    A = _alcove_around((x,), walls, p)
+    assert (A.inequalities, A.vertices(walls)) == (bounds, verts)
+    with pytest.raises(PTooSmallError):
+        p_membership((x,), p, walls)
 
 
 def test_faces_of_the_octahedron_at_the_origin():

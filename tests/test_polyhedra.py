@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcovelab import polyhedra
-from alcovelab.polyhedra import (_tightest_per_direction, feasible, find_point,
-                                 first_lattice_point, interior_point,
-                                 irredundant, is_redundant, matrix_rank,
-                                 solve_linear, vertices)
+from alcovelab.polyhedra import (_tightest_per_direction, facets_and_vertices,
+                                 feasible, find_point, first_lattice_point,
+                                 interior_point, irredundant, is_redundant,
+                                 matrix_rank, solve_linear, vertices)
 
 TRIANGLE = [((1, 0), F(0), False), ((0, 1), F(0), False),
             ((-1, -1), F(-1), False)]
@@ -393,7 +393,7 @@ def vertex_systems(draw):
 def test_vertices_match_the_fraction_oracle(system):
     cons, dim = system
     got = vertices(cons, dim)
-    assert got == fraction_vertices(cons, dim)
+    assert got == fraction_vertices(cons, dim) == subset_vertices(cons, dim)
     assert all(type(x) is F for v in got for x in v)
     if got:
         n = len(got)
@@ -472,3 +472,108 @@ def test_irredundant_tries_rows_in_order_on_degenerate_systems(cons, dim,
                                                                 kept):
     assert irredundant(cons, dim) == kept
     assert shrinking_list_irredundant(cons, dim) == kept
+
+
+def subset_vertices(constraints, dim):
+    """Test-only oracle: vertices as found before the double description,
+    by a Bareiss solve of every d-subset of the integer rows, keeping each
+    solution nums/den that satisfies every row (c, b) as c.nums >= b*den."""
+    rows = [polyhedra._integer_row(c) for c in constraints]
+    verts = set()
+    for subset in combinations(rows, dim):
+        m = [[*c, b] for c, b, _ in subset]
+        if len(polyhedra._bareiss(m, dim)) < dim:
+            continue
+        nums, den = [row[-1] for row in m], m[0][0]
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        if all(sum(a * x for a, x in zip(c, nums)) >= b * den
+               for c, b, _ in rows):
+            verts.add(tuple(F(x, den) for x in nums))
+    return sorted(verts)
+
+
+def irredundant_and_vertices(constraints, dim):
+    """Test-only oracle for facets_and_vertices: irredundant on the rows
+    made non-strict, and subset_vertices."""
+    closed = [(coeffs, rhs, False) for coeffs, rhs, _ in constraints]
+    return irredundant(closed, dim), subset_vertices(constraints, dim)
+
+
+@st.composite
+def bounded_systems(draw):
+    """(constraints, dim): a box of radius 1-3 together with the rows of
+    systems_with_parallel_rows or degenerate_systems (dimension 1-4), or
+    with up to 3 random rows (dimension 5), in a drawn order: a polytope,
+    possibly empty or lower-dimensional, often with duplicate, scaled or
+    loosened copies of a row."""
+    kind = draw(st.sampled_from(["parallel", "degenerate", "five"]))
+    if kind == "five":
+        dim = 5
+        row = st.tuples(st.tuples(*[coefficient] * dim), coefficient.map(F),
+                        st.booleans())
+        cons = draw(st.lists(row, max_size=3))
+    else:
+        cons, dim = draw(systems_with_parallel_rows() if kind == "parallel"
+                         else degenerate_systems())
+    return draw(st.permutations(
+        box_rows(dim, draw(st.integers(1, 3))) + cons)), dim
+
+
+@st.composite
+def simplices(draw):
+    """(constraints, dim): dimension 1-5, the simplex M x >= lo, with
+    sum(M x) <= c above sum(lo), for an invertible integer M, with up to 3
+    scaled (a tie) or loosened copies of its rows, in a drawn order."""
+    dim = draw(st.integers(1, 5))
+    small = st.integers(-2, 2)
+    m = draw(st.lists(st.tuples(*[small] * dim), min_size=dim,
+                      max_size=dim).filter(lambda m: matrix_rank(m) == dim))
+    lo = draw(st.lists(small, min_size=dim, max_size=dim))
+    top = sum(lo) + draw(st.integers(1, 4))
+    cons = [(row, F(b), False) for row, b in zip(m, lo)]
+    cons.append((tuple(-sum(col) for col in zip(*m)), F(-top), False))
+    for coeffs, rhs, _ in draw(st.lists(st.sampled_from(cons), max_size=3)):
+        scale = draw(st.integers(1, 3))
+        cons.append((tuple(scale * c for c in coeffs),
+                     scale * rhs - draw(st.integers(0, 1)), False))
+    return draw(st.permutations(cons)), dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_systems())
+def test_facets_and_vertices_match_irredundant_and_vertices(system):
+    cons, dim = system
+    assert facets_and_vertices(cons, dim) == \
+        irredundant_and_vertices(cons, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplices())
+def test_facets_and_vertices_of_simplices_need_no_elimination(system):
+    cons, dim = system
+    expected = irredundant_and_vertices(cons, dim)
+    assert len(expected[0]) == dim + 1 and len(expected[1]) == dim + 1
+    # a polytope with interior is read off the rays alone
+    with mock.patch.object(polyhedra, "irredundant",
+                           side_effect=AssertionError("irredundant called")):
+        assert facets_and_vertices(cons, dim) == expected
+
+
+def test_facets_and_vertices_keep_the_later_of_duplicate_rows():
+    # TRIANGLE with x_0 >= 0 written three times, once scaled: the last
+    # copy is kept, as irredundant keeps it
+    cons = [((1, 0), F(0), False), ((0, 1), F(0), False),
+            ((2, 0), F(0), False), ((-1, -1), F(-1), False),
+            ((1, 0), F(0), False)]
+    assert irredundant(cons, 2) == [1, 3, 4]
+    assert facets_and_vertices(cons, 2) == ([1, 3, 4], vertices(TRIANGLE, 2))
+
+
+def test_facets_and_vertices_of_a_system_with_a_lineality_space():
+    # the strip 0 <= x_0 <= 1 of the plane, and a looser copy of a bound:
+    # no vertex, and irredundant's rows
+    cons = [((1, 0), F(0), False), ((-1, 0), F(-1), False),
+            ((2, 0), F(-1), False)]
+    assert facets_and_vertices(cons, 2) == ([0, 1], []) == \
+        irredundant_and_vertices(cons, 2)
