@@ -9,15 +9,16 @@ complete.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import product
 from math import lcm
 
-from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vadd,
-                    vec, vsub)
-from .polyhedra import (common_denominator, facets_and_vertices, feasible,
-                        irredundant, matrix_rank, vertex_average, vertices)
+from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
+                    vsub)
+from .polyhedra import (VertexIncidence, facets_and_vertices, feasible,
+                        irredundant, matrix_rank, vertex_average)
 
 GE, LE = ">=", "<="
 
@@ -64,14 +65,14 @@ class RealAlcove:
     """Closure of a connected component of the hyperplane complement, as a
     canonical irredundant list of (wall_id, offset, sense) constraints.
 
-    An alcove built by real_alcove_of (or moved by translate) carries its
-    sorted vertices, which vertices, interior_point and faces_of read;
-    equality, hash and JSON see only rank and inequalities, and an alcove
-    made without them solves for them when asked."""
+    An alcove built by real_alcove_of or translate carries its vertices and
+    their tight inequalities (VertexIncidence) for vertices, interior_point
+    and faces_of; equality, hash and JSON see only rank and inequalities,
+    and an alcove made without them gets them from one pass when asked."""
 
     rank: int
     inequalities: tuple  # ((wall_id, offset: Fraction, sense), ...)
-    verts: tuple | None = field(default=None, compare=False, repr=False)
+    incidence: VertexIncidence = field(default=None, compare=False, repr=False)
 
     def constraints(self, walls):
         """As (coeffs, rhs, strict=False) triples oriented to >=."""
@@ -92,23 +93,30 @@ class RealAlcove:
                 return False
         return True
 
+    def vertex_incidence(self, walls) -> VertexIncidence:
+        """The carried record, else one pass's (masks of irredundant rows)."""
+        return self.incidence or facets_and_vertices(
+            self.constraints(walls), self.rank)[1]
+
     def vertices(self, walls):
-        if self.verts is not None:
-            return list(self.verts)
-        return vertices(self.constraints(walls), self.rank)
+        return self.vertex_incidence(walls).points()
 
     def interior_point(self, walls):
         """The average of the vertices, or None when there are none."""
-        verts = self.vertices(walls)
-        return vertex_average(*common_denominator(verts)) if verts else None
+        inc = self.vertex_incidence(walls)
+        return vertex_average(inc.nums, inc.den) if inc.nums else None
 
     def translate(self, v, walls):
-        """The alcove A + v for a lattice vector v (Z-periodicity), its
-        carried vertices moved by v."""
+        """The alcove A + v for a lattice vector v (Z-periodicity), den * v
+        added to its vertices' numerators; any other v is a ValueError."""
+        if not is_lattice(v):
+            raise ValueError("translate: (" + ", ".join(map(rat_str, v))
+                             + ") is not a lattice vector")
+        inc = self.vertex_incidence(walls)
         return RealAlcove(
             self.rank, translate_inequalities(self.inequalities, v, walls),
-            None if self.verts is None else
-            tuple(vadd(u, v) for u in self.verts))
+            replace(inc, nums=tuple(tuple(x + inc.den * int(c) for x, c in
+                                          zip(u, v)) for u in inc.nums)))
 
     def to_json(self):
         return {"rank": self.rank,
@@ -191,7 +199,7 @@ def _bracket(wall: Wall, t: Fraction, p=None, slope=0):
 def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
     """The real alcove bounded, on each wall, by the offsets that _bracket
     finds around <alpha, x> (moved by eps*direction when given): the bounds
-    that polyhedra.facets_and_vertices keeps, carrying its vertices."""
+    that polyhedra.facets_and_vertices keeps, carrying its VertexIncidence."""
     x = vec(x)
     d = len(x)
     ineqs = []
@@ -201,8 +209,8 @@ def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
         ineqs += [(w.id, lo, GE), (w.id, hi, LE)]
     ineqs = _canonical(ineqs)
     cons = RealAlcove(d, ineqs).constraints(walls)
-    kept, verts = facets_and_vertices(cons, d)
-    return RealAlcove(d, tuple(ineqs[i] for i in kept), tuple(verts))
+    kept, inc = facets_and_vertices(cons, d)
+    return RealAlcove(d, tuple(ineqs[i] for i in kept), inc)
 
 
 @dataclass(frozen=True)
@@ -220,58 +228,53 @@ class Face:
 def faces_of(A: RealAlcove, walls):
     """All faces of all codimensions, duplicates (same vertex set) merged.
 
-    The vertex-facet incidence is computed once, in integers: with A's
-    vertices as integer numerators N_v over one common denominator D, the
-    inequality <alpha, .> >= m (or <=) is tight at v when
-    <alpha, N_v> * den(m) = num(m) * D.  A subset of the inequalities picks
-    the vertices whose tight sets contain it, and the face is keyed by the
-    tuple of their indices.  Its active inequalities, the intersection of
-    those tight sets, are the rows tight on the whole face, and they cut
+    The vertex-facet incidence is A's VertexIncidence: each vertex's mask
+    holds the inequalities tight on it.  A subset of the inequalities, as a
+    bitmask, picks the vertices whose masks contain it, and the face is
+    keyed by the tuple of their indices.  Its active inequalities, those in
+    all of their masks, are the rows tight on the whole face, and they cut
     out its affine hull (Schrijver, "Theory of Linear and Integer
     Programming", 1986, ch. 8), so its codimension is the rank of their
     covectors.  That rank is read off without an elimination where it is
     known: a face of one vertex is a point (codim d) and one of two
     vertices an edge (codim d - 1), since the alcove is bounded, and no or
     one active inequality has rank 0 or 1; only the other faces run
-    matrix_rank.  Its witness is the average of its vertices, taken by
-    polyhedra.vertex_average on their N_v over D.
-    Requires a bounded alcove, i.e. the wall covectors span the space.
+    matrix_rank.  Its witness is polyhedra.vertex_average of their
+    numerators.
+    Requires an irredundant bounded alcove (the wall covectors span).
     """
     wm = _wall_map(walls)
     alphas = [wm[wid].alpha for wid, _, _ in A.inequalities]
-    verts = A.vertices(walls)
-    if not verts:  # a vertex needs rank many independent covectors
+    inc = A.vertex_incidence(walls)
+    if not inc.nums:  # a vertex needs rank many independent covectors
         raise ValueError("unbounded alcove: wall covectors do not span"
                          if matrix_rank(alphas) < A.rank else "empty alcove")
-    nums, den = common_denominator(verts)
-    offsets = [rat(m) for _, m, _ in A.inequalities]
-    tight = [frozenset(i for i, (alpha, m) in enumerate(zip(alphas, offsets))
-                       if sum(a * x for a, x in zip(alpha, nv)) * m.denominator
-                       == m.numerator * den) for nv in nums]
-
+    verts = inc.points()
     n = len(A.inequalities)
+    if reduce(int.__or__, inc.masks) != (1 << n) - 1:  # a row on no vertex
+        raise ValueError("redundant inequalities: not an alcove's facets")
     seen = {}
-    for r in range(n + 1):
-        for subset in combinations(range(n), r):
-            on = tuple(j for j, t in enumerate(tight) if t.issuperset(subset))
-            if not on or on in seen:
-                continue
-            active_idx = frozenset.intersection(*(tight[j] for j in on))
-            if len(on) == 1:  # a vertex
-                codim = A.rank
-            elif len(on) == 2:  # an edge
-                codim = A.rank - 1
-            elif len(active_idx) <= 1:
-                codim = len(active_idx)
-            else:
-                codim = matrix_rank([alphas[i] for i in active_idx])
-            seen[on] = Face(
-                parent=A,
-                active=_canonical([A.inequalities[i] for i in active_idx]),
-                codim=codim,
-                witness=vertex_average([nums[j] for j in on], den),
-                vertex_set=tuple(verts[j] for j in on),
-            )
+    for subset in range(1 << n):
+        on = tuple(j for j, t in enumerate(inc.masks) if t & subset == subset)
+        if not on or on in seen:
+            continue
+        active = reduce(int.__and__, (inc.masks[j] for j in on))
+        active_idx = [i for i in range(n) if active >> i & 1]
+        if len(on) == 1:  # a vertex
+            codim = A.rank
+        elif len(on) == 2:  # an edge
+            codim = A.rank - 1
+        elif len(active_idx) <= 1:
+            codim = len(active_idx)
+        else:
+            codim = matrix_rank([alphas[i] for i in active_idx])
+        seen[on] = Face(
+            parent=A,
+            active=_canonical([A.inequalities[i] for i in active_idx]),
+            codim=codim,
+            witness=vertex_average([inc.nums[j] for j in on], inc.den),
+            vertex_set=tuple(verts[j] for j in on),
+        )
     return sorted(seen.values(), key=lambda f: (f.codim, f.active))
 
 

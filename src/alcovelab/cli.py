@@ -1,9 +1,9 @@
 """Command-line front end: thin shells over the library operations.
 
-Every subcommand computes its outputs and checks and prints one
-deterministic JSON report, or the DOT, CSV or JSON text asked for instead.
-The exit code is 1 exactly when the checks did not pass or the input was
-rejected.
+Every subcommand prints one deterministic JSON report, or the DOT, CSV or
+JSON text asked for; it exits 1 when its checks fail, and 1 with one
+{"error": ...} line when its input is rejected.  A bare call (usage on
+stdout) or a flag that argparse rejects (usage on stderr) exits 2.
 """
 
 from __future__ import annotations

@@ -38,26 +38,26 @@ solution comes out as integer numerators over one common denominator.
 
 One double-description pass (Motzkin, Raiffa, Thompson and Thrall, "The
 double description method", 1953; Fukuda and Prodon, "Double description
-method revisited", 1996) serves `vertices` and `facets_and_vertices`, the
-alcove build: it adds t >= 0 and then the rows, one at a time, to the cone
-{(x, t) : c.x >= b*t}, keeping its extreme rays as primitive integer vectors
-with the bitmask of the rows tight on each, and two rays are adjacent when
-no third ray is tight on every row tight on both.  The rays with t > 0 are
-the vertices.  For a polytope with interior a row is a facet when its set
-of tight vertices is nonempty and lies in no other row's set; of two rows
-with the same set the later one is kept, as `irredundant`, which tries rows
-in order, keeps it.  Any other system (a lineality space, unbounded, empty
-or lower-dimensional) keeps `irredundant`'s indices; `irredundant` also
-serves `alcoves.quantum_chamber`.
+method revisited", 1996) serves `vertices`, `interior_point` and
+`facets_and_vertices`, the alcove build: it adds t >= 0 and then the rows,
+one at a time, to the cone {(x, t) : c.x >= b*t}, keeping its extreme rays
+as primitive integer vectors with the bitmask of the rows tight on each; two
+rays are adjacent when no third ray is tight on every row tight on both.
+The rays with t > 0 are the vertices, read off as one `VertexIncidence`.
+For a polytope with interior a row is a facet when its set of tight vertices
+is nonempty and lies in no other row's set; of two rows with the same set
+the later is kept, as `irredundant` keeps it.  Any other system (a lineality
+space, unbounded, empty or lower-dimensional) keeps `irredundant`'s indices;
+`irredundant` also serves `alcoves.quantum_chamber`.
 
-One vertex average, `vertex_average`, serves `interior_point` and the face
-witnesses of `alcoves.faces_of`: the vertices are given as integer
-numerators over one common denominator (`common_denominator`), each
-coordinate is summed over them, and the sum is divided once.
+One vertex average, `vertex_average`, serves every interior point and the
+face witnesses of `alcoves.faces_of`: it sums each coordinate of the
+vertices' numerators over their common denominator and divides once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -294,14 +294,33 @@ def vertices(constraints, dim):
     """All vertices of {x : coeffs.x >= rhs}, every row read as non-strict,
     sorted: the rays with t > 0 of the double-description pass, none for a
     polyhedron with a lineality space."""
-    return _vertices(*_extreme_rays([_integer_row(c) for c in constraints],
-                                    dim), dim)
+    return _incidence(*_extreme_rays(constraints, dim), dim).points()
 
 
-def _vertices(lineality, rays, dim):
-    """The vertices, sorted, that the rays of _extreme_rays give."""
-    return [] if lineality else sorted(
-        tuple(Fraction(x, r[dim]) for x in r[:dim]) for r, _ in rays if r[dim])
+@dataclass(frozen=True)
+class VertexIncidence:
+    """The vertices of a polyhedron as integer numerators over one common
+    denominator den, the lcm of the vertex rays' t, sorted, each with the
+    bitmask of the kept rows tight on it (bit j for the j-th kept row)."""
+
+    den: int
+    nums: tuple   # one tuple of integer numerators per vertex
+    masks: tuple  # one bitmask per vertex
+
+    def points(self):
+        """The vertices as Fraction tuples."""
+        return [tuple(Fraction(x, self.den) for x in v) for v in self.nums]
+
+
+def _incidence(lineality, rays, dim, kept=()):
+    """The VertexIncidence of _extreme_rays' rays, masks over the kept rows."""
+    verts = [] if lineality else [(r, mask) for r, mask in rays if r[dim]]
+    den = lcm(*(r[dim] for r, _ in verts))
+    pairs = sorted((tuple(x * (den // r[dim]) for x in r[:dim]),
+                    sum(1 << j for j, i in enumerate(kept) if mask >> i & 1))
+                   for r, mask in verts)
+    return VertexIncidence(den, tuple(v for v, _ in pairs),
+                           tuple(m for _, m in pairs))
 
 
 def _combine(a, u, b, v):
@@ -312,9 +331,9 @@ def _combine(a, u, b, v):
 
 
 def facets_and_vertices(constraints, dim):
-    """(irredundant indices, vertices) of {x : coeffs.x >= rhs}, every row
-    read as non-strict: the answer of irredundant and vertices on those
-    rows, from one double-description pass.
+    """(irredundant indices, VertexIncidence) of {x : coeffs.x >= rhs},
+    every row read as non-strict: irredundant's answer on those rows and
+    the vertices with their tight kept rows, from one pass.
 
     The pass builds the extreme rays of the cone {(x, t) : c.x >= b*t,
     t >= 0} over the integer rows (c, b), adding t >= 0 and then the rows in
@@ -324,32 +343,29 @@ def facets_and_vertices(constraints, dim):
     and lies in no other row's set, the later index winning a tie.  Any
     other system, one with a lineality space (no vertices), an unbounded,
     an empty or a lower-dimensional one, keeps irredundant's indices, and
-    the vertices still come from the rays.
+    the vertices and their masks still come from the rays.
     """
-    rows = [_integer_row(c) for c in constraints]
-    lineality, rays = _extreme_rays(rows, dim)
-    verts = _vertices(lineality, rays, dim)
+    lineality, rays = _extreme_rays(constraints, dim)
     # per row, the bitmask of the rays tight on it
     tight = [sum(1 << j for j, (_, mask) in enumerate(rays) if mask >> i & 1)
-             for i in range(len(rows))]
-    if (lineality or not rays or len(verts) < len(rays)
+             for i in range(len(constraints))]
+    if (lineality or not rays or not all(r[dim] for r, _ in rays)
             or (1 << len(rays)) - 1 in tight):
-        return irredundant([(c, b, False) for c, b, _ in rows], dim), verts
-    last = {}
-    for i, t in enumerate(tight):
-        if t:
-            last[t] = i
-    facets = []
-    for t in sorted(last, key=int.bit_count, reverse=True):
-        if not any(t & f == t for f in facets):
-            facets.append(t)
-    return sorted(last[t] for t in facets), verts
+        kept = irredundant([(c, b, False) for c, b, _ in constraints], dim)
+    else:
+        last = {t: i for i, t in enumerate(tight) if t}
+        facets = []
+        for t in sorted(last, key=int.bit_count, reverse=True):
+            if not any(t & f == t for f in facets):
+                facets.append(t)
+        kept = sorted(last[t] for t in facets)
+    return kept, _incidence(lineality, rays, dim, kept)
 
 
-def _extreme_rays(rows, dim):
-    """The cone {(x, t) : c.x >= b*t, t >= 0} of the integer rows (c, b,
-    strict), strict read as non-strict, by double description (Motzkin,
-    Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, "Double
+def _extreme_rays(constraints, dim):
+    """The cone {(x, t) : c.x >= b*t, t >= 0} of the constraints as integer
+    rows (c, b, strict), strict read as non-strict, by double description
+    (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, "Double
     description method revisited", 1996).
 
     Returns (lineality, rays): a basis of its lineality space and its
@@ -365,6 +381,7 @@ def _extreme_rays(rows, dim):
     adjacent when no third ray is tight on every row tight on both (the
     combinatorial test).
     """
+    rows = [_integer_row(c) for c in constraints]
     unit = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim + 1)]
     lineality, rays = unit[:dim], [(unit[dim], 0)]
     done = 1 << len(rows)  # the rows added so far: t >= 0
@@ -413,14 +430,6 @@ def _along(h, s, l, u):
     return _combine(s, u, -a, l) if a else u
 
 
-def common_denominator(points):
-    """Rational points as (integer numerators, den): each point is its
-    numerators over den, the lcm of all their coordinates' denominators."""
-    den = lcm(*(x.denominator for v in points for x in v))
-    return [tuple(x.numerator * (den // x.denominator) for x in v)
-            for v in points], den
-
-
 def vertex_average(nums, den):
     """The average of points given as integer numerators over the common
     denominator den: each coordinate is summed over the points, then
@@ -431,11 +440,9 @@ def vertex_average(nums, den):
 
 def interior_point(constraints, dim):
     """A rational point strictly inside a full-dimensional polytope, as the
-    average of its vertices."""
-    verts = vertices(constraints, dim)
-    if not verts:
-        return None
-    return vertex_average(*common_denominator(verts))
+    average of its vertices' numerators."""
+    inc = _incidence(*_extreme_rays(constraints, dim), dim)
+    return vertex_average(inc.nums, inc.den) if inc.nums else None
 
 
 def _redundant(rows, idx, dim) -> bool:

@@ -38,8 +38,8 @@ def validate_p(p: int, instance, alcoves=()) -> dict:
     (c) (p+1)*c(x; lambda) integral for all fixed points;
     (d) h-blocks are separated by their residues mod p at each registered
         lambda;
-    (e) each supplied real alcove has a nonempty p-alcove on the lattice
-        (witnessed constructively through a compatible pair).
+    (e) each supplied alcove's p-alcove holds a lattice point (p_lattice_point:
+        the rounded vertex average, else the lexicographically first one).
     """
     walls = instance.walls
     report = {"p": p}

@@ -5,6 +5,7 @@ from collections import Counter, deque
 from contextlib import ExitStack, redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -259,9 +260,10 @@ def test_alcove_facets_and_vertices_match_irredundant_and_vertices(data):
     if A is None:
         return
     cons = RealAlcove(rank, bracket_rows(x, walls)).constraints(walls)
-    kept, verts = facets_and_vertices(cons, rank)
-    assert (kept, verts) == irredundant_and_vertices(cons, rank)
-    assert verts == A.vertices(walls)
+    kept, inc = facets_and_vertices(cons, rank)
+    assert (kept, inc.points()) == irredundant_and_vertices(cons, rank)
+    assert inc.points() == A.vertices(walls)
+    assert inc == A.incidence
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,7 +275,7 @@ def test_carried_vertices_leave_equality_hash_and_json_alone(data):
     if A is None:
         return
     bare = RealAlcove(A.rank, A.inequalities)
-    assert A.verts is not None and bare.verts is None
+    assert A.incidence is not None and bare.incidence is None
     assert A == bare and hash(A) == hash(bare)
     assert A.to_json() == bare.to_json()
     assert A.vertices(walls) == bare.vertices(walls)
@@ -283,9 +285,53 @@ def test_carried_vertices_leave_equality_hash_and_json_alone(data):
                                  max_size=rank)))
     B = A.translate(v, walls)
     assert B == bare.translate(v, walls) == real_alcove_of(vadd(x, v), walls)
+    assert B.incidence == bare.translate(v, walls).incidence
     assert B.vertices(walls) == vertices(B.constraints(walls), rank)
     assert B.interior_point(walls) == interior_point(B.constraints(walls),
                                                      rank)
+
+
+def pairing_incidence(A, walls):
+    """Test-only oracle for the VertexIncidence an alcove carries: the
+    tightness faces_of once computed itself, in integers.  With A's vertices
+    as integer numerators N_v over one common denominator D, the inequality
+    <alpha, .> >= m (or <=) is tight at v when
+    <alpha, N_v> * den(m) = num(m) * D; bit i stands for inequality i."""
+    verts = vertices(A.constraints(walls), A.rank)
+    den = lcm(*(x.denominator for v in verts for x in v))
+    nums = tuple(tuple(x.numerator * (den // x.denominator) for x in v)
+                 for v in verts)
+    alpha = {w.id: w.alpha for w in walls}
+    masks = tuple(sum(1 << i for i, (wid, m, _) in enumerate(A.inequalities)
+                      if sum(a * x for a, x in zip(alpha[wid], nv))
+                      * m.denominator == m.numerator * den) for nv in nums)
+    return polyhedra.VertexIncidence(den, nums, masks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_carried_incidence_matches_pairing_tightness(data):
+    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
+                                      st.just((3, OCTAHEDRAL_WALLS))))
+    x, A = regular_alcove(data, walls, rank)
+    if A is None:
+        return
+    assert A.incidence == pairing_incidence(A, walls)
+    v = tuple(data.draw(st.lists(st.integers(-10**15, 10**15),
+                                 min_size=rank, max_size=rank)))
+    B = A.translate(v, walls)
+    assert B.incidence == pairing_incidence(B, walls) == \
+        real_alcove_of(vadd(x, v), walls).incidence
+
+
+def test_translate_by_a_non_lattice_vector_is_a_value_error():
+    # A + (1/2,) would be [5/6, 1], but the alcove at 11/12 is [2/3, 4/3]
+    A = real_alcove_of((F(5, 12),), HILB3.walls)
+    assert A.vertices(HILB3.walls) == [(F(1, 3),), (F(1, 2),)]
+    with pytest.raises(ValueError, match=r"^translate: \(1/2\) is not a "
+                                         r"lattice vector$"):
+        A.translate((F(1, 2),), HILB3.walls)
+    assert A.translate((F(2),), HILB3.walls) == A.translate((2,), HILB3.walls)
 
 
 def test_faces_and_opposite_alcoves_solve_no_vertices_again():
@@ -300,21 +346,29 @@ def test_faces_and_opposite_alcoves_solve_no_vertices_again():
     cases = [((F(1, 3), F(1, 5)), A2.walls), ((F(1, 10),), HILB3.walls),
              ((F(1, 7), F(1, 5), F(-1, 3)), OCTAHEDRAL_WALLS),
              ((F(1, 9), F(1, 5), F(2, 7)), weyl_a_instance(4).walls)]
+    one_pass = Counter(facets_and_vertices=1)
     with ExitStack() as stack:
         for module in (polyhedra, alcoves):
-            for name in ("vertices", "irredundant"):
+            for name in ("vertices", "irredundant", "facets_and_vertices"):
+                if not hasattr(module, name):  # alcoves has no vertices
+                    continue
                 stack.enter_context(mock.patch.object(
                     module, name, counting(name, getattr(module, name))))
         for x, walls in cases:
             A = real_alcove_of(x, walls)
+            assert counts == one_pass
+            counts.clear()
             faces = faces_of(A, walls)
             A.interior_point(walls)
+            faces_of(A.translate((3,) * A.rank, walls), walls)
+            assert counts == Counter()
             for face in faces[1:]:
                 opposite_alcove(A, face, walls)
-        assert counts == Counter()
-        # an alcove made without its vertices solves for them, once
+                assert counts == one_pass
+                counts.clear()
+        # an alcove made without its record solves for it, once
         RealAlcove(A.rank, A.inequalities).interior_point(walls)
-        assert counts == Counter(vertices=1)
+        assert counts == one_pass
 
 
 def test_walls_that_do_not_span_keep_irredundant_bounds():
@@ -322,10 +376,22 @@ def test_walls_that_do_not_span_keep_irredundant_bounds():
     walls = [Wall(id=0, alpha=(1, 0), sigma_tilde=frozenset([F(0)]))]
     A = real_alcove_of((F(1, 3), F(5)), walls)
     assert A.inequalities == ((0, F(1), LE), (0, F(0), GE))
-    assert A.verts == () and A.interior_point(walls) is None
+    assert A.incidence.nums == () and A.interior_point(walls) is None
     with pytest.raises(ValueError, match="^unbounded alcove: wall covectors "
                                          "do not span$"):
         faces_of(A, walls)
+
+
+def test_faces_of_a_bare_alcove_with_a_redundant_row_is_a_value_error():
+    # a bare alcove's masks cover only the rows its pass keeps, so faces_of
+    # would misname the active rows of [1/3, 1/2] with x >= 0 added
+    A = real_alcove_of((F(5, 12),), HILB3.walls)
+    bare = RealAlcove(1, ((0, F(0), GE),) + A.inequalities)
+    assert bare.vertices(HILB3.walls) == A.vertices(HILB3.walls)
+    assert bare.interior_point(HILB3.walls) == (F(5, 12),)
+    with pytest.raises(ValueError, match="^redundant inequalities: not an "
+                                         "alcove's facets$"):
+        faces_of(bare, HILB3.walls)
 
 
 @pytest.mark.parametrize("n, ell, p, x, bounds, verts", [

@@ -500,6 +500,14 @@ def irredundant_and_vertices(constraints, dim):
     return irredundant(closed, dim), subset_vertices(constraints, dim)
 
 
+def tight_kept_masks(constraints, kept, verts):
+    """Test-only oracle for the masks of facets_and_vertices: per vertex,
+    bit j when the row kept[j] holds with equality there."""
+    return tuple(sum(1 << j for j, i in enumerate(kept)
+                     if sum(a * x for a, x in zip(constraints[i][0], v))
+                     == constraints[i][1]) for v in verts)
+
+
 @st.composite
 def bounded_systems(draw):
     """(constraints, dim): a box of radius 1-3 together with the rows of
@@ -544,8 +552,9 @@ def simplices(draw):
 @given(bounded_systems())
 def test_facets_and_vertices_match_irredundant_and_vertices(system):
     cons, dim = system
-    assert facets_and_vertices(cons, dim) == \
-        irredundant_and_vertices(cons, dim)
+    kept, inc = facets_and_vertices(cons, dim)
+    assert (kept, inc.points()) == irredundant_and_vertices(cons, dim)
+    assert inc.masks == tight_kept_masks(cons, kept, inc.points())
 
 
 @settings(max_examples=200, deadline=None)
@@ -557,7 +566,11 @@ def test_facets_and_vertices_of_simplices_need_no_elimination(system):
     # a polytope with interior is read off the rays alone
     with mock.patch.object(polyhedra, "irredundant",
                            side_effect=AssertionError("irredundant called")):
-        assert facets_and_vertices(cons, dim) == expected
+        kept, inc = facets_and_vertices(cons, dim)
+    assert (kept, inc.points()) == expected
+    # every vertex of a simplex lies on dim of its dim + 1 facets
+    assert inc.masks == tight_kept_masks(cons, kept, inc.points())
+    assert all(mask.bit_count() == dim for mask in inc.masks)
 
 
 def test_facets_and_vertices_keep_the_later_of_duplicate_rows():
@@ -567,7 +580,10 @@ def test_facets_and_vertices_keep_the_later_of_duplicate_rows():
             ((2, 0), F(0), False), ((-1, -1), F(-1), False),
             ((1, 0), F(0), False)]
     assert irredundant(cons, 2) == [1, 3, 4]
-    assert facets_and_vertices(cons, 2) == ([1, 3, 4], vertices(TRIANGLE, 2))
+    kept, inc = facets_and_vertices(cons, 2)
+    assert (kept, inc.points()) == ([1, 3, 4], vertices(TRIANGLE, 2))
+    # (0, 0) on rows 1 and 4, (0, 1) on 3 and 4, (1, 0) on 1 and 3
+    assert inc.masks == (0b101, 0b110, 0b011)
 
 
 def test_facets_and_vertices_of_a_system_with_a_lineality_space():
@@ -575,5 +591,7 @@ def test_facets_and_vertices_of_a_system_with_a_lineality_space():
     # no vertex, and irredundant's rows
     cons = [((1, 0), F(0), False), ((-1, 0), F(-1), False),
             ((2, 0), F(-1), False)]
-    assert facets_and_vertices(cons, 2) == ([0, 1], []) == \
+    kept, inc = facets_and_vertices(cons, 2)
+    assert (kept, inc.points()) == ([0, 1], []) == \
         irredundant_and_vertices(cons, 2)
+    assert inc == polyhedra.VertexIncidence(1, (), ())
