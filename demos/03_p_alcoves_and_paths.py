@@ -47,7 +47,7 @@ for p in (13, 23):
     print(f"\nvalidate_p({p}):",
           {k: v["ok"] for k, v in rep.items() if isinstance(v, dict)})
 
-# --- BFS translation path inside a p-alcove ---------------------------------
+# --- shortest translation path inside a p-alcove ----------------------------
 
 p = 7
 pa = p_membership((1, 1), p, a2.walls)

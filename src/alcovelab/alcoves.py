@@ -14,11 +14,13 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
+from operator import add
 
 from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
                     vsub)
 from .polyhedra import (VertexIncidence, facets_and_vertices, feasible,
-                        irredundant, matrix_rank, vertex_average)
+                        irredundant, matrix_rank, solve_linear,
+                        vertex_average)
 
 GE, LE = ">=", "<="
 
@@ -169,6 +171,13 @@ def _bracket(wall: Wall, t: Fraction, p=None, slope=0):
     tried in ascending order (Wall.offsets), the first one wins a tie, and
     Fractions are made only for the two offsets returned.
     """
+    d, lo, hi, _ = _bracket_nums(wall, t, p, slope)
+    return Fraction(lo, d), Fraction(hi, d)
+
+
+def _bracket_nums(wall: Wall, t: Fraction, p=None, slope=0):
+    """_bracket's search in integers: (d, lo, hi, T) with the offsets lo/d
+    and hi/d and t = T/d."""
     den, offsets = wall.offsets
     d = lcm(den, t.denominator)
     f = d // den
@@ -193,23 +202,35 @@ def _bracket(wall: Wall, t: Fraction, p=None, slope=0):
             lo, lo_v = m, v
         if hi_v is None or v + step < hi_v:
             hi, hi_v = m + d, v + step
-    return Fraction(lo, d), Fraction(hi, d)
+    return d, lo, hi, big_t
 
 
 def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
     """The real alcove bounded, on each wall, by the offsets that _bracket
     finds around <alpha, x> (moved by eps*direction when given): the bounds
-    that polyhedra.facets_and_vertices keeps, carrying its VertexIncidence."""
+    that polyhedra.facets_and_vertices keeps, carrying its VertexIncidence.
+
+    The pass takes the bounds nearest the query point (x/p in the
+    p-family) first, so that the facets go in before the bounds they make
+    redundant.  The slack of a bound, <alpha, x> - scale*lo or
+    scale*hi - <alpha, x> over the wall's denominator d, is brought to the
+    lcm of every wall's d and compared in integers."""
     x = vec(x)
     d = len(x)
-    ineqs = []
+    scale = 1 if p is None else p
+    bounds = []
     for w in walls:
         slope = 0 if direction is None else pairing(w.alpha, direction)
-        lo, hi = _bracket(w, pairing(w.alpha, x), p, slope)
-        ineqs += [(w.id, lo, GE), (w.id, hi, LE)]
-    ineqs = _canonical(ineqs)
+        den, lo, hi, big_t = _bracket_nums(w, pairing(w.alpha, x), p, slope)
+        bounds += [(w.id, GE, Fraction(lo, den), big_t - scale * lo, den),
+                   (w.id, LE, Fraction(hi, den), scale * hi - big_t, den)]
+    bounds.sort()  # by wall, sense and offset: _canonical's order
+    ineqs = tuple((wid, m, sense) for wid, sense, m, _, _ in bounds)
+    big_d = lcm(*(den for *_, den in bounds))
+    keys = [slack * (big_d // den) for *_, slack, den in bounds]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     cons = RealAlcove(d, ineqs).constraints(walls)
-    kept, inc = facets_and_vertices(cons, d)
+    kept, inc = facets_and_vertices(cons, d, order)
     return RealAlcove(d, tuple(ineqs[i] for i in kept), inc)
 
 
@@ -488,16 +509,36 @@ MAX_PATH_NODES = 200_000  # lattice points translation_path may visit
 
 
 def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls):
-    """A lattice path lam1 -> lam2 through the p-alcove by +-generator steps.
+    """A shortest lattice path lam1 -> lam2 through the p-alcove by
+    +-generator steps.
 
-    Breadth-first search over the p-alcove's lattice points; every partial
-    sum stays inside P.  Returns the list of steps (each a +-generator,
-    in the order of `generators`, + before -).  The endpoints and the
-    generators must be lattice vectors (else ValueError).  The search runs
-    on integers: P's inequalities become oriented integer covectors c with
-    thresholds floor(rhs(p)), since an integer <c, x> exceeds rhs(p)
-    exactly when it exceeds its floor, and each node carries its pairings
-    with the covectors, moved by the precomputed pairings of each step.
+    Returns the list of steps, each a +-generator; every partial sum stays
+    inside P.  The endpoints and the generators must be lattice vectors
+    (else ValueError).  The moves are ordered as the generators, + before
+    -, and of all shortest paths the one returned is the first when paths
+    are compared move by move in that order (the tie rule): it is the path
+    a breadth-first search that takes the moves in that order finds first.
+
+    Two stages find it.  When the generators are linearly independent and
+    lam2 - lam1 has integer coordinates in them, every step moves one
+    coordinate by one, so a path that only steps toward lam2 is shortest,
+    and all shortest paths are such paths when one exists.  The first
+    stage is a depth-first search over those steps, taken in move order,
+    remembering dead ends by their remaining coordinates, so its first path
+    is the one the tie rule picks.  Otherwise, or when no such path stays
+    inside P, the second stage is the breadth-first search itself.
+
+    MAX_PATH_NODES caps the lattice points each stage visits, the start
+    included: past it the first stage hands over to the second, and the
+    second raises ValueError.  So a path is returned when the first stage
+    finds it within the cap, even where the breadth-first search alone
+    would pass the cap.
+
+    Both stages run on integers: P's inequalities become oriented integer
+    covectors c with thresholds floor(rhs(p)), since an integer <c, x>
+    exceeds rhs(p) exactly when it exceeds its floor, and each node carries
+    its pairings with the covectors, moved by the precomputed pairings of
+    each step.
     """
     lam1, lam2 = vec(lam1), vec(lam2)
     gens = [vec(g) for g in generators]
@@ -524,8 +565,59 @@ def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls):
         return []
     steps = [s for g in gens for s in (g, tuple(-c for c in g))]
     moves = [(i, v, pairings(v)) for i, v in enumerate(map(lattice, steps))]
+    path = _monotone_path(start, goal, moves, pairings(start), inside)
+    if path is None:
+        path = _bfs_path(start, goal, moves, pairings(start), inside)
+    return [steps[i] for i in path]
+
+
+def _monotone_path(start, goal, moves, values, inside):
+    """translation_path's first stage: the move indices of the first path
+    in move order that only steps toward the goal, or None when the
+    generators (the + moves) give the goal no integer coordinates, no such
+    path stays inside, or the search visits more than MAX_PATH_NODES
+    lattice points.  A node is its tuple of remaining step counts, one per
+    generator that moves toward the goal."""
+    gens = [step for _, step, _ in moves[::2]]
+    coords = (solve_linear(list(zip(*gens)), vsub(goal, start))
+              if gens else None)
+    if coords is None or any(a.denominator != 1 for a in coords):
+        return None
+    toward = [moves[2 * j + (a < 0)] for j, a in enumerate(coords) if a]
+    node = tuple(abs(int(a)) for a in coords if a)
+    stack = [(node, values, 0)]  # (node, pairings, next move to try)
+    path, dead = [], set()
+    while stack:
+        node, values, k = stack[-1]
+        for k in range(k, len(toward)):
+            if node[k]:
+                nxt = node[:k] + (node[k] - 1,) + node[k + 1:]
+                if nxt not in dead:
+                    nxt_values = tuple(map(add, values, toward[k][2]))
+                    if inside(nxt_values):
+                        break
+        else:
+            dead.add(node)
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        stack[-1] = (node, values, k + 1)
+        path.append(toward[k][0])
+        if not any(nxt):
+            return path
+        stack.append((nxt, nxt_values, 0))
+        if len(dead) + len(stack) > MAX_PATH_NODES:
+            return None
+    return None
+
+
+def _bfs_path(start, goal, moves, values, inside):
+    """translation_path's second stage: the move indices of the path a
+    breadth-first search over the p-alcove's lattice points finds first,
+    taking the moves (index, step, pairings of the step) in order."""
     prev = {start: None}
-    queue = deque([(start, pairings(start))])
+    queue = deque([(start, values)])
     while queue:
         cur, values = queue.popleft()
         for i, step, delta in moves:
@@ -541,7 +633,7 @@ def translation_path(lam1, lam2, P: PAlcove, p: int, generators, walls):
                 node = nxt
                 while prev[node] is not None:
                     node, i = prev[node]
-                    path.append(steps[i])
+                    path.append(i)
                 return path[::-1]
             queue.append((nxt, nxt_values))
             if len(prev) > MAX_PATH_NODES:

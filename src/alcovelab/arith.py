@@ -163,10 +163,15 @@ class Wall:
                           for s in ordered)
 
     def class_part(self, m) -> list[Fraction]:
-        """Elements of sigma_tilde in the Z-coset of m (sorted, possibly empty)."""
+        """Elements of sigma_tilde in the Z-coset of m (sorted, possibly
+        empty), read off the offsets: none unless m's denominator divides
+        den, else the sigma whose numerator S has den | (den*m - S)."""
         m = rat(m)
-        return [x for x, _ in self.offsets[1]
-                if (m - x).denominator == 1]
+        den, offsets = self.offsets
+        if den % m.denominator:
+            return []
+        big_m = m.numerator * (den // m.denominator)
+        return [x for x, s in offsets if (big_m - s) % den == 0]
 
     def to_json(self) -> dict:
         return {

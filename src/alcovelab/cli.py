@@ -2,8 +2,8 @@
 
 Every subcommand prints one deterministic JSON report, or the DOT, CSV or
 JSON text asked for; it exits 1 when its checks fail, and 1 with one
-{"error": ...} line when its input is rejected.  A bare call (usage on
-stdout) or a flag that argparse rejects (usage on stderr) exits 2.
+{"error": ...} line when its input is rejected.  A bare call or a flag
+that argparse rejects prints the usage on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def dispatch(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.cmd is None:
-        ap.print_usage()
+        ap.print_usage(sys.stderr)
         return 2
     try:
         return _run(args, _checked_p_samples(args))

@@ -43,6 +43,11 @@ method revisited", 1996) serves `vertices`, `interior_point` and
 one at a time, to the cone {(x, t) : c.x >= b*t}, keeping its extreme rays
 as primitive integer vectors with the bitmask of the rows tight on each; two
 rays are adjacent when no third ray is tight on every row tight on both.
+The order in which the rows go in steers only the work, not the answer: it
+sets how many rays the pass holds on the way (Fukuda and Prodon), while bit
+i stays row i and the final rays and their tight rows are the same in every
+order.  The alcove build hands in its nearest bounds first, so the facets
+go in first and each redundant bound after them costs one scan of the rays.
 The rays with t > 0 are the vertices, read off as one `VertexIncidence`.
 For a polytope with interior a row is a facet when its set of tight vertices
 is nonempty and lies in no other row's set; of two rows with the same set
@@ -330,22 +335,24 @@ def _combine(a, u, b, v):
     return tuple([x // g for x in w] if g > 1 else w)
 
 
-def facets_and_vertices(constraints, dim):
+def facets_and_vertices(constraints, dim, order=None):
     """(irredundant indices, VertexIncidence) of {x : coeffs.x >= rhs},
     every row read as non-strict: irredundant's answer on those rows and
     the vertices with their tight kept rows, from one pass.
 
     The pass builds the extreme rays of the cone {(x, t) : c.x >= b*t,
     t >= 0} over the integer rows (c, b), adding t >= 0 and then the rows in
-    order, each ray with the bitmask of the rows tight on it.  A polytope
-    with interior is read off the rays: the rays with t > 0 are its
-    vertices, and a row is kept when its set of tight vertices is nonempty
-    and lies in no other row's set, the later index winning a tie.  Any
-    other system, one with a lineality space (no vertices), an unbounded,
-    an empty or a lower-dimensional one, keeps irredundant's indices, and
-    the vertices and their masks still come from the rays.
+    `order` (row indices, by default ascending), each ray with the bitmask
+    of the rows tight on it.  The order steers only the work: the answer is
+    the same in every order.  A polytope with interior is read off the
+    rays: the rays with t > 0 are its vertices, and a row is kept when its
+    set of tight vertices is nonempty and lies in no other row's set, the
+    later index winning a tie.  Any other system, one with a lineality
+    space (no vertices), an unbounded, an empty or a lower-dimensional one,
+    keeps irredundant's indices, and the vertices and their masks still
+    come from the rays.
     """
-    lineality, rays = _extreme_rays(constraints, dim)
+    lineality, rays = _extreme_rays(constraints, dim, order)
     # per row, the bitmask of the rays tight on it
     tight = [sum(1 << j for j, (_, mask) in enumerate(rays) if mask >> i & 1)
              for i in range(len(constraints))]
@@ -362,11 +369,12 @@ def facets_and_vertices(constraints, dim):
     return kept, _incidence(lineality, rays, dim, kept)
 
 
-def _extreme_rays(constraints, dim):
+def _extreme_rays(constraints, dim, order=None):
     """The cone {(x, t) : c.x >= b*t, t >= 0} of the constraints as integer
     rows (c, b, strict), strict read as non-strict, by double description
     (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, "Double
-    description method revisited", 1996).
+    description method revisited", 1996), the rows added in `order` (row
+    indices, by default ascending).
 
     Returns (lineality, rays): a basis of its lineality space and its
     extreme rays modulo that space, each ray as (primitive integer vector,
@@ -379,13 +387,16 @@ def _extreme_rays(constraints, dim):
     keeps the rays on its side and adds the positive combination in its
     hyperplane of each adjacent pair on opposite sides; two rays are
     adjacent when no third ray is tight on every row tight on both (the
-    combinatorial test).
+    combinatorial test).  A pointed cone's extreme rays, as primitive
+    vectors, and the rows tight on each do not depend on the order, which
+    only sets how many rays the pass holds on the way.
     """
     rows = [_integer_row(c) for c in constraints]
     unit = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim + 1)]
     lineality, rays = unit[:dim], [(unit[dim], 0)]
     done = 1 << len(rows)  # the rows added so far: t >= 0
-    for i, (c, b, _) in enumerate(rows):
+    for i in range(len(rows)) if order is None else order:
+        c, b, _ = rows[i]
         h, bit = (*c, -b), 1 << i
         for k, l in enumerate(lineality):
             s = sum(map(mul, h, l))

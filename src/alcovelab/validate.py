@@ -65,8 +65,10 @@ def validate_p(p: int, instance, alcoves=()) -> dict:
     if instance.lambdas:
         c_ok = None not in lam_residues
     else:
-        c_ok = all(((p + 1) * instance.c_const[x]).denominator == 1
-                   and all(((p + 1) * c).denominator == 1
+        # a reduced c times p + 1 is integral exactly when its denominator
+        # divides p + 1
+        c_ok = all((p + 1) % instance.c_const[x].denominator == 0
+                   and all((p + 1) % c.denominator == 0
                            for c in instance.c_linear[x])
                    for x in instance.points)
     report["c_scalars"] = {"ok": c_ok}

@@ -3,9 +3,11 @@ import io
 import json
 from collections import Counter, deque
 from contextlib import ExitStack, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import lcm
+from time import perf_counter
 from unittest import mock
 
 import pytest
@@ -411,6 +413,32 @@ def test_small_p_alcoves_without_interior_keep_irredundant_bounds(
         p_membership((x,), p, walls)
 
 
+def test_small_p_builds_with_at_most_rank_vertices_end_in_p_too_small():
+    # the scan an early PTooSmallError rests on: every p-family build
+    # whose pass finds at most rank vertices (empty, a point or, in rank
+    # 2 and up, too few for an interior) is one p_membership rejects
+    scans = [(hilb_instance(n, ell), (2, 3, 5, 7, 11, 13),
+              [(x,) for x in range(-40, 41)])
+             for n in range(2, 13) for ell in range(3)]
+    scans += [(inst, (2, 3, 5, 7),
+               list(product(range(-6, 7), repeat=inst.rank)))
+              for inst in (weyl_a_instance(3), weyl_a_instance(4))]
+    builds = few = 0
+    for inst, primes, points in scans:
+        for p in primes:
+            for x in points:
+                try:
+                    A = _alcove_around(x, inst.walls, p)
+                except OnPWallError:
+                    continue
+                builds += 1
+                if len(A.incidence.nums) <= inst.rank:
+                    few += 1
+                    with pytest.raises(PTooSmallError):
+                        p_membership(x, p, inst.walls)
+    assert (builds, few) == (4301, 323)
+
+
 def test_faces_of_the_octahedron_at_the_origin():
     A = real_alcove_of((0, 0, 0), OCTAHEDRAL_WALLS)
     assert len(A.inequalities) == 8
@@ -699,6 +727,24 @@ def test_validate_p_blocks_match_pairwise_oracle(data):
         [d for _, d in expected]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_validate_p_c_scalars_match_the_fraction_form(data):
+    # with no registered lambda, (c) asks that every (p+1)*c be integral
+    inst = data.draw(st.sampled_from((hilb_instance(3, 0),
+                                      weyl_a_instance(3))))
+    p = data.draw(st.sampled_from((5, 7, 11, 13, 23)))
+    rational = st.builds(F, st.integers(-40, 40),
+                         st.sampled_from((1, 2, 3, 4, 6, 8, 12, p + 1)))
+    c_const = {x: data.draw(rational) for x in inst.points}
+    c_linear = {x: tuple(data.draw(rational) for _ in range(inst.rank))
+                for x in inst.points}
+    rep = validate_p(p, replace(inst, c_const=c_const, c_linear=c_linear))
+    assert rep["c_scalars"]["ok"] == all(
+        ((p + 1) * c).denominator == 1 for x in inst.points
+        for c in (c_const[x], *c_linear[x]))
+
+
 def test_validate_p_small_p_empty_alcove():
     # at p=5 with n=4 data the alcove (1/4, 1/3) has window
     # [6/4*... ] -> (p+1)/4 + 1 = 2.5 territory: lattice gap
@@ -922,9 +968,87 @@ def test_translation_path_matches_fraction_bfs_oracle(data):
     args = (src, dst, pa, p, inst.generators, inst.walls)
     with mock.patch.object(alcoves, "MAX_PATH_NODES", 1000):
         got = path_outcome(translation_path, *args)
-        assert got == path_outcome(fraction_bfs_path, *args)
+        expected = path_outcome(fraction_bfs_path, *args)
+    if isinstance(got, list) and expected is ValueError:
+        # a monotone path found within the cap, where the oracle passed its
+        # cap: uncapped (20 000 holds the rank-4 L1 ball of radius 12), the
+        # oracle must find the same path
+        with mock.patch.object(alcoves, "MAX_PATH_NODES", 20_000):
+            expected = path_outcome(fraction_bfs_path, *args)
+    assert got == expected
     if kind == "walk":
         assert isinstance(got, list) or got is ValueError
+
+
+def path_digest(path):
+    """sha256 of a path's steps as rational strings."""
+    return hashlib.sha256(json.dumps(
+        [[rat_str(c) for c in s] for s in path]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p, dst, length, digest", [
+    # the breadth-first path, which took 2.3 s at p = 101
+    (101, (54, 27, 18), 96,
+     "8d121013cd8fadeadae16558ae5f4a427cb7a31ddce69a1841cf21d9a1929985"),
+    # past the breadth-first search's cap of 200 000 lattice points
+    (211, (114, 57, 38), 206,
+     "a30cce673f54e88e46678255e4057edefb21e6aaf4bb53d0549b52a186f1c052"),
+])
+def test_far_weyl_a4_paths_take_time_in_proportion_to_their_length(
+        p, dst, length, digest):
+    inst = weyl_a_instance(4)
+    src = (1, 1, 1)
+    pa = p_membership(src, p, inst.walls)
+    args = (src, dst, pa, p, inst.generators, inst.walls)
+    times = []
+    for _ in range(3):
+        start = perf_counter()
+        path = translation_path(*args)
+        times.append(perf_counter() - start)
+    assert min(times) < 0.05
+    # shortest: the generators are the unit vectors, so the L1 distance
+    assert len(path) == length == sum(abs(b - a) for a, b in zip(src, dst))
+    assert path_digest(path) == digest
+    cur = src
+    for step in path:
+        cur = tuple(a + b for a, b in zip(cur, step))
+        assert pa.contains(cur, p, inst.walls)
+    assert cur == dst
+
+
+def test_translation_path_without_monotone_coordinates_searches_breadth_first():
+    inst = hilb_instance(2, 0)
+    pa = p_membership((4,), 5, inst.walls)
+    with mock.patch.object(alcoves, "_bfs_path",
+                           wraps=alcoves._bfs_path) as spy:
+        # 3 = 3/2 * 2: no integer coordinate, and 7 is out of reach
+        with pytest.raises(ValueError, match="^no path: "):
+            translation_path((4,), (7,), pa, 5, [(2,)], inst.walls)
+        # dependent generators
+        assert translation_path((4,), (7,), pa, 5, [(1,), (2,)],
+                                inst.walls) == [(1,), (2,)]
+        assert spy.call_count == 2
+        # the unit generator gives 7 - 4 the coordinate 3
+        assert translation_path((4,), (7,), pa, 5, inst.generators,
+                                inst.walls) == [(1,)] * 3
+        assert spy.call_count == 2
+
+
+def test_translation_path_goes_round_a_cut():
+    # both one-step moves toward the goal leave P, so the breadth-first
+    # search answers, with a detour of two steps
+    inst = weyl_a_instance(4)
+    src, dst = (-3, -3, -2), (-4, -2, -2)
+    pa = p_membership(src, 7, inst.walls)
+    for step in ((-1, 0, 0), (0, 1, 0)):
+        assert not pa.contains(vadd(src, step), 7, inst.walls)
+    args = (src, dst, pa, 7, inst.generators, inst.walls)
+    with mock.patch.object(alcoves, "_bfs_path",
+                           wraps=alcoves._bfs_path) as spy:
+        got = translation_path(*args)
+    assert spy.call_count == 1
+    assert len(got) == 4
+    assert got == fraction_bfs_path(*args)
 
 
 def test_translation_path_rejects_non_lattice_inputs():

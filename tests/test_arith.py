@@ -205,6 +205,22 @@ def test_wall_class_part_sorted():
     assert w.class_part(F(1, 5)) == []
 
 
+@given(st.data())
+def test_wall_class_part_matches_the_fraction_rule(data):
+    shifts = data.draw(st.sets(st.fractions(min_value=-4, max_value=4,
+                                            max_denominator=12),
+                               min_size=1, max_size=5))
+    w = Wall(id=0, alpha=(1,), sigma_tilde=saturate(frozenset(shifts)))
+    # m in the class of a shift, or any rational
+    m = data.draw(st.one_of(
+        st.builds(lambda s, k: s + k, st.sampled_from(sorted(shifts)),
+                  st.integers(-9, 9)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=36)))
+    # the Fraction rule: sigma with m - sigma an integer, ascending
+    assert w.class_part(m) == sorted(x for x in w.sigma_tilde
+                                     if (m - x).denominator == 1)
+
+
 # a pairing entry as an int, a Fraction or a "num/den" string
 pairing_entry = st.one_of(
     st.integers(-20, 20),

@@ -119,9 +119,11 @@ def test_cli_error_paths(tmp_path, config, argv, expected):
     assert (code, out) == (1, json.dumps({"error": expected}) + "\n")
 
 
-def test_cli_no_args_usage():
-    code, _ = run_cli([])
-    assert code == 2
+def test_cli_no_args_usage(capsys):
+    code, out = run_cli([])
+    # the usage goes to stderr: stdout carries only reports
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("usage: alcove-lab")
 
 
 def test_cli_unknown_subcommand():

@@ -595,3 +595,19 @@ def test_facets_and_vertices_of_a_system_with_a_lineality_space():
     assert (kept, inc.points()) == ([0, 1], []) == \
         irredundant_and_vertices(cons, 2)
     assert inc == polyhedra.VertexIncidence(1, (), ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(bounded_systems(), simplices(), systems(),
+                 systems_with_parallel_rows(), degenerate_systems())
+       .flatmap(lambda system: st.tuples(
+           st.just(system), st.permutations(range(len(system[0]))))))
+def test_facets_and_vertices_do_not_depend_on_the_insertion_order(drawn):
+    # bounded (with duplicate, scaled and loosened rows), unbounded, with a
+    # lineality space, empty and lower-dimensional systems
+    (cons, dim), order = drawn
+    kept, inc = facets_and_vertices(cons, dim)
+    got_kept, got = facets_and_vertices(cons, dim, order)
+    assert (got_kept, got.den, got.nums, got.masks) == (
+        kept, inc.den, inc.nums, inc.masks)
+
