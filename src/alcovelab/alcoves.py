@@ -19,8 +19,7 @@ from operator import add
 from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
                     vsub)
 from .polyhedra import (VertexIncidence, facets_and_vertices, feasible,
-                        irredundant, matrix_rank, solve_linear,
-                        vertex_average)
+                        matrix_rank, solve_linear, vertex_average)
 
 GE, LE = ">=", "<="
 
@@ -483,8 +482,9 @@ def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
 
     On each integral wall the chamber's covectors give the side (alpha or
     -alpha, else ValueError) and m~ = sigma* + 1, sigma* the largest element
-    of the oriented sigma_tilde in the class of <alpha, lambda>; the
-    minimality assertion m~ - 1 in sigma_tilde holds by construction.
+    of the oriented sigma_tilde in the class of <alpha, lambda>.  The
+    inequalities kept are polyhedra.facets_and_vertices' facets of the
+    shifted cone, which has an interior whenever the chamber has one.
     """
     lam = vec(lam)
     d = len(lam)
@@ -496,12 +496,10 @@ def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
             sense = LE
         else:
             raise ValueError(f"chamber is not transverse to integral wall {w.id}")
-        orient, alpha, _, sigma_star = oriented_facet(w, t, sense)
-        m_tilde = sigma_star + 1
-        assert m_tilde - 1 in {orient * s for s in w.sigma_tilde}
-        out.append((w.id, alpha, m_tilde))
+        _, alpha, _, sigma_star = oriented_facet(w, t, sense)
+        out.append((w.id, alpha, sigma_star + 1))
     out.sort(key=lambda q: (q[0], q[1]))
-    kept = irredundant([(a, m, False) for _, a, m in out], d)
+    kept, _ = facets_and_vertices([(a, m, False) for _, a, m in out], d)
     return QuantumChamber(lam, tuple(out[i] for i in kept))
 
 

@@ -10,26 +10,24 @@ right-hand side, the form every alcove row takes, is scaled without making
 a `Fraction`.
 
 One Fourier-Motzkin elimination loop serves `feasible` (its verdict),
-`find_point`, `first_lattice_point` and the redundancy checks.  It
-eliminates x_k by integer cross-multiplication.  After each elimination
-level the derived rows keep only the tightest row per direction (Imbert,
-"Fourier's elimination: which to choose?", 1993), keyed on their primitive
-integer coefficients c/gcd(c): a dropped row is a parallel, looser copy of
-a kept one, so every level describes the same region, while parallel
-copies no longer multiply from level to level.  Every row of every level,
-the input rows included, is reduced: divided by gcd(c, b), which keeps the
-integers small.  Level k is
+`find_point` and `first_lattice_point`.  It eliminates x_k by integer
+cross-multiplication.  After each elimination level the derived rows keep
+only the tightest row per direction (Imbert, "Fourier's elimination: which
+to choose?", 1993), keyed on their primitive integer coefficients c/gcd(c):
+a dropped row is a parallel, looser copy of a kept one, so every level
+describes the same region, while parallel copies no longer multiply from
+level to level.  Every row of every level, the input rows included, is
+reduced: divided by gcd(c, b), which keeps the integers small.  Level k is
 the system over x_0..x_k, kept as those integer rows: once x_0..x_{k-1}
 satisfy level k-1, it bounds x_k to a nonempty slab.  `_slab` reads each
 bound off a row as the `Fraction` (b - sum_j c_j x_j) / c_k, the only
 `Fraction` the elimination makes, so `feasible` makes none.  `find_point`
 takes the midpoint of each slab; `first_lattice_point` steps x_k upward
 through the integers of its slab, depth first, and backtracks when a slab
-holds none, which gives the lexicographically first integer point.
-`irredundant` makes its rows reduced integer rows once, and each of its
-checks runs one verdict on them: the loop on the other rows and the
-negated row under test, with no row converted again.  `is_redundant`
-converts its rows once and runs the same verdict.
+holds none, which gives the lexicographically first integer point.  The
+redundancy checks are feasibility questions: `is_redundant` asks `feasible`
+of the other rows and the negated row under test, and `irredundant` asks it
+of each row in turn against the rows kept so far.
 
 One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", 1968) serves
@@ -49,11 +47,12 @@ i stays row i and the final rays and their tight rows are the same in every
 order.  The alcove build hands in its nearest bounds first, so the facets
 go in first and each redundant bound after them costs one scan of the rays.
 The rays with t > 0 are the vertices, read off as one `VertexIncidence`.
-For a polytope with interior a row is a facet when its set of tight vertices
-is nonempty and lies in no other row's set; of two rows with the same set
-the later is kept, as `irredundant` keeps it.  Any other system (a lineality
-space, unbounded, empty or lower-dimensional) keeps `irredundant`'s indices;
-`irredundant` also serves `alcoves.quantum_chamber`.
+The same rays, taken modulo the lineality space, give the facets of every
+system with an interior, bounded or not, which is every alcove and every
+quantum chamber: a row is a facet when its set of tight rays holds a ray
+with t > 0 and lies in no other row's set; of two rows with the same set
+the later is kept, as `irredundant` keeps it.  Only a system with no
+interior (empty or lower-dimensional) keeps `irredundant`'s indices.
 
 One vertex average, `vertex_average`, serves every interior point and the
 face witnesses of `alcoves.faces_of`: it sums each coordinate of the
@@ -123,26 +122,16 @@ def _reduced(row):
     return (tuple(a // g for a in c), b // g, strict) if g > 1 else row
 
 
-def _reduced_rows(constraints):
-    """The constraints as reduced integer rows."""
-    return [_reduced(_integer_row(c)) for c in constraints]
-
-
 def _eliminate(constraints, dim):
-    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn: the
-    constraints made reduced integer rows, then _eliminate_rows."""
-    return _eliminate_rows(_reduced_rows(constraints), dim)
-
-
-def _eliminate_rows(rows, dim):
-    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn, on
-    reduced integer rows, which it takes as they are.
+    """Fourier-Motzkin elimination of x_{dim-1}, ..., x_0 in turn, on the
+    constraints made reduced integer rows.
 
     Returns (levels, ok): levels[k] is the system over x_0..x_k (before x_k
     is eliminated) as reduced integer rows, and ok tells whether the
     variable-free rows left at the end all hold, i.e. whether the system is
     feasible.
     """
+    rows = [_reduced(_integer_row(c)) for c in constraints]
     levels = []
     for k in range(dim - 1, -1, -1):
         levels.append(rows)
@@ -340,27 +329,32 @@ def facets_and_vertices(constraints, dim, order=None):
     every row read as non-strict: irredundant's answer on those rows and
     the vertices with their tight kept rows, from one pass.
 
-    The pass builds the extreme rays of the cone {(x, t) : c.x >= b*t,
-    t >= 0} over the integer rows (c, b), adding t >= 0 and then the rows in
-    `order` (row indices, by default ascending), each ray with the bitmask
-    of the rows tight on it.  The order steers only the work: the answer is
-    the same in every order.  A polytope with interior is read off the
-    rays: the rays with t > 0 are its vertices, and a row is kept when its
-    set of tight vertices is nonempty and lies in no other row's set, the
-    later index winning a tie.  Any other system, one with a lineality
-    space (no vertices), an unbounded, an empty or a lower-dimensional one,
-    keeps irredundant's indices, and the vertices and their masks still
-    come from the rays.
+    The pass builds the extreme rays, modulo the lineality space, of the
+    cone {(x, t) : c.x >= b*t, t >= 0} over the integer rows (c, b), adding
+    t >= 0 and then the rows in `order` (row indices, by default
+    ascending), each ray with the bitmask of the rows tight on it.  The
+    order steers only the work: the answer is the same in every order.
+
+    The system has an interior when some ray has t > 0 (it is nonempty)
+    and no row is tight on every ray (none is an implicit equality), be it
+    bounded, unbounded or with a lineality space.  Then its facets are read
+    off the rays (Fukuda and Prodon): a row whose tight rays all have
+    t = 0 bounds only at infinity, and of the others a row is kept when
+    its set of tight rays lies in no other row's set, the later index
+    winning a tie.  A system with no interior, empty or lower-dimensional,
+    keeps irredundant's indices.  The rays with t > 0 are the vertices,
+    none where there is a lineality space, and their masks come from the
+    rays in both cases.
     """
     lineality, rays = _extreme_rays(constraints, dim, order)
     # per row, the bitmask of the rays tight on it
     tight = [sum(1 << j for j, (_, mask) in enumerate(rays) if mask >> i & 1)
              for i in range(len(constraints))]
-    if (lineality or not rays or not all(r[dim] for r, _ in rays)
-            or (1 << len(rays)) - 1 in tight):
+    finite = sum(1 << j for j, (r, _) in enumerate(rays) if r[dim])
+    if not finite or (1 << len(rays)) - 1 in tight:
         kept = irredundant([(c, b, False) for c, b, _ in constraints], dim)
     else:
-        last = {t: i for i, t in enumerate(tight) if t}
+        last = {t: i for i, t in enumerate(tight) if t & finite}
         facets = []
         for t in sorted(last, key=int.bit_count, reverse=True):
             if not any(t & f == t for f in facets):
@@ -456,35 +450,24 @@ def interior_point(constraints, dim):
     return vertex_average(inc.nums, inc.den) if inc.nums else None
 
 
-def _redundant(rows, idx, dim) -> bool:
-    """The verdict of is_redundant on reduced integer rows: the rest
-    together with the negation of row idx must be infeasible.  The negation
-    of a reduced row is reduced, so no row is converted."""
-    c, b, strict = rows[idx]
-    # c.x < b, or c.x <= b when idx itself is strict
-    negated = (tuple(-a for a in c), -b, not strict)
-    return not _eliminate_rows(rows[:idx] + rows[idx + 1:] + [negated],
-                               dim)[1]
-
-
 def is_redundant(constraints, idx, dim) -> bool:
     """Whether dropping constraint idx leaves the region unchanged: the rest
-    together with the negation of idx must be infeasible.  The rows are
-    made reduced integer rows once, then judged by the same verdict as
-    irredundant's."""
-    return _redundant(_reduced_rows(constraints), idx, dim)
+    together with the negation of idx must be infeasible."""
+    c, b, strict = _integer_row(constraints[idx])
+    # c.x < b, or c.x <= b when idx itself is strict
+    negated = (tuple(-a for a in c), -b, not strict)
+    return not feasible([*constraints[:idx], *constraints[idx + 1:], negated],
+                        dim)
 
 
 def irredundant(constraints, dim):
     """Indices, ascending, of the constraints kept after pruning those
-    implied by the others (tried in order).  The rows are made reduced
-    integer rows once, and every check runs the one verdict on them, so no
-    check converts a row again."""
-    rows = _reduced_rows(constraints)
-    keep = list(range(len(rows)))
+    implied by the others, tried in order: each check is is_redundant on
+    the rows kept so far."""
+    keep = list(range(len(constraints)))
     i = 0
     while i < len(keep):
-        if _redundant([rows[j] for j in keep], i, dim):
+        if is_redundant([constraints[j] for j in keep], i, dim):
             keep.pop(i)
         else:
             i += 1

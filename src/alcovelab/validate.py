@@ -9,7 +9,7 @@ from math import lcm
 from .arith import AffineInP, is_lattice, rat_str, vscale
 from .alcoves import p_alcove_of
 from .orders import c_bar
-from .polyhedra import first_lattice_point, interior_point
+from .polyhedra import first_lattice_point, interior_point, matrix_rank
 
 
 def p_lattice_point(pa, p: int, walls):
@@ -17,12 +17,16 @@ def p_lattice_point(pa, p: int, walls):
 
     The rounded center of the evaluated polytope works once p is moderately
     large (margins grow linearly in p); otherwise the answer is the
-    lexicographically first lattice point of the open polytope.
+    lexicographically first lattice point of the open polytope.  A p-alcove
+    with no vertex is empty, or unbounded when its wall covectors do not
+    span, which is a ValueError.
     """
     cons = [(c, r, True) for c, r in pa.rows(p, walls)]
     d = pa.source.rank
     center = interior_point(cons, d)
     if center is None:
+        if matrix_rank([c for c, _, _ in cons]) < d:
+            raise ValueError("unbounded alcove: wall covectors do not span")
         return None
     cand = tuple((c + Fraction(1, 2)).__floor__() for c in center)
     if pa.contains(cand, p, walls):

@@ -143,6 +143,23 @@ def test_cli_validate_p_exit_codes():
     assert json.loads(out)["checks"]["a_denominators"]["ok"] is False
 
 
+def test_cli_validate_p_names_an_unbounded_alcove(tmp_path):
+    # one wall in the plane: the p-alcove is the strip 0 < x_0 < 7, which
+    # holds (1, 0) but has no vertex to round, so check (e) is an error,
+    # not a missing lattice point
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps({"rank": 2, "walls": [
+        {"id": 0, "alpha": [1, 0], "sigma_tilde": ["0"]}]}))
+    code, out = run_cli(["validate-p", "--config", str(path), "--p", "7",
+                         "--alcove-point", "1/2,1/3"])
+    assert code == 1
+    assert json.loads(out)["checks"]["e_nonempty"]["checks"] == [{
+        "alcove": {"inequalities": [[0, "1", "<="], [0, "0", ">="]],
+                   "rank": 2},
+        "ok": False,
+        "error": "unbounded alcove: wall covectors do not span"}]
+
+
 def test_cli_alcove_and_faces():
     code, out = run_cli(["alcove", "--builtin", "hilb", "--n", "2",
                          "--point", "1"])

@@ -1,12 +1,14 @@
-"""The core modules never import the config module, and the facet rule
-stays in alcoves.
+"""The core modules never import the config module, the facet rule stays
+in alcoves, and polyhedra has one facet path.
 
 Standard library only.  `config` is the one module that reads JSON input,
 so the modules below it know nothing of the input contract: a core module
 that imported `.config` would start a second reader.  Likewise `alcoves`
 is the one module that orients an alcove's inequalities: a module that
 used `oriented_facet` or the senses `GE`/`LE` would start a second copy of
-the p-alcove's facets.
+the p-alcove's facets.  `polyhedra.facets_and_vertices` reads the facets
+of every system with an interior off its rays: a second call of
+`irredundant` would start a second facet path.
 """
 
 import ast
@@ -88,3 +90,45 @@ def test_the_check_sees_each_use_of_the_facet_rule():
 def test_the_facet_rule_stays_in_alcoves(path):
     assert {name for name in facet_rule_names(path.read_text(encoding="utf-8"))
             if path.stem not in FACET_RULE[name]} == set()
+
+
+def irredundant_calls(source):
+    """(enclosing function, in an if's body) for each call of irredundant
+    in source, by name or as an attribute."""
+    calls = []
+
+    def visit(node, function, in_if):
+        if isinstance(node, ast.Call) and "irredundant" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            calls.append((function, in_if))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function, in_if = node.name, False
+        for field, value in ast.iter_fields(node):
+            children = value if isinstance(value, list) else [value]
+            for child in children:
+                if isinstance(child, ast.AST):
+                    visit(child, function,
+                          in_if or (isinstance(node, ast.If)
+                                    and field == "body"))
+
+    visit(ast.parse(source), None, False)
+    return calls
+
+
+def test_the_check_sees_each_call_of_irredundant():
+    source = ("from .polyhedra import irredundant\n"
+              "from . import polyhedra\n"
+              "def f(cons):\n"
+              "    if cons:\n"
+              "        return irredundant(cons, 2)\n"
+              "    return polyhedra.irredundant(cons, 2)\n"
+              "x = irredundant\n")
+    assert irredundant_calls(source) == [("f", True), ("f", False)]
+
+
+def test_irredundant_is_called_only_for_systems_without_interior():
+    # the one call is the fallback branch of facets_and_vertices
+    calls = [(path.stem, *call) for path in sorted(PACKAGE.glob("*.py"))
+             for call in irredundant_calls(path.read_text(encoding="utf-8"))]
+    assert calls == [("polyhedra", "facets_and_vertices", True)]

@@ -548,9 +548,12 @@ def simplices(draw):
     return draw(st.permutations(cons)), dim
 
 
-@settings(max_examples=300, deadline=None)
-@given(bounded_systems())
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(bounded_systems(), systems(), systems_with_parallel_rows(),
+                 degenerate_systems(), simplices()))
 def test_facets_and_vertices_match_irredundant_and_vertices(system):
+    # bounded, unbounded, conic, with a lineality space, empty and
+    # lower-dimensional systems
     cons, dim = system
     kept, inc = facets_and_vertices(cons, dim)
     assert (kept, inc.points()) == irredundant_and_vertices(cons, dim)
@@ -571,6 +574,33 @@ def test_facets_and_vertices_of_simplices_need_no_elimination(system):
     # every vertex of a simplex lies on dim of its dim + 1 facets
     assert inc.masks == tight_kept_masks(cons, kept, inc.points())
     assert all(mask.bit_count() == dim for mask in inc.masks)
+
+
+# unbounded systems with an interior: the quantum chambers of weyl_a(4) at
+# lambda = (2, -1, 3), a pointed cone on all six walls, and at (1, 2, 7/2),
+# a cone on three walls with a lineality space, each as the rows
+# <a, x> >= 1 of its covectors a; and the strip 0 < x_0 < 7 of the plane
+# with a looser copy of a bound
+UNBOUNDED_WITH_INTERIOR = [
+    ([(a, F(1), False) for a in [(1, 0, 0), (1, 1, 0), (1, 1, 1),
+                                 (0, -1, 0), (0, 1, 1), (0, 0, 1)]],
+     3, [1, 3, 4]),
+    ([(a, F(1), False) for a in [(1, 0, 0), (1, 1, 0), (0, 1, 0)]],
+     3, [0, 2]),
+    ([((1, 0), F(0), True), ((-1, 0), F(-7), True),
+      ((2, 0), F(-1), False)], 2, [0, 1]),
+]
+
+
+@pytest.mark.parametrize("cons, dim, kept", UNBOUNDED_WITH_INTERIOR)
+def test_facets_of_unbounded_systems_with_interior_need_no_elimination(
+        cons, dim, kept):
+    expected = irredundant_and_vertices(cons, dim)
+    assert expected[0] == kept
+    with mock.patch.object(polyhedra, "irredundant",
+                           side_effect=AssertionError("irredundant called")):
+        got_kept, inc = facets_and_vertices(cons, dim)
+    assert (got_kept, inc.points()) == expected
 
 
 def test_facets_and_vertices_keep_the_later_of_duplicate_rows():
