@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
-from operator import add
+from operator import add, itemgetter, mul
 
 from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
                     vsub)
@@ -148,7 +148,7 @@ def real_alcove_of(x, walls) -> RealAlcove:
     On each wall only the nearest hyperplane below and the nearest above
     <alpha, x> (offsets in Sigma_Gamma + Z) are candidate bounds; the facets
     among them and the vertices come from one double-description pass
-    (polyhedra.facets_and_vertices).
+    (polyhedra.facets_and_vertices), all in integers (_alcove_around).
     """
     return _alcove_around(x, walls)
 
@@ -162,25 +162,30 @@ def _bracket(wall: Wall, t: Fraction, p=None, slope=0):
     one at p*m + sigma.  A hyperplane at t bounds from below for slope > 0
     and from above for slope < 0; for slope 0 it raises SingularPointError
     (real family) or OnPWallError with the integer m - sigma (p-family).
-
-    The search runs on integer numerators over d, the lcm of t's and the
-    offsets' denominators: with T = t*d and S = sigma*d, the hyperplane of
-    sigma nearest below t is m = sigma + k with k one floor division, and
-    its value scale*m + shift is compared with T, in integers.  Offsets are
-    tried in ascending order (Wall.offsets), the first one wins a tie, and
-    Fractions are made only for the two offsets returned.
+    It runs _bracket_nums on t's numerator and denominator, and makes
+    Fractions of the two offsets only.
     """
-    d, lo, hi, _ = _bracket_nums(wall, t, p, slope)
+    d, lo, hi, _ = _bracket_nums(wall, t.numerator, t.denominator, p, slope)
     return Fraction(lo, d), Fraction(hi, d)
 
 
-def _bracket_nums(wall: Wall, t: Fraction, p=None, slope=0):
-    """_bracket's search in integers: (d, lo, hi, T) with the offsets lo/d
-    and hi/d and t = T/d."""
+def _bracket_nums(wall: Wall, t_num: int, t_den: int, p=None, slope=0):
+    """_bracket's search in integers, for t = t_num/t_den (reduced or not):
+    (d, lo, hi, T) with the offsets lo/d and hi/d and t = T/d, where d is
+    the lcm of t_den and the offsets' denominator.
+
+    With S = sigma*d, the hyperplane of sigma nearest below t is m = sigma
+    + k with k one floor division, and its value scale*m + shift is compared
+    with T.  Scaling t_num and t_den by a common factor scales every term
+    of that division and comparison alike, so k, the offsets and the sign
+    of every slack do not depend on whether t_num/t_den is reduced.
+    Offsets are tried in ascending order (Wall.offsets) and the first one
+    wins a tie.  The SingularPointError's offset is the only Fraction made.
+    """
     den, offsets = wall.offsets
-    d = lcm(den, t.denominator)
+    d = lcm(den, t_den)
     f = d // den
-    big_t = t.numerator * (d // t.denominator)
+    big_t = t_num * (d // t_den)
     scale = 1 if p is None else p
     step = scale * d  # gap between two hyperplanes of one offset, times d
     lo = hi = lo_v = hi_v = None
@@ -193,7 +198,7 @@ def _bracket_nums(wall: Wall, t: Fraction, p=None, slope=0):
         if v == big_t:
             if slope == 0:
                 if p is None:
-                    raise SingularPointError(wall.id, t)
+                    raise SingularPointError(wall.id, Fraction(t_num, t_den))
                 raise OnPWallError(wall.id, sigma, k)
             if slope < 0:
                 m, v = m - d, v - step
@@ -204,33 +209,60 @@ def _bracket_nums(wall: Wall, t: Fraction, p=None, slope=0):
     return d, lo, hi, big_t
 
 
+def _numerators(v):
+    """(nums, den): the rational vector v as integer numerators over one
+    denominator, the lcm of its coordinates' denominators."""
+    den = lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (den // c.denominator) for c in v), den
+
+
 def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
     """The real alcove bounded, on each wall, by the offsets that _bracket
     finds around <alpha, x> (moved by eps*direction when given): the bounds
     that polyhedra.facets_and_vertices keeps, carrying its VertexIncidence.
+    A point whose length is not the walls' rank is a ValueError.
+
+    Everything before the kept bounds is integer.  x is brought to integer
+    numerators X over one denominator D, so each wall's pairing is the
+    integer <alpha, X> over D (_bracket_nums), and a direction to integer
+    numerators too, whose pairings have the signs the slopes need.  Each
+    wall gives the rows (d*alpha, lo) for its lower bound lo/d and
+    (-d*alpha, -hi) for its upper bound hi/d, in _canonical's order (one
+    bound per wall and sense), which the pass takes as they are; only the
+    kept bounds become Fractions.
 
     The pass takes the bounds nearest the query point (x/p in the
     p-family) first, so that the facets go in before the bounds they make
     redundant.  The slack of a bound, <alpha, x> - scale*lo or
-    scale*hi - <alpha, x> over the wall's denominator d, is brought to the
-    lcm of every wall's d and compared in integers."""
+    scale*hi - <alpha, x> over the wall's d, is brought to the lcm of every
+    wall's d and compared in integers."""
     x = vec(x)
-    d = len(x)
+    rank = len(x)
+    big_x, den_x = _numerators(x)
+    if direction is not None:
+        big_u, _ = _numerators(direction)
     scale = 1 if p is None else p
     bounds = []
     for w in walls:
-        slope = 0 if direction is None else pairing(w.alpha, direction)
-        den, lo, hi, big_t = _bracket_nums(w, pairing(w.alpha, x), p, slope)
-        bounds += [(w.id, GE, Fraction(lo, den), big_t - scale * lo, den),
-                   (w.id, LE, Fraction(hi, den), scale * hi - big_t, den)]
-    bounds.sort()  # by wall, sense and offset: _canonical's order
-    ineqs = tuple((wid, m, sense) for wid, sense, m, _, _ in bounds)
-    big_d = lcm(*(den for *_, den in bounds))
-    keys = [slack * (big_d // den) for *_, slack, den in bounds]
+        alpha = w.alpha
+        if len(alpha) != rank:
+            raise ValueError(f"point has {rank} coordinates but the walls "
+                             f"have rank {len(alpha)}")
+        slope = 0 if direction is None else sum(map(mul, alpha, big_u))
+        den, lo, hi, big_t = _bracket_nums(w, sum(map(mul, alpha, big_x)),
+                                           den_x, p, slope)
+        bounds += [(w.id, GE, lo, den, big_t - scale * lo,
+                    (tuple(den * a for a in alpha), lo, False)),
+                   (w.id, LE, hi, den, scale * hi - big_t,
+                    (tuple(-den * a for a in alpha), -hi, False))]
+    bounds.sort(key=itemgetter(0, 1))  # _canonical's order
+    big_d = lcm(*(den for _, _, _, den, _, _ in bounds))
+    keys = [slack * (big_d // den) for _, _, _, den, slack, _ in bounds]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    cons = RealAlcove(d, ineqs).constraints(walls)
-    kept, inc = facets_and_vertices(cons, d, order)
-    return RealAlcove(d, tuple(ineqs[i] for i in kept), inc)
+    kept, inc = facets_and_vertices([row for *_, row in bounds], rank, order)
+    return RealAlcove(rank, tuple(
+        (wid, Fraction(m, den), sense)
+        for wid, sense, m, den, _, _ in map(bounds.__getitem__, kept)), inc)
 
 
 @dataclass(frozen=True)
@@ -257,9 +289,16 @@ def faces_of(A: RealAlcove, walls):
     Programming", 1986, ch. 8), so its codimension is the rank of their
     covectors.  That rank is read off without an elimination where it is
     known: a face of one vertex is a point (codim d) and one of two
-    vertices an edge (codim d - 1), since the alcove is bounded, and no or
-    one active inequality has rank 0 or 1; only the other faces run
-    matrix_rank.  Its witness is polyhedra.vertex_average of their
+    vertices an edge (codim d - 1), since the alcove is bounded.  A face
+    holding a simple vertex, one on exactly d inequalities, has as codim
+    the number of its active inequalities: the rows tight at a vertex have
+    rank d, so d of them are independent, and so is every subset, the
+    face's active rows among them (every vertex of a simplex is simple;
+    Ziegler, "Lectures on Polytopes", 1995, ch. 3).  No or one active
+    inequality has rank 0 or 1 likewise.  Only a face of three or more
+    vertices, all on more than d inequalities, and two or more active ones
+    runs matrix_rank: none in rank 3, where such a face is a facet, but a
+    cross-polytope's triangles in rank 4.  Its witness is polyhedra.vertex_average of their
     numerators.
     Requires an irredundant bounded alcove (the wall covectors span).
     """
@@ -273,6 +312,7 @@ def faces_of(A: RealAlcove, walls):
     n = len(A.inequalities)
     if reduce(int.__or__, inc.masks) != (1 << n) - 1:  # a row on no vertex
         raise ValueError("redundant inequalities: not an alcove's facets")
+    simple = [mask.bit_count() == A.rank for mask in inc.masks]
     seen = {}
     for subset in range(1 << n):
         on = tuple(j for j, t in enumerate(inc.masks) if t & subset == subset)
@@ -284,7 +324,7 @@ def faces_of(A: RealAlcove, walls):
             codim = A.rank
         elif len(on) == 2:  # an edge
             codim = A.rank - 1
-        elif len(active_idx) <= 1:
+        elif len(active_idx) <= 1 or any(simple[j] for j in on):
             codim = len(active_idx)
         else:
             codim = matrix_rank([alphas[i] for i in active_idx])
@@ -332,7 +372,8 @@ class PAlcove:
         return [(c, rhs.eval_at(p)) for _, c, rhs, _ in self.facets(walls)]
 
     def contains(self, x, p, walls) -> bool:
-        return all(pairing(c, x) > r for c, r in self.rows(p, walls))
+        return all(sum(a * b for a, b in zip(c, x, strict=True)) > r
+                   for c, r in self.rows(p, walls))
 
     def to_json(self):
         return {"source": self.source.to_json(),
@@ -384,13 +425,13 @@ def p_membership(x, p: int, walls) -> PAlcove:
 
     Builds the real alcove whose bounding hyperplanes rescale to the
     p-hyperplanes around x, then returns its p-alcove (whose inequalities x
-    is checked against).
+    is checked against, on x's integer coordinates).
     """
     x = vec(x)
     if not is_lattice(x):
         raise ValueError("p_membership expects a lattice point")
     pa = p_alcove_of(_alcove_around(x, walls, p), walls)
-    if not pa.contains(x, p, walls):
+    if not pa.contains(tuple(c.numerator for c in x), p, walls):
         raise PTooSmallError(p, x)
     return pa
 

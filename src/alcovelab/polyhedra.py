@@ -5,9 +5,10 @@ coeffs . x >= rhs, with strict=True for >.  Every kernel here works on
 integer rows and makes `Fraction`s only at its API boundary: each input row
 is scaled once, by the positive lcm of all its denominators (right-hand
 side included), to an integer row (c, b, strict) meaning c . x >= b (or >),
-which has the same solutions.  A row of int coefficients with a `Fraction`
-right-hand side, the form every alcove row takes, is scaled without making
-a `Fraction`.
+which has the same solutions.  An integer row passes through unchanged:
+alcove rows arrive as integer rows (`alcoves._alcove_around` builds them
+from integer pairings), and a row of int coefficients with a `Fraction`
+right-hand side is scaled without making a `Fraction`.
 
 One Fourier-Motzkin elimination loop serves `feasible` (its verdict),
 `find_point` and `first_lattice_point`.  It eliminates x_k by integer
@@ -347,9 +348,15 @@ def facets_and_vertices(constraints, dim, order=None):
     rays in both cases.
     """
     lineality, rays = _extreme_rays(constraints, dim, order)
-    # per row, the bitmask of the rays tight on it
-    tight = [sum(1 << j for j, (_, mask) in enumerate(rays) if mask >> i & 1)
-             for i in range(len(constraints))]
+    # per row, the bitmask of the rays tight on it, from each ray's set bits
+    n = len(constraints)
+    tight = [0] * n
+    for j, (_, mask) in enumerate(rays):
+        mask &= (1 << n) - 1  # bit n is t >= 0
+        while mask:
+            low = mask & -mask
+            tight[low.bit_length() - 1] |= 1 << j
+            mask ^= low
     finite = sum(1 << j for j, (r, _) in enumerate(rays) if r[dim])
     if not finite or (1 << len(rays)) - 1 in tight:
         kept = irredundant([(c, b, False) for c, b, _ in constraints], dim)

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alcovelab.arith import (AffineInP, Wall, pairing, rat_str, saturate, vadd,
-                             vec)
+                             vec, vsub)
 from alcovelab import alcoves, polyhedra
 from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
                                PTooSmallError, QuantumChamber, RealAlcove,
@@ -219,7 +219,9 @@ def test_faces_match_per_subset_reference(data):
         A = real_alcove_of(x, walls)
     except SingularPointError:
         return
-    faces = faces_of(A, walls)
+    # no face of a simplex, nor of any alcove of rank 3, needs a rank
+    with mock.patch.object(alcoves, "matrix_rank", must_not_run):
+        faces = faces_of(A, walls)
     assert faces == reference_faces(A, walls)
     # each witness is the Fraction sum of the face's vertices over their count
     assert [f.witness for f in faces] == [
@@ -232,14 +234,34 @@ def test_faces_match_per_subset_reference(data):
         matrix_rank([alpha[wid] for wid, _, _ in f.active]) for f in faces]
 
 
-def bracket_rows(x, walls, p=None):
-    """The inequalities _alcove_around starts from, in canonical order: the
-    offsets that _bracket finds around <alpha, x> on every wall."""
+def bracket_rows(x, walls, p=None, direction=None):
+    """Test-only oracle: the inequalities _alcove_around starts from, in
+    canonical order, from Fraction pairings: the offsets that _bracket
+    finds around <alpha, x> on every wall, with <alpha, direction> as the
+    slope when a direction is given."""
     ineqs = []
     for w in walls:
-        lo, hi = _bracket(w, pairing(w.alpha, vec(x)), p)
+        slope = 0 if direction is None else pairing(w.alpha, vec(direction))
+        lo, hi = _bracket(w, pairing(w.alpha, vec(x)), p, slope)
         ineqs += [(w.id, lo, GE), (w.id, hi, LE)]
     return _canonical(ineqs)
+
+
+def fraction_alcove(x, walls, p=None, direction=None):
+    """Test-only oracle: _alcove_around on the Fraction rows of
+    bracket_rows, as the alcove build read them before its integer rows,
+    with one pass over them in their own order."""
+    rows = bracket_rows(x, walls, p, direction)
+    kept, inc = facets_and_vertices(
+        RealAlcove(len(x), rows).constraints(walls), len(x))
+    return RealAlcove(len(x), tuple(rows[i] for i in kept), inc)
+
+
+def build_outcome(build, *args):
+    """The alcove build returns, with its incidence, or the type and fields
+    of its error."""
+    got = bracket_outcome(build, *args)
+    return (got, got.incidence) if isinstance(got, RealAlcove) else got
 
 
 def regular_alcove(data, walls, rank):
@@ -261,11 +283,67 @@ def test_alcove_facets_and_vertices_match_irredundant_and_vertices(data):
     x, A = regular_alcove(data, walls, rank)
     if A is None:
         return
-    cons = RealAlcove(rank, bracket_rows(x, walls)).constraints(walls)
+    rows = bracket_rows(x, walls)
+    cons = RealAlcove(rank, rows).constraints(walls)
     kept, inc = facets_and_vertices(cons, rank)
     assert (kept, inc.points()) == irredundant_and_vertices(cons, rank)
+    assert A.inequalities == tuple(rows[i] for i in kept)
     assert inc.points() == A.vertices(walls)
     assert inc == A.incidence
+
+
+# hilb with ell 0-2 (sigma_tilde of several classes), weyl_a(3..4) and the
+# octahedral arrangement
+BUILD_ARRANGEMENTS = ([(inst.rank, inst.walls) for inst in
+                       [hilb_instance(n, ell) for n in range(2, 9)
+                        for ell in range(3)]
+                       + [weyl_a_instance(3), weyl_a_instance(4)]]
+                      + [(3, OCTAHEDRAL_WALLS)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_p_family_build_matches_the_fraction_rows(data):
+    rank, walls = data.draw(st.sampled_from(BUILD_ARRANGEMENTS))
+    x = tuple(data.draw(st.lists(st.integers(-40, 40), min_size=rank,
+                                 max_size=rank)))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
+    assert build_outcome(_alcove_around, x, walls, p) == \
+        build_outcome(fraction_alcove, x, walls, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_build_matches_the_fraction_rows_far_out(data):
+    # denominators up to 10**6, lattice translates up to 10**15
+    rank, walls = data.draw(st.sampled_from(BUILD_ARRANGEMENTS))
+    x = tuple(data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+        min_size=rank, max_size=rank)))
+    v = tuple(data.draw(st.lists(st.integers(-10**15, 10**15),
+                                 min_size=rank, max_size=rank)))
+    for y in (x, vadd(x, v)):
+        assert build_outcome(_alcove_around, y, walls) == \
+            build_outcome(fraction_alcove, y, walls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_direction_build_matches_the_bracket_slopes(data):
+    # from a face witness, on the face's walls, as opposite_alcove steps
+    # from it, and along a drawn direction, which may lie in a wall
+    rank, walls = data.draw(st.sampled_from(BUILD_ARRANGEMENTS))
+    _, A = regular_alcove(data, walls, rank)
+    if A is None:
+        return
+    faces = faces_of(A, walls)
+    f = data.draw(st.sampled_from(faces[1:])).witness
+    drawn = tuple(data.draw(st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=7),
+        min_size=rank, max_size=rank)))
+    for u in (vsub(f, A.interior_point(walls)), drawn):
+        assert build_outcome(_alcove_around, f, walls, None, u) == \
+            build_outcome(fraction_alcove, f, walls, None, u)
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,6 +517,45 @@ def test_small_p_builds_with_at_most_rank_vertices_end_in_p_too_small():
     assert (builds, few) == (4301, 323)
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("called")
+
+
+# <alpha, x> = 1/2 + k for the eight covectors (1, +-1, +-1, +-1): the
+# alcove at the origin is the cross-polytope |x_1| + ... + |x_4| <= 1/2,
+# whose eight vertices each lie on eight facets
+CROSS_WALLS = tuple(
+    Wall(id=i, alpha=(1,) + signs, sigma_tilde=frozenset([F(1, 2)]))
+    for i, signs in enumerate(product((1, -1), repeat=3)))
+
+
+def test_faces_of_the_cross_polytope_still_run_the_rank():
+    # in rank 3 no face needs a rank (a face of three or more vertices is
+    # a facet, with one active row), so the octahedral arrangement never
+    # reaches it; in rank 4 the cross-polytope's 32 triangles do
+    A = real_alcove_of((0, 0, 0, 0), CROSS_WALLS)
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return matrix_rank(rows)
+
+    with mock.patch.object(alcoves, "matrix_rank", counted):
+        faces = faces_of(A, CROSS_WALLS)
+    assert calls == [2] * 32
+    assert Counter(f.codim for f in faces) == {0: 1, 1: 16, 2: 32, 3: 24,
+                                               4: 8}
+    alpha = {w.id: w.alpha for w in CROSS_WALLS}
+    cons = dict(zip(A.inequalities, A.constraints(CROSS_WALLS)))
+    for f in faces:
+        assert f.codim == (matrix_rank([alpha[wid] for wid, _, _ in f.active])
+                           if f.active else 0)
+        # the active rows are those tight on every vertex of the face
+        assert set(f.active) == {
+            ineq for ineq, (c, b, _) in cons.items()
+            if all(pairing(c, v) == b for v in f.vertex_set)}
+
+
 def test_faces_of_the_octahedron_at_the_origin():
     A = real_alcove_of((0, 0, 0), OCTAHEDRAL_WALLS)
     assert len(A.inequalities) == 8
@@ -456,7 +573,8 @@ def test_faces_weyl_a6_simplex():
     inst = weyl_a_instance(6)
     A = real_alcove_of(tuple(F(1, 11) for _ in range(inst.rank)), inst.walls)
     assert len(A.inequalities) == 6
-    faces = faces_of(A, inst.walls)
+    with mock.patch.object(alcoves, "matrix_rank", must_not_run):
+        faces = faces_of(A, inst.walls)
     assert len(faces) == 63
     assert [f.codim for f in faces].count(inst.rank) == 6
 
@@ -838,6 +956,71 @@ def test_p_membership_against_bruteforce_oracle():
                 got = {z for z in range(lo - 1, hi + 2)
                        if pa.contains((z,), p, inst.walls)}
                 assert got == window
+
+
+def test_the_alcove_build_makes_no_pairing_and_no_dropped_fraction():
+    # the build pairs in integers, and makes a Fraction for each kept
+    # bound only
+    made = []
+
+    def counted_fraction(*args):
+        made.append(args)
+        return F(*args)
+
+    cases = [(A2.walls, (F(1, 3), F(1, 5)), (4, 7), 5),
+             (HILB3.walls, (F(5, 12),), (6,), 5),
+             (hilb_instance(4, 1).walls, (F(-7, 9),), (-35,), 13),
+             (weyl_a_instance(5).walls, (F(1, 9), F(1, 5), F(2, 7), F(-3, 4)),
+              (2, 2, -3, 4), 11)]
+    expected = [(real_alcove_of(x, walls), p_outcome(y, p, walls))
+                for walls, x, y, p in cases]
+    with mock.patch.object(alcoves, "pairing", must_not_run), \
+            mock.patch.object(alcoves, "Fraction", counted_fraction):
+        for (walls, x, y, p), (A, pa) in zip(cases, expected):
+            made.clear()
+            got = real_alcove_of(x, walls)
+            assert (got, got.incidence) == (A, A.incidence)
+            assert len(made) == len(A.inequalities)
+            assert p_outcome(y, p, walls) == pa
+    # p_membership ends in a p-alcove, and once in PTooSmallError
+    assert [pa is PTooSmallError for _, pa in expected] == [False, False,
+                                                            True, False]
+
+
+def p_outcome(x, p, walls):
+    """p_membership's p-alcove, or PTooSmallError's type."""
+    try:
+        return p_membership(x, p, walls)
+    except PTooSmallError:
+        return PTooSmallError
+
+
+def test_a_point_of_the_wrong_length_is_a_value_error(tmp_path):
+    a4 = weyl_a_instance(4)
+    A = real_alcove_of((F(1, 9), F(1, 5), F(2, 7)), a4.walls)
+    face = faces_of(A, a4.walls)[1]
+    for x, lattice in [((F(1, 3), F(1, 5), F(1, 7)), (1, 2, 3)),
+                       ((1,), (1,))]:
+        message = (rf"^point has {len(x)} coordinates but the walls have "
+                   r"rank 2$")
+        with pytest.raises(ValueError, match=message):
+            real_alcove_of(x, A2.walls)
+        with pytest.raises(ValueError, match=message):
+            p_membership(lattice, 5, A2.walls)
+    with pytest.raises(ValueError, match=r"^point has 3 coordinates but the "
+                                         r"walls have rank 2$"):
+        opposite_alcove(A, face, A2.walls)
+    config = tmp_path / "a2.json"
+    config.write_text(json.dumps({"builtin": "weyl_a", "n": 3}))
+    for cmd, point in [("alcove", "1/3,1/5,1/7"), ("membership", "1")]:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = dispatch([cmd, "--config", str(config), "--point", point]
+                            + (["--p", "5"] if cmd == "membership" else []))
+        n = len(point.split(","))
+        assert (code, buf.getvalue()) == (1, json.dumps({
+            "error": f"--point has {n} coordinates but the instance has "
+                     f"rank 2"}) + "\n")
 
 
 def test_exactness_with_large_denominators():
