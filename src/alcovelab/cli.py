@@ -418,8 +418,12 @@ def _outputs(args, cfg, samples):
         lam_prime = pair.p_point(args.p)
         poset = _windowed(hw_order, "--window", args.window, cfg.instance,
                           lam_prime, args.p)
-        return ({"lambda_prime": [rat_str(c) for c in lam_prime]},
-                order_compat_check(poset, pre, args.p))
+        report = order_compat_check(poset, pre, args.p)
+        z1, z2 = poset.window
+        if not any(z1 <= l.kappa.eval_at(args.p) < z2 for l in pre.labels):
+            raise ConfigError(f"--window {args.window} holds no label of the "
+                              f"pre-order at p = {args.p}")
+        return {"lambda_prime": [rat_str(c) for c in lam_prime]}, report
 
     raise ConfigError(f"unknown subcommand: {cmd}")
 

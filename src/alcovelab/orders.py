@@ -9,9 +9,11 @@ single scalar; higher rank is not implemented.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import NamedTuple
 
 from .arith import AffineInP, rat_str
@@ -159,16 +161,16 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     (1) the shift acts freely with finitely many orbits; (2) the order is
     shift-invariant; (3) L < S L; (4) cofinality: L < L' admits n <= d_bound
     with L' < S^n L; (5) chains are bounded by d_bound (observed maximum
-    reported).  Axioms 2 and 4 visit the pairs a < b without storing them,
-    a in label order and b in the order of LabeledPoset.above: the axiom 2
-    witness is the first pair that fails, and max_n is the largest n over
-    all pairs.
+    reported).  Axioms 2 and 4 are decided per block, each block's levels
+    read top down, as a walk over the pairs a < b (a in label order, b in
+    the order of LabeledPoset.above) decides them: the axiom 2 witness is
+    the first pair that fails, and max_n is the largest n over all pairs.
     """
     p = poset.p
     z1, z2 = poset.window
     if z2 - z1 < 2 * p:
         raise ValueError("window must contain at least two shift periods")
-    labels = set(poset.labels)
+    blocks = poset.blocks
     report = {}
 
     period = [l for l in poset.labels if z1 <= l.kappa < z1 + p]
@@ -176,29 +178,62 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     report["axiom1_shift"] = {"orbits": len(period), "free": free,
                               "ok": free and len(period) > 0}
 
-    witness, cofinal, max_n = None, True, 0
+    # the blocks of S a and S^-1 a (None outside the window), and the
+    # blocks that each shift orbit meets
+    shifted, orbits = {}, defaultdict(set)
+    for l in poset.labels:
+        shifted[l] = (blocks.get(shift(l, 1, p)), blocks.get(shift(l, -1, p)))
+        orbits[l.point, l.kappa % p].add(blocks[l])
+    # Axiom 2: a < b fails when S^z a and S^z b lie in two blocks, so a has
+    # a failing b when the shifts S^z of the labels above a meet a block
+    # other than S^z a's; up and down keep two such blocks for z = 1, -1.
+    # Axiom 4: n = (b.kappa - a.kappa) // p + 1 is largest on a block's end
+    # levels.  S^n a lies above b, so b < S^n a fails only when S^n a is in
+    # another block, which needs a's shift orbit to meet two blocks; then a
+    # bisect asks for a level in [a.kappa + (n-1)p, a.kappa + np) above a.
+    failing, cofinal, max_n = set(), True, 0
+    for levels in poset._levels.values():
+        ks = [level[0].kappa for level in levels]
+        max_n = max(max_n, (ks[-1] - ks[0]) // p + 1 if len(ks) > 1 else 0)
+        up, down = set(), set()
+        for j in reversed(range(len(ks))):
+            for a in levels[j]:
+                t, u = shifted[a]
+                if t is not None and up - {t} or u is not None and down - {u}:
+                    failing.add(a)
+                if len(orbits[a.point, a.kappa % p]) == 1:
+                    continue
+                for n in range(1, (ks[-1] - ks[j]) // p + 2):
+                    i = max(j + 1, bisect_left(ks, ks[j] + (n - 1) * p))
+                    if (blocks.get(shift(a, n, p), blocks[a]) != blocks[a]
+                            and i < len(ks) and ks[i] < ks[j] + n * p):
+                        cofinal = False
+            for a in levels[j]:
+                t, u = shifted[a]
+                if t is not None and len(up) < 2:
+                    up.add(t)
+                if u is not None and len(down) < 2:
+                    down.add(u)
+    witness = None
     for a in poset.labels:
-        a_shifts = [(z, sa) for z in (1, -1)
-                    if (sa := shift(a, z, p)) in labels]
-        for b in poset.above(a):
-            if witness is None and any(
-                    (sb := shift(b, z, p)) in labels and not poset.less(sa, sb)
-                    for z, sa in a_shifts):
-                witness = (a, b)
-            # b.kappa < a.kappa + n * p, so only an S^n a in the window can fail
-            n = (b.kappa - a.kappa) // p + 1
-            max_n = max(max_n, n)
-            target = shift(a, n, p)
-            if n > d_bound or (target in labels and not poset.less(b, target)):
-                cofinal = False
+        if a in failing:
+            t, u = shifted[a]
+            for b in poset.above(a):
+                v, w = shifted[b]
+                if (None not in (t, v) and t != v
+                        or None not in (u, w) and u != w):
+                    witness = (a, b)
+                    break
+            break
     report["axiom2_invariance"] = {"ok": witness is None, "witness": witness}
 
     below_shift = all(
         poset.less(l, shift(l, 1, p))
-        for l in poset.labels if shift(l, 1, p) in labels)
+        for l in poset.labels if shift(l, 1, p) in blocks)
     report["axiom3_L_below_SL"] = {"ok": below_shift}
 
-    report["axiom4_cofinality"] = {"ok": cofinal, "max_n": max_n}
+    report["axiom4_cofinality"] = {"ok": cofinal and max_n <= d_bound,
+                                   "max_n": max_n}
 
     longest = poset.max_chain_length()
     report["axiom5_chains"] = {"observed_max": longest,
@@ -242,15 +277,16 @@ class PreOrder:
 
     def to_json(self):
         name = self.instance.point_str
+        text = {l: (name(l.point), str(l.kappa)) for l in self.labels}
         return {
             "lambda_bar": [rat_str(c) for c in self.lam_bar],
             "mu": [rat_str(c) for c in self.mu],
-            "labels": [[name(l.point), str(l.kappa)] for l in self.labels],
-            "blocks": {f"{name(l.point)}|{l.kappa}": 0 for l in self.labels},
+            "labels": [list(text[l]) for l in self.labels],
+            "blocks": {f"{x}|{k}": 0 for x, k in text.values()},
             "covers": [[i, i + 1] for i in range(len(self.classes) - 1)],
             "classes": [{
                 "slope": rat_str(s),
-                "labels": [[name(l.point), str(l.kappa)] for l in
+                "labels": [list(text[l]) for l in
                            self.within_class_order(cls)],
             } for s, cls in zip(self.class_slopes, self.classes)],
         }
@@ -262,26 +298,29 @@ def ss_preorder(instance: FixedPointInstance, pair, window) -> PreOrder:
     Admissible characters for x are kappa = c(x; lambda_bar + p*mu) + m*p;
     the slope of kappa' - kappa decides the pre-order.  The number of
     labels, |points| * (2m + 1), is checked against MAX_LABELS before any
-    label is built (LabelBudgetError).
+    label is built (LabelBudgetError).  Labels are listed point by point;
+    each class lists its labels by (str(point), kappa.const), a key that is
+    the same for all labels of a point, so the points are sorted by it once.
     """
     m_lo, m_hi = window
     if m_lo != -m_hi or m_hi < 0:
         raise ValueError("window must be symmetric in the shift: (-m, m)")
     _check_label_count(len(instance.points) * (m_hi - m_lo + 1))
-    labels = []
+    rows = []
     for x in instance.points:
         gamma = instance.c_affine(x, pair.lam, pair.mu)
-        for m in range(m_lo, m_hi + 1):
-            labels.append(Label(x, gamma + AffineInP(0, m)))
+        rows.append(((str(x), gamma.const),
+                     [Label(x, AffineInP(gamma.const, gamma.slope + m))
+                      for m in range(m_lo, m_hi + 1)]))
     by_slope = defaultdict(list)
-    for l in labels:
-        by_slope[l.kappa.slope].append(l)
+    for _, labels in sorted(rows, key=lambda row: row[0]):
+        for l in labels:
+            by_slope[l.kappa.slope].append(l)
     slopes = tuple(sorted(by_slope))
-    classes = tuple(tuple(sorted(by_slope[s], key=lambda l:
-                                 (str(l.point), l.kappa.const)))
-                    for s in slopes)
     return PreOrder(instance=instance, lam_bar=pair.lam, mu=pair.mu,
-                    labels=tuple(labels), classes=classes, class_slopes=slopes)
+                    labels=tuple(l for _, labels in rows for l in labels),
+                    classes=tuple(tuple(by_slope[s]) for s in slopes),
+                    class_slopes=slopes)
 
 
 def equivalence_classes(pre: PreOrder) -> tuple:
@@ -294,11 +333,12 @@ def equivalence_classes(pre: PreOrder) -> tuple:
     share the key (frac(c), c - kappa.const, kappa.slope); so (b) groups the
     labels by that key.
     """
-    inst, lam_bar = pre.instance, pre.lam_bar
+    inst = pre.instance
+    c = {x: inst.c_value(x, pre.lam_bar) for x in inst.points}
     direct = defaultdict(list)
     for l in pre.labels:
-        c = inst.c_value(l.point, lam_bar)
-        direct[(c % 1, c - l.kappa.const, l.kappa.slope)].append(l)
+        cx = c[l.point]
+        direct[(cx % 1, cx - l.kappa.const, l.kappa.slope)].append(l)
     path_a = {frozenset(cls) for cls in pre.classes}
     path_b = {frozenset(cls) for cls in direct.values()}
     if path_a != path_b:
@@ -345,28 +385,53 @@ def order_compat_check(poset: LabeledPoset, pre: PreOrder, p: int) -> dict:
 
     Symbolic labels are evaluated at p and matched against the poset window;
     pairs outside the window are skipped.  The report carries the crossing
-    threshold: at p below it the implications can legitimately fail.
+    threshold: at p below it the implications can legitimately fail.  Both
+    implications are decided from the in-window labels sorted by slope, and
+    by block and kappa, with the witnesses of a double loop over them: the
+    last failing pair of each.
     """
-    window_labels = set(poset.labels)
-    in_window = {}
+    in_window, by_slope, by_place = {}, defaultdict(list), defaultdict(list)
     for l in pre.labels:
         v = l.kappa.eval_at(p)
         if v.denominator != 1:
             raise ValueError(f"kappa not integral at p={p}")
         cl = Label(l.point, v.numerator)
-        if cl in window_labels:
-            in_window[l] = cl
-    first = second = below = True
+        if cl in poset.blocks and l not in in_window:
+            in_window[l] = row = (l.kappa.slope, poset.blocks[cl], cl.kappa,
+                                  len(in_window))
+            by_slope[row[0]].append(row)
+            by_place[row[1:3]].append(row)
+    # a fails the first implication when a label of higher slope lies in
+    # another block or not above a's kappa, and the second when a label of
+    # a's block above a's kappa has lower slope
+    fails1, fails2, blocks_above, k_min, s_min = set(), set(), set(), inf, {}
+    for slope in sorted(by_slope, reverse=True):
+        for _, b, k, i in by_slope[slope]:
+            if k_min <= k or blocks_above - {b}:
+                fails1.add(i)
+        for _, b, k, i in by_slope[slope]:
+            k_min = min(k_min, k)
+            if len(blocks_above) < 2:
+                blocks_above.add(b)
+    for b, k in sorted(by_place, reverse=True):
+        for slope, _, _, i in by_place[b, k]:
+            if s_min.get(b, inf) < slope:
+                fails2.add(i)
+        for slope, _, _, i in by_place[b, k]:
+            s_min[b] = min(s_min.get(b, inf), slope)
+    labels, rows = list(in_window), list(in_window.values())
     w1 = w2 = None
-    items = list(in_window.items())
-    for a, ca in items:
-        for b, cb in items:
-            if a is b:
-                continue
-            if pre.strictly_less(a, b) and not poset.less(ca, cb):
-                first, w1 = False, (a, b)
-            if poset.less(ca, cb) and not pre.leq(a, b):
-                second, w2 = False, (a, b)
+    if fails1:
+        si, bi, ki, i = rows[max(fails1)]
+        for s, b, k, j in rows:
+            if si < s and (bi != b or ki >= k):
+                w1 = (labels[i], labels[j])
+    if fails2:
+        si, bi, ki, i = rows[max(fails2)]
+        for s, b, k, j in rows:
+            if bi == b and ki < k and s < si:
+                w2 = (labels[i], labels[j])
+    first, second, below = w1 is None, w2 is None, True
     for l in pre.labels:
         s = shift(l, 1, p)
         if not pre.strictly_less(l, s):
@@ -375,7 +440,7 @@ def order_compat_check(poset: LabeledPoset, pre: PreOrder, p: int) -> dict:
         "strict_pre_implies_hw": {"ok": first, "witness": w1},
         "hw_implies_pre": {"ok": second, "witness": w2},
         "L_strictly_below_shift": {"ok": below},
-        "pairs_checked": len(items) * (len(items) - 1),
+        "pairs_checked": len(rows) * (len(rows) - 1),
         "crossing_threshold": crossing_threshold_bound(pre),
     }
     report["p_above_threshold"] = p > report["crossing_threshold"]

@@ -109,6 +109,10 @@ def test_wall_config_schema_errors():
     (None, ["preorder", "--builtin", "hilb", "--n", "3", "--point", "5/12",
             "--face", "1", "--window=-1:2"],
      "window must be symmetric in the shift: (-m, m)"),
+    # no label of the pre-order in the window: no check to pass
+    (None, ["check-compat", "--builtin", "hilb", "--n", "2", "--point", "1",
+            "--face", "1", "--p", "29", "--window=1000:1010"],
+     "--window 1000:1010 holds no label of the pre-order at p = 29"),
 ])
 def test_cli_error_paths(tmp_path, config, argv, expected):
     """Each bad invocation exits 1 with one {"error": ...} line."""

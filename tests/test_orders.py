@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 from collections import defaultdict
 from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
+from time import perf_counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -17,7 +19,7 @@ from alcovelab.cli import dispatch
 from alcovelab.compat import find_compatible
 from alcovelab.instances import (FixedPointInstance, hilb_instance,
                                  weyl_a_instance, wt_chi)
-from alcovelab.arith import AffineInP, affine, vadd
+from alcovelab.arith import AffineInP, affine, rat_str, vadd
 from alcovelab.compat import CompatiblePair
 from alcovelab.orders import (Label, PreOrder, block_of, c_bar,
                               crossing_threshold_bound, equivalence_classes,
@@ -292,6 +294,25 @@ def test_phw_invariance_witness_matches_oracle():
             assert rep == oracle
 
 
+def test_cofinality_asks_only_the_n_that_a_pair_reaches():
+    # one point at p = 5; block 0 holds kappas 0 and 7, and S a = (x, 5) lies
+    # in block 1.  The one pair (0, 7) has n = 2, and S^2 a = (x, 10) is
+    # outside the window, so the order is cofinal; with kappa 4 in block 0
+    # too, the pair (0, 4) has n = 1 and is not
+    x = hilb_instance(1).points[0]
+    labels = tuple(Label(x, k) for k in range(10))
+    blocks = {l: 2 + l.kappa for l in labels}
+    blocks.update({labels[0]: 0, labels[7]: 0, labels[5]: 1})
+    poset = orders.LabeledPoset(labels, blocks, 5, (0, 10))
+    for d_bound, ok in ((10, True), (1, False)):
+        rep = phw_axiom_check(poset, d_bound)
+        assert rep["axiom4_cofinality"] == {"ok": ok, "max_n": 2}
+        assert rep == closure_phw_check(poset, d_bound)
+    rep = phw_axiom_check(moved(poset, labels[4], 0), 10)
+    assert rep["axiom4_cofinality"] == {"ok": False, "max_n": 2}
+    assert rep == closure_phw_check(moved(poset, labels[4], 0), 10)
+
+
 def test_phw_single_orbit_line():
     inst = hilb_instance(1)
     poset = hw_order(inst, (4,), 5, (0, 15))
@@ -424,9 +445,8 @@ def nudged(pre, label, delta):
 HILB_2_TO_8 = tuple(hilb_instance(n, 0) for n in range(2, 9))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_equivalence_classes_matches_pairwise_oracle(data):
+def draw_pair(data):
+    """A hilb(2..8) instance and the compatible pair of a drawn face."""
     inst = data.draw(st.sampled_from(HILB_2_TO_8))
     x = data.draw(st.fractions(min_value=-2, max_value=3, max_denominator=24))
     try:
@@ -434,8 +454,68 @@ def test_equivalence_classes_matches_pairwise_oracle(data):
     except SingularPointError:
         assume(False)
     face = data.draw(st.sampled_from(faces_of(A, inst.walls)))
+    return inst, find_compatible(A, face, inst.walls)
+
+
+def label_loop_preorder(instance, pair, window):
+    """Test-only oracle: ss_preorder as first written, one AffineInP sum per
+    label and each class sorted by (str(point), kappa.const) on its own."""
+    m_lo, m_hi = window
+    labels = []
+    for x in instance.points:
+        gamma = instance.c_affine(x, pair.lam, pair.mu)
+        for m in range(m_lo, m_hi + 1):
+            labels.append(Label(x, gamma + AffineInP(0, m)))
+    by_slope = defaultdict(list)
+    for l in labels:
+        by_slope[l.kappa.slope].append(l)
+    slopes = tuple(sorted(by_slope))
+    classes = tuple(tuple(sorted(by_slope[s], key=lambda l:
+                                 (str(l.point), l.kappa.const)))
+                    for s in slopes)
+    return PreOrder(instance, pair.lam, pair.mu, tuple(labels), classes,
+                    slopes)
+
+
+def label_loop_json(pre):
+    """Test-only oracle: PreOrder.to_json as first written, each label named
+    and its kappa printed at every use."""
+    name = pre.instance.point_str
+    return {
+        "lambda_bar": [rat_str(c) for c in pre.lam_bar],
+        "mu": [rat_str(c) for c in pre.mu],
+        "labels": [[name(l.point), str(l.kappa)] for l in pre.labels],
+        "blocks": {f"{name(l.point)}|{l.kappa}": 0 for l in pre.labels},
+        "covers": [[i, i + 1] for i in range(len(pre.classes) - 1)],
+        "classes": [{
+            "slope": rat_str(s),
+            "labels": [[name(l.point), str(l.kappa)] for l in
+                       pre.within_class_order(cls)],
+        } for s, cls in zip(pre.class_slopes, pre.classes)],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ss_preorder_matches_the_label_loop(data):
+    inst, pair = draw_pair(data)
     m = data.draw(st.integers(0, 4))
-    pre = ss_preorder(inst, find_compatible(A, face, inst.walls), (-m, m))
+    pre = ss_preorder(inst, pair, (-m, m))
+    ref = label_loop_preorder(inst, pair, (-m, m))
+    # labels, classes and class slopes alike
+    assert pre == ref
+    assert equivalence_classes(pre) == equivalence_classes(ref) == ref.classes
+    assert pre.to_json() == label_loop_json(ref)
+    assert export_poset(pre, "json") == json.dumps(label_loop_json(ref),
+                                                   sort_keys=True, indent=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equivalence_classes_matches_pairwise_oracle(data):
+    inst, pair = draw_pair(data)
+    m = data.draw(st.integers(0, 4))
+    pre = ss_preorder(inst, pair, (-m, m))
     if data.draw(st.booleans()):
         pre = nudged(pre, data.draw(st.sampled_from(pre.labels)),
                      data.draw(st.sampled_from((F(1, 2), F(1), F(-3)))))
@@ -444,6 +524,7 @@ def test_equivalence_classes_matches_pairwise_oracle(data):
     else:
         with pytest.raises(AssertionError, match="mismatch"):
             equivalence_classes(pre)
+    assert pre.to_json() == label_loop_json(pre)
 
 
 def test_equivalence_classes_rejects_a_nudged_kappa():
@@ -487,6 +568,120 @@ def test_order_compat_negative_control():
     rep = order_compat_check(poset, pre_bad, p)
     assert not rep["strict_pre_implies_hw"]["ok"]
     assert not rep["passed"]
+
+
+def pair_walk_compat_check(poset, pre, p):
+    """Test-only oracle: order_compat_check as first written, a double loop
+    over the in-window labels in which each failing pair overwrites its
+    implication's witness."""
+    window_labels = set(poset.labels)
+    in_window = {}
+    for l in pre.labels:
+        v = l.kappa.eval_at(p)
+        if v.denominator != 1:
+            raise ValueError(f"kappa not integral at p={p}")
+        cl = Label(l.point, v.numerator)
+        if cl in window_labels:
+            in_window[l] = cl
+    first = second = below = True
+    w1 = w2 = None
+    items = list(in_window.items())
+    for a, ca in items:
+        for b, cb in items:
+            if a is b:
+                continue
+            if pre.strictly_less(a, b) and not poset.less(ca, cb):
+                first, w1 = False, (a, b)
+            if poset.less(ca, cb) and not pre.leq(a, b):
+                second, w2 = False, (a, b)
+    for l in pre.labels:
+        if not pre.strictly_less(l, shift(l, 1, p)):
+            below = False
+    report = {
+        "strict_pre_implies_hw": {"ok": first, "witness": w1},
+        "hw_implies_pre": {"ok": second, "witness": w2},
+        "L_strictly_below_shift": {"ok": below},
+        "pairs_checked": len(items) * (len(items) - 1),
+        "crossing_threshold": crossing_threshold_bound(pre),
+    }
+    report["p_above_threshold"] = p > report["crossing_threshold"]
+    report["passed"] = first and second and below
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_order_compat_check_matches_the_pair_walk(data):
+    """Whole reports, witnesses included, against the pair walk: on hw_order
+    posets and posets with one label moved to another block, for pre-orders
+    of the compatible pair, of a skewed parameter, or with one label's kappa
+    nudged, at primes below and above the crossing threshold."""
+    inst, pair = draw_pair(data)
+    p = data.draw(st.sampled_from(PRIMES_TO_31))
+    m = data.draw(st.integers(0, 3))
+    pre_pair = pair
+    if data.draw(st.booleans()):
+        pre_pair = SimpleNamespace(
+            lam=vadd(pair.lam, (data.draw(st.integers(-2, 2)),)), mu=pair.mu)
+    pre = ss_preorder(inst, pre_pair, (-m, m))
+    if data.draw(st.booleans()):
+        pre = nudged(pre, data.draw(st.sampled_from(pre.labels)),
+                     data.draw(st.sampled_from((F(1, 2), F(1), F(-3)))))
+    try:
+        lam_p = pair.p_point(p)
+        c_bar(inst, lam_p, p)
+    except ValueError:
+        assume(False)
+    # a window about the labels' span, cut or widened by up to a period
+    kappas = sorted(l.kappa.eval_at(p) for l in pre.labels)
+    z1 = int(kappas[0]) - data.draw(st.integers(-p, p))
+    width = max(1, int(kappas[-1]) - z1 + data.draw(st.integers(-p, p)))
+    poset = hw_order(inst, lam_p, p, (z1, z1 + width))
+    if data.draw(st.booleans()):
+        poset = moved(poset, data.draw(st.sampled_from(poset.labels)),
+                      data.draw(st.integers(0, p - 1)))
+    try:
+        expected = pair_walk_compat_check(poset, pre, p)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            order_compat_check(poset, pre, p)
+        return
+    assert order_compat_check(poset, pre, p) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_order_compat_check_matches_the_pair_walk_on_any_blocks(data):
+    """The same on small hand-drawn posets and pre-orders: any block for
+    each label and any integer kappas, so that labels of one block meet at
+    one kappa, or with one slope, in every arrangement, and a pre-order
+    label may repeat."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    points = ("a", "b", "c")
+    labels = tuple(Label(x, k) for x in points for k in range(-6, 6))
+    blocks = dict(zip(labels, data.draw(st.lists(
+        st.integers(0, 2), min_size=len(labels), max_size=len(labels)))))
+    poset = orders.LabeledPoset(labels, blocks, p, (-6, 6))
+    pre_labels = data.draw(st.lists(st.builds(
+        Label, st.sampled_from(points),
+        st.builds(AffineInP, st.integers(-8, 8), st.integers(-2, 2))),
+        max_size=12))
+    pre = PreOrder(None, (), (), tuple(pre_labels), (), ())
+    assert order_compat_check(poset, pre, p) == \
+        pair_walk_compat_check(poset, pre, p)
+
+
+def test_order_compat_witnesses_are_the_last_failing_pairs():
+    # below the crossing threshold both implications fail, and each witness
+    # is the last failing pair of the pair walk
+    pair = hilb_face_pair(hilb_instance(4, 0), F(1, 4))
+    pre = ss_preorder(hilb_instance(4, 0), pair, (-2, 2))
+    p = 3
+    poset = hw_order(hilb_instance(4, 0), pair.p_point(p), p, (-6 * p, 6 * p))
+    rep = order_compat_check(poset, pre, p)
+    assert rep == pair_walk_compat_check(poset, pre, p)
+    assert rep["strict_pre_implies_hw"]["witness"] is not None
+    assert rep["hw_implies_pre"]["witness"] is not None
 
 
 def test_label_translate_examples():
@@ -624,3 +819,29 @@ def test_cli_label_budget_names_the_window_flag(argv, error):
         code = dispatch([argv[0], "--builtin", "hilb", "--n", "3", *argv[1:]])
     assert code == 1
     assert json.loads(buf.getvalue()) == {"error": error}
+
+
+@pytest.mark.parametrize("argv, digest, bound", [
+    # 6885 labels in 17 blocks: about 7 s as a walk over each block's pairs
+    (["check-phw", "--builtin", "hilb", "--n", "14", "--lambda-prime", "3/18",
+      "--p", "17", "--window", "0:51"],
+     "661c3acca34878a4dba96b2566111bd5867e8d50569cfb57a1de5963cf37dcd1", 1.0),
+    # 4000 labels in the window, 15,996,000 pairs: 57 s as a pair walk
+    (["check-compat", "--builtin", "hilb", "--n", "2", "--point", "1",
+      "--face", "1", "--p", "29", "--window=-29000:29000",
+      "--m-window=-1000:1000"],
+     "0ea0f3c9c51d77741b17cf9244852801a3a8f74f743b99b8e111f6bead68cdb2", 2.0),
+])
+def test_order_checks_on_wide_windows_take_time_linear_in_the_labels(
+        argv, digest, bound):
+    """Each report is pinned by the sha256 of its stdout as the pair walks
+    printed it.  The bounds are loose: the walks took about 7 s and 57 s,
+    and these calls 0.1 s and 0.4-0.5 s, on a shared 2-core x86 VM."""
+    buf = io.StringIO()
+    start = perf_counter()
+    with redirect_stdout(buf):
+        code = dispatch(argv)
+    elapsed = perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    assert elapsed < bound
