@@ -8,11 +8,11 @@ standardly stratified pre-orders with their finite equivalence classes, and
 the Mullineux-realized wall-crossing bijections of the Hilbert-scheme case.
 """
 
-from .arith import (AffineInP, Wall, affine, cmp_large_p, is_saturated,
-                    pairing, primitivize, rat, rat_str, saturate, vec)
+from .arith import (AffineInP, Wall, affine, is_saturated, pairing,
+                    primitivize, rat, rat_str, saturate, vec)
 from .alcoves import (Chamber, Face, NonRegularError, OnPWallError, PAlcove,
                       PTooSmallError, QuantumChamber, RealAlcove,
-                      SingularPointError, faces_of, integral_chambers,
+                      SingularPointError, faces_of,
                       integral_walls_and_positive_chamber, p_alcove_of,
                       p_membership, quantum_chamber, real_alcove_of,
                       translation_path)
@@ -22,14 +22,13 @@ from .instances import (FixedPointInstance, builtin_instance, hilb_instance,
                         weyl_a_instance, wt_chi)
 from .mullineux import (MullineuxSymbol, mullineux, mullineux_oracle,
                         wc_bijection_hilb)
-from .orders import (Label, LabeledPoset, PreOrder, block_of, c_bar,
+from .orders import (Label, LabeledPoset, PreOrder, c_bar,
                      crossing_threshold_bound, equivalence_classes,
                      export_poset, hw_order, interval_image, label_translate,
-                     order_compat_check, phw_axiom_check,
-                     preorder_independence_check, shift, ss_preorder)
-from .partitions import (cont, count_partitions, e_regular_partitions,
-                         is_e_regular, n_stat, partition_from_str,
-                         partition_str, partitions, transpose)
+                     order_compat_check, phw_axiom_check, shift, ss_preorder)
+from .partitions import (cont, e_regular_partitions, is_e_regular, n_stat,
+                         partition_from_str, partition_str, partitions,
+                         transpose)
 from .validate import validate_p
 from .config import InstanceConfig, load_instance, parse_config, run_report
 

@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 from math import lcm
 from operator import add, itemgetter, mul
 
@@ -153,26 +152,17 @@ def real_alcove_of(x, walls) -> RealAlcove:
     return _alcove_around(x, walls)
 
 
-def _bracket(wall: Wall, t: Fraction, p=None, slope=0):
-    """Real offsets (lo, hi) of the wall's hyperplanes directly below and
-    above the value t + eps*slope, for every small eps > 0.
+def _bracket_nums(wall: Wall, t_num: int, t_den: int, p=None, slope=0):
+    """Real offsets lo/d and hi/d of the wall's hyperplanes directly below
+    and above the value t + eps*slope, for every small eps > 0, where t =
+    t_num/t_den (reduced or not): (d, lo, hi, T) with t = T/d, where d is
+    the lcm of t_den and the offsets' denominator.
 
     The offsets m run over sigma + Z for sigma in sigma_tilde.  The real
     family puts a hyperplane at the value m; at a prime p the p-family puts
     one at p*m + sigma.  A hyperplane at t bounds from below for slope > 0
     and from above for slope < 0; for slope 0 it raises SingularPointError
     (real family) or OnPWallError with the integer m - sigma (p-family).
-    It runs _bracket_nums on t's numerator and denominator, and makes
-    Fractions of the two offsets only.
-    """
-    d, lo, hi, _ = _bracket_nums(wall, t.numerator, t.denominator, p, slope)
-    return Fraction(lo, d), Fraction(hi, d)
-
-
-def _bracket_nums(wall: Wall, t_num: int, t_den: int, p=None, slope=0):
-    """_bracket's search in integers, for t = t_num/t_den (reduced or not):
-    (d, lo, hi, T) with the offsets lo/d and hi/d and t = T/d, where d is
-    the lcm of t_den and the offsets' denominator.
 
     With S = sigma*d, the hyperplane of sigma nearest below t is m = sigma
     + k with k one floor division, and its value scale*m + shift is compared
@@ -217,9 +207,10 @@ def _numerators(v):
 
 
 def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
-    """The real alcove bounded, on each wall, by the offsets that _bracket
-    finds around <alpha, x> (moved by eps*direction when given): the bounds
-    that polyhedra.facets_and_vertices keeps, carrying its VertexIncidence.
+    """The real alcove bounded, on each wall, by the offsets that
+    _bracket_nums finds around <alpha, x> (moved by eps*direction when
+    given): the bounds that polyhedra.facets_and_vertices keeps, carrying
+    its VertexIncidence.
     A point whose length is not the walls' rank is a ValueError.
 
     Everything before the kept bounds is integer.  x is brought to integer
@@ -298,8 +289,8 @@ def faces_of(A: RealAlcove, walls):
     inequality has rank 0 or 1 likewise.  Only a face of three or more
     vertices, all on more than d inequalities, and two or more active ones
     runs matrix_rank: none in rank 3, where such a face is a facet, but a
-    cross-polytope's triangles in rank 4.  Its witness is polyhedra.vertex_average of their
-    numerators.
+    cross-polytope's triangles in rank 4.  Its witness is
+    polyhedra.vertex_average of their numerators.
     Requires an irredundant bounded alcove (the wall covectors span).
     """
     wm = _wall_map(walls)
@@ -449,19 +440,6 @@ class Chamber:
 
     def to_json(self):
         return {"rank": self.rank, "covectors": [list(a) for a in self.covectors]}
-
-
-def integral_chambers(int_walls, rank) -> list:
-    """All full-dimensional sign chambers of a finite central arrangement."""
-    if not int_walls:
-        return [Chamber(rank, ())]
-    out = []
-    for signs in product((1, -1), repeat=len(int_walls)):
-        covs = tuple(tuple(s * a for a in w.alpha)
-                     for s, w in zip(signs, int_walls))
-        if feasible([(a, Fraction(1), False) for a in covs], rank):
-            out.append(Chamber(rank, covs))
-    return out
 
 
 def _integral_walls(lam, walls):

@@ -240,7 +240,7 @@ class AffineInP:
         """The p-value where self and other cross, or None for parallel lines.
 
         For every prime above the threshold the concrete comparison agrees
-        with cmp_large_p.
+        with the large-p order (< and >).
         """
         other = affine(other)
         if self.slope == other.slope:
@@ -277,13 +277,3 @@ def affine(x) -> AffineInP:
     if isinstance(x, AffineInP):
         return x
     return AffineInP(rat(x), Fraction(0))
-
-
-def cmp_large_p(f: AffineInP, g: AffineInP) -> int:
-    """-1, 0, or 1: the sign of f - g for all sufficiently large p."""
-    f, g = affine(f), affine(g)
-    if f._key() < g._key():
-        return -1
-    if f._key() > g._key():
-        return 1
-    return 0

@@ -9,7 +9,7 @@ only this interface, so other examples can be loaded as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, permutations
 from operator import mul
@@ -52,9 +52,6 @@ class FixedPointInstance:
 
     def point_str(self, x) -> str:
         return POINT_KINDS[self.meta.get("points")][1](x)
-
-    def with_lambdas(self, lambdas) -> "FixedPointInstance":
-        return replace(self, lambdas=tuple(vec(l) for l in lambdas))
 
     def to_json(self) -> dict:
         return {

@@ -6,7 +6,7 @@ partition is ().
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import count
 
 
 def check_partition(mu) -> tuple:
@@ -59,10 +59,6 @@ def partition_numbers():
             k += 1
         p.append(total)
         yield total
-
-
-def count_partitions(n: int) -> int:
-    return next(islice(partition_numbers(), n, None)) if n >= 0 else 0
 
 
 def transpose(mu) -> tuple:

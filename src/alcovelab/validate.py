@@ -100,7 +100,7 @@ def validate_p(p: int, instance, alcoves=()) -> dict:
             pt = p_lattice_point(pa, p, walls)
             entry["ok"] = pt is not None
             if pt is not None:
-                entry["witness"] = [rat_str(Fraction(c)) for c in pt]
+                entry["witness"] = [rat_str(c) for c in pt]
             # above this bound the facet bound values keep a fixed order,
             # the regime where the real/p-alcove correspondence is stable
             entry["stable_above"] = AffineInP.max_crossing_threshold(

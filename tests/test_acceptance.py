@@ -6,9 +6,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import io
 import random
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction as F
 
-from alcovelab.arith import AffineInP, Wall
+from alcovelab.arith import AffineInP, Wall, vec
 from alcovelab.alcoves import (faces_of, integral_walls_and_positive_chamber,
                                p_alcove_of, quantum_chamber, real_alcove_of)
 from alcovelab.cli import dispatch
@@ -191,9 +192,9 @@ def test_criterion_05_phw_axiom_suite():
             rep = phw_axiom_check(poset, d_bound=2 * len(inst.points) * p)
             ok &= rep["passed"]
             cases.append(f"hilb({n})@{p}")
-    a2 = weyl_a_instance(3)
+    a2 = replace(weyl_a_instance(3), lambdas=(vec((1, 1)),))
     for p in (5, 7, 11):
-        assert validate_p(p, a2.with_lambdas([(1, 1)]))["passed"]
+        assert validate_p(p, a2)["passed"]
         poset = hw_order(a2, (1, 1), p, (0, 3 * p))
         rep = phw_axiom_check(poset, d_bound=2 * len(a2.points) * p)
         ok &= rep["passed"]

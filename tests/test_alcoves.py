@@ -19,15 +19,15 @@ from alcovelab.arith import (AffineInP, Wall, pairing, rat_str, saturate, vadd,
 from alcovelab import alcoves, polyhedra
 from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
                                PTooSmallError, QuantumChamber, RealAlcove,
-                               SingularPointError, _alcove_around, _bracket,
-                               _canonical, faces_of, integral_chambers,
+                               SingularPointError, _alcove_around,
+                               _bracket_nums, _canonical, faces_of,
                                integral_walls_and_positive_chamber,
                                opposite_alcove, p_alcove_of, p_membership,
                                quantum_chamber, real_alcove_of,
                                translation_path)
 from alcovelab.cli import dispatch
 from alcovelab.instances import hilb_instance, weyl_a_instance
-from alcovelab.polyhedra import (facets_and_vertices, find_point,
+from alcovelab.polyhedra import (facets_and_vertices, feasible, find_point,
                                  interior_point, irredundant, matrix_rank,
                                  vertices)
 from alcovelab.validate import p_lattice_point, validate_p
@@ -234,15 +234,22 @@ def test_faces_match_per_subset_reference(data):
         matrix_rank([alpha[wid] for wid, _, _ in f.active]) for f in faces]
 
 
+def bracket(wall, t, p=None, slope=0):
+    """The offsets (lo, hi) that _bracket_nums finds around the Fraction t,
+    as two Fractions."""
+    d, lo, hi, _ = _bracket_nums(wall, t.numerator, t.denominator, p, slope)
+    return F(lo, d), F(hi, d)
+
+
 def bracket_rows(x, walls, p=None, direction=None):
     """Test-only oracle: the inequalities _alcove_around starts from, in
-    canonical order, from Fraction pairings: the offsets that _bracket
-    finds around <alpha, x> on every wall, with <alpha, direction> as the
-    slope when a direction is given."""
+    canonical order, from Fraction pairings: the offsets that
+    _bracket_nums finds around <alpha, x> on every wall, with
+    <alpha, direction> as the slope when a direction is given."""
     ineqs = []
     for w in walls:
         slope = 0 if direction is None else pairing(w.alpha, vec(direction))
-        lo, hi = _bracket(w, pairing(w.alpha, vec(x)), p, slope)
+        lo, hi = bracket(w, pairing(w.alpha, vec(x)), p, slope)
         ineqs += [(w.id, lo, GE), (w.id, hi, LE)]
     return _canonical(ineqs)
 
@@ -718,11 +725,26 @@ def test_integral_walls_type_a_integral():
     assert chamber.contains((3, 5))
 
 
+def sign_chambers(int_walls, rank):
+    """Test-only oracle: every full-dimensional sign chamber of a finite
+    central arrangement, one feasibility test for each of the 2^k sign
+    vectors of its k walls."""
+    if not int_walls:
+        return [alcoves.Chamber(rank, ())]
+    out = []
+    for signs in product((1, -1), repeat=len(int_walls)):
+        covs = tuple(tuple(s * a for a in w.alpha)
+                     for s, w in zip(signs, int_walls))
+        if feasible([(a, F(1), False) for a in covs], rank):
+            out.append(alcoves.Chamber(rank, covs))
+    return out
+
+
 def test_integral_walls_hilb_two_chambers():
     c0 = F(-1, 2) + 3
     iw, chamber = integral_walls_and_positive_chamber((c0,), HILB2.walls)
     assert [w.id for w in iw] == [0]
-    chambers = integral_chambers(iw, 1)
+    chambers = sign_chambers(iw, 1)
     assert {c.covectors for c in chambers} == {((1,),), ((-1,),)}
     assert chamber.covectors == ((1,),)  # 5/2 is above sigma~ = {1/2}
 
@@ -782,7 +804,7 @@ def test_validate_p_hilb_congruence():
 
 
 def test_validate_p_trivial_denominators():
-    inst = weyl_a_instance(3).with_lambdas([(1, 1)])
+    inst = replace(weyl_a_instance(3), lambdas=(vec((1, 1)),))
     for p in (3, 5, 7, 11):
         rep = validate_p(p, inst)
         assert rep["a_denominators"]["ok"] and rep["b_lambdas"]["ok"]
@@ -793,9 +815,9 @@ def test_validate_p_block_order_separation():
     # while {(2,1)} sits at 22: interleaved, so (d) fails; at 5/2 the
     # ranges [1,19] and [22,22] are separated
     inst = hilb_instance(3, 0)
-    bad = validate_p(23, inst.with_lambdas([(F(7, 2),)]))
+    bad = validate_p(23, replace(inst, lambdas=((F(7, 2),),)))
     assert not bad["d_block_order"]["ok"]
-    good = validate_p(23, inst.with_lambdas([(F(5, 2),)]))
+    good = validate_p(23, replace(inst, lambdas=((F(5, 2),),)))
     assert good["d_block_order"]["ok"]
 
 
@@ -838,7 +860,7 @@ def test_validate_p_blocks_match_pairwise_oracle(data):
                                                2 * (p + 1)))))
                   for _ in range(inst.rank))
             for _ in range(data.draw(st.integers(1, 2)))]
-    rep = validate_p(p, inst.with_lambdas(lams))
+    rep = validate_p(p, replace(inst, lambdas=tuple(vec(l) for l in lams)))
     expected = [pairwise_block_checks(p, inst, lam) for lam in lams]
     assert rep["c_scalars"]["ok"] == all(c for c, _ in expected)
     assert [c["ok"] for c in rep["d_block_order"]["checks"]] == \
@@ -1263,18 +1285,18 @@ def test_translation_path_rejects_non_lattice_inputs():
 ])
 def test_bracket_reads_the_side_of_a_tie_from_the_slope(wall, t, p, below,
                                                         above):
-    assert _bracket(wall, t, p, slope=-1) == below
-    assert _bracket(wall, t, p, slope=1) == above
-    assert _bracket(wall, t + F(1, 7), p, slope=-1) == above
+    assert bracket(wall, t, p, slope=-1) == below
+    assert bracket(wall, t, p, slope=1) == above
+    assert bracket(wall, t + F(1, 7), p, slope=-1) == above
     error = SingularPointError if p is None else OnPWallError
     with pytest.raises(error):
-        _bracket(wall, t, p)
+        bracket(wall, t, p)
     with pytest.raises(error):
-        _bracket(wall, t, p, slope=0)
+        bracket(wall, t, p, slope=0)
 
 
 def fraction_bracket(wall, t, p=None, slope=0):
-    """Test-only oracle: alcoves._bracket as written before its integer
+    """Test-only oracle: the bracket search as written before its integer
     kernel, one Fraction floor per offset of the sorted sigma_tilde."""
     lo = hi = lo_v = hi_v = None
     for sigma in sorted(wall.sigma_tilde):
@@ -1339,7 +1361,7 @@ def test_bracket_matches_the_fraction_oracle(data):
         st.fractions(min_value=-30, max_value=30, max_denominator=30),
         st.builds(lambda a, b: on_wall + F(a, b), st.integers(-2, 2),
                   st.integers(1, 1000))))
-    got = bracket_outcome(_bracket, wall, t, p, slope)
+    got = bracket_outcome(bracket, wall, t, p, slope)
     assert got == bracket_outcome(fraction_bracket, wall, t, p, slope)
     if t == on_wall and slope == 0:
         assert got[0] is (SingularPointError if p is None else OnPWallError)
@@ -1407,7 +1429,7 @@ def test_quantum_chamber_matches_lp_oracle(data):
         iw, positive = integral_walls_and_positive_chamber(lam, inst.walls)
     except NonRegularError:
         assume(False)
-    for chamber in [positive] + integral_chambers(iw, inst.rank):
+    for chamber in [positive] + sign_chambers(iw, inst.rank):
         assert quantum_chamber(lam, chamber, inst.walls) == \
             lp_quantum_chamber(lam, chamber, inst.walls)
 

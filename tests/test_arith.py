@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alcovelab.arith import (AffineInP, Wall, cmp_large_p, is_saturated,
-                             pairing, primitivize, rat, rat_str, saturate)
+from alcovelab.arith import (AffineInP, Wall, is_saturated, pairing,
+                             primitivize, rat, rat_str, saturate)
 from alcovelab.config import parse_config
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -97,15 +97,17 @@ def test_saturate_monotone(s, extra):
 
 
 def test_cmp_large_p_examples():
-    assert cmp_large_p(AffineInP(3, 0), AffineInP(0, 1)) == -1
-    assert cmp_large_p(AffineInP(1, 2), AffineInP(5, 2)) == -1
-    assert cmp_large_p(AffineInP(0, 0), AffineInP(0, 0)) == 0
+    # the large-p order of AffineInP: the sign of f - g for every large p
+    for f, g, c in [(AffineInP(3, 0), AffineInP(0, 1), -1),
+                    (AffineInP(1, 2), AffineInP(5, 2), -1),
+                    (AffineInP(0, 0), AffineInP(0, 0), 0)]:
+        assert (f > g) - (f < g) == c
 
 
 @given(rationals, rationals, rationals, rationals)
 def test_cmp_agrees_with_eval_above_threshold(a1, b1, a2, b2):
     f, g = AffineInP(a1, b1), AffineInP(a2, b2)
-    c = cmp_large_p(f, g)
+    c = (f > g) - (f < g)
     t = f.crossing_threshold(g)
     start = 1 if t is None else math.ceil(t) + 1
     for p in (start, start + 100):

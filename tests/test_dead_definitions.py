@@ -1,14 +1,16 @@
-"""Every function, method and class of the package is referenced somewhere.
+"""Every function, method and class of the package is used by a user path.
 
 Standard library only: the names defined under `src/alcovelab/` (dunders
-aside) are compared with the names read anywhere in `src/`, `tests/`,
-`demos/` or `perfbench/`.  A reference is a name, an attribute, an
-imported name or a keyword argument.  A string constant counts only under
-`perfbench/`, the one tree that reaches definitions by name (its tracer's
-`getattr`); elsewhere an error message or a fixture that spells a name is
-no use of it.  A method, a function defined directly in a class body, is
-reached only through an attribute, a keyword or such a string: a bare name
-of the same spelling is some other variable.
+aside) are compared with the names read in `src/`, `demos/` or
+`perfbench/`, the trees a user path runs.  A test, or the package's
+re-export in `src/alcovelab/__init__.py`, is no use: a name only they
+read belongs in the tests, as an oracle, or nowhere.  A reference is a
+name, an attribute, an imported name or a keyword argument.  A string
+constant counts only under `perfbench/`, the one tree that reaches
+definitions by name (its tracer's `getattr`); elsewhere an error message
+that spells a name is no use of it.  A method, a function defined
+directly in a class body, is reached only through an attribute, a keyword
+or such a string: a bare name of the same spelling is some other variable.
 """
 
 import ast
@@ -16,7 +18,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "alcovelab"
-TREES = ("src", "tests", "demos", "perfbench")
+TREES = ("src", "demos", "perfbench")
+REEXPORT = "src/alcovelab/__init__.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -52,12 +55,20 @@ def references(source, strings):
     return names | members, members
 
 
+def on_a_user_path(path):
+    """Whether a reference in the file at path (relative to the repo root)
+    counts as a use: it lies in a tree a user path runs, and is not the
+    package's re-export."""
+    return path.split("/")[0] in TREES and path != REEXPORT
+
+
 def dead_definitions(defining, reading):
     """(file, line, name) of each definition in the sources of defining (a
-    {file: source} map) that no source of reading references; a method
-    counts only as a member, and a string only in a file under perfbench/."""
+    {file: source} map) that no source of reading on a user path
+    references; a method counts only as a member, and a string only in a
+    file under perfbench/."""
     refs = [references(source, path.startswith("perfbench/"))
-            for path, source in reading.items()]
+            for path, source in reading.items() if on_a_user_path(path)]
     used = set().union(*(names for names, _ in refs))
     used_members = set().union(*(members for _, members in refs))
     return sorted((path, line, name) for path, source in defining.items()
@@ -66,23 +77,28 @@ def dead_definitions(defining, reading):
 
 
 def test_the_check_sees_an_unreferenced_definition():
-    defining = {"m.py": "class A:\n    def f(self):\n        pass\n"
-                        "    def width(self):\n        pass\n"
-                        "    def m(self):\n        pass\n"
-                        "    def spelled(self):\n        pass\n"
-                        "    def __eq__(self, other):\n        pass\n"
-                        "def g():\n    pass\ndef h(k=1):\n    pass\n"}
+    defining = {"src/m.py": "class A:\n    def f(self):\n        pass\n"
+                            "    def width(self):\n        pass\n"
+                            "    def m(self):\n        pass\n"
+                            "    def spelled(self):\n        pass\n"
+                            "    def __eq__(self, other):\n        pass\n"
+                            "def g():\n    pass\ndef h(k=1):\n    pass\n"
+                            "def tested():\n    pass\n"}
     # the loop variable width is a bare name, not a use of the method
-    # A.width, and a test's string "spelled" is no use of A.spelled; only
-    # perfbench/ reaches a definition by its name
+    # A.width, and a demo's string "spelled" is no use of A.spelled; only
+    # perfbench/ reaches a definition by its name.  tested is read by a
+    # test and re-exported by the package, and neither is a user path
     reading = {**defining,
-               "tests/t.py": "from m import A\nA().m()\nh(k=2)\n"
+               "demos/d.py": "from m import A\nA().m()\nh(k=2)\n"
                              "for width in range(3):\n    pass\n"
                              "assert 'spelled' in dir(A)\n",
-               "perfbench/b.py": "from m import A\ngetattr(A, 'g')\n"}
-    assert dead_definitions(defining, reading) == [("m.py", 2, "f"),
-                                                   ("m.py", 4, "width"),
-                                                   ("m.py", 8, "spelled")]
+               "perfbench/b.py": "from m import A\ngetattr(A, 'g')\n",
+               "tests/t.py": "from m import tested\ntested()\n",
+               REEXPORT: "from .m import A, g, h, tested\n"}
+    assert dead_definitions(defining, reading) == [("src/m.py", 2, "f"),
+                                                   ("src/m.py", 4, "width"),
+                                                   ("src/m.py", 8, "spelled"),
+                                                   ("src/m.py", 16, "tested")]
 
 
 def test_every_definition_is_referenced():
