@@ -14,6 +14,11 @@ from functools import cached_property
 from math import gcd, lcm
 
 
+class LemmaError(AssertionError):
+    """A computed result contradicts a lemma of the theory: a defect of the
+    library, not of its input."""
+
+
 # an integer or "num/den" with a nonzero denominator
 RATIONAL_LITERAL = re.compile(r"-?\d+(/0*[1-9]\d*)?")
 
@@ -181,7 +186,7 @@ class Wall:
         }
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, init=False)
 class AffineInP:
     """An exact affine function a + b*p of a symbolic (large) prime p.
 
@@ -192,9 +197,9 @@ class AffineInP:
     const: Fraction = Fraction(0)
     slope: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "const", rat(self.const))
-        object.__setattr__(self, "slope", rat(self.slope))
+    def __init__(self, const=0, slope=0):
+        object.__setattr__(self, "const", rat(const))
+        object.__setattr__(self, "slope", rat(slope))
 
     def eval_at(self, p) -> Fraction:
         return self.const + self.slope * p
@@ -223,6 +228,12 @@ class AffineInP:
 
     def _key(self):
         return (self.slope, self.const)
+
+    def __hash__(self):
+        # equal Fractions have equal numerators and denominators, so this
+        # agrees with equality without Fraction's modular inverse
+        c, s = self.const, self.slope
+        return hash((c.numerator, c.denominator, s.numerator, s.denominator))
 
     def __lt__(self, other):
         return self._key() < affine(other)._key()
@@ -261,13 +272,15 @@ class AffineInP:
                           if (t := f.crossing_threshold(g)) is not None])
 
     def __str__(self):
-        if self.slope == 0:
-            return rat_str(self.const)
-        s = f"{rat_str(self.slope)}p" if self.slope != 1 else "p"
-        if self.const == 0:
-            return s
-        sign = "+" if self.const > 0 else "-"
-        return f"{s} {sign} {rat_str(abs(self.const))}"
+        c, s = self.const, self.slope
+        if not s:
+            return str(c)
+        text = "p" if s == 1 else f"{s}p"
+        if not c:
+            return text
+        # str of a negative Fraction is "-" and the text of its absolute value
+        return (f"{text} - {str(c)[1:]}" if c.numerator < 0
+                else f"{text} + {c}")
 
     def to_json(self):
         return {"const": rat_str(self.const), "slope": rat_str(self.slope)}

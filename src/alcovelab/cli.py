@@ -2,8 +2,9 @@
 
 Every subcommand prints one deterministic JSON report, or the DOT, CSV or
 JSON text asked for; it exits 1 when its checks fail, and 1 with one
-{"error": ...} line when its input is rejected.  A bare call or a flag
-that argparse rejects prints the usage on stderr and exits 2.
+{"error": ...} line when its input is rejected or a result falsifies a
+lemma (LemmaError).  A bare call or a flag that argparse rejects prints
+the usage on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import json
 import sys
 
-from .arith import rat, rat_str, vec
+from .arith import LemmaError, rat, rat_str, vec
 from .alcoves import (faces_of, inequalities_to_json,
                       integral_walls_and_positive_chamber, p_alcove_of,
                       p_membership, quantum_chamber, real_alcove_of,
@@ -24,8 +25,8 @@ from .config import (ConfigError, load_instance, load_json, parse_alcove,
 from .instances import BUILTINS, check_point_count
 from .mullineux import wc_bijection_hilb
 from .orders import (LabelBudgetError, equivalence_classes, export_poset,
-                     hw_order, order_compat_check, phw_axiom_check,
-                     ss_preorder, to_dot)
+                     hw_order, phw_axiom_check, ss_preorder, to_dot,
+                     window_compat_check)
 from .partitions import partition_numbers
 from .validate import validate_p
 
@@ -268,7 +269,7 @@ def dispatch(argv) -> int:
         return 2
     try:
         return _run(args, _checked_p_samples(args))
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, LemmaError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
 
@@ -412,15 +413,13 @@ def _outputs(args, cfg, samples):
                 return export_poset(pre, "dot"), None
             return {"preorder": pre.to_json()}, None
         if cmd == "classes":
-            return {"classes": [
-                [f"{cfg.instance.point_str(l.point)}|{l.kappa}" for l in cls]
-                for cls in equivalence_classes(pre)]}, None
+            text = pre.texts()
+            return {"classes": [["|".join(text[l]) for l in cls]
+                                for cls in equivalence_classes(pre)]}, None
         lam_prime = pair.p_point(args.p)
-        poset = _windowed(hw_order, "--window", args.window, cfg.instance,
-                          lam_prime, args.p)
-        report = order_compat_check(poset, pre, args.p)
-        z1, z2 = poset.window
-        if not any(z1 <= l.kappa.eval_at(args.p) < z2 for l in pre.labels):
+        report = _windowed(window_compat_check, "--window", args.window, pre,
+                           lam_prime, args.p)
+        if report is None:
             raise ConfigError(f"--window {args.window} holds no label of the "
                               f"pre-order at p = {args.p}")
         return {"lambda_prime": [rat_str(c) for c in lam_prime]}, report

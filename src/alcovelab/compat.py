@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import AffineInP, is_lattice, pairing, vadd, vscale, vsub
+from .arith import (AffineInP, LemmaError, is_lattice, pairing, vadd, vscale,
+                    vsub)
 from .alcoves import (Face, PAlcove, RealAlcove, faces_of, opposite_alcove,
                       p_alcove_of, translate_inequalities)
 from .polyhedra import first_lattice_point
@@ -153,7 +154,7 @@ def opposite_pair(A: RealAlcove, face: Face, pair: CompatiblePair, walls):
     mu = pair.mu
     if face_b.witness != mu:
         # same geometric face, same vertex average
-        raise AssertionError("face witness mismatch between opposite alcoves")
+        raise LemmaError("face witness mismatch between opposite alcoves")
     candidate = vsub(vscale(2, mu), pair.lam)
     if all(pairing(c, candidate) > rhs.const
            for c, rhs in _face_facets(B, face_b, walls)):
@@ -162,5 +163,5 @@ def opposite_pair(A: RealAlcove, face: Face, pair: CompatiblePair, walls):
         pair_minus = find_compatible(B, face_b, walls)
     chi = vsub(pair_minus.lam, pair.lam)
     if not is_lattice(chi):
-        raise AssertionError("wall-crossing element chi is not integral")
+        raise LemmaError("wall-crossing element chi is not integral")
     return pair_minus, chi

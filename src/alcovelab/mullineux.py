@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .arith import LemmaError
 from .partitions import (check_partition, e_regular_partitions, is_e_regular,
                          partition_str, partitions, transpose)
 
@@ -111,7 +112,7 @@ def mullineux(mu, e: int) -> tuple:
     try:
         return _symbol_table(sum(mu), e)[target]
     except KeyError:
-        raise AssertionError(
+        raise LemmaError(
             f"no {e}-regular partition carries the conjugated symbol of "
             f"{partition_str(mu)}; the rim peeling is inconsistent") from None
 
@@ -180,11 +181,11 @@ def _mullineux_crystal(mu: tuple, e: int) -> tuple:
         if nu is not None:
             img = good_add(_mullineux_crystal(nu, e), (-i) % e, e)
             if img is None:
-                raise AssertionError(
+                raise LemmaError(
                     "crystal recursion failed: no good addable box of the "
                     "negated residue")
             return img
-    raise AssertionError(f"no good removable box on {mu}")
+    raise LemmaError(f"no good removable box on {mu}")
 
 
 def mullineux_oracle(mu, e: int) -> tuple:

@@ -13,10 +13,10 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from math import inf, lcm
 from typing import NamedTuple
 
-from .arith import AffineInP, rat_str
+from .arith import AffineInP, LemmaError, rat_str
 from .instances import FixedPointInstance, wt_chi
 
 
@@ -128,22 +128,34 @@ class LabeledPoset:
         }
 
 
-def hw_order(instance: FixedPointInstance, lam, p: int, window) -> LabeledPoset:
-    """The highest-weight order on labels (x, kappa), kappa in [z1, z2).
-
-    (x, kappa) < (x', kappa') iff the labels lie in the same equivariant
-    block (c_bar(x) - kappa congruent mod p) and kappa < kappa'; only the
-    blocks are stored.  The number of labels, |points| * (z2 - z1), is
-    checked against MAX_LABELS before any label is built (LabelBudgetError).
-    """
+def window_blocks(instance: FixedPointInstance, lam, p: int, window):
+    """The block of a label (x, kappa) in the highest-weight order on the
+    window [z1, z2), as a function that lists no label: (c_bar(x) - kappa)
+    mod p for z1 <= kappa < z2, else None.  The window must be nonempty,
+    and its |points| * (z2 - z1) labels within MAX_LABELS
+    (LabelBudgetError)."""
     z1, z2 = window
     if z1 >= z2:
         raise ValueError(f"empty window: [{z1}, {z2})")
     _check_label_count(len(instance.points) * (z2 - z1))
     res = c_bar(instance, lam, p)
+    return lambda l: ((res[l.point] - l.kappa) % p if z1 <= l.kappa < z2
+                      else None)
+
+
+def hw_order(instance: FixedPointInstance, lam, p: int, window) -> LabeledPoset:
+    """The highest-weight order on labels (x, kappa), kappa in [z1, z2).
+
+    (x, kappa) < (x', kappa') iff the labels lie in the same equivariant
+    block (c_bar(x) - kappa congruent mod p) and kappa < kappa'; only the
+    blocks (window_blocks) are stored, and no label is built before its
+    checks pass.
+    """
+    block = window_blocks(instance, lam, p, window)
+    z1, z2 = window
     labels = tuple(Label(x, k) for x in instance.points for k in range(z1, z2))
-    blocks = {l: (res[l.point] - l.kappa) % p for l in labels}
-    return LabeledPoset(labels=labels, blocks=blocks, p=p, window=(z1, z2))
+    return LabeledPoset(labels=labels, blocks={l: block(l) for l in labels},
+                        p=p, window=(z1, z2))
 
 
 def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
@@ -258,11 +270,16 @@ class PreOrder:
     def within_class_order(self, cls) -> list:
         """Class members sorted ascending for the stratified side: the
         symbolic hw comparison (by constant term) reversed."""
-        return sorted(cls, key=lambda l: -l.kappa.const)
+        return sorted(cls, key=lambda l: l.kappa.const, reverse=True)
+
+    def texts(self) -> dict:
+        """(point name, kappa text) of each label, each point named once."""
+        name = self.instance.point_str
+        names = {x: name(x) for x in {l.point for l in self.labels}}
+        return {l: (names[l.point], str(l.kappa)) for l in self.labels}
 
     def to_json(self):
-        name = self.instance.point_str
-        text = {l: (name(l.point), str(l.kappa)) for l in self.labels}
+        text = self.texts()
         return {
             "lambda_bar": [rat_str(c) for c in self.lam_bar],
             "mu": [rat_str(c) for c in self.mu],
@@ -286,6 +303,8 @@ def ss_preorder(instance: FixedPointInstance, pair, window) -> PreOrder:
     label is built (LabelBudgetError).  Labels are listed point by point;
     each class lists its labels by (str(point), kappa.const), a key that is
     the same for all labels of a point, so the points are sorted by it once.
+    Classes are keyed by a slope's numerator over the slopes' common
+    denominator (m*p keeps a point's denominator).
     """
     m_lo, m_hi = window
     if m_lo != -m_hi or m_hi < 0:
@@ -297,15 +316,17 @@ def ss_preorder(instance: FixedPointInstance, pair, window) -> PreOrder:
         rows.append(((str(x), gamma.const),
                      [Label(x, AffineInP(gamma.const, gamma.slope + m))
                       for m in range(m_lo, m_hi + 1)]))
+    den = lcm(*(labels[0].kappa.slope.denominator for _, labels in rows))
     by_slope = defaultdict(list)
     for _, labels in sorted(rows, key=lambda row: row[0]):
         for l in labels:
-            by_slope[l.kappa.slope].append(l)
-    slopes = tuple(sorted(by_slope))
+            s = l.kappa.slope
+            by_slope[s.numerator * (den // s.denominator)].append(l)
+    classes = tuple(tuple(by_slope[k]) for k in sorted(by_slope))
     return PreOrder(instance=instance, lam_bar=pair.lam, mu=pair.mu,
                     labels=tuple(l for _, labels in rows for l in labels),
-                    classes=tuple(tuple(by_slope[s]) for s in slopes),
-                    class_slopes=slopes)
+                    classes=classes,
+                    class_slopes=tuple(cls[0].kappa.slope for cls in classes))
 
 
 def equivalence_classes(pre: PreOrder) -> tuple:
@@ -316,18 +337,23 @@ def equivalence_classes(pre: PreOrder) -> tuple:
     Two labels are directly equivalent iff their c values differ by an
     integer and c - kappa agree as affine functions of p, that is iff they
     share the key (frac(c), c - kappa.const, kappa.slope); so (b) groups the
-    labels by that key.
+    labels by that key, computing its first two parts once for a run of
+    labels with the same point and the same const object.
     """
     inst = pre.instance
     c = {x: inst.c_value(x, pre.lam_bar) for x in inst.points}
-    direct = defaultdict(list)
+    heads, direct, x, const = {}, defaultdict(list), None, None
     for l in pre.labels:
-        cx = c[l.point]
-        direct[(cx % 1, cx - l.kappa.const, l.kappa.slope)].append(l)
+        k = l.kappa
+        if l.point is not x or k.const is not const:
+            x, const = l.point, k.const
+            cx = c[x]
+            head = heads.setdefault((cx % 1, cx - const), len(heads))
+        direct[head, k.slope.numerator, k.slope.denominator].append(l)
     path_a = {frozenset(cls) for cls in pre.classes}
     path_b = {frozenset(cls) for cls in direct.values()}
     if path_a != path_b:
-        raise AssertionError(
+        raise LemmaError(
             "equivalence-class mismatch between slope closure and the direct "
             "formula; this would falsify the char-p class lemma")
     return pre.classes
@@ -355,17 +381,39 @@ def order_compat_check(poset: LabeledPoset, pre: PreOrder, p: int) -> dict:
     shift(l, 1, p) adds 1 to the slope of a symbolic kappa, and the
     pre-order compares slopes, so that part of the report is fixed.
     """
+    return _compat_check(pre, p, poset.blocks.get, vacuous=True)
+
+
+def window_compat_check(pre: PreOrder, lam, p: int, window) -> dict | None:
+    """order_compat_check(hw_order(pre.instance, lam, p, window), pre, p),
+    with its errors in its order, but without listing the window; None
+    when the window holds no label of the pre-order at p."""
+    block = window_blocks(pre.instance, lam, p, window)
+    return _compat_check(pre, p, block, vacuous=False)
+
+
+def _compat_check(pre: PreOrder, p: int, block, vacuous: bool) -> dict | None:
+    """order_compat_check with block(label) the block of a label at p, None
+    outside the window; unless vacuous, None when no label is inside.  A
+    kappa at p and a slope are read as integers: the numerators of const
+    and slope, and a slope's numerator over the slopes' common denominator."""
+    den = lcm(*(l.kappa.slope.denominator for l in pre.labels))
     in_window, by_slope, by_place = {}, defaultdict(list), defaultdict(list)
     for l in pre.labels:
-        v = l.kappa.eval_at(p)
-        if v.denominator != 1:
+        c, s = l.kappa.const, l.kappa.slope
+        v, r = divmod(c.numerator * s.denominator
+                      + s.numerator * p * c.denominator,
+                      c.denominator * s.denominator)
+        if r:
             raise ValueError(f"kappa not integral at p={p}")
-        cl = Label(l.point, v.numerator)
-        if cl in poset.blocks and l not in in_window:
-            in_window[l] = row = (l.kappa.slope, poset.blocks[cl], cl.kappa,
+        b = block(Label(l.point, v))
+        if b is not None and l not in in_window:
+            in_window[l] = row = (s.numerator * (den // s.denominator), b, v,
                                   len(in_window))
             by_slope[row[0]].append(row)
             by_place[row[1:3]].append(row)
+    if not (in_window or vacuous):
+        return None
     # a fails the first implication when a label of higher slope lies in
     # another block or not above a's kappa, and the second when a label of
     # a's block above a's kappa has lower slope
@@ -439,13 +487,13 @@ def interval_image(pre: PreOrder, interval, chi) -> tuple:
     for cls in all_translated:
         slopes = {l.kappa.slope for l in cls}
         if len(slopes) != 1 or set(cls) != by_slope[next(iter(slopes))]:
-            raise AssertionError(
+            raise LemmaError(
                 "translated class is not a class; this would falsify the "
                 "equivalence-preservation lemma")
     image = tuple(all_translated[i] for i in idxs)
     slopes = [cls[0].kappa.slope for cls in image]
     if slopes != sorted(slopes):
-        raise AssertionError("translation did not preserve the class order")
+        raise LemmaError("translation did not preserve the class order")
     return image
 
 
@@ -482,11 +530,10 @@ def export_poset(obj, fmt: str, instance=None) -> str:
              for named, l in zip(payload["labels"], obj.labels)],
             payload["covers"])
     # one dashed edge from the top of each class to the bottom of the next
-    name = obj.instance.point_str
+    text = obj.texts()
     ranked = [obj.within_class_order(cls) for cls in obj.classes]
     return to_dot(
-        [((name(l.point), l.kappa), PALETTE[ci % len(PALETTE)])
+        [(text[l], PALETTE[ci % len(PALETTE)])
          for ci, cls in enumerate(obj.classes) for l in cls],
-        [((name(lo[-1].point), lo[-1].kappa), (name(hi[0].point), hi[0].kappa))
-         for lo, hi in zip(ranked, ranked[1:])],
+        [(text[lo[-1]], text[hi[0]]) for lo, hi in zip(ranked, ranked[1:])],
         " [style=dashed]")

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alcovelab.arith import (AffineInP, Wall, is_saturated, pairing,
@@ -175,6 +175,34 @@ def test_affine_ordering_operators():
     assert AffineInP(5, 0) < AffineInP(0, F(1, 3))
     assert AffineInP(1, 1) <= AffineInP(1, 1)
     assert AffineInP(2, 1) > AffineInP(100, 0)
+
+
+def fraction_kappa_text(f):
+    """Test-only oracle: AffineInP.__str__ as first written, through
+    rat_str, Fraction comparisons and abs."""
+    if f.slope == 0:
+        return rat_str(f.const)
+    s = f"{rat_str(f.slope)}p" if f.slope != 1 else "p"
+    if f.const == 0:
+        return s
+    sign = "+" if f.const > 0 else "-"
+    return f"{s} {sign} {rat_str(abs(f.const))}"
+
+
+@given(st.builds(AffineInP, rationals, st.one_of(
+    rationals, st.sampled_from((F(0), F(1), F(-1))))))
+@example(AffineInP(F(-7, 2), 0))
+@example(AffineInP(F(5, 12), 1))
+@example(AffineInP(-3, 1))
+@example(AffineInP(0, 1))
+@example(AffineInP(F(-1, 4), F(3, 2)))
+def test_kappa_text_matches_the_fraction_oracle(f):
+    """Slope 0 and 1, const 0 and negative consts among random pairs."""
+    assert str(f) == fraction_kappa_text(f)
+    # the hash, read off the integer numerators and denominators, agrees
+    # with equality
+    g = AffineInP(f.const, f.slope)
+    assert g == f and hash(g) == hash(f)
 
 
 def test_rat_str_roundtrip():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from unittest import mock
 import pytest
 
 from alcovelab import cli, compat, config, instances
+from alcovelab.arith import LemmaError
 from alcovelab.cli import _is_prime, build_parser, dispatch
 from alcovelab.config import (ConfigError, load_instance, parse_config,
                               run_report)
@@ -114,6 +116,18 @@ def test_wall_config_schema_errors():
     (None, ["check-compat", "--builtin", "hilb", "--n", "2", "--point", "1",
             "--face", "1", "--p", "29", "--window=1000:1010"],
      "--window 1000:1010 holds no label of the pre-order at p = 29"),
+    # check-compat's errors in their order: at hilb(4), 5/12, face 0 and
+    # p = 13 both (p+1)c and kappa are not integral, so each error shows
+    # only when the ones before it pass
+    *[(None, ["check-compat", "--builtin", "hilb", "--n", str(n), "--point",
+              "5/12", "--face", "0", "--p", "13", f"--window={window}",
+              "--m-window=-1:1"], error) for n, window, error in [
+        (4, "5:5", "empty window: [5, 5)"),
+        (4, "0:300000", "--window 0:300000: the window asks for 1500000 "
+                        "labels, above the bound of 1000000"),
+        (4, "0:10",
+         "(p+1)*c is not integral at p=13; see validate_p check (c)"),
+        (3, "0:10", "kappa not integral at p=13")]],
 ])
 def test_cli_error_paths(tmp_path, config, argv, expected):
     """Each bad invocation exits 1 with one {"error": ...} line."""
@@ -129,6 +143,39 @@ def test_cli_no_args_usage(capsys):
     # the usage goes to stderr: stdout carries only reports
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith("usage: alcove-lab")
+
+
+def test_a_falsified_lemma_is_one_error_line(capsys):
+    """A LemmaError escapes no library call as a traceback: dispatch prints
+    it as one {"error": ...} line and exits 1."""
+    lemma = LemmaError("equivalence-class mismatch")
+    with mock.patch.object(cli, "equivalence_classes", side_effect=lemma):
+        code, out = run_cli(["classes", "--builtin", "hilb", "--n", "3",
+                             "--point", "5/12", "--face", "1",
+                             "--window=-3:3"])
+    assert (code, out) == (1, json.dumps(
+        {"error": "equivalence-class mismatch"}) + "\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_every_lemma_site_raises_lemma_error():
+    """No library module raises a bare AssertionError: each falsified lemma
+    is a LemmaError, which dispatch reports (and which pytest.raises(
+    AssertionError) still catches)."""
+    assert issubclass(LemmaError, AssertionError)
+    package = Path(cli.__file__).parent
+    bare, lemma = [], 0
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                name = getattr(exc, "id", None)
+                if name == "AssertionError":
+                    bare.append(f"{path.name}:{node.lineno}")
+                lemma += name == "LemmaError"
+    assert bare == []
+    assert lemma == 8
 
 
 def test_cli_unknown_subcommand():

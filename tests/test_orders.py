@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from collections import defaultdict
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from alcovelab import orders
 from alcovelab.alcoves import SingularPointError, faces_of, real_alcove_of
-from alcovelab.cli import dispatch
+from alcovelab.cli import build_parser, dispatch
 from alcovelab.compat import find_compatible
 from alcovelab.instances import (FixedPointInstance, hilb_instance,
                                  weyl_a_instance, wt_chi)
@@ -494,6 +495,19 @@ def label_loop_json(pre):
     }
 
 
+def name_loop_preorder_dot(pre):
+    """Test-only oracle: export_poset's DOT of a PreOrder as first written,
+    a name function applied to every label and edge end."""
+    name = pre.instance.point_str
+    ranked = [pre.within_class_order(cls) for cls in pre.classes]
+    return orders.to_dot(
+        [((name(l.point), l.kappa), orders.PALETTE[ci % len(orders.PALETTE)])
+         for ci, cls in enumerate(pre.classes) for l in cls],
+        [((name(lo[-1].point), lo[-1].kappa), (name(hi[0].point), hi[0].kappa))
+         for lo, hi in zip(ranked, ranked[1:])],
+        " [style=dashed]")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ss_preorder_matches_the_label_loop(data):
@@ -507,6 +521,7 @@ def test_ss_preorder_matches_the_label_loop(data):
     assert pre.to_json() == label_loop_json(ref)
     assert export_poset(pre, "json") == json.dumps(label_loop_json(ref),
                                                    sort_keys=True, indent=2)
+    assert export_poset(pre, "dot") == name_loop_preorder_dot(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -854,7 +869,7 @@ def test_order_checks_on_wide_windows_take_time_linear_in_the_labels(
         argv, digest, bound):
     """Each report is pinned by the sha256 of its stdout as the pair walks
     printed it.  The bounds are loose: the walks took about 7 s and 57 s,
-    and these calls 0.1 s and 0.4-0.5 s, on a shared 2-core x86 VM."""
+    and these calls 0.1 s and 0.05-0.1 s, on a shared 2-core x86 VM."""
     buf = io.StringIO()
     start = perf_counter()
     with redirect_stdout(buf):
@@ -863,3 +878,106 @@ def test_order_checks_on_wide_windows_take_time_linear_in_the_labels(
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
     assert elapsed < bound
+
+
+def listed_compat_check(pre, lam, p, window):
+    """Test-only oracle: check-compat's path as first written, hw_order's
+    checks and the highest-weight order listed over the whole window, then
+    the pre-order's labels evaluated at p for the "holds no label" check."""
+    z1, z2 = window
+    if z1 >= z2:
+        raise ValueError(f"empty window: [{z1}, {z2})")
+    orders._check_label_count(len(pre.instance.points) * (z2 - z1))
+    res = c_bar(pre.instance, lam, p)
+    labels = tuple(Label(x, k) for x in pre.instance.points
+                   for k in range(z1, z2))
+    poset = orders.LabeledPoset(
+        labels, {l: (res[l.point] - l.kappa) % p for l in labels}, p, window)
+    report = order_compat_check(poset, pre, p)
+    if not any(z1 <= l.kappa.eval_at(p) < z2 for l in pre.labels):
+        return None
+    return report
+
+
+PRIMES_11_TO_61 = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def draw_window(data, kappas, points):
+    """A window that cuts the labels' span, holds all of it, holds none of
+    it, is empty, or asks for more than MAX_LABELS labels."""
+    lo, hi = kappas[0].__floor__(), kappas[-1].__floor__() + 1
+    kind = data.draw(st.sampled_from(("cut", "all", "none", "empty",
+                                      "budget")))
+    if kind == "empty":
+        z1 = data.draw(st.integers(lo - 5, hi + 5))
+        return z1, z1 - data.draw(st.integers(0, 3))
+    if kind == "budget":
+        z1 = data.draw(st.integers(lo - 5, hi + 5))
+        return z1, z1 + orders.MAX_LABELS // points + 1
+    if kind == "none":
+        width = data.draw(st.integers(1, 40))
+        return data.draw(st.sampled_from(((lo - width - 1, lo - 1),
+                                          (hi + 1, hi + 1 + width))))
+    if kind == "all":
+        return lo - data.draw(st.integers(0, 20)), hi + data.draw(
+            st.integers(0, 20))
+    z1 = data.draw(st.integers(lo - 10, hi))
+    return z1, data.draw(st.integers(z1 + 1, hi + 10))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_check_compat_prints_what_the_listed_window_prints(data):
+    """check-compat without listing its window prints what the listing
+    path printed, byte for byte, error text included: on hilb(2..5), at
+    primes 11-61, for windows that cut the pre-order, hold all or none of
+    its labels, are empty or ask for more labels than the budget."""
+    n = data.draw(st.integers(2, 5))
+    inst = hilb_instance(n, 0)
+    x = data.draw(st.fractions(min_value=-2, max_value=3, max_denominator=24))
+    try:
+        A = real_alcove_of((x,), inst.walls)
+    except SingularPointError:
+        assume(False)
+    faces = faces_of(A, inst.walls)
+    face = data.draw(st.integers(0, len(faces) - 1))
+    m = data.draw(st.integers(0, 3))
+    pair = find_compatible(A, faces[face], inst.walls)
+    # half the draws at a prime where (p+1)c is integral, if there is one
+    integral = [p for p in PRIMES_11_TO_61
+                if all(((p + 1) * inst.c_value(y, pair.p_point(p)))
+                       .denominator == 1 for y in inst.points)]
+    p = data.draw(st.sampled_from(integral if integral and data.draw(
+        st.booleans()) else PRIMES_11_TO_61))
+    kappas = sorted(l.kappa.eval_at(p)
+                    for l in ss_preorder(inst, pair, (-m, m)).labels)
+    z1, z2 = draw_window(data, kappas, len(inst.points))
+    argv = ["check-compat", "--builtin", "hilb", "--n", str(n),
+            f"--point={rat_str(x)}", "--face", str(face), "--p", str(p),
+            f"--window={z1}:{z2}", f"--m-window=-{m}:{m}"]
+    printed = []
+    for path in (orders.window_compat_check, listed_compat_check):
+        buf = io.StringIO()
+        with mock.patch("alcovelab.cli.window_compat_check", path), \
+                redirect_stdout(buf):
+            code = dispatch(argv)
+        printed.append((code, buf.getvalue()))
+    assert printed[0] == printed[1]
+
+
+def test_check_compat_does_not_list_its_window():
+    """999,998 labels in the window of hilb(2), just under MAX_LABELS: the
+    command's memory follows the pre-order's 10 labels, not the window."""
+    argv = ["check-compat", "--builtin", "hilb", "--n", "2", "--point", "1",
+            "--face", "1", "--p", "29", "--window=-249999:250000"]
+    build_parser()   # built once per process, outside the traced call
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(buf):
+            code = dispatch(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(buf.getvalue())["checks"]["passed"]
+    assert peak < 2 * 2**20
