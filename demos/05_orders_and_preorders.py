@@ -58,6 +58,6 @@ print("\nchain strict-pre => hw => pre:",
 
 # --- DOT export for visualization --------------------------------------------
 
-dot = export_poset(poset, "dot", hilb)
+dot = export_poset(poset, hilb)
 print("\nDOT preview (first lines):")
 print("\n".join(dot.splitlines()[:6]))

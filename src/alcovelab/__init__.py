@@ -24,7 +24,7 @@ from .mullineux import (MullineuxSymbol, mullineux, mullineux_oracle,
                         wc_bijection_hilb)
 from .orders import (Label, LabeledPoset, PreOrder, c_bar,
                      crossing_threshold_bound, equivalence_classes,
-                     export_poset, hw_order, interval_image, label_translate,
+                     export_poset, hw_order, interval_image,
                      order_compat_check, phw_axiom_check, shift, ss_preorder)
 from .partitions import (cont, e_regular_partitions, is_e_regular, n_stat,
                          partition_from_str, partition_str, partitions,

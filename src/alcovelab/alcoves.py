@@ -86,15 +86,10 @@ class RealAlcove:
                 out.append((tuple(-a for a in alpha), -m, False))
         return out
 
-    def contains(self, x, walls, strict=False) -> bool:
-        for coeffs, rhs, _ in self.constraints(walls):
-            v = pairing(coeffs, x)
-            if v < rhs or (strict and v == rhs):
-                return False
-        return True
-
     def vertex_incidence(self, walls) -> VertexIncidence:
-        """The carried record, else one pass's (masks of irredundant rows)."""
+        """The carried record, else one pass's, whose masks are over the
+        rows it keeps: the facets, or every row of an alcove with no
+        interior."""
         return self.incidence or facets_and_vertices(
             self.constraints(walls), self.rank)[1]
 
@@ -212,6 +207,13 @@ def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
     given): the bounds that polyhedra.facets_and_vertices keeps, carrying
     its VertexIncidence.
     A point whose length is not the walls' rank is a ValueError.
+
+    Bounds with no interior between them arise only in the p-family, at a
+    p too small for the real/p-alcove bijection, and then every bound is
+    kept.  p_membership's containment check reads them all: a superset of
+    the rows that an elimination would keep, they can only exclude more,
+    and on every such build the tests scan the check ends in
+    PTooSmallError.
 
     Everything before the kept bounds is integer.  x is brought to integer
     numerators X over one denominator D, so each wall's pairing is the
@@ -435,9 +437,6 @@ class Chamber:
     rank: int
     covectors: tuple  # oriented covectors
 
-    def contains(self, x) -> bool:
-        return all(pairing(a, x) >= 0 for a in self.covectors)
-
     def to_json(self):
         return {"rank": self.rank, "covectors": [list(a) for a in self.covectors]}
 
@@ -486,9 +485,6 @@ class QuantumChamber:
 
     lam: tuple
     inequalities: tuple  # ((wall_id, orient_covector, m~), ...)
-
-    def contains(self, x) -> bool:
-        return all(pairing(a, x) >= m for _, a, m in self.inequalities)
 
     def to_json(self):
         return {"lambda": [rat_str(c) for c in self.lam],

@@ -149,19 +149,13 @@ class Wall:
             raise ValueError(f"wall {self.id}: sigma_tilde is not saturated")
         object.__setattr__(self, "sigma_tilde", st)
 
-    @property
-    def classes(self) -> frozenset:
-        """Sigma_Gamma: classes of sigma_tilde in Q/Z, as representatives in [0,1)."""
-        return frozenset(x - (x.numerator // x.denominator) for x in self.sigma_tilde)
-
     @cached_property
     def offsets(self) -> tuple:
         """(den, ((sigma, sigma * den), ...)): sigma_tilde in ascending
         order, with the lcm den of its denominators and each element's
         integer numerator over den; class_part, the alcove brackets and
         validate_p's denominator check read this one ordering.  Cached on
-        first use; not a field, so equality, hashing and to_json do not
-        see it."""
+        first use; not a field, so equality and hashing do not see it."""
         ordered = sorted(self.sigma_tilde)
         den = lcm(*(s.denominator for s in ordered))
         return den, tuple((s, s.numerator * (den // s.denominator))
@@ -177,13 +171,6 @@ class Wall:
             return []
         big_m = m.numerator * (den // m.denominator)
         return [x for x, s in offsets if (big_m - s) % den == 0]
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "alpha": list(self.alpha),
-            "sigma_tilde": sorted(rat_str(x) for x in self.sigma_tilde),
-        }
 
 
 @dataclass(frozen=True, init=False)
@@ -213,18 +200,6 @@ class AffineInP:
     def __sub__(self, other):
         other = affine(other)
         return AffineInP(self.const - other.const, self.slope - other.slope)
-
-    def __rsub__(self, other):
-        return affine(other) - self
-
-    def __mul__(self, k):
-        k = rat(k)
-        return AffineInP(self.const * k, self.slope * k)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return AffineInP(-self.const, -self.slope)
 
     def _key(self):
         return (self.slope, self.const)

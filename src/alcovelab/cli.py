@@ -399,7 +399,7 @@ def _outputs(args, cfg, samples):
                 d_bound = 2 * len(cfg.instance.points) * args.p
             return {}, phw_axiom_check(poset, d_bound)
         if args.format == "dot":
-            return export_poset(poset, "dot", cfg.instance), None
+            return export_poset(poset, cfg.instance), None
         return {"poset": poset.to_json(cfg.instance)}, None
 
     if cmd in ("preorder", "classes", "check-compat"):
@@ -410,7 +410,7 @@ def _outputs(args, cfg, samples):
         pre = _windowed(ss_preorder, flag, text, cfg.instance, pair)
         if cmd == "preorder":
             if args.format == "dot":
-                return export_poset(pre, "dot"), None
+                return export_poset(pre), None
             return {"preorder": pre.to_json()}, None
         if cmd == "classes":
             text = pre.texts()

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate, count, permutations
 from operator import mul
 
-from .arith import AffineInP, Wall, pairing, rat_str, vec
+from .arith import AffineInP, Wall, pairing, vec
 from .partitions import (cont, n_stat, partition_from_str, partition_numbers,
                          partition_str, partitions)
 
@@ -52,21 +52,6 @@ class FixedPointInstance:
 
     def point_str(self, x) -> str:
         return POINT_KINDS[self.meta.get("points")][1](x)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "rank": self.rank,
-            "points": [{
-                "id": self.point_str(x),
-                "c_const": rat_str(self.c_const[x]),
-                "c_linear": [rat_str(c) for c in self.c_linear[x]],
-            } for x in self.points],
-            "walls": [w.to_json() for w in self.walls],
-            "lambdas": [[rat_str(c) for c in l] for l in self.lambdas],
-            "generators": [[rat_str(c) for c in g] for g in self.generators],
-            "meta": dict(self.meta),
-        }
 
 
 def wt_chi(instance: FixedPointInstance, x, chi) -> Fraction:

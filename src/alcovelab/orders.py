@@ -8,7 +8,6 @@ single scalar; higher rank is not implemented.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -457,29 +456,36 @@ def _compat_check(pre: PreOrder, p: int, block, vacuous: bool) -> dict | None:
     return report
 
 
-def label_translate(instance: FixedPointInstance, label: Label, chi) -> Label:
-    """Translation equivalence on labels: (x, kappa) -> (x, kappa + wt_chi(x))."""
-    w = wt_chi(instance, label.point, chi)
-    if w.denominator != 1:
-        raise ValueError(
-            f"non-integral weight wt_chi = {rat_str(w)}; the character must "
-            "be integral")
-    # an int adds to the constant term of either kind of kappa
-    return Label(label.point, label.kappa + w.numerator)
-
-
 def interval_image(pre: PreOrder, interval, chi) -> tuple:
-    """Image of an interval of classes under label translation by chi.
+    """Image of an interval of classes under label translation by chi,
+    (x, kappa) -> (x, kappa + wt_chi(x)); the weight must be integral.
 
     Verifies on the way that the translate of each class is again a class
-    (block and equivalence preservation); a failure raises.
+    (block and equivalence preservation); a failure raises.  Each point's
+    weight is computed once, when the classes first reach the point.
     """
-    idxs = sorted(pre.classes.index(tuple(cls)) for cls in interval)
+    place = {cls: i for i, cls in enumerate(pre.classes)}
+    try:
+        idxs = sorted(place[tuple(cls)] for cls in interval)
+    except KeyError:
+        raise ValueError("not an interval: a class is not one of the "
+                         "pre-order's") from None
     if idxs != list(range(idxs[0], idxs[-1] + 1)):
         raise ValueError("not an interval: classes are not contiguous")
-    inst = pre.instance
-    all_translated = [tuple(label_translate(inst, l, chi) for l in cls)
-                      for cls in pre.classes]
+    inst, weight = pre.instance, {}
+    all_translated = []
+    for cls in pre.classes:
+        for l in cls:
+            if l.point not in weight:
+                w = wt_chi(inst, l.point, chi)
+                if w.denominator != 1:
+                    raise ValueError(
+                        f"non-integral weight wt_chi = {rat_str(w)}; the "
+                        "character must be integral")
+                weight[l.point] = w.numerator
+        # an int adds to the constant term of either kind of kappa
+        all_translated.append(tuple(Label(l.point, l.kappa + weight[l.point])
+                                    for l in cls))
     by_slope = defaultdict(set)
     for cls in all_translated:
         for l in cls:
@@ -514,14 +520,8 @@ def to_dot(nodes, edges, edge_style="") -> str:
     return "\n".join(lines)
 
 
-def export_poset(obj, fmt: str, instance=None) -> str:
-    """DOT Hasse diagram or canonical JSON for a poset or pre-order."""
-    if fmt == "json":
-        payload = obj.to_json(instance) if isinstance(obj, LabeledPoset) \
-            else obj.to_json()
-        return json.dumps(payload, sort_keys=True, indent=2)
-    if fmt != "dot":
-        raise ValueError(f"unknown format: {fmt}")
+def export_poset(obj, instance=None) -> str:
+    """DOT Hasse diagram of a poset or pre-order."""
     if isinstance(obj, LabeledPoset):
         # labels and covers named as in the poset's JSON
         payload = obj.to_json(instance)

@@ -28,7 +28,8 @@ through the integers of its slab, depth first, and backtracks when a slab
 holds none, which gives the lexicographically first integer point.  The
 redundancy checks are feasibility questions: `is_redundant` asks `feasible`
 of the other rows and the negated row under test, and `irredundant` asks it
-of each row in turn against the rows kept so far.
+of each row in turn against the rows kept so far.  No library path runs
+them: they are the reference the tests check the facet rule below against.
 
 One fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", 1968) serves
@@ -52,8 +53,9 @@ The same rays, taken modulo the lineality space, give the facets of every
 system with an interior, bounded or not, which is every alcove and every
 quantum chamber: a row is a facet when its set of tight rays holds a ray
 with t > 0 and lies in no other row's set; of two rows with the same set
-the later is kept, as `irredundant` keeps it.  Only a system with no
-interior (empty or lower-dimensional) keeps `irredundant`'s indices.
+the later is kept, as `irredundant` keeps it.  A system with no interior
+(empty or lower-dimensional) keeps every row, so the pass is the alcove
+build's one engine and no elimination runs in it.
 
 One vertex average, `vertex_average`, serves every interior point and the
 face witnesses of `alcoves.faces_of`: it sums each coordinate of the
@@ -326,9 +328,9 @@ def _combine(a, u, b, v):
 
 
 def facets_and_vertices(constraints, dim, order=None):
-    """(irredundant indices, VertexIncidence) of {x : coeffs.x >= rhs},
-    every row read as non-strict: irredundant's answer on those rows and
-    the vertices with their tight kept rows, from one pass.
+    """(kept indices, VertexIncidence) of {x : coeffs.x >= rhs}, every
+    row read as non-strict: its facets, where it has an interior, and the
+    vertices with their tight kept rows, from one pass.
 
     The pass builds the extreme rays, modulo the lineality space, of the
     cone {(x, t) : c.x >= b*t, t >= 0} over the integer rows (c, b), adding
@@ -342,10 +344,12 @@ def facets_and_vertices(constraints, dim, order=None):
     off the rays (Fukuda and Prodon): a row whose tight rays all have
     t = 0 bounds only at infinity, and of the others a row is kept when
     its set of tight rays lies in no other row's set, the later index
-    winning a tie.  A system with no interior, empty or lower-dimensional,
-    keeps irredundant's indices.  The rays with t > 0 are the vertices,
-    none where there is a lineality space, and their masks come from the
-    rays in both cases.
+    winning a tie: the indices irredundant keeps.  A system with no
+    interior, empty or lower-dimensional, keeps every row: a superset of
+    irredundant's rows with the same solutions, found without an
+    elimination.  The rays with t > 0 are the vertices, none where there
+    is a lineality space, and their masks come from the rays in both
+    cases.
     """
     lineality, rays = _extreme_rays(constraints, dim, order)
     # per row, the bitmask of the rays tight on it, from each ray's set bits
@@ -359,7 +363,7 @@ def facets_and_vertices(constraints, dim, order=None):
             mask ^= low
     finite = sum(1 << j for j, (r, _) in enumerate(rays) if r[dim])
     if not finite or (1 << len(rays)) - 1 in tight:
-        kept = irredundant([(c, b, False) for c, b, _ in constraints], dim)
+        kept = list(range(n))
     else:
         last = {t: i for i, t in enumerate(tight) if t & finite}
         facets = []

@@ -17,11 +17,11 @@ from alcovelab.compat import find_compatible, verify_compatible
 from alcovelab.instances import hilb_instance, weyl_a_instance
 from alcovelab.mullineux import mullineux, mullineux_oracle
 from alcovelab.orders import (crossing_threshold_bound, equivalence_classes,
-                              hw_order, interval_image,
-                              label_translate, order_compat_check,
+                              hw_order, interval_image, order_compat_check,
                               phw_axiom_check, ss_preorder)
 from alcovelab.partitions import cont, e_regular_partitions, is_e_regular
 from alcovelab.validate import p_lattice_point, validate_p
+from test_orders import label_translate
 
 
 def report(num, name, ok, detail=""):

@@ -26,7 +26,8 @@ from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
                                quantum_chamber, real_alcove_of,
                                translation_path)
 from alcovelab.cli import dispatch
-from alcovelab.instances import hilb_instance, weyl_a_instance
+from alcovelab.instances import (hilb_instance, hilb_sigma_tilde,
+                                  weyl_a_instance)
 from alcovelab.polyhedra import (facets_and_vertices, feasible, find_point,
                                  interior_point, irredundant, matrix_rank,
                                  vertices)
@@ -62,6 +63,16 @@ def test_real_alcove_singular_point():
     assert (exc.value.wall_id, exc.value.offset) == (1, F(1))
 
 
+def alcove_contains(A, x, walls, strict=False):
+    """Test-only oracle: whether x satisfies every inequality of the alcove
+    A (strictly, when strict is set)."""
+    for coeffs, rhs, _ in A.constraints(walls):
+        v = pairing(coeffs, x)
+        if v < rhs or (strict and v == rhs):
+            return False
+    return True
+
+
 def reference_real_alcove(x, walls):
     """real_alcove_of as first written: both bounds around x for every
     class of sigma_tilde mod Z on every wall, then irredundant.  None for a
@@ -70,7 +81,8 @@ def reference_real_alcove(x, walls):
     ineqs = []
     for w in walls:
         t = pairing(w.alpha, x)
-        for rep in sorted(w.classes):
+        # the classes of sigma_tilde in Q/Z, as representatives in [0, 1)
+        for rep in sorted({s - s.__floor__() for s in w.sigma_tilde}):
             if (t - rep).denominator == 1:
                 return None
             lo = rep + (t - rep).__floor__()
@@ -490,18 +502,43 @@ def test_faces_of_a_bare_alcove_with_a_redundant_row_is_a_value_error():
 ])
 def test_small_p_alcoves_without_interior_keep_irredundant_bounds(
         n, ell, p, x, bounds, verts):
+    # in rank 1 both bounds are irredundant, and the build keeps every bound
     walls = hilb_instance(n, ell).walls
     assert bracket_rows((x,), walls, p) == bounds
+    assert irredundant(RealAlcove(1, bounds).constraints(walls), 1) == [0, 1]
     A = _alcove_around((x,), walls, p)
     assert (A.inequalities, A.vertices(walls)) == (bounds, verts)
     with pytest.raises(PTooSmallError):
         p_membership((x,), p, walls)
 
 
+def test_small_p_alcove_without_interior_in_rank_2_keeps_every_bound():
+    # Hilb(3, ell 1)'s shifts on three walls of the plane: at p = 7 the
+    # bounds around (-14, -12) meet in the one point (-2, -5/3), where the
+    # lines of walls 1 and 2 cross inside wall 0's slab; an elimination
+    # would drop wall 0's bounds, and the pass keeps them
+    walls = [Wall(id=i, alpha=a, sigma_tilde=hilb_sigma_tilde(3, 1))
+             for i, a in enumerate([(1, 0), (0, 1), (1, 1)])]
+    x, p = (-14, -12), 7
+    bounds = bracket_rows(x, walls, p)
+    assert bounds == ((0, F(-5, 3), LE), (0, F(-7, 3), GE),
+                      (1, F(-5, 3), LE), (1, F(-5, 3), GE),
+                      (2, F(-11, 3), LE), (2, F(-11, 3), GE))
+    assert irredundant(RealAlcove(2, bounds).constraints(walls), 2) == \
+        [2, 3, 4, 5]
+    with mock.patch.object(polyhedra, "irredundant", must_not_run):
+        A = _alcove_around(x, walls, p)
+        assert A.inequalities == bounds
+        assert A.vertices(walls) == [(F(-2), F(-5, 3))]
+        with pytest.raises(PTooSmallError):
+            p_membership(x, p, walls)
+
+
 def test_small_p_builds_with_at_most_rank_vertices_end_in_p_too_small():
     # the scan an early PTooSmallError rests on: every p-family build
     # whose pass finds at most rank vertices (empty, a point or, in rank
-    # 2 and up, too few for an interior) is one p_membership rejects
+    # 2 and up, too few for an interior) is one p_membership rejects, and
+    # no build runs an elimination
     scans = [(hilb_instance(n, ell), (2, 3, 5, 7, 11, 13),
               [(x,) for x in range(-40, 41)])
              for n in range(2, 13) for ell in range(3)]
@@ -509,18 +546,22 @@ def test_small_p_builds_with_at_most_rank_vertices_end_in_p_too_small():
                list(product(range(-6, 7), repeat=inst.rank)))
               for inst in (weyl_a_instance(3), weyl_a_instance(4))]
     builds = few = 0
-    for inst, primes, points in scans:
-        for p in primes:
-            for x in points:
-                try:
-                    A = _alcove_around(x, inst.walls, p)
-                except OnPWallError:
-                    continue
-                builds += 1
-                if len(A.incidence.nums) <= inst.rank:
-                    few += 1
-                    with pytest.raises(PTooSmallError):
-                        p_membership(x, p, inst.walls)
+    with ExitStack() as stack:
+        for name in ("irredundant", "is_redundant", "feasible"):
+            stack.enter_context(mock.patch.object(polyhedra, name,
+                                                  must_not_run))
+        for inst, primes, points in scans:
+            for p in primes:
+                for x in points:
+                    try:
+                        A = _alcove_around(x, inst.walls, p)
+                    except OnPWallError:
+                        continue
+                    builds += 1
+                    if len(A.incidence.nums) <= inst.rank:
+                        few += 1
+                        with pytest.raises(PTooSmallError):
+                            p_membership(x, p, inst.walls)
     assert (builds, few) == (4301, 323)
 
 
@@ -722,7 +763,7 @@ def test_integral_walls_type_a_integral():
     iw, chamber = integral_walls_and_positive_chamber((1, 2), A2.walls)
     assert [w.id for w in iw] == [0, 1, 2]
     assert chamber.covectors == ((1, 0), (1, 1), (0, 1))
-    assert chamber.contains((3, 5))
+    assert all(pairing(a, (3, 5)) >= 0 for a in chamber.covectors)
 
 
 def sign_chambers(int_walls, rank):
@@ -771,9 +812,13 @@ def test_quantum_chamber_sl3():
     q = quantum_chamber((1, 2), C, walls)
     assert [(a, m) for _, a, m in q.inequalities] == [
         ((1, 0), F(1)), ((0, 1), F(1)), ((1, 1), F(3))]
-    assert q.contains((1, 2))
-    assert not q.contains((0, 2))
-    assert not q.contains((1, 1))
+
+    def in_q(x):
+        return all(pairing(a, x) >= m for _, a, m in q.inequalities)
+
+    assert in_q((1, 2))
+    assert not in_q((0, 2))
+    assert not in_q((1, 1))
 
 
 def test_quantum_chamber_type_a_general():
@@ -1050,7 +1095,7 @@ def test_exactness_with_large_denominators():
     big = F(10**12 + 1, 10**9 + 7)
     inst = hilb_instance(3, 0)
     A = real_alcove_of((big,), inst.walls)
-    assert A.contains((big,), inst.walls, strict=True)
+    assert alcove_contains(A, (big,), inst.walls, strict=True)
     assert A == real_alcove_of((big + 10**15,), inst.walls).translate(
         (-10**15,), inst.walls)
 

@@ -11,6 +11,9 @@ definitions by name (its tracer's `getattr`); elsewhere an error message
 that spells a name is no use of it.  A method, a function defined
 directly in a class body, is reached only through an attribute, a keyword
 or such a string: a bare name of the same spelling is some other variable.
+A method whose name another class also defines counts as used when either
+is read; `test_live_methods` runs the user paths and covers those name
+collisions.
 """
 
 import ast

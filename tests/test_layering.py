@@ -7,8 +7,8 @@ that imported `.config` would start a second reader.  Likewise `alcoves`
 is the one module that orients an alcove's inequalities: a module that
 used `oriented_facet` or the senses `GE`/`LE` would start a second copy of
 the p-alcove's facets.  `polyhedra.facets_and_vertices` reads the facets
-of every system with an interior off its rays: a second call of
-`irredundant` would start a second facet path.
+off its rays and keeps every row of a system with no interior: a call of
+`irredundant` or `is_redundant` would start a second facet path.
 """
 
 import ast
@@ -92,27 +92,25 @@ def test_the_facet_rule_stays_in_alcoves(path):
             if path.stem not in FACET_RULE[name]} == set()
 
 
+ELIMINATIONS = ("irredundant", "is_redundant")
+
+
 def irredundant_calls(source):
-    """(enclosing function, in an if's body) for each call of irredundant
-    in source, by name or as an attribute."""
+    """(enclosing function, name called) for each call of irredundant or
+    is_redundant in source, by name or as an attribute."""
     calls = []
 
-    def visit(node, function, in_if):
-        if isinstance(node, ast.Call) and "irredundant" in (
-                getattr(node.func, "id", None),
-                getattr(node.func, "attr", None)):
-            calls.append((function, in_if))
+    def visit(node, function):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ELIMINATIONS:
+                calls.append((function, name))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function, in_if = node.name, False
-        for field, value in ast.iter_fields(node):
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.AST):
-                    visit(child, function,
-                          in_if or (isinstance(node, ast.If)
-                                    and field == "body"))
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
 
-    visit(ast.parse(source), None, False)
+    visit(ast.parse(source), None)
     return calls
 
 
@@ -122,13 +120,17 @@ def test_the_check_sees_each_call_of_irredundant():
               "def f(cons):\n"
               "    if cons:\n"
               "        return irredundant(cons, 2)\n"
-              "    return polyhedra.irredundant(cons, 2)\n"
-              "x = irredundant\n")
-    assert irredundant_calls(source) == [("f", True), ("f", False)]
+              "    return polyhedra.is_redundant(cons, 0, 2)\n"
+              "x = irredundant\n"
+              "y = polyhedra.irredundant(x, 1)\n")
+    assert irredundant_calls(source) == [("f", "irredundant"),
+                                         ("f", "is_redundant"),
+                                         (None, "irredundant")]
 
 
-def test_irredundant_is_called_only_for_systems_without_interior():
-    # the one call is the fallback branch of facets_and_vertices
+def test_no_module_calls_irredundant_or_is_redundant():
+    # the facets come from the double-description pass alone; only
+    # irredundant's own loop asks is_redundant
     calls = [(path.stem, *call) for path in sorted(PACKAGE.glob("*.py"))
              for call in irredundant_calls(path.read_text(encoding="utf-8"))]
-    assert calls == [("polyhedra", "facets_and_vertices", True)]
+    assert calls == [("polyhedra", "irredundant", "is_redundant")]

@@ -25,8 +25,8 @@ from alcovelab.compat import CompatiblePair
 from alcovelab.orders import (Label, PreOrder, c_bar,
                               crossing_threshold_bound, equivalence_classes,
                               export_poset, hw_order, interval_image,
-                              label_translate, order_compat_check,
-                              phw_axiom_check, shift, ss_preorder)
+                              order_compat_check, phw_axiom_check, shift,
+                              ss_preorder)
 from alcovelab.partitions import cont
 
 HILB2 = hilb_instance(2, 0)
@@ -519,9 +519,9 @@ def test_ss_preorder_matches_the_label_loop(data):
     assert pre == ref
     assert equivalence_classes(pre) == equivalence_classes(ref) == ref.classes
     assert pre.to_json() == label_loop_json(ref)
-    assert export_poset(pre, "json") == json.dumps(label_loop_json(ref),
-                                                   sort_keys=True, indent=2)
-    assert export_poset(pre, "dot") == name_loop_preorder_dot(ref)
+    assert json.dumps(pre.to_json(), sort_keys=True, indent=2) == \
+        json.dumps(label_loop_json(ref), sort_keys=True, indent=2)
+    assert export_poset(pre) == name_loop_preorder_dot(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -699,6 +699,18 @@ def test_order_compat_witnesses_are_the_last_failing_pairs():
     assert rep["hw_implies_pre"]["witness"] is not None
 
 
+def label_translate(instance, label, chi):
+    """Test-only oracle for interval_image, one label at a time: (x, kappa)
+    -> (x, kappa + wt_chi(x)), a ValueError for a non-integral weight."""
+    w = wt_chi(instance, label.point, chi)
+    if w.denominator != 1:
+        raise ValueError(
+            f"non-integral weight wt_chi = {rat_str(w)}; the character must "
+            "be integral")
+    # an int adds to the constant term of either kind of kappa
+    return Label(label.point, label.kappa + w.numerator)
+
+
 def test_label_translate_examples():
     for mu in HILB3.points:
         l = Label(mu, 7)
@@ -746,6 +758,41 @@ def test_interval_image_requires_contiguity():
     pre = ss_preorder(HILB2, pair, (-2, 2))
     with pytest.raises(ValueError, match="interval"):
         interval_image(pre, [pre.classes[0], pre.classes[2]], (1,))
+    # a class that is not one of the pre-order's is no interval either
+    with pytest.raises(ValueError, match="^not an interval: a class is not "
+                                         "one of the pre-order's$"):
+        interval_image(pre, [(Label((2,), AffineInP(0, 7)),)], (1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_interval_image_matches_the_label_oracle(data):
+    # hilb's weights are integers; weyl_a's are half-integers for some
+    # characters, on points with weights of more than one value
+    if data.draw(st.booleans()):
+        inst, pair = draw_pair(data)
+    else:
+        inst = data.draw(st.sampled_from((A2, weyl_a_instance(4))))
+        mu = data.draw(st.lists(st.integers(-1, 1), min_size=inst.rank,
+                                max_size=inst.rank))
+        pair = SimpleNamespace(lam=(F(1, 3),) * inst.rank, mu=tuple(mu))
+    m = data.draw(st.integers(0, 3))
+    pre = ss_preorder(inst, pair, (-m, m))
+    i = data.draw(st.integers(0, len(pre.classes) - 1))
+    j = data.draw(st.integers(i, len(pre.classes) - 1))
+    chi = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=inst.rank,
+                                   max_size=inst.rank)))
+    # every class is translated, so the first non-integral weight in class
+    # order is the error's, whatever the interval
+    try:
+        translated = tuple(tuple(label_translate(inst, l, chi) for l in cls)
+                           for cls in pre.classes)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            interval_image(pre, pre.classes[i:j + 1], chi)
+    else:
+        assert interval_image(pre, pre.classes[i:j + 1], chi) == \
+            translated[i:j + 1]
 
 
 def preorder_independence_check(instance, pre_a, pre_b):
@@ -806,15 +853,15 @@ def name_loop_dot(poset, instance=None):
 
 def test_export_formats():
     poset = hw_order(HILB2, (5,), 5, (0, 10))
-    dot = export_poset(poset, "dot", HILB2)
+    dot = export_poset(poset, HILB2)
     assert dot.startswith("digraph") and "->" in dot
     for inst in (HILB2, None):
-        assert export_poset(poset, "dot", inst) == name_loop_dot(poset, inst)
-    js = export_poset(poset, "json", HILB2)
+        assert export_poset(poset, inst) == name_loop_dot(poset, inst)
+    js = json.dumps(poset.to_json(HILB2), sort_keys=True, indent=2)
     assert '"covers"' in js
     pair = hilb_face_pair(HILB2, F(1, 2))
     pre = ss_preorder(HILB2, pair, (-1, 1))
-    assert export_poset(pre, "dot").startswith("digraph")
+    assert export_poset(pre).startswith("digraph")
 
 
 def test_label_budget_is_a_value_error_before_any_label_is_built():

@@ -49,19 +49,24 @@ def check_output(argv, out):
         json.loads(out)
 
 
-def test_readme_command_line_examples_run():
-    examples = readme_examples()
-    assert examples
+def substituted_examples(tmp):
+    """The README examples as they run: `[--csv]` as `--csv`, and
+    `poset.json` as a poset written into the directory tmp from the JSON
+    of an `order` run."""
     code, out = run(["order", "--builtin", "hilb", "--n", "2",
                      "--lambda-prime", "5", "--p", "5", "--window", "0:15"])
     assert code == 0
+    poset = os.path.join(tmp, "poset.json")
+    with open(poset, "w", encoding="utf-8") as fh:
+        json.dump(json.loads(out)["outputs"]["poset"], fh)
+    return [[{"[--csv]": "--csv", "poset.json": poset}.get(a, a) for a in argv]
+            for argv in readme_examples()]
+
+
+def test_readme_command_line_examples_run():
+    assert readme_examples()
     with tempfile.TemporaryDirectory() as tmp:
-        poset = os.path.join(tmp, "poset.json")
-        with open(poset, "w", encoding="utf-8") as fh:
-            json.dump(json.loads(out)["outputs"]["poset"], fh)
-        for argv in examples:
-            argv = [{"[--csv]": "--csv", "poset.json": poset}.get(a, a)
-                    for a in argv]
+        for argv in substituted_examples(tmp):
             code, out = run(argv)
             assert code == 0, (argv, out)
             check_output(argv, out)
