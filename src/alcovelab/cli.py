@@ -4,7 +4,8 @@ Every subcommand prints one deterministic JSON report, or the DOT, CSV or
 JSON text asked for; it exits 1 when its checks fail, and 1 with one
 {"error": ...} line when its input is rejected or a result falsifies a
 lemma (LemmaError).  A bare call or a flag that argparse rejects prints
-the usage on stderr and exits 2.
+the usage on stderr and exits 2.  A closed stdout ends the command with
+exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .arith import LemmaError, rat, rat_str, vec
@@ -269,8 +271,10 @@ def dispatch(argv) -> int:
         return 2
     try:
         return _run(args, _checked_p_samples(args))
+    except BrokenPipeError:
+        raise   # stdout is closed: no error line can reach it
     except (ValueError, KeyError, OSError, LemmaError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
+        print(json.dumps({"error": str(exc)}, sort_keys=True), flush=True)
         return 1
 
 
@@ -282,8 +286,8 @@ def _run(args, samples) -> int:
     if cmd == "export":
         data = load_json(args.infile)
         covers = _poset_covers(data, args.infile)
-        out = (json.dumps(data, sort_keys=True, indent=2)
-               if args.format == "json" else to_dot((), covers))
+        out = (report_to_json(data) if args.format == "json"
+               else to_dot((), covers))
     elif cmd == "wallcross":
         n, source = args.n, f"--n {args.n}"
         if n is None:
@@ -311,7 +315,8 @@ def _run(args, samples) -> int:
                   "config": cfg.raw}
         out, checks = _outputs(args, cfg, samples)
     print(out if isinstance(out, str)
-          else report_to_json(run_report(cmd, inputs, out, checks)))
+          else report_to_json(run_report(cmd, inputs, out, checks)),
+          flush=True)   # a closed pipe fails here, not at exit
     return 0 if checks is None or checks["passed"] else 1
 
 
@@ -428,7 +433,17 @@ def _outputs(args, cfg, samples):
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+    except BrokenPipeError:
+        # the reader closed stdout (`alcove-lab ... | head`): what is still
+        # buffered goes to devnull at exit, as in the recipe of Python's
+        # signal docs, so no second error follows
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, count, permutations
 from operator import mul
 
@@ -162,6 +163,9 @@ def weyl_a_instance(n: int) -> FixedPointInstance:
 BUILTINS = ("hilb", "weyl_a")
 
 
+# An instance is frozen and no library path writes to its dicts, so one
+# build per (name, n, ell) serves every later call of the process.
+@lru_cache(maxsize=16)
 def builtin_instance(name: str, **params) -> FixedPointInstance:
     if name == "hilb":
         return hilb_instance(params["n"], params.get("ell", 0))

@@ -116,13 +116,14 @@ class LabeledPoset:
 
     def to_json(self, instance=None):
         name = (instance.point_str if instance is not None else str)
+        names = {x: name(x) for x in {l.point for l in self.labels}}
         return {
             "p": self.p,
             "window": list(self.window),
-            "labels": [[name(l.point), l.kappa] for l in self.labels],
-            "covers": [[[name(a.point), a.kappa], [name(b.point), b.kappa]]
+            "labels": [[names[l.point], l.kappa] for l in self.labels],
+            "covers": [[[names[a.point], a.kappa], [names[b.point], b.kappa]]
                        for a, b in self.covers],
-            "blocks": {f"{name(l.point)}|{l.kappa}": int(b)
+            "blocks": {f"{names[l.point]}|{l.kappa}": int(b)
                        for l, b in self.blocks.items()},
         }
 

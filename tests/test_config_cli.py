@@ -158,6 +158,58 @@ def test_a_falsified_lemma_is_one_error_line(capsys):
     assert capsys.readouterr().err == ""
 
 
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails as on a closed
+    pipe; its file descriptor is fd."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+# the report of the first, the error line of the second
+CLOSED_STDOUT_CASES = [
+    ["wallcross", "--n", "6", "--b", "3", "--variant", "plain"],
+    ["alcove", "--builtin", "hilb", "--n", "2", "--point", "1/2"]]
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_CASES)
+def test_a_closed_stdout_ends_main_without_an_error_line(tmp_path, capsys,
+                                                         argv):
+    with open(tmp_path / "stdout", "w") as target, \
+            redirect_stdout(ClosedPipe(target.fileno())), \
+            mock.patch.object(sys, "argv", ["alcove-lab", *argv]), \
+            pytest.raises(SystemExit) as done:
+        cli.main()
+    assert done.value.code == 1
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_CASES)
+def test_a_closed_pipe_gives_no_traceback(argv):
+    # the read end closes before the command starts, so its first write
+    # fails however short its output is
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "alcovelab.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_every_lemma_site_raises_lemma_error():
     """No library module raises a bare AssertionError: each falsified lemma
     is a LemmaError, which dispatch reports (and which pytest.raises(
@@ -321,6 +373,7 @@ def test_cli_export_roundtrip(tmp_path):
     assert code == 0 and dot.startswith("digraph")
     code, js = run_cli(["export", "--in", str(path), "--format", "json"])
     assert json.loads(js) == poset
+    assert js == json.dumps(poset, sort_keys=True, indent=2) + "\n"
 
 
 def test_inline_points_table_config(tmp_path):
@@ -493,6 +546,7 @@ def test_builtin_point_count_is_bounded_before_any_point_is_listed():
         with pytest.raises(ValueError, match="^n = 3 gives more than 5 "):
             weyl_a_instance(3)
         listed.assert_not_called()
+    builtin_instance.cache_clear()   # a build made under the real bound
     with mock.patch.object(instances, "MAX_POINTS", 5):
         assert len(hilb_instance(4).points) == 5
         assert len(weyl_a_instance(2).points) == 2

@@ -1,0 +1,129 @@
+"""The report writer and the builtin-instance memo against their slow
+references.
+
+`config.report_to_json` must print what
+`json.dumps(obj, sort_keys=True, indent=2, default=str)` prints, byte for
+byte; that call stays here as the oracle.  `instances.builtin_instance`
+keeps one build per (name, n, ell), which is safe only while no user path
+writes to an instance; a fresh build through `__wrapped__` is the oracle.
+"""
+
+import io
+import json
+import runpy
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alcovelab import cli, config
+from alcovelab.config import report_to_json
+from alcovelab.instances import builtin_instance
+from test_readme_commands import run, substituted_examples
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, default=str)
+
+
+TEXT = st.text(st.one_of(st.sampled_from('[]{},:"\\\n'), st.characters()),
+               max_size=6)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.fractions(), TEXT)
+
+
+def trees(depth):
+    """Values nested at most depth containers deep: lists, tuples and dicts
+    keyed by str, by numbers (int, bool, float) or by None, empty ones
+    included."""
+    if depth == 0:
+        return SCALARS
+    inner = trees(depth - 1)
+    return st.one_of(
+        SCALARS,
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.floats()),
+                        inner, max_size=4),
+        st.dictionaries(st.none(), inner, max_size=1))
+
+
+def grids(depth):
+    """Nonempty lists nested depth deep with every scalar at the bottom,
+    the shape the writer indents without walking it."""
+    shape = SCALARS
+    for _ in range(depth):
+        shape = st.lists(shape, min_size=1, max_size=3)
+    return shape
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(trees(5), st.integers(1, 4).flatmap(grids),
+                 st.dictionaries(TEXT, st.integers(1, 3).flatmap(grids),
+                                 max_size=3)))
+def test_writer_matches_indent_encoder(obj):
+    assert report_to_json(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": {(1, 2): 3}}, {"a": {(1, 2): [3]}}, {"a": [{(1, 2): 3}]},
+    {"a": {"b": 1}, 2: 3}])
+def test_writer_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError) as expected:
+        oracle(obj)
+    with pytest.raises(TypeError) as got:
+        report_to_json(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_every_readme_report_matches_the_oracle():
+    reports = []
+
+    def spy(report):
+        reports.append(report)
+        return report_to_json(report)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "report_to_json", side_effect=spy):
+        for argv in substituted_examples(tmp):
+            assert run(argv)[0] == 0, argv
+    assert len(reports) > 10
+    for report in reports:
+        assert report_to_json(report) == oracle(report), report["command"]
+
+
+def test_cached_builtin_instances_equal_fresh_builds():
+    builtin_instance.cache_clear()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return builtin_instance(*args, **kwargs)
+
+    with mock.patch.object(config, "builtin_instance", side_effect=spy):
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            with redirect_stdout(io.StringIO()):
+                runpy.run_path(str(demo), run_name="__main__")
+        with tempfile.TemporaryDirectory() as tmp:
+            for argv in substituted_examples(tmp):
+                assert run(argv)[0] == 0, argv
+    assert calls and builtin_instance.cache_info().hits
+    for args, kwargs in calls:
+        # dataclass equality compares every field, the dicts included
+        assert builtin_instance(*args, **kwargs) == \
+            builtin_instance.__wrapped__(*args, **kwargs), (args, kwargs)
+
+
+def test_load_config_shares_one_builtin_build():
+    argv = ["alcove", "--builtin", "hilb", "--n", "3", "--point", "1/3"]
+    first, second = (cli._load_config(cli.build_parser().parse_args(argv))
+                     for _ in range(2))
+    assert first.instance is second.instance
+    assert first.instance is builtin_instance("hilb", n=3)
