@@ -5,7 +5,9 @@ JSON text asked for; it exits 1 when its checks fail, and 1 with one
 {"error": ...} line when its input is rejected or a result falsifies a
 lemma (LemmaError).  A bare call or a flag that argparse rejects prints
 the usage on stderr and exits 2.  A closed stdout ends the command with
-exit 1 and nothing on stderr.
+exit 1 and nothing on stderr.  The flags live in one table, SUBCOMMANDS:
+_parse reads a valid call off it, and argparse, built from it, writes the
+help and words every rejected flag.
 """
 
 from __future__ import annotations
@@ -144,15 +146,6 @@ def _load_config(args):
     raise ConfigError("no instance: pass --config FILE or --builtin NAME")
 
 
-def _add_instance_flags(sub):
-    sub.add_argument("--config", help="instance config JSON")
-    sub.add_argument("--builtin", choices=BUILTINS,
-                     help="builtin instance instead of a config file")
-    sub.add_argument("--n", type=int, help="builtin size parameter")
-    sub.add_argument("--ell", type=int, default=None,
-                     help="builtin hilb window parameter (default 0)")
-
-
 def _alcove_at(text: str, cfg, flag: str = "--point") -> RealAlcove:
     """The real alcove containing the point given by a flag."""
     return real_alcove_of(_parse_point(text, cfg, flag), cfg.walls)
@@ -166,108 +159,150 @@ def _face_of(args, cfg):
     return A, faces[args.face]
 
 
+# Every subcommand's help and flags, one row a flag: (flag, dest, type,
+# required, default, choices, action, help), where the action is None (store
+# the value), "store_true" or "append".  build_parser builds argparse's
+# parser from these rows, and _parse reads a valid call straight off them.
+_INSTANCE = (
+    ("--config", "config", str, False, None, None, None,
+     "instance config JSON"),
+    ("--builtin", "builtin", str, False, None, BUILTINS, None,
+     "builtin instance instead of a config file"),
+    ("--n", "n", int, False, None, None, None, "builtin size parameter"),
+    ("--ell", "ell", int, False, None, None, None,
+     "builtin hilb window parameter (default 0)"))
+_POINT = ("--point", "point", str, True, None, None, None, None)
+_FACE = ("--face", "face", int, True, None, None, None, None)
+_P = ("--p", "p", int, True, None, None, None, None)
+_LAMBDA = ("--lambda", "lam", str, True, None, None, None, None)
+_LAMBDA_PRIME = ("--lambda-prime", "lam_prime", str, True, None, None, None,
+                 None)
+_WINDOW = ("--window", "window", str, True, None, None, None, None)
+_FORMAT = ("--format", "format", str, False, "json", ("json", "dot"), None,
+           None)
+SUBCOMMANDS = {
+    "alcove": ("real alcove containing a point", _INSTANCE + (_POINT,)),
+    "faces": ("faces of the alcove containing a point",
+              _INSTANCE + (_POINT,)),
+    "palcove": ("p-alcove of a real alcove", _INSTANCE + (
+        ("--point", "point", str, False, None, None, None,
+         "interior point identifying the alcove"),
+        ("--alcove-id", "alcove_id", str, False, None, None, None,
+         "path to an exported alcove JSON"),
+        ("--p", "p", int, False, None, None, None,
+         "also evaluate bounds at this prime"))),
+    "membership": ("p-alcove containing a lattice point",
+                   _INSTANCE + (_POINT, _P)),
+    "chambers": ("integral walls and positive chamber",
+                 _INSTANCE + (_LAMBDA,)),
+    "quantum": ("quantum chamber shifted from the positive chamber",
+                _INSTANCE + (_LAMBDA,)),
+    "validate-p": ("admissibility report for a prime", _INSTANCE + (
+        _P, ("--alcove-point", "alcove_point", str, False, [], None, "append",
+             "interior point of a real alcove to check nonempty"))),
+    "path": ("lattice translation path inside a p-alcove", _INSTANCE + (
+        ("--from", "src", str, True, None, None, None, None),
+        ("--to", "dst", str, True, None, None, None, None), _P)),
+    "compatible": ("compatible parameter for (alcove, face)", _INSTANCE + (
+        ("--point", "point", str, True, None, None, None,
+         "interior point identifying the alcove"),
+        ("--face", "face", int, True, None, None, None,
+         "face index as listed by the faces subcommand"),
+        ("--p-samples", "p_samples", str, False, "", None, None,
+         "comma-separated primes for sampled verification"),
+        ("--opposite", "opposite", None, False, False, None, "store_true",
+         "also construct the opposite pair across the face"))),
+    "order": ("highest-weight order window at a prime", _INSTANCE + (
+        _LAMBDA_PRIME, _P, ("--window", "window", str, True, None, None, None,
+                            "z1:z2 half-open"), _FORMAT)),
+    "preorder": ("standardly stratified pre-order from a face", _INSTANCE + (
+        _POINT, _FACE, ("--window", "window", str, True, None, None, None,
+                        "m1:m2 shift window"), _FORMAT)),
+    "classes": ("equivalence classes of the pre-order, two ways",
+                _INSTANCE + (_POINT, _FACE, _WINDOW)),
+    "check-phw": ("periodic highest-weight axiom suite", _INSTANCE + (
+        _LAMBDA_PRIME, _P, _WINDOW,
+        ("--d-bound", "d_bound", int, False, None, None, None, None))),
+    "check-compat": ("pre-order vs order compatibility chain", _INSTANCE + (
+        _POINT, _FACE, _P,
+        ("--window", "window", str, True, None, None, None,
+         "kappa window z1:z2"),
+        ("--m-window", "m_window", str, False, "-2:2", None, None,
+         "shift window m1:m2"))),
+    "wallcross": ("wall-crossing bijection table (Hilb case)", _INSTANCE + (
+        ("--b", "b", int, True, None, None, None, None),
+        ("--variant", "variant", str, False, "plain", None, None, None),
+        ("--csv", "csv", None, False, False, None, "store_true",
+         "emit CSV instead of JSON"))),
+    "export": ("re-emit a poset report as dot/json", (
+        ("--in", "infile", str, True, None, None, None, None),
+        ("--format", "format", str, False, "dot", ("json", "dot"), None,
+         None))),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use: argparse reads
-    but never mutates a parser while parsing, so dispatch can reuse it."""
+    """The argparse parser of SUBCOMMANDS, built once on first use: it
+    writes every help and usage text and words every rejected call."""
     ap = argparse.ArgumentParser(
         prog="alcove-lab",
         description="exact alcove and label-set combinatorics")
     sp = ap.add_subparsers(dest="cmd")
-
-    def sub(name, **kw):
-        s = sp.add_parser(name, **kw)
-        _add_instance_flags(s)
-        return s
-
-    s = sub("alcove", help="real alcove containing a point")
-    s.add_argument("--point", required=True)
-
-    s = sub("faces", help="faces of the alcove containing a point")
-    s.add_argument("--point", required=True)
-
-    s = sub("palcove", help="p-alcove of a real alcove")
-    s.add_argument("--point", help="interior point identifying the alcove")
-    s.add_argument("--alcove-id", help="path to an exported alcove JSON")
-    s.add_argument("--p", type=int, help="also evaluate bounds at this prime")
-
-    s = sub("membership", help="p-alcove containing a lattice point")
-    s.add_argument("--point", required=True)
-    s.add_argument("--p", type=int, required=True)
-
-    s = sub("chambers", help="integral walls and positive chamber")
-    s.add_argument("--lambda", dest="lam", required=True)
-
-    s = sub("quantum", help="quantum chamber shifted from the positive chamber")
-    s.add_argument("--lambda", dest="lam", required=True)
-
-    s = sub("validate-p", help="admissibility report for a prime")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--alcove-point", action="append", default=[],
-                   help="interior point of a real alcove to check nonempty")
-
-    s = sub("path", help="lattice translation path inside a p-alcove")
-    s.add_argument("--from", dest="src", required=True)
-    s.add_argument("--to", dest="dst", required=True)
-    s.add_argument("--p", type=int, required=True)
-
-    s = sub("compatible", help="compatible parameter for (alcove, face)")
-    s.add_argument("--point", required=True,
-                   help="interior point identifying the alcove")
-    s.add_argument("--face", type=int, required=True,
-                   help="face index as listed by the faces subcommand")
-    s.add_argument("--p-samples", default="",
-                   help="comma-separated primes for sampled verification")
-    s.add_argument("--opposite", action="store_true",
-                   help="also construct the opposite pair across the face")
-
-    s = sub("order", help="highest-weight order window at a prime")
-    s.add_argument("--lambda-prime", dest="lam_prime", required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--window", required=True, help="z1:z2 half-open")
-    s.add_argument("--format", choices=("json", "dot"), default="json")
-
-    s = sub("preorder", help="standardly stratified pre-order from a face")
-    s.add_argument("--point", required=True)
-    s.add_argument("--face", type=int, required=True)
-    s.add_argument("--window", required=True, help="m1:m2 shift window")
-    s.add_argument("--format", choices=("json", "dot"), default="json")
-
-    s = sub("classes", help="equivalence classes of the pre-order, two ways")
-    s.add_argument("--point", required=True)
-    s.add_argument("--face", type=int, required=True)
-    s.add_argument("--window", required=True)
-
-    s = sub("check-phw", help="periodic highest-weight axiom suite")
-    s.add_argument("--lambda-prime", dest="lam_prime", required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--window", required=True)
-    s.add_argument("--d-bound", type=int, default=None)
-
-    s = sub("check-compat", help="pre-order vs order compatibility chain")
-    s.add_argument("--point", required=True)
-    s.add_argument("--face", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--window", required=True, help="kappa window z1:z2")
-    s.add_argument("--m-window", default="-2:2", help="shift window m1:m2")
-
-    s = sub("wallcross", help="wall-crossing bijection table (Hilb case)")
-    s.add_argument("--b", type=int, required=True)
-    s.add_argument("--variant", default="plain")
-    s.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
-
-    s = sp.add_parser("export", help="re-emit a poset report as dot/json")
-    s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--format", choices=("json", "dot"), default="dot")
-
+    for cmd, (summary, rows) in SUBCOMMANDS.items():
+        sub = sp.add_parser(cmd, help=summary)
+        for flag, dest, kind, required, default, choices, action, text in rows:
+            typed = ({} if action == "store_true"
+                     else {"type": kind, "choices": choices})
+            sub.add_argument(flag, dest=dest, required=required,
+                             default=default, action=action, help=text,
+                             **typed)
     return ap
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argparse's namespace for argv, read in one pass off SUBCOMMANDS; an
+    argv this pass is unsure of (any unknown, abbreviated, missing or bad
+    token, or a separate value led by "-") goes to argparse itself."""
+    rows = SUBCOMMANDS[argv[0]][1] if argv and argv[0] in SUBCOMMANDS else ()
+    by_flag = {row[0]: row for row in rows}
+    values = {row[1]: row[4] for row in rows}
+    missing = {row[0] for row in rows if row[3]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag not in by_flag:
+            break
+        _, dest, kind, _, _, choices, action, _ = by_flag[flag]
+        if action == "store_true":
+            if eq:
+                break
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(tokens, "-")   # a missing value is handed off too
+            if text.startswith("-"):
+                break
+        elif text == "--":   # argparse drops a "--" value
+            break
+        try:
+            value = kind(text)
+        except ValueError:
+            break
+        if choices is not None and value not in choices:
+            break
+        values[dest] = [*values[dest], value] if action == "append" else value
+        missing.discard(flag)
+    else:
+        if rows and not missing:
+            return argparse.Namespace(cmd=argv[0], **values)
+    return build_parser().parse_args(argv)
+
+
 def dispatch(argv) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parse(argv)
     if args.cmd is None:
-        ap.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return 2
     try:
         return _run(args, _checked_p_samples(args))
@@ -402,6 +437,8 @@ def _outputs(args, cfg, samples):
             d_bound = args.d_bound
             if d_bound is None:
                 d_bound = 2 * len(cfg.instance.points) * args.p
+            elif d_bound < 0:
+                raise ConfigError(f"--d-bound {d_bound} is below 0")
             return {}, phw_axiom_check(poset, d_bound)
         if args.format == "dot":
             return export_poset(poset, cfg.instance), None

@@ -206,6 +206,8 @@ def wc_bijection_hilb(n: int, b: int, variant: str = "plain") -> dict:
     material to an external construction and are emitted with provenance
     EXTERNAL rather than guessed.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if not 2 <= b <= n:
         raise ValueError(f"b must satisfy 2 <= b <= n, got {b}")
     if variant not in VARIANTS:

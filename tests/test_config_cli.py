@@ -109,6 +109,14 @@ def test_wall_config_schema_errors():
     (None, ["check-phw", "--builtin", "hilb", "--n", "2", "--lambda-prime",
             "5", "--p", "5", "--window", "0:9"],
      "window must contain at least two shift periods"),
+    # the table needs n >= 2, so a bad n is named, not the valid b
+    (None, ["wallcross", "--n", "-3", "--b", "2"],
+     "n must be at least 2, got -3"),
+    (None, ["wallcross", "--n", "1", "--b", "2"],
+     "n must be at least 2, got 1"),
+    (None, ["check-phw", "--builtin", "hilb", "--n", "2", "--lambda-prime",
+            "5", "--p", "5", "--window", "0:15", "--d-bound", "-1"],
+     "--d-bound -1 is below 0"),
     (None, ["preorder", "--builtin", "hilb", "--n", "3", "--point", "5/12",
             "--face", "1", "--window=-1:2"],
      "window must be symmetric in the shift: (-m, m)"),
@@ -352,9 +360,9 @@ def test_cli_wallcross_bounds_n_before_listing_partitions(tmp_path):
     with mock.patch.object(instances, "MAX_POINTS", 5):
         code, out = run_cli(["wallcross", "--n", "4", "--b", "2"])
     assert code == 0 and len(json.loads(out)["outputs"]["map"]) == 5
-    # a negative n passes the bound and meets the table's own check on b
+    # a negative n passes the bound and meets the table's own check on n
     assert run_cli(["wallcross", "--n", "-1", "--b", "2"]) == (
-        1, json.dumps({"error": "b must satisfy 2 <= b <= n, got 2"}) + "\n")
+        1, json.dumps({"error": "n must be at least 2, got -1"}) + "\n")
     path.write_text(json.dumps({**table, "meta": {"points": "partitions",
                                                   "n": "5"}}))
     assert run_cli(["wallcross", "--config", str(path), "--b", "2"]) == (
@@ -969,7 +977,9 @@ def test_cli_dispatch_works_after_an_argparse_exit():
     assert code == 0 and out == fresh
 
 
-def test_cli_second_dispatch_builds_no_parser(monkeypatch):
+def test_cli_second_dispatch_builds_no_parser(monkeypatch, capsys):
+    """Valid calls are read off the flag table without argparse; the first
+    call argparse rejects builds the parser, and later ones reuse it."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -980,10 +990,16 @@ def test_cli_second_dispatch_builds_no_parser(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     build_parser.cache_clear()
     run_cli(["alcove", *HILB2, "--point", "1"])
-    assert built
-    first = len(built)
-    run_cli(["faces", *HILB2, "--point", "1"])
-    assert len(built) == first
+    run_cli(["faces", *HILB2, "--point=1"])
+    run_cli(VALIDATE + ["--alcove-point", "1/2", "--alcove-point", "1/3"])
+    assert built == []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["alcove", *HILB2, "--point", "1", "--pont", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pont 1" in capsys.readouterr().err
+    assert built.count("alcove-lab") == 1
+    assert len(built) == 1 + len(cli.SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("argv, passed", [

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from alcovelab import orders
 from alcovelab.alcoves import SingularPointError, faces_of, real_alcove_of
-from alcovelab.cli import build_parser, dispatch
+from alcovelab.cli import dispatch
 from alcovelab.compat import find_compatible
 from alcovelab.instances import (FixedPointInstance, hilb_instance,
                                  weyl_a_instance, wt_chi)
@@ -1017,7 +1017,6 @@ def test_check_compat_does_not_list_its_window():
     command's memory follows the pre-order's 10 labels, not the window."""
     argv = ["check-compat", "--builtin", "hilb", "--n", "2", "--point", "1",
             "--face", "1", "--p", "29", "--window=-249999:250000"]
-    build_parser()   # built once per process, outside the traced call
     buf = io.StringIO()
     tracemalloc.start()
     try:
