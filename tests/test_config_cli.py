@@ -109,14 +109,6 @@ def test_wall_config_schema_errors():
     (None, ["check-phw", "--builtin", "hilb", "--n", "2", "--lambda-prime",
             "5", "--p", "5", "--window", "0:9"],
      "window must contain at least two shift periods"),
-    # the table needs n >= 2, so a bad n is named, not the valid b
-    (None, ["wallcross", "--n", "-3", "--b", "2"],
-     "n must be at least 2, got -3"),
-    (None, ["wallcross", "--n", "1", "--b", "2"],
-     "n must be at least 2, got 1"),
-    (None, ["check-phw", "--builtin", "hilb", "--n", "2", "--lambda-prime",
-            "5", "--p", "5", "--window", "0:15", "--d-bound", "-1"],
-     "--d-bound -1 is below 0"),
     (None, ["preorder", "--builtin", "hilb", "--n", "3", "--point", "5/12",
             "--face", "1", "--window=-1:2"],
      "window must be symmetric in the shift: (-m, m)"),
@@ -136,6 +128,14 @@ def test_wall_config_schema_errors():
         (4, "0:10",
          "(p+1)*c is not integral at p=13; see validate_p check (c)"),
         (3, "0:10", "kappa not integral at p=13")]],
+    # the table needs n >= 2, so a bad n is named, not the valid b
+    (None, ["wallcross", "--n", "-3", "--b", "2"],
+     "n must be at least 2, got -3"),
+    (None, ["wallcross", "--n", "1", "--b", "2"],
+     "n must be at least 2, got 1"),
+    (None, ["check-phw", "--builtin", "hilb", "--n", "2", "--lambda-prime",
+            "5", "--p", "5", "--window", "0:15", "--d-bound", "-1"],
+     "--d-bound -1 is below 0"),
 ])
 def test_cli_error_paths(tmp_path, config, argv, expected):
     """Each bad invocation exits 1 with one {"error": ...} line."""
