@@ -263,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv) -> argparse.Namespace:
     """argparse's namespace for argv, read in one pass off SUBCOMMANDS; an
     argv this pass is unsure of (any unknown, abbreviated, missing or bad
-    token, or a separate value led by "-") goes to argparse itself."""
+    token, or a separate value led by "-") goes to argparse itself.  A
+    "--flag=--" value, which argparse stores as [], is a ConfigError naming
+    the flag."""
     rows = SUBCOMMANDS[argv[0]][1] if argv and argv[0] in SUBCOMMANDS else ()
     by_flag = {row[0]: row for row in rows}
     values = {row[1]: row[4] for row in rows}
@@ -296,15 +298,20 @@ def _parse(argv) -> argparse.Namespace:
     else:
         if rows and not missing:
             return argparse.Namespace(cmd=argv[0], **values)
-    return build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for flag, dest, *_, action, _ in rows:
+        value = getattr(args, dest)
+        if [] in (value if action == "append" else [value]):
+            raise ConfigError(f"{flag} needs a value, not '--'")
+    return args
 
 
 def dispatch(argv) -> int:
-    args = _parse(argv)
-    if args.cmd is None:
-        build_parser().print_usage(sys.stderr)
-        return 2
     try:
+        args = _parse(argv)
+        if args.cmd is None:
+            build_parser().print_usage(sys.stderr)
+            return 2
         return _run(args, _checked_p_samples(args))
     except BrokenPipeError:
         raise   # stdout is closed: no error line can reach it

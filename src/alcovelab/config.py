@@ -1,6 +1,7 @@
 """Instance configuration files and deterministic run reports.
 
-The one module that reads JSON input: configs and the files fed back in.
+The one module that reads JSON input (configs and the files fed back in)
+and the one that writes a report's JSON text (report_to_json).
 """
 
 from __future__ import annotations
@@ -8,8 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from functools import cache
-from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from .alcoves import GE, LE, RealAlcove, SingularPointError, real_alcove_of
 from .arith import (RATIONAL_LITERAL, Wall, is_saturated, rat, rat_str,
@@ -284,7 +284,8 @@ def parse_alcove(data, path, instance) -> RealAlcove:
 
 def load_json(path: str):
     """The JSON value in the file at path; malformed JSON is a ConfigError
-    naming the file and the byte offset."""
+    naming the file and the byte offset, and JSON nested deeper than the
+    decoder's recursion limit one naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -293,6 +294,8 @@ def load_json(path: str):
         raise ConfigError(
             f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}") \
             from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to read") from None
 
 
 def load_instance(path: str) -> InstanceConfig:
@@ -311,71 +314,39 @@ def run_report(command: str, inputs, outputs, checks=None) -> dict:
     }
 
 
-def report_to_json(report) -> str:
+def report_to_json(report, pad="\n") -> str:
     """json.dumps(report, sort_keys=True, indent=2, default=str), byte for
-    byte, for a report with no cycle (which json rejects).  That call runs
-    the pure-Python encoder, since the C one takes no indent.  Here Python
-    walks only the containers that hold containers of another shape.  Every
-    block (a scalar, an empty container, a dict of scalars, or nonempty
-    lists nested r deep with every scalar at the bottom) goes to one C call
-    for the whole report, and str.replace indents it."""
-    out, blocks, slots = [], [], []
-    _lay_out(report, 0, out, blocks, slots)
-    # each block is wrapped in a one-key dict, and no block holds a dict
-    # after a dict, so '},\n{"": ' stands only between two blocks
-    texts = _ENCODE(blocks)[6:-2].split('},\n{"": ')
-    for (at, depth, rank), text in zip(slots, texts):
-        if rank:
-            steps, opening, closing = _indents(depth, rank)
-            for old, new in steps:
-                text = text.replace(old, new)
-            text = text[0] + opening + text[rank:-rank] + closing + text[-1]
-        out[at] = text
-    return "".join(out)
+    byte, for a report with no cycle (which json rejects), without the
+    pure-Python encoder that call runs; pad is the newline and indent that
+    start report's line.  The walk writes containers, exact strs and ints
+    and hands every other value to the C encoder.  Plain loops keep each
+    level to one frame, so it writes every depth json.dumps writes, and
+    each level joins its text once."""
+    kind = type(report)
+    if kind is str:
+        return encode_basestring_ascii(report)
+    if kind is int:
+        return int.__repr__(report)
+    if isinstance(report, dict):
+        if not report:
+            return "{}"
+        inner, parts = pad + "  ", ["{"]
+        for key, value in sorted(report.items()):
+            parts += inner, _key(key), ": ", report_to_json(value, inner), ","
+        parts[-1] = pad + "}"   # in place of the last item's ","
+        return "".join(parts)
+    if isinstance(report, (list, tuple)):
+        if not report:
+            return "[]"
+        inner, parts = pad + "  ", ["["]
+        for value in report:
+            parts += inner, report_to_json(value, inner), ","
+        parts[-1] = pad + "]"
+        return "".join(parts)
+    return _ENCODE(report)
 
 
-# one line a value, with ",\n" between items; an encoded string holds no
-# raw newline, so every newline in the output is an item separator
-_ENCODE = json.JSONEncoder(sort_keys=True, default=str,
-                           separators=(",\n", ": ")).encode
-_CONTAINERS = (dict, list, tuple)
-
-
-def _rank(obj):
-    """r if obj is a block whose scalars sit r levels below it (0 for a
-    scalar or an empty container), else None."""
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return 0
-    values = obj.values() if isinstance(obj, dict) else obj
-    if not any(map(isinstance, values, repeat(_CONTAINERS))):
-        return 1
-    if isinstance(obj, dict):
-        return None
-    level, rank = obj, 1
-    while all(map(isinstance, level, repeat((list, tuple)))) and all(level):
-        level, rank = list(chain.from_iterable(level)), rank + 1
-        if not any(map(isinstance, level, repeat(_CONTAINERS))):
-            return rank
-    return None
-
-
-@cache
-def _indents(depth, rank):
-    """(replacements, opening, closing) that turn the _ENCODE text of a
-    rank-r block into its indent=2 text at depth: the item separators
-    first, then the boundaries between sub-blocks, those of j brackets
-    before those of fewer; opening and closing go inside the outermost
-    brackets."""
-    pad = ["\n" + "  " * (depth + k) for k in range(rank + 1)]
-    steps = [(",\n", "," + pad[rank])]
-    for j in range(rank - 1, 0, -1):
-        steps.append(("]" * j + "," + pad[rank] + "[" * j,
-                      "".join(pad[rank - m] + "]" for m in range(1, j + 1))
-                      + "," + "".join(pad[rank - m] + "["
-                                      for m in range(j, 0, -1)) + pad[rank]))
-    opening = "".join(pad[m] + "[" for m in range(1, rank)) + pad[rank]
-    closing = "".join(pad[m] + "]" for m in range(rank - 1, 0, -1)) + pad[0]
-    return steps, opening, closing
+_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def _key(key):
@@ -387,26 +358,3 @@ def _key(key):
                             f"not {type(key).__name__}")
         key = _ENCODE(key)
     return _ENCODE(key)
-
-
-def _lay_out(obj, depth, out, blocks, slots):
-    """Append the indent=2 text of obj at depth to out, each block as a
-    slot that report_to_json fills once the blocks are encoded."""
-    rank = _rank(obj)
-    if rank is not None:
-        blocks.append({"": obj})
-        slots.append((len(out), depth, rank))
-        out.append(None)
-        return
-    pad = "\n" + "  " * (depth + 1)
-    is_dict = isinstance(obj, dict)
-    out.append("{" if is_dict else "[")
-    for item in sorted(obj.items()) if is_dict else obj:
-        if is_dict:
-            key, item = item
-            out.append(pad + _key(key) + ": ")
-        else:
-            out.append(pad)
-        _lay_out(item, depth + 1, out, blocks, slots)
-        out.append(",")
-    out[-1] = pad[:-2] + ("}" if is_dict else "]")

@@ -312,7 +312,7 @@ def test_criterion_08_interval_translation_random():
         i = rng.randrange(len(pre.classes))
         j = rng.randrange(i, len(pre.classes))
         interval = list(pre.classes[i:j + 1])
-        image = interval_image(pre, interval, chi)  # raises on lemma failure
+        image = interval_image(pre, interval, chi)
         back = [tuple(label_translate(inst, l, tuple(-c for c in chi))
                       for l in cls) for cls in image]
         ok &= [set(c) for c in back] == [set(c) for c in interval]

@@ -795,6 +795,34 @@ def test_interval_image_matches_the_label_oracle(data):
             translated[i:j + 1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_translated_classes_are_the_preorder_at_the_translate(data):
+    """The identity that lets interval_image check no lemma: translating
+    the pre-order at (lambda, mu) by chi gives, class for class and label
+    for label, the pre-order at (lambda + chi, mu), since kappa' = kappa +
+    wt_chi(x).  weyl_a's chi is doubled, so that every weight is integral."""
+    if data.draw(st.booleans()):
+        inst, pair = draw_pair(data)
+        scale = 1
+    else:
+        inst = data.draw(st.sampled_from((A2, weyl_a_instance(4))))
+        mu = data.draw(st.lists(st.integers(-1, 1), min_size=inst.rank,
+                                max_size=inst.rank))
+        pair = SimpleNamespace(lam=(F(1, 3),) * inst.rank, mu=tuple(mu))
+        scale = 2
+    chi = tuple(scale * c for c in data.draw(st.lists(
+        st.integers(-3, 3), min_size=inst.rank, max_size=inst.rank)))
+    m = data.draw(st.integers(0, 3))
+    pre = ss_preorder(inst, pair, (-m, m))
+    moved = ss_preorder(inst, SimpleNamespace(lam=vadd(pair.lam, chi),
+                                              mu=pair.mu), (-m, m))
+    i = data.draw(st.integers(0, len(pre.classes) - 1))
+    j = data.draw(st.integers(i, len(pre.classes) - 1))
+    assert interval_image(pre, pre.classes[i:j + 1], chi) == \
+        moved.classes[i:j + 1]
+
+
 def preorder_independence_check(instance, pre_a, pre_b):
     """Test-only oracle: whether two pre-orders from distinct compatible
     parameters for the same face agree structurally.

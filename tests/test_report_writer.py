@@ -3,16 +3,22 @@ references.
 
 `config.report_to_json` must print what
 `json.dumps(obj, sort_keys=True, indent=2, default=str)` prints, byte for
-byte; that call stays here as the oracle.  `instances.builtin_instance`
-keeps one build per (name, n, ell), which is safe only while no user path
-writes to an instance; a fresh build through `__wrapped__` is the oracle.
+byte, at every nesting depth that call writes; that call stays here as the
+oracle.  `instances.builtin_instance` keeps one build per (name, n, ell),
+which is safe only while no user path writes to an instance; a fresh build
+through `__wrapped__` is the oracle.
 """
 
+import enum
+import inspect
 import io
 import json
 import runpy
+import sys
 import tempfile
+from collections import OrderedDict, defaultdict, namedtuple
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -81,6 +87,68 @@ def test_writer_rejects_what_json_rejects(obj):
     with pytest.raises(TypeError) as got:
         report_to_json(obj)
     assert str(got.value) == str(expected.value)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Name(str):
+    pass
+
+
+Pair = namedtuple("Pair", "x y")
+
+
+def test_writer_matches_the_oracle_on_subclasses():
+    """json tests containers by isinstance, so a namedtuple is a list and
+    an OrderedDict or defaultdict a dict, indented alike; an IntEnum value
+    or key is its int, and a str subclass its string."""
+    table = defaultdict(list, {Level.HIGH: [Pair(1, Name("b"))], 0: []})
+    obj = OrderedDict([("z", table), (Name("y"), Level.LOW),
+                       ("x", (Pair(Level.HIGH, OrderedDict()), {}))])
+    assert report_to_json(obj) == oracle(obj)
+
+
+def nested(depth, leaf):
+    """leaf inside depth containers, lists and one-key dicts alternating."""
+    for i in range(depth):
+        leaf = {"k": leaf} if i % 2 else [leaf]
+    return leaf
+
+
+def test_writer_writes_800_levels_as_the_oracle_does():
+    obj = nested(800, 1)
+    assert report_to_json(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize("leaf", [1, "s", None, 1.5, True, Fraction(1, 3),
+                                  [], {}], ids=repr)
+def test_writer_writes_every_depth_the_oracle_writes(leaf):
+    """Under a recursion limit 200 frames above this one, the writer writes
+    as deep a nesting as the oracle does (each found by bisection), and
+    the same text there."""
+
+    def deepest(write):
+        lo, hi = 0, 200
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                write(nested(mid, leaf))
+                lo = mid
+            except RecursionError:
+                hi = mid - 1
+        return lo
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        depth = deepest(oracle)
+        assert 100 < depth <= deepest(report_to_json)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report_to_json(nested(depth, leaf)) == oracle(nested(depth, leaf))
 
 
 def test_every_readme_report_matches_the_oracle():
