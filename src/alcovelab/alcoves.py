@@ -9,14 +9,13 @@ complete.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import add, itemgetter, mul
 
-from .arith import (AffineInP, Wall, is_lattice, pairing, rat, rat_str, vec,
-                    vsub)
+from .arith import (AffineInP, Value, Wall, is_lattice, pairing, rat, rat_str,
+                    set_field, vec, vsub)
 from .polyhedra import (VertexIncidence, facets_and_vertices, feasible,
                         matrix_rank, solve_linear, vertex_average)
 
@@ -60,8 +59,7 @@ def _wall_map(walls):
     return {w.id: w for w in walls}
 
 
-@dataclass(frozen=True)
-class RealAlcove:
+class RealAlcove(Value):
     """Closure of a connected component of the hyperplane complement, as a
     canonical irredundant list of (wall_id, offset, sense) constraints.
 
@@ -72,7 +70,14 @@ class RealAlcove:
 
     rank: int
     inequalities: tuple  # ((wall_id, offset: Fraction, sense), ...)
-    incidence: VertexIncidence = field(default=None, compare=False, repr=False)
+    incidence: VertexIncidence
+
+    _uncompared = frozenset({"incidence"})
+
+    def __init__(self, rank, inequalities, incidence=None):
+        set_field(self, "rank", rank)
+        set_field(self, "inequalities", inequalities)
+        set_field(self, "incidence", incidence)
 
     def constraints(self, walls):
         """As (coeffs, rhs, strict=False) triples oriented to >=."""
@@ -91,7 +96,7 @@ class RealAlcove:
         rows it keeps: the facets, or every row of an alcove with no
         interior."""
         return self.incidence or facets_and_vertices(
-            self.constraints(walls), self.rank)[1]
+            _integer_rows(self.constraints(walls)), self.rank)[1]
 
     def vertices(self, walls):
         return self.vertex_incidence(walls).points()
@@ -110,12 +115,20 @@ class RealAlcove:
         inc = self.vertex_incidence(walls)
         return RealAlcove(
             self.rank, translate_inequalities(self.inequalities, v, walls),
-            replace(inc, nums=tuple(tuple(x + inc.den * int(c) for x, c in
-                                          zip(u, v)) for u in inc.nums)))
+            inc.replace(nums=tuple(tuple(x + inc.den * int(c) for x, c in
+                                         zip(u, v)) for u in inc.nums)))
 
     def to_json(self):
         return {"rank": self.rank,
                 "inequalities": inequalities_to_json(self.inequalities)}
+
+
+def _integer_rows(cons):
+    """Rows (c, m, strict) of an integer covector c and a rational m as the
+    integer rows (den * c, num, strict), m = num/den, that
+    polyhedra.facets_and_vertices takes."""
+    return [(tuple(a * m.denominator for a in c), m.numerator, strict)
+            for c, m, strict in cons]
 
 
 def inequalities_to_json(ineqs):
@@ -258,8 +271,7 @@ def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
         for wid, sense, m, den, _, _ in map(bounds.__getitem__, kept)), inc)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Value):
     """A face of a real alcove: constraints of the parent turned into
     equalities, with a rational point in its relative interior."""
 
@@ -269,29 +281,37 @@ class Face:
     witness: tuple
     vertex_set: tuple
 
+    def __init__(self, parent, active, codim, witness, vertex_set):
+        set_field(self, "parent", parent)
+        set_field(self, "active", active)
+        set_field(self, "codim", codim)
+        set_field(self, "witness", witness)
+        set_field(self, "vertex_set", vertex_set)
+
 
 def faces_of(A: RealAlcove, walls):
     """All faces of all codimensions, duplicates (same vertex set) merged.
 
     The vertex-facet incidence is A's VertexIncidence: each vertex's mask
     holds the inequalities tight on it.  A subset of the inequalities, as a
-    bitmask, picks the vertices whose masks contain it, and the face is
-    keyed by the tuple of their indices.  Its active inequalities, those in
-    all of their masks, are the rows tight on the whole face, and they cut
-    out its affine hull (Schrijver, "Theory of Linear and Integer
-    Programming", 1986, ch. 8), so its codimension is the rank of their
-    covectors.  That rank is read off without an elimination where it is
-    known: a face of one vertex is a point (codim d) and one of two
-    vertices an edge (codim d - 1), since the alcove is bounded.  A face
-    holding a simple vertex, one on exactly d inequalities, has as codim
-    the number of its active inequalities: the rows tight at a vertex have
-    rank d, so d of them are independent, and so is every subset, the
-    face's active rows among them (every vertex of a simplex is simple;
-    Ziegler, "Lectures on Polytopes", 1995, ch. 3).  No or one active
-    inequality has rank 0 or 1 likewise.  Only a face of three or more
-    vertices, all on more than d inequalities, and two or more active ones
-    runs matrix_rank: none in rank 3, where such a face is a facet, but a
-    cross-polytope's triangles in rank 4.  Its witness is
+    bitmask, picks the vertices whose masks contain it: those of the subset
+    with its lowest bit cleared that are tight on that bit's inequality, one
+    AND of two vertex bitmasks, and the face is keyed by the bitmask of its
+    vertices.  Its active inequalities, those in all of their masks, are the
+    rows tight on the whole face, and they cut out its affine hull
+    (Schrijver, "Theory of Linear and Integer Programming", 1986, ch. 8), so
+    its codimension is the rank of their covectors.  That rank is read off
+    without an elimination where it is known: a face of one vertex is a
+    point (codim d) and one of two vertices an edge (codim d - 1), since the
+    alcove is bounded.  A face holding a simple vertex, one on exactly d
+    inequalities, has as codim the number of its active inequalities: the
+    rows tight at a vertex have rank d, so d of them are independent, and so
+    is every subset, the face's active rows among them (every vertex of a
+    simplex is simple; Ziegler, "Lectures on Polytopes", 1995, ch. 3).  No
+    or one active inequality has rank 0 or 1 likewise.  Only a face of three
+    or more vertices, all on more than d inequalities, and two or more
+    active ones runs matrix_rank: none in rank 3, where such a face is a
+    facet, but a cross-polytope's triangles in rank 4.  Its witness is
     polyhedra.vertex_average of their numerators.
     Requires an irredundant bounded alcove (the wall covectors span).
     """
@@ -306,11 +326,20 @@ def faces_of(A: RealAlcove, walls):
     if reduce(int.__or__, inc.masks) != (1 << n) - 1:  # a row on no vertex
         raise ValueError("redundant inequalities: not an alcove's facets")
     simple = [mask.bit_count() == A.rank for mask in inc.masks]
+    # per inequality, the bitmask of the vertices it is tight on
+    tight_on = [sum(1 << j for j, mask in enumerate(inc.masks)
+                    if mask >> i & 1) for i in range(n)]
+    on_sets = [(1 << len(verts)) - 1]  # the empty subset holds every vertex
     seen = {}
     for subset in range(1 << n):
-        on = tuple(j for j, t in enumerate(inc.masks) if t & subset == subset)
-        if not on or on in seen:
+        if subset:  # the vertices of the subset less its lowest bit, on it
+            low = subset & -subset
+            on_sets.append(on_sets[subset ^ low]
+                           & tight_on[low.bit_length() - 1])
+        on_set = on_sets[subset]
+        if not on_set or on_set in seen:
             continue
+        on = [j for j in range(len(verts)) if on_set >> j & 1]
         active = reduce(int.__and__, (inc.masks[j] for j in on))
         active_idx = [i for i in range(n) if active >> i & 1]
         if len(on) == 1:  # a vertex
@@ -321,7 +350,7 @@ def faces_of(A: RealAlcove, walls):
             codim = len(active_idx)
         else:
             codim = matrix_rank([alphas[i] for i in active_idx])
-        seen[on] = Face(
+        seen[on_set] = Face(
             parent=A,
             active=_canonical([A.inequalities[i] for i in active_idx]),
             codim=codim,
@@ -341,14 +370,17 @@ def opposite_alcove(A: RealAlcove, face: Face, walls) -> RealAlcove:
     return _alcove_around(f, walls, direction=vsub(f, A.interior_point(walls)))
 
 
-@dataclass(frozen=True)
-class PAlcove:
+class PAlcove(Value):
     """The p-alcove of a real alcove: strict inequalities
     <orient * alpha, x> > rhs(p) with rhs affine in the symbolic prime; the
     one oriented form of an alcove's facets, which compat reads too."""
 
     source: RealAlcove
     inequalities: tuple  # ((wall_id, orient, rhs: AffineInP), ...)
+
+    def __init__(self, source, inequalities):
+        set_field(self, "source", source)
+        set_field(self, "inequalities", inequalities)
 
     def facets(self, walls, face=None):
         """(wall_id, c = orient * alpha, rhs, on_face) per inequality, with
@@ -429,13 +461,16 @@ def p_membership(x, p: int, walls) -> PAlcove:
     return pa
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(Value):
     """A full-dimensional cone cut out by integral walls: homogeneous
     inequalities <alpha, .> >= 0 with alpha oriented into the cone."""
 
     rank: int
     covectors: tuple  # oriented covectors
+
+    def __init__(self, rank, covectors):
+        set_field(self, "rank", rank)
+        set_field(self, "covectors", covectors)
 
     def to_json(self):
         return {"rank": self.rank, "covectors": [list(a) for a in self.covectors]}
@@ -478,13 +513,16 @@ def integral_walls_and_positive_chamber(lam, walls):
     return int_walls, chamber
 
 
-@dataclass(frozen=True)
-class QuantumChamber:
+class QuantumChamber(Value):
     """Quantum chamber shifted from an integral chamber: inequalities
     <orient * alpha, .> >= m~ on lambda + lattice."""
 
     lam: tuple
     inequalities: tuple  # ((wall_id, orient_covector, m~), ...)
+
+    def __init__(self, lam, inequalities):
+        set_field(self, "lam", lam)
+        set_field(self, "inequalities", inequalities)
 
     def to_json(self):
         return {"lambda": [rat_str(c) for c in self.lam],
@@ -514,7 +552,8 @@ def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
         _, alpha, _, sigma_star = oriented_facet(w, t, sense)
         out.append((w.id, alpha, sigma_star + 1))
     out.sort(key=lambda q: (q[0], q[1]))
-    kept, _ = facets_and_vertices([(a, m, False) for _, a, m in out], d)
+    kept, _ = facets_and_vertices(
+        _integer_rows([(a, m, False) for _, a, m in out]), d)
     return QuantumChamber(lam, tuple(out[i] for i in kept))
 
 

@@ -8,15 +8,70 @@ anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 
 
 class LemmaError(AssertionError):
     """A computed result contradicts a lemma of the theory: a defect of the
     library, not of its input."""
+
+
+# writes a field in a value type's __init__, past Value's frozen __setattr__
+set_field = object.__setattr__
+
+
+class Value:
+    """Base of the library's immutable value types.
+
+    A subclass lists its fields as annotations, which __init_subclass__
+    reads once, and writes each in its own __init__ with set_field.  Those
+    not named in _uncompared are the compared fields: equality holds
+    between instances of the same class whose compared fields are equal,
+    the hash is that of the tuple of them, and the repr lists them as
+    `Class(name=value, ...)`.  Assigning or deleting an attribute is an
+    AttributeError.  There are no __slots__: cached properties live in the
+    instance __dict__.
+    """
+
+    _uncompared = frozenset()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(name for name in cls._fields
+                              if name not in cls._uncompared)
+        get = attrgetter(*cls._compared)
+        # the tuple of the compared fields; attrgetter of one name returns
+        # the bare value
+        cls._values = staticmethod(
+            get if len(cls._compared) > 1 else lambda v: (get(v),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self._compared) + ")")
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built by __init__."""
+        return type(self)(**{name: getattr(self, name)
+                             for name in self._fields} | changes)
 
 
 # an integer or "num/den" with a nonzero denominator
@@ -130,24 +185,25 @@ def saturate(s) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Value):
     """A wall Gamma: a primitive integer covector with a finite saturated
     set of rational shifts.  The hyperplane family of the wall is
     <alpha, .> = m for m congruent mod Z to an element of sigma_tilde."""
 
     id: int
     alpha: tuple
-    sigma_tilde: frozenset = field(default_factory=frozenset)
+    sigma_tilde: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", primitivize(self.alpha))
-        st = frozenset(rat(x) for x in self.sigma_tilde)
+    def __init__(self, id, alpha, sigma_tilde=frozenset()):
+        alpha = primitivize(alpha)
+        st = frozenset(rat(x) for x in sigma_tilde)
         if not st:
-            raise ValueError(f"wall {self.id}: sigma_tilde must be nonempty")
+            raise ValueError(f"wall {id}: sigma_tilde must be nonempty")
         if not is_saturated(st):
-            raise ValueError(f"wall {self.id}: sigma_tilde is not saturated")
-        object.__setattr__(self, "sigma_tilde", st)
+            raise ValueError(f"wall {id}: sigma_tilde is not saturated")
+        set_field(self, "id", id)
+        set_field(self, "alpha", alpha)
+        set_field(self, "sigma_tilde", st)
 
     @cached_property
     def offsets(self) -> tuple:
@@ -173,20 +229,19 @@ class Wall:
         return [x for x, s in offsets if (big_m - s) % den == 0]
 
 
-@dataclass(frozen=True, init=False)
-class AffineInP:
+class AffineInP(Value):
     """An exact affine function a + b*p of a symbolic (large) prime p.
 
     Comparison is the "for all p >> 0" order: by slope first, then by the
     constant term.  Use eval_at for a concrete prime.
     """
 
-    const: Fraction = Fraction(0)
-    slope: Fraction = Fraction(0)
+    const: Fraction
+    slope: Fraction
 
     def __init__(self, const=0, slope=0):
-        object.__setattr__(self, "const", rat(const))
-        object.__setattr__(self, "slope", rat(slope))
+        set_field(self, "const", rat(const))
+        set_field(self, "slope", rat(slope))
 
     def eval_at(self, p) -> Fraction:
         return self.const + self.slope * p

@@ -9,22 +9,26 @@ margin <c, lambda + p*mu> - rhs(p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (AffineInP, LemmaError, is_lattice, pairing, vadd, vscale,
-                    vsub)
+from .arith import (AffineInP, Value, is_lattice, pairing, set_field, vadd,
+                    vscale, vsub)
 from .alcoves import (Face, PAlcove, RealAlcove, faces_of, opposite_alcove,
                       p_alcove_of, translate_inequalities)
 from .polyhedra import first_lattice_point
 
 
-@dataclass(frozen=True)
-class CompatiblePair:
+class CompatiblePair(Value):
     lam: tuple
     mu: tuple
     alcove: RealAlcove
     face: Face
+
+    def __init__(self, lam, mu, alcove, face):
+        set_field(self, "lam", lam)
+        set_field(self, "mu", mu)
+        set_field(self, "alcove", alcove)
+        set_field(self, "face", face)
 
     def p_point(self, p) -> tuple:
         """lambda + p*mu for a concrete prime p."""
@@ -148,20 +152,21 @@ def opposite_pair(A: RealAlcove, face: Face, pair: CompatiblePair, walls):
 
     The reflected candidate 2*mu - lambda is preferred; when it violates the
     opposite margins the lexicographic box search runs on the other side.
+
+    B's face has the same vertex set as the given one, so the same vertex
+    average mu as its witness.  chi is integral whenever lambda - mu is, as
+    for every pair find_compatible returns (on a cache hit too, since the
+    cached lambda and the translate's witness differ by a lattice vector):
+    the candidate differs from lambda by 2 * (mu - lambda), and the
+    search's answer from mu by a lattice vector.
     """
     B = opposite_alcove(A, face, walls)
     face_b = matching_face(B, face, walls)
     mu = pair.mu
-    if face_b.witness != mu:
-        # same geometric face, same vertex average
-        raise LemmaError("face witness mismatch between opposite alcoves")
     candidate = vsub(vscale(2, mu), pair.lam)
     if all(pairing(c, candidate) > rhs.const
            for c, rhs in _face_facets(B, face_b, walls)):
         pair_minus = CompatiblePair(candidate, mu, B, face_b)
     else:
         pair_minus = find_compatible(B, face_b, walls)
-    chi = vsub(pair_minus.lam, pair.lam)
-    if not is_lattice(chi):
-        raise LemmaError("wall-crossing element chi is not integral")
-    return pair_minus, chi
+    return pair_minus, vsub(pair_minus.lam, pair.lam)

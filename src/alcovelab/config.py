@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from .alcoves import GE, LE, RealAlcove, SingularPointError, real_alcove_of
@@ -32,11 +31,14 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class InstanceConfig:
-    instance: FixedPointInstance
-    warnings: tuple = ()
-    raw: dict = field(default_factory=dict)
+    """A parsed config: its instance, the warnings parsing it raised and
+    the JSON object it came from."""
+
+    def __init__(self, instance, warnings=(), raw=None):
+        self.instance = instance
+        self.warnings = warnings
+        self.raw = {} if raw is None else raw
 
     @property
     def walls(self):
@@ -229,8 +231,8 @@ def parse_config(data: dict, path="config") -> InstanceConfig:
     lambdas, generators = vectors("lambdas"), vectors("generators")
     inst = base   # a builtin without overrides stays the one cached build
     if "walls" in data or lambdas or generators:
-        inst = replace(base, walls=walls, lambdas=lambdas,
-                       generators=generators or base.generators)
+        inst = base.replace(walls=walls, lambdas=lambdas,
+                            generators=generators or base.generators)
     return InstanceConfig(instance=inst, warnings=tuple(warnings), raw=data)
 
 

@@ -9,13 +9,12 @@ only this interface, so other examples can be loaded as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, permutations
 from operator import mul
 
-from .arith import AffineInP, Wall, pairing, vec
+from .arith import AffineInP, Value, Wall, pairing, set_field, vec
 from .partitions import (cont, n_stat, partition_from_str, partition_numbers,
                          partition_str, partitions)
 
@@ -30,17 +29,28 @@ POINT_KINDS = {None: (str, str),
 MAX_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class FixedPointInstance:
+class FixedPointInstance(Value):
     name: str
     rank: int
     points: tuple
     c_const: dict
     c_linear: dict
-    walls: tuple = ()
-    lambdas: tuple = ()      # registered rational parameters (the set Lambda)
-    generators: tuple = ()   # lattice generators (the set P_2)
-    meta: dict = field(default_factory=dict)
+    walls: tuple
+    lambdas: tuple      # registered rational parameters (the set Lambda)
+    generators: tuple   # lattice generators (the set P_2)
+    meta: dict
+
+    def __init__(self, name, rank, points, c_const, c_linear, walls=(),
+                 lambdas=(), generators=(), meta=None):
+        set_field(self, "name", name)
+        set_field(self, "rank", rank)
+        set_field(self, "points", points)
+        set_field(self, "c_const", c_const)
+        set_field(self, "c_linear", c_linear)
+        set_field(self, "walls", walls)
+        set_field(self, "lambdas", lambdas)
+        set_field(self, "generators", generators)
+        set_field(self, "meta", {} if meta is None else meta)
 
     def c_value(self, x, lam) -> Fraction:
         """c(x; lambda) for a rational parameter vector lambda."""

@@ -8,10 +8,9 @@ exhaustive range; neither is trusted alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .arith import LemmaError
+from .arith import LemmaError, Value, set_field
 from .partitions import (check_partition, e_regular_partitions, is_e_regular,
                          partition_str, partitions, transpose)
 
@@ -67,15 +66,14 @@ def remove_boxes(mu, boxes):
     return check_partition(out)
 
 
-@dataclass(frozen=True)
-class MullineuxSymbol:
+class MullineuxSymbol(Value):
     """Column pairs (a_i, r_i): e-rim size and row count per peeling step."""
 
     columns: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns",
-                           tuple((int(a), int(r)) for a, r in self.columns))
+    def __init__(self, columns):
+        set_field(self, "columns",
+                  tuple((int(a), int(r)) for a, r in columns))
 
     @classmethod
     def of(cls, mu, e) -> "MullineuxSymbol":

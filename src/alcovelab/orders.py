@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf, lcm
 from typing import NamedTuple
 
-from .arith import AffineInP, LemmaError, rat_str
+from .arith import AffineInP, LemmaError, Value, rat_str, set_field
 from .instances import FixedPointInstance, wt_chi
 
 
@@ -58,8 +57,7 @@ def shift(label: Label, z: int, p: int) -> Label:
     return Label(label.point, label.kappa + z * p)
 
 
-@dataclass(frozen=True)
-class LabeledPoset:
+class LabeledPoset(Value):
     """Strict partial order on a finite label window, stored as the block of
     each label: a < b iff a and b share a block and a.kappa < b.kappa.  The
     covers and the closure are views derived from the blocks."""
@@ -68,6 +66,12 @@ class LabeledPoset:
     blocks: dict
     p: int
     window: tuple
+
+    def __init__(self, labels, blocks, p, window):
+        set_field(self, "labels", labels)
+        set_field(self, "blocks", blocks)
+        set_field(self, "p", p)
+        set_field(self, "window", window)
 
     @cached_property
     def _levels(self):
@@ -250,8 +254,7 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class PreOrder:
+class PreOrder(Value):
     """Standardly stratified pre-order on symbolic labels of the zero
     equivariant block: (x,kappa) <= (x',kappa') iff slope(kappa'-kappa) >= 0.
 
@@ -266,6 +269,14 @@ class PreOrder:
     labels: tuple
     classes: tuple        # tuple of tuples of labels, ascending slope
     class_slopes: tuple
+
+    def __init__(self, instance, lam_bar, mu, labels, classes, class_slopes):
+        set_field(self, "instance", instance)
+        set_field(self, "lam_bar", lam_bar)
+        set_field(self, "mu", mu)
+        set_field(self, "labels", labels)
+        set_field(self, "classes", classes)
+        set_field(self, "class_slopes", class_slopes)
 
     def within_class_order(self, cls) -> list:
         """Class members sorted ascending for the stratified side: the

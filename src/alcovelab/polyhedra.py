@@ -5,10 +5,15 @@ coeffs . x >= rhs, with strict=True for >.  Every kernel here works on
 integer rows and makes `Fraction`s only at its API boundary: each input row
 is scaled once, by the positive lcm of all its denominators (right-hand
 side included), to an integer row (c, b, strict) meaning c . x >= b (or >),
-which has the same solutions.  An integer row passes through unchanged:
-alcove rows arrive as integer rows (`alcoves._alcove_around` builds them
-from integer pairings), and a row of int coefficients with a `Fraction`
-right-hand side is scaled without making a `Fraction`.
+which has the same solutions.  An integer row passes through unchanged,
+and a row of int coefficients with a `Fraction` right-hand side is scaled
+without making a `Fraction`.  The double-description pass,
+`facets_and_vertices`, takes integer rows as its contract and checks none
+of them: the alcove build hands in the integer rows it makes from integer
+pairings (`alcoves._alcove_around`), and its two callers that hold
+`Fraction` rows, a bare alcove's `RealAlcove.vertex_incidence` and
+`alcoves.quantum_chamber`, scale their own.  `vertices` and
+`interior_point` scale theirs at the boundary.
 
 One Fourier-Motzkin elimination loop serves `feasible` (its verdict),
 `find_point` and `first_lattice_point`.  It eliminates x_k by integer
@@ -64,12 +69,11 @@ vertices' numerators over their common denominator and divides once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .arith import rat
+from .arith import Value, rat, set_field
 
 
 def _normalize(con):
@@ -291,11 +295,11 @@ def vertices(constraints, dim):
     """All vertices of {x : coeffs.x >= rhs}, every row read as non-strict,
     sorted: the rays with t > 0 of the double-description pass, none for a
     polyhedron with a lineality space."""
-    return _incidence(*_extreme_rays(constraints, dim), dim).points()
+    rows = [_integer_row(c) for c in constraints]
+    return _incidence(*_extreme_rays(rows, dim), dim).points()
 
 
-@dataclass(frozen=True)
-class VertexIncidence:
+class VertexIncidence(Value):
     """The vertices of a polyhedron as integer numerators over one common
     denominator den, the lcm of the vertex rays' t, sorted, each with the
     bitmask of the kept rows tight on it (bit j for the j-th kept row)."""
@@ -303,6 +307,11 @@ class VertexIncidence:
     den: int
     nums: tuple   # one tuple of integer numerators per vertex
     masks: tuple  # one bitmask per vertex
+
+    def __init__(self, den, nums, masks):
+        set_field(self, "den", den)
+        set_field(self, "nums", nums)
+        set_field(self, "masks", masks)
 
     def points(self):
         """The vertices as Fraction tuples."""
@@ -327,10 +336,12 @@ def _combine(a, u, b, v):
     return tuple([x // g for x in w] if g > 1 else w)
 
 
-def facets_and_vertices(constraints, dim, order=None):
-    """(kept indices, VertexIncidence) of {x : coeffs.x >= rhs}, every
-    row read as non-strict: its facets, where it has an interior, and the
-    vertices with their tight kept rows, from one pass.
+def facets_and_vertices(rows, dim, order=None):
+    """(kept indices, VertexIncidence) of {x : c.x >= b} for integer rows
+    (c, b, strict), every row read as non-strict: its facets, where it has
+    an interior, and the vertices with their tight kept rows, from one
+    pass.  The rows are taken as they are: a caller holding `Fraction`
+    rows scales each to integers first.
 
     The pass builds the extreme rays, modulo the lineality space, of the
     cone {(x, t) : c.x >= b*t, t >= 0} over the integer rows (c, b), adding
@@ -351,9 +362,9 @@ def facets_and_vertices(constraints, dim, order=None):
     is a lineality space, and their masks come from the rays in both
     cases.
     """
-    lineality, rays = _extreme_rays(constraints, dim, order)
+    lineality, rays = _extreme_rays(rows, dim, order)
     # per row, the bitmask of the rays tight on it, from each ray's set bits
-    n = len(constraints)
+    n = len(rows)
     tight = [0] * n
     for j, (_, mask) in enumerate(rays):
         mask &= (1 << n) - 1  # bit n is t >= 0
@@ -374,9 +385,9 @@ def facets_and_vertices(constraints, dim, order=None):
     return kept, _incidence(lineality, rays, dim, kept)
 
 
-def _extreme_rays(constraints, dim, order=None):
-    """The cone {(x, t) : c.x >= b*t, t >= 0} of the constraints as integer
-    rows (c, b, strict), strict read as non-strict, by double description
+def _extreme_rays(rows, dim, order=None):
+    """The cone {(x, t) : c.x >= b*t, t >= 0} of integer rows (c, b,
+    strict), strict read as non-strict, by double description
     (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, "Double
     description method revisited", 1996), the rows added in `order` (row
     indices, by default ascending).
@@ -396,7 +407,6 @@ def _extreme_rays(constraints, dim, order=None):
     vectors, and the rows tight on each do not depend on the order, which
     only sets how many rays the pass holds on the way.
     """
-    rows = [_integer_row(c) for c in constraints]
     unit = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim + 1)]
     lineality, rays = unit[:dim], [(unit[dim], 0)]
     done = 1 << len(rows)  # the rows added so far: t >= 0
@@ -457,7 +467,8 @@ def vertex_average(nums, den):
 def interior_point(constraints, dim):
     """A rational point strictly inside a full-dimensional polytope, as the
     average of its vertices' numerators."""
-    inc = _incidence(*_extreme_rays(constraints, dim), dim)
+    rows = [_integer_row(c) for c in constraints]
+    inc = _incidence(*_extreme_rays(rows, dim), dim)
     return vertex_average(inc.nums, inc.den) if inc.nums else None
 
 

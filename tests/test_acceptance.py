@@ -6,14 +6,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import io
 import random
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as F
 
 from alcovelab.arith import AffineInP, Wall, vec
 from alcovelab.alcoves import (faces_of, integral_walls_and_positive_chamber,
                                p_alcove_of, quantum_chamber, real_alcove_of)
 from alcovelab.cli import dispatch
-from alcovelab.compat import find_compatible, verify_compatible
+from alcovelab.compat import find_compatible, opposite_pair, verify_compatible
 from alcovelab.instances import hilb_instance, weyl_a_instance
 from alcovelab.mullineux import mullineux, mullineux_oracle
 from alcovelab.orders import (crossing_threshold_bound, equivalence_classes,
@@ -192,7 +191,7 @@ def test_criterion_05_phw_axiom_suite():
             rep = phw_axiom_check(poset, d_bound=2 * len(inst.points) * p)
             ok &= rep["passed"]
             cases.append(f"hilb({n})@{p}")
-    a2 = replace(weyl_a_instance(3), lambdas=(vec((1, 1)),))
+    a2 = weyl_a_instance(3).replace(lambdas=(vec((1, 1)),))
     for p in (5, 7, 11):
         assert validate_p(p, a2)["passed"]
         poset = hw_order(a2, (1, 1), p, (0, 3 * p))
@@ -319,8 +318,18 @@ def test_criterion_08_interval_translation_random():
         slopes = [cls[0].kappa.slope for cls in image]
         ok &= slopes == sorted(slopes)
         cases += 1
-    report(8, "interval translation: classes map to classes, inverse by -chi",
-           ok, f"{cases} random cases")
+    # across each codim-1 face, lambda + chi is compatible with the
+    # opposite alcove B and B's face
+    crossings = 0
+    for inst, _, pair in setups:
+        if pair.face.codim == 1:
+            pair_b, _ = opposite_pair(pair.alcove, pair.face, pair,
+                                      inst.walls)
+            ok &= verify_compatible(pair_b, inst.walls)["passed"]
+            crossings += 1
+    report(8, "interval translation: classes map to classes, inverse by "
+              "-chi; lambda + chi compatible across the face", ok,
+           f"{cases} random cases, {crossings} faces")
 
 
 def test_criterion_09_mullineux_dual_oracle():

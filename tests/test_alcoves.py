@@ -3,7 +3,6 @@ import io
 import json
 from collections import Counter, deque
 from contextlib import ExitStack, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import lcm
@@ -32,7 +31,7 @@ from alcovelab.polyhedra import (facets_and_vertices, feasible, find_point,
                                  interior_point, irredundant, matrix_rank,
                                  vertices)
 from alcovelab.validate import p_lattice_point, validate_p
-from test_polyhedra import irredundant_and_vertices
+from test_polyhedra import integer_rows, irredundant_and_vertices
 
 A2 = weyl_a_instance(3)
 HILB2 = hilb_instance(2, 0)
@@ -272,7 +271,7 @@ def fraction_alcove(x, walls, p=None, direction=None):
     with one pass over them in their own order."""
     rows = bracket_rows(x, walls, p, direction)
     kept, inc = facets_and_vertices(
-        RealAlcove(len(x), rows).constraints(walls), len(x))
+        integer_rows(RealAlcove(len(x), rows).constraints(walls)), len(x))
     return RealAlcove(len(x), tuple(rows[i] for i in kept), inc)
 
 
@@ -304,7 +303,7 @@ def test_alcove_facets_and_vertices_match_irredundant_and_vertices(data):
         return
     rows = bracket_rows(x, walls)
     cons = RealAlcove(rank, rows).constraints(walls)
-    kept, inc = facets_and_vertices(cons, rank)
+    kept, inc = facets_and_vertices(integer_rows(cons), rank)
     assert (kept, inc.points()) == irredundant_and_vertices(cons, rank)
     assert A.inequalities == tuple(rows[i] for i in kept)
     assert inc.points() == A.vertices(walls)
@@ -468,6 +467,30 @@ def test_faces_and_opposite_alcoves_solve_no_vertices_again():
         # an alcove made without its record solves for it, once
         RealAlcove(A.rank, A.inequalities).interior_point(walls)
         assert counts == one_pass
+
+
+def test_the_pass_reads_the_integer_rows_it_is_handed():
+    # facets_and_vertices takes integer rows as its contract: the alcove
+    # build makes them, a bare alcove and a quantum chamber scale their
+    # Fraction rows, and the pass re-checks none
+    ran = AssertionError("polyhedra._integer_row ran")
+    cases = [((F(1, 3), F(1, 5)), A2.walls), ((F(1, 10),), HILB3.walls),
+             ((F(1, 7), F(1, 5), F(-1, 3)), OCTAHEDRAL_WALLS)]
+    for x, walls in cases:
+        A = real_alcove_of(x, walls)
+        bare = RealAlcove(A.rank, A.inequalities)
+        expected = vertices(A.constraints(walls), A.rank)
+        with mock.patch.object(polyhedra, "_integer_row", side_effect=ran):
+            assert real_alcove_of(x, walls).vertices(walls) == expected
+            assert bare.vertices(walls) == expected
+            assert bare.vertex_incidence(walls) == A.incidence
+    lam = (F(2), F(-1), F(3))
+    walls = weyl_a_instance(4).walls
+    _, chamber = integral_walls_and_positive_chamber(lam, walls)
+    with mock.patch.object(polyhedra, "_integer_row", side_effect=ran):
+        got = quantum_chamber(lam, chamber, walls)
+    assert got == quantum_chamber(lam, chamber, walls)
+    assert len(got.inequalities) == 3
 
 
 def test_walls_that_do_not_span_keep_irredundant_bounds():
@@ -849,7 +872,7 @@ def test_validate_p_hilb_congruence():
 
 
 def test_validate_p_trivial_denominators():
-    inst = replace(weyl_a_instance(3), lambdas=(vec((1, 1)),))
+    inst = weyl_a_instance(3).replace(lambdas=(vec((1, 1)),))
     for p in (3, 5, 7, 11):
         rep = validate_p(p, inst)
         assert rep["a_denominators"]["ok"] and rep["b_lambdas"]["ok"]
@@ -860,9 +883,9 @@ def test_validate_p_block_order_separation():
     # while {(2,1)} sits at 22: interleaved, so (d) fails; at 5/2 the
     # ranges [1,19] and [22,22] are separated
     inst = hilb_instance(3, 0)
-    bad = validate_p(23, replace(inst, lambdas=((F(7, 2),),)))
+    bad = validate_p(23, inst.replace(lambdas=((F(7, 2),),)))
     assert not bad["d_block_order"]["ok"]
-    good = validate_p(23, replace(inst, lambdas=((F(5, 2),),)))
+    good = validate_p(23, inst.replace(lambdas=((F(5, 2),),)))
     assert good["d_block_order"]["ok"]
 
 
@@ -905,7 +928,7 @@ def test_validate_p_blocks_match_pairwise_oracle(data):
                                                2 * (p + 1)))))
                   for _ in range(inst.rank))
             for _ in range(data.draw(st.integers(1, 2)))]
-    rep = validate_p(p, replace(inst, lambdas=tuple(vec(l) for l in lams)))
+    rep = validate_p(p, inst.replace(lambdas=tuple(vec(l) for l in lams)))
     expected = [pairwise_block_checks(p, inst, lam) for lam in lams]
     assert rep["c_scalars"]["ok"] == all(c for c, _ in expected)
     assert [c["ok"] for c in rep["d_block_order"]["checks"]] == \
@@ -924,7 +947,7 @@ def test_validate_p_c_scalars_match_the_fraction_form(data):
     c_const = {x: data.draw(rational) for x in inst.points}
     c_linear = {x: tuple(data.draw(rational) for _ in range(inst.rank))
                 for x in inst.points}
-    rep = validate_p(p, replace(inst, c_const=c_const, c_linear=c_linear))
+    rep = validate_p(p, inst.replace(c_const=c_const, c_linear=c_linear))
     assert rep["c_scalars"]["ok"] == all(
         ((p + 1) * c).denominator == 1 for x in inst.points
         for c in (c_const[x], *c_linear[x]))

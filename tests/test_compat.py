@@ -364,3 +364,53 @@ def test_margin_report_matches_the_hand_oriented_facets(data):
     if not reflected:
         with mock.patch.dict(compat._cache, clear=True):
             assert pm.lam == find_compatible(B, face_b, walls).lam
+
+
+@st.composite
+def crossed_faces(draw):
+    """(walls, A, face, pair): a face of codim >= 1 of a drawn alcove and
+    find_compatible's pair for it, fresh or, after a first call on a drawn
+    lattice translate of (A, face), a cache hit; run with an empty cache."""
+    rank, walls = draw(st.one_of(st.sampled_from(MARGIN_ARRANGEMENTS),
+                                 st.just((3, OCTAHEDRAL_WALLS))))
+    x = tuple(F(draw(st.integers(-90, 90)), draw(st.integers(7, 31)))
+              for _ in range(rank))
+    try:
+        A = real_alcove_of(x, walls)
+    except SingularPointError:
+        assume(False)
+    face = draw(st.sampled_from([f for f in faces_of(A, walls) if f.codim]))
+    if draw(st.booleans()):
+        shift = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                    max_size=rank)))
+        moved = A.translate(shift, walls)
+        witness = vadd(face.witness, shift)
+        find_compatible(moved, next(f for f in faces_of(moved, walls)
+                                    if f.witness == witness), walls)
+    return walls, A, face, find_compatible(A, face, walls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_opposite_faces_have_the_same_witness(data):
+    # the face of B = opposite_alcove has A's face's vertex set, so the
+    # same vertex average: the witness opposite_pair keeps as mu
+    with mock.patch.dict(compat._cache, clear=True):
+        walls, A, face, pair = data.draw(crossed_faces())
+        face_b = matching_face(opposite_alcove(A, face, walls), face, walls)
+        pair_b, _ = opposite_pair(A, face, pair, walls)
+    assert face_b.witness == face.witness == pair.mu == pair_b.mu
+    assert pair_b.face == face_b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_wall_crossing_element_is_integral(data):
+    # lambda - mu is integral for find_compatible's pair, fresh or cached,
+    # so chi = lambda_minus - lambda is a lattice vector
+    with mock.patch.dict(compat._cache, clear=True):
+        walls, A, face, pair = data.draw(crossed_faces())
+        pair_b, chi = opposite_pair(A, face, pair, walls)
+    assert is_lattice(vsub(pair.lam, pair.mu))
+    assert chi == vsub(pair_b.lam, pair.lam)
+    assert is_lattice(chi)

@@ -260,7 +260,7 @@ def test_every_lemma_site_raises_lemma_error():
                     bare.append(f"{path.name}:{node.lineno}")
                 lemma += name == "LemmaError"
     assert bare == []
-    assert lemma == 6
+    assert lemma == 4
 
 
 def test_cli_unknown_subcommand():

@@ -4,7 +4,6 @@ import json
 import tracemalloc
 from collections import defaultdict
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as F
 from time import perf_counter
 from types import SimpleNamespace
@@ -200,7 +199,7 @@ def closure_phw_check(poset, d_bound):
 
 def moved(poset, label, block):
     """poset with label moved into block."""
-    return replace(poset, blocks={**poset.blocks, label: block})
+    return poset.replace(blocks={**poset.blocks, label: block})
 
 
 ORDER_INSTANCES = tuple(hilb_instance(n, 0) for n in range(1, 9)) + (A2,)
@@ -438,8 +437,8 @@ def nudged(pre, label, delta):
     def swap(labels):
         return tuple(moved if l == label else l for l in labels)
 
-    return replace(pre, labels=swap(pre.labels),
-                   classes=tuple(swap(cls) for cls in pre.classes))
+    return pre.replace(labels=swap(pre.labels),
+                       classes=tuple(swap(cls) for cls in pre.classes))
 
 
 HILB_2_TO_8 = tuple(hilb_instance(n, 0) for n in range(2, 9))

@@ -264,6 +264,12 @@ def test_integer_rows_of_rational_systems_match_the_oracles(system):
             assert gcd(*coeffs, rhs) in (0, 1)
 
 
+def integer_rows(constraints):
+    """The rows as facets_and_vertices takes them: each made an integer
+    row (c, b, strict) by polyhedra._integer_row."""
+    return [polyhedra._integer_row(c) for c in constraints]
+
+
 def lcm_integer_row(con):
     """Test-only oracle: polyhedra._integer_row's general path, the row
     made Fractions and scaled by the lcm of all its denominators."""
@@ -407,7 +413,7 @@ def feasible_is_redundant(constraints, idx, dim):
     """Test-only oracle: is_redundant as it was written before the shared
     verdict, every row made integer again and the rest with row idx negated
     handed to feasible."""
-    rows = [polyhedra._integer_row(c) for c in constraints]
+    rows = integer_rows(constraints)
     c, b, strict = rows[idx]
     negated = (tuple(-a for a in c), -b, not strict)
     return not feasible(rows[:idx] + rows[idx + 1:] + [negated], dim)
@@ -478,7 +484,7 @@ def subset_vertices(constraints, dim):
     """Test-only oracle: vertices as found before the double description,
     by a Bareiss solve of every d-subset of the integer rows, keeping each
     solution nums/den that satisfies every row (c, b) as c.nums >= b*den."""
-    rows = [polyhedra._integer_row(c) for c in constraints]
+    rows = integer_rows(constraints)
     verts = set()
     for subset in combinations(rows, dim):
         m = [[*c, b] for c, b, _ in subset]
@@ -560,7 +566,7 @@ def test_facets_and_vertices_match_irredundant_and_vertices(system):
     with mock.patch.object(polyhedra, "irredundant", side_effect=ran), \
             mock.patch.object(polyhedra, "is_redundant", side_effect=ran), \
             mock.patch.object(polyhedra, "feasible", side_effect=ran):
-        kept, inc = facets_and_vertices(cons, dim)
+        kept, inc = facets_and_vertices(integer_rows(cons), dim)
     expected_kept, expected_points = irredundant_and_vertices(cons, dim)
     if not feasible([(c, b, True) for c, b, _ in cons], dim):
         expected_kept = list(range(len(cons)))
@@ -577,7 +583,7 @@ def test_facets_and_vertices_of_simplices_need_no_elimination(system):
     # a polytope with interior is read off the rays alone
     with mock.patch.object(polyhedra, "irredundant",
                            side_effect=AssertionError("irredundant called")):
-        kept, inc = facets_and_vertices(cons, dim)
+        kept, inc = facets_and_vertices(integer_rows(cons), dim)
     assert (kept, inc.points()) == expected
     # every vertex of a simplex lies on dim of its dim + 1 facets
     assert inc.masks == tight_kept_masks(cons, kept, inc.points())
@@ -607,7 +613,7 @@ def test_facets_of_unbounded_systems_with_interior_need_no_elimination(
     assert expected[0] == kept
     with mock.patch.object(polyhedra, "irredundant",
                            side_effect=AssertionError("irredundant called")):
-        got_kept, inc = facets_and_vertices(cons, dim)
+        got_kept, inc = facets_and_vertices(integer_rows(cons), dim)
     assert (got_kept, inc.points()) == expected
 
 
@@ -618,7 +624,7 @@ def test_facets_and_vertices_keep_the_later_of_duplicate_rows():
             ((2, 0), F(0), False), ((-1, -1), F(-1), False),
             ((1, 0), F(0), False)]
     assert irredundant(cons, 2) == [1, 3, 4]
-    kept, inc = facets_and_vertices(cons, 2)
+    kept, inc = facets_and_vertices(integer_rows(cons), 2)
     assert (kept, inc.points()) == ([1, 3, 4], vertices(TRIANGLE, 2))
     # (0, 0) on rows 1 and 4, (0, 1) on 3 and 4, (1, 0) on 1 and 3
     assert inc.masks == (0b101, 0b110, 0b011)
@@ -629,7 +635,7 @@ def test_facets_and_vertices_of_a_system_with_a_lineality_space():
     # no vertex, and irredundant's rows
     cons = [((1, 0), F(0), False), ((-1, 0), F(-1), False),
             ((2, 0), F(-1), False)]
-    kept, inc = facets_and_vertices(cons, 2)
+    kept, inc = facets_and_vertices(integer_rows(cons), 2)
     assert (kept, inc.points()) == ([0, 1], []) == \
         irredundant_and_vertices(cons, 2)
     assert inc == polyhedra.VertexIncidence(1, (), ())
@@ -644,8 +650,8 @@ def test_facets_and_vertices_do_not_depend_on_the_insertion_order(drawn):
     # bounded (with duplicate, scaled and loosened rows), unbounded, with a
     # lineality space, empty and lower-dimensional systems
     (cons, dim), order = drawn
-    kept, inc = facets_and_vertices(cons, dim)
-    got_kept, got = facets_and_vertices(cons, dim, order)
+    kept, inc = facets_and_vertices(integer_rows(cons), dim)
+    got_kept, got = facets_and_vertices(integer_rows(cons), dim, order)
     assert (got_kept, got.den, got.nums, got.masks) == (
         kept, inc.den, inc.nums, inc.masks)
 

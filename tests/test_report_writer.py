@@ -184,7 +184,7 @@ def test_cached_builtin_instances_equal_fresh_builds():
                 assert run(argv)[0] == 0, argv
     assert calls and builtin_instance.cache_info().hits
     for args, kwargs in calls:
-        # dataclass equality compares every field, the dicts included
+        # value equality compares every field, the dicts included
         assert builtin_instance(*args, **kwargs) == \
             builtin_instance.__wrapped__(*args, **kwargs), (args, kwargs)
 
