@@ -41,7 +41,7 @@ print("\nA_2 walls (coroot covectors):",
 # <theta, .> <= 1 for the highest coroot
 fund = real_alcove_of((F(1, 3), F(1, 3)), a2.walls)
 print("fundamental alcove:", fund.inequalities)
-print("vertices:", fund.vertices(a2.walls))
+print("vertices:", fund.vertices())
 
 faces = faces_of(fund, a2.walls)
 print("face counts by codim:",

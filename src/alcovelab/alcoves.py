@@ -17,7 +17,8 @@ from operator import add, itemgetter, mul
 from .arith import (AffineInP, Value, Wall, is_lattice, pairing, rat, rat_str,
                     set_field, vec, vsub)
 from .polyhedra import (VertexIncidence, facets_and_vertices, feasible,
-                        matrix_rank, solve_linear, vertex_average)
+                        integer_row, matrix_rank, solve_linear,
+                        vertex_average)
 
 GE, LE = ">=", "<="
 
@@ -63,10 +64,12 @@ class RealAlcove(Value):
     """Closure of a connected component of the hyperplane complement, as a
     canonical irredundant list of (wall_id, offset, sense) constraints.
 
-    An alcove built by real_alcove_of or translate carries its vertices and
-    their tight inequalities (VertexIncidence) for vertices, interior_point
-    and faces_of; equality, hash and JSON see only rank and inequalities,
-    and an alcove made without them gets them from one pass when asked."""
+    Every alcove is built by the one double-description pass
+    (_alcove_around, through real_alcove_of, opposite_alcove and
+    p_membership) or moved from one by translate, and carries the pass's
+    vertices and their tight inequalities (VertexIncidence), which
+    vertices, interior_point and faces_of read; equality, hash and JSON
+    see only rank and inequalities."""
 
     rank: int
     inequalities: tuple  # ((wall_id, offset: Fraction, sense), ...)
@@ -74,36 +77,21 @@ class RealAlcove(Value):
 
     _uncompared = frozenset({"incidence"})
 
-    def __init__(self, rank, inequalities, incidence=None):
+    def __init__(self, rank, inequalities, incidence):
         set_field(self, "rank", rank)
         set_field(self, "inequalities", inequalities)
         set_field(self, "incidence", incidence)
 
     def constraints(self, walls):
-        """As (coeffs, rhs, strict=False) triples oriented to >=."""
-        wm = _wall_map(walls)
-        out = []
-        for wid, m, sense in self.inequalities:
-            alpha = wm[wid].alpha
-            if sense == GE:
-                out.append((alpha, m, False))
-            else:
-                out.append((tuple(-a for a in alpha), -m, False))
-        return out
+        """The inequalities as constraints_of gives them."""
+        return constraints_of(self.inequalities, walls)
 
-    def vertex_incidence(self, walls) -> VertexIncidence:
-        """The carried record, else one pass's, whose masks are over the
-        rows it keeps: the facets, or every row of an alcove with no
-        interior."""
-        return self.incidence or facets_and_vertices(
-            _integer_rows(self.constraints(walls)), self.rank)[1]
+    def vertices(self):
+        return self.incidence.points()
 
-    def vertices(self, walls):
-        return self.vertex_incidence(walls).points()
-
-    def interior_point(self, walls):
+    def interior_point(self):
         """The average of the vertices, or None when there are none."""
-        inc = self.vertex_incidence(walls)
+        inc = self.incidence
         return vertex_average(inc.nums, inc.den) if inc.nums else None
 
     def translate(self, v, walls):
@@ -112,7 +100,7 @@ class RealAlcove(Value):
         if not is_lattice(v):
             raise ValueError("translate: (" + ", ".join(map(rat_str, v))
                              + ") is not a lattice vector")
-        inc = self.vertex_incidence(walls)
+        inc = self.incidence
         return RealAlcove(
             self.rank, translate_inequalities(self.inequalities, v, walls),
             inc.replace(nums=tuple(tuple(x + inc.den * int(c) for x, c in
@@ -123,12 +111,19 @@ class RealAlcove(Value):
                 "inequalities": inequalities_to_json(self.inequalities)}
 
 
-def _integer_rows(cons):
-    """Rows (c, m, strict) of an integer covector c and a rational m as the
-    integer rows (den * c, num, strict), m = num/den, that
-    polyhedra.facets_and_vertices takes."""
-    return [(tuple(a * m.denominator for a in c), m.numerator, strict)
-            for c, m, strict in cons]
+def constraints_of(ineqs, walls):
+    """The inequalities (wall_id, offset, sense) as polyhedra constraints
+    (covector, offset, strict=False) oriented to >=: an upper bound
+    <alpha, .> <= m becomes <-alpha, .> >= -m."""
+    wm = _wall_map(walls)
+    out = []
+    for wid, m, sense in ineqs:
+        alpha = wm[wid].alpha
+        if sense == GE:
+            out.append((alpha, m, False))
+        else:
+            out.append((tuple(-a for a in alpha), -m, False))
+    return out
 
 
 def inequalities_to_json(ineqs):
@@ -317,7 +312,7 @@ def faces_of(A: RealAlcove, walls):
     """
     wm = _wall_map(walls)
     alphas = [wm[wid].alpha for wid, _, _ in A.inequalities]
-    inc = A.vertex_incidence(walls)
+    inc = A.incidence
     if not inc.nums:  # a vertex needs rank many independent covectors
         raise ValueError("unbounded alcove: wall covectors do not span"
                          if matrix_rank(alphas) < A.rank else "empty alcove")
@@ -367,7 +362,7 @@ def opposite_alcove(A: RealAlcove, face: Face, walls) -> RealAlcove:
     if face.codim == 0:
         raise ValueError("codimension-0 face has no opposite alcove")
     f = face.witness
-    return _alcove_around(f, walls, direction=vsub(f, A.interior_point(walls)))
+    return _alcove_around(f, walls, direction=vsub(f, A.interior_point()))
 
 
 class PAlcove(Value):
@@ -553,7 +548,7 @@ def quantum_chamber(lam, chamber: Chamber, walls) -> QuantumChamber:
         out.append((w.id, alpha, sigma_star + 1))
     out.sort(key=lambda q: (q[0], q[1]))
     kept, _ = facets_and_vertices(
-        _integer_rows([(a, m, False) for _, a, m in out]), d)
+        [integer_row((a, m, False)) for _, a, m in out], d)
     return QuantumChamber(lam, tuple(out[i] for i in kept))
 
 

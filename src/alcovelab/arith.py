@@ -231,10 +231,7 @@ class Wall(Value):
 
 class AffineInP(Value):
     """An exact affine function a + b*p of a symbolic (large) prime p.
-
-    Comparison is the "for all p >> 0" order: by slope first, then by the
-    constant term.  Use eval_at for a concrete prime.
-    """
+    Use eval_at for a concrete prime."""
 
     const: Fraction
     slope: Fraction
@@ -257,6 +254,8 @@ class AffineInP(Value):
         return AffineInP(self.const - other.const, self.slope - other.slope)
 
     def _key(self):
+        """The sort key of the "for all p >> 0" (large-p) order: by slope
+        first, then by the constant term."""
         return (self.slope, self.const)
 
     def __hash__(self):
@@ -265,23 +264,11 @@ class AffineInP(Value):
         c, s = self.const, self.slope
         return hash((c.numerator, c.denominator, s.numerator, s.denominator))
 
-    def __lt__(self, other):
-        return self._key() < affine(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= affine(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > affine(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= affine(other)._key()
-
     def crossing_threshold(self, other) -> Fraction | None:
         """The p-value where self and other cross, or None for parallel lines.
 
         For every prime above the threshold the concrete comparison agrees
-        with the large-p order (< and >).
+        with the large-p order (_key).
         """
         other = affine(other)
         if self.slope == other.slope:

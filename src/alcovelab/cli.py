@@ -133,13 +133,13 @@ def _windowed(build, flag, text, *args):
 
 
 def _load_config(args):
-    if getattr(args, "config", None):
+    if args.config:
         return load_instance(args.config)
-    if getattr(args, "builtin", None):
+    if args.builtin:
         if args.n is None:
             raise ConfigError(f"--builtin {args.builtin} needs --n")
         data = {"builtin": args.builtin, "n": args.n}
-        if getattr(args, "ell", None) is not None:
+        if args.ell is not None:
             data["ell"] = args.ell
         return parse_config(data, " ".join(f"--{k} {v}"
                                            for k, v in data.items()))
@@ -229,7 +229,9 @@ SUBCOMMANDS = {
          "kappa window z1:z2"),
         ("--m-window", "m_window", str, False, "-2:2", None, None,
          "shift window m1:m2"))),
-    "wallcross": ("wall-crossing bijection table (Hilb case)", _INSTANCE + (
+    "wallcross": ("wall-crossing bijection table (Hilb case)", (
+        ("--n", "n", int, True, None, None, None,
+         "the table lists the partitions of n"),
         ("--b", "b", int, True, None, None, None, None),
         ("--variant", "variant", str, False, "plain", None, None, None),
         ("--csv", "csv", None, False, False, None, "store_true",
@@ -331,18 +333,12 @@ def _run(args, samples) -> int:
         out = (report_to_json(data) if args.format == "json"
                else to_dot((), covers))
     elif cmd == "wallcross":
-        n, source = args.n, f"--n {args.n}"
-        if n is None:
-            n, source = _load_config(args).instance.meta.get("n"), args.config
-        if n is None:
-            raise ConfigError("wallcross needs --n or a hilb config")
-        if type(n) is not int:
-            raise ConfigError(f"{source}: n must be an integer, not {n!r}")
+        n = args.n
         try:
             # the table lists all p(n) partitions of n
             check_point_count(partition_numbers(), n)
         except ValueError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
+            raise ConfigError(f"--n {n}: {exc}") from exc
         inputs = {"cmd": cmd, "n": n, "b": args.b, "variant": args.variant}
         out = wc_bijection_hilb(n, args.b, args.variant)
         if args.csv:

@@ -52,7 +52,7 @@ def _face_facets(A: RealAlcove, face: Face, walls):
 _cache: dict = {}
 
 
-def _normalize_mod_lattice(A: RealAlcove, face: Face, walls):
+def _cache_key(A: RealAlcove, face: Face, walls):
     """The cache key: (A, face) translated so the face witness lands in
     [0,1)^d, with the wall data.  The witness moves with every lattice
     translate of (A, face), so equal keys mean the same translated face."""
@@ -73,7 +73,7 @@ def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:
     gives the first caller's lambda (ROADMAP item 1 (a)).
     """
     d = A.rank
-    key = _normalize_mod_lattice(A, face, walls)
+    key = _cache_key(A, face, walls)
     lam = _cache.get(key)
     if lam is not None:
         return CompatiblePair(lam, face.witness, A, face)

@@ -10,12 +10,13 @@ import hashlib
 import json
 from json.encoder import encode_basestring_ascii
 
-from .alcoves import GE, LE, RealAlcove, SingularPointError, real_alcove_of
+from .alcoves import (GE, LE, RealAlcove, SingularPointError, constraints_of,
+                      real_alcove_of)
 from .arith import (RATIONAL_LITERAL, Wall, is_saturated, rat, rat_str,
                     saturate, vec, z_classes)
 from .instances import (BUILTINS, POINT_KINDS, FixedPointInstance,
                         builtin_instance)
-from .polyhedra import feasible
+from .polyhedra import feasible, interior_point
 
 TOOL_VERSION = "0.1.0"
 
@@ -262,13 +263,12 @@ def parse_alcove(data, path, instance) -> RealAlcove:
     if not isinstance(data["inequalities"], list):
         raise ConfigError(f"{path}: key 'inequalities' must be a JSON array")
     ids = {w.id for w in instance.walls}
-    A = RealAlcove(instance.rank, tuple(
-        _inequality(entry, f"{path}.inequalities[{i}]", ids)
-        for i, entry in enumerate(data["inequalities"])))
-    strict = [(c, r, True) for c, r, _ in A.constraints(instance.walls)]
-    if not feasible(strict, instance.rank):
+    ineqs = [_inequality(entry, f"{path}.inequalities[{i}]", ids)
+             for i, entry in enumerate(data["inequalities"])]
+    cons = constraints_of(ineqs, instance.walls)
+    if not feasible([(c, r, True) for c, r, _ in cons], instance.rank):
         raise ConfigError(f"{path}: the inequalities have no interior point")
-    center = A.interior_point(instance.walls)
+    center = interior_point(cons, instance.rank)
     if center is None:
         raise ConfigError(f"{path}: the inequalities have no vertex average")
     shown = ",".join(map(rat_str, center))
@@ -278,7 +278,7 @@ def parse_alcove(data, path, instance) -> RealAlcove:
         raise ConfigError(
             f"{path}: the vertex average {shown} lies on wall {exc.wall_id} "
             f"at offset {rat_str(exc.offset)}") from exc
-    if set(alcove.inequalities) != set(A.inequalities):
+    if set(alcove.inequalities) != set(ineqs):
         raise ConfigError(f"{path}: the inequalities are not those of the "
                           f"alcove at their vertex average {shown}")
     return alcove

@@ -180,5 +180,7 @@ def builtin_instance(name: str, **params) -> FixedPointInstance:
     if name == "hilb":
         return hilb_instance(params["n"], params.get("ell", 0))
     if name == "weyl_a":
+        if "ell" in params:
+            raise ValueError(f"weyl_a takes no ell, got {params['ell']}")
         return weyl_a_instance(params["n"])
     raise KeyError(f"unknown builtin instance: {name}")

@@ -1,19 +1,18 @@
 """Exact rational polyhedra in low dimension.
 
 A linear constraint is a triple (coeffs, rhs, strict) meaning
-coeffs . x >= rhs, with strict=True for >.  Every kernel here works on
-integer rows and makes `Fraction`s only at its API boundary: each input row
-is scaled once, by the positive lcm of all its denominators (right-hand
-side included), to an integer row (c, b, strict) meaning c . x >= b (or >),
-which has the same solutions.  An integer row passes through unchanged,
-and a row of int coefficients with a `Fraction` right-hand side is scaled
-without making a `Fraction`.  The double-description pass,
+coeffs . x >= rhs, with strict=True for >.  The coefficients are ints (an
+integer covector) and the right-hand side an int or a `Fraction`.  Every
+kernel here works on integer rows and makes `Fraction`s only at its API
+boundary: `integer_row` is the one scaling rule, which multiplies a row by
+the denominator of its right-hand side to the integer row (c, b, strict)
+meaning c . x >= b (or >), with the same solutions, and rejects a
+coefficient that is not an int.  The double-description pass,
 `facets_and_vertices`, takes integer rows as its contract and checks none
 of them: the alcove build hands in the integer rows it makes from integer
-pairings (`alcoves._alcove_around`), and its two callers that hold
-`Fraction` rows, a bare alcove's `RealAlcove.vertex_incidence` and
-`alcoves.quantum_chamber`, scale their own.  `vertices` and
-`interior_point` scale theirs at the boundary.
+pairings (`alcoves._alcove_around`), and `alcoves.quantum_chamber` scales
+its rows by `integer_row`.  Every other public kernel scales its rows at
+the boundary.
 
 One Fourier-Motzkin elimination loop serves `feasible` (its verdict),
 `find_point` and `first_lattice_point`.  It eliminates x_k by integer
@@ -73,32 +72,22 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .arith import Value, rat, set_field
+from .arith import Value, set_field
 
 
-def _normalize(con):
+def integer_row(con):
+    """The constraint (c, rhs, strict), c an integer covector and rhs an
+    int or a `Fraction`, as the integer row (c, b, strict) meaning
+    c . x >= b (or >): the row times the denominator of rhs.  A
+    coefficient that is not an int is a TypeError."""
     coeffs, rhs, strict = con
-    return tuple(rat(c) for c in coeffs), rat(rhs), bool(strict)
-
-
-def _integer_row(con):
-    """The constraint as an integer row (c, b, strict) meaning c . x >= b
-    (or >): the row times the lcm of all its denominators.  A row whose
-    entries are already ints is returned as it is, and one of int
-    coefficients over a `Fraction` right-hand side is scaled by that
-    denominator alone."""
-    coeffs, rhs, strict = con
-    if all(type(c) is int for c in coeffs):
-        if type(rhs) is int:
-            return tuple(coeffs), rhs, bool(strict)
-        if type(rhs) is Fraction:
-            den = rhs.denominator
-            return (tuple(c * den for c in coeffs), rhs.numerator,
-                    bool(strict))
-    coeffs, rhs, strict = _normalize(con)
-    den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    return (tuple(c.numerator * (den // c.denominator) for c in coeffs),
-            rhs.numerator * (den // rhs.denominator), strict)
+    if not all(type(c) is int for c in coeffs):
+        raise TypeError("a constraint's coefficients must be ints, not "
+                        f"{coeffs!r}")
+    if type(rhs) is int:
+        return tuple(coeffs), rhs, bool(strict)
+    den = rhs.denominator
+    return tuple(c * den for c in coeffs), rhs.numerator, bool(strict)
 
 
 def _tightest_per_direction(rows):
@@ -138,7 +127,7 @@ def _eliminate(constraints, dim):
     variable-free rows left at the end all hold, i.e. whether the system is
     feasible.
     """
-    rows = [_reduced(_integer_row(c)) for c in constraints]
+    rows = [_reduced(integer_row(c)) for c in constraints]
     levels = []
     for k in range(dim - 1, -1, -1):
         levels.append(rows)
@@ -277,7 +266,7 @@ def solve_linear(rows, rhs):
 
     Returns the unique solution tuple, or None if singular/inconsistent.
     """
-    m = [[*c, b] for c, b, _ in (_integer_row((row, b, False))
+    m = [[*c, b] for c, b, _ in (integer_row((row, b, False))
                                  for row, b in zip(rows, rhs, strict=True))]
     n = len(rows[0])
     if len(_bareiss(m, n)) < n or any(row[-1] for row in m[n:]):
@@ -287,7 +276,7 @@ def solve_linear(rows, rhs):
 
 
 def matrix_rank(rows) -> int:
-    m = [list(_integer_row((row, 0, False))[0]) for row in rows]
+    m = [list(integer_row((row, 0, False))[0]) for row in rows]
     return len(_bareiss(m, len(m[0]))) if m else 0
 
 
@@ -295,7 +284,7 @@ def vertices(constraints, dim):
     """All vertices of {x : coeffs.x >= rhs}, every row read as non-strict,
     sorted: the rays with t > 0 of the double-description pass, none for a
     polyhedron with a lineality space."""
-    rows = [_integer_row(c) for c in constraints]
+    rows = [integer_row(c) for c in constraints]
     return _incidence(*_extreme_rays(rows, dim), dim).points()
 
 
@@ -340,8 +329,8 @@ def facets_and_vertices(rows, dim, order=None):
     """(kept indices, VertexIncidence) of {x : c.x >= b} for integer rows
     (c, b, strict), every row read as non-strict: its facets, where it has
     an interior, and the vertices with their tight kept rows, from one
-    pass.  The rows are taken as they are: a caller holding `Fraction`
-    rows scales each to integers first.
+    pass.  The rows are taken as they are: a caller scales its rows by
+    integer_row first.
 
     The pass builds the extreme rays, modulo the lineality space, of the
     cone {(x, t) : c.x >= b*t, t >= 0} over the integer rows (c, b), adding
@@ -467,7 +456,7 @@ def vertex_average(nums, den):
 def interior_point(constraints, dim):
     """A rational point strictly inside a full-dimensional polytope, as the
     average of its vertices' numerators."""
-    rows = [_integer_row(c) for c in constraints]
+    rows = [integer_row(c) for c in constraints]
     inc = _incidence(*_extreme_rays(rows, dim), dim)
     return vertex_average(inc.nums, inc.den) if inc.nums else None
 
@@ -475,7 +464,7 @@ def interior_point(constraints, dim):
 def is_redundant(constraints, idx, dim) -> bool:
     """Whether dropping constraint idx leaves the region unchanged: the rest
     together with the negation of idx must be infeasible."""
-    c, b, strict = _integer_row(constraints[idx])
+    c, b, strict = integer_row(constraints[idx])
     # c.x < b, or c.x <= b when idx itself is strict
     negated = (tuple(-a for a in c), -b, not strict)
     return not feasible([*constraints[:idx], *constraints[idx + 1:], negated],

@@ -19,8 +19,8 @@ from alcovelab import alcoves, polyhedra
 from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
                                PTooSmallError, QuantumChamber, RealAlcove,
                                SingularPointError, _alcove_around,
-                               _bracket_nums, _canonical, faces_of,
-                               integral_walls_and_positive_chamber,
+                               _bracket_nums, _canonical, constraints_of,
+                               faces_of, integral_walls_and_positive_chamber,
                                opposite_alcove, p_alcove_of, p_membership,
                                quantum_chamber, real_alcove_of,
                                translation_path)
@@ -31,7 +31,8 @@ from alcovelab.polyhedra import (facets_and_vertices, feasible, find_point,
                                  interior_point, irredundant, matrix_rank,
                                  vertices)
 from alcovelab.validate import p_lattice_point, validate_p
-from test_polyhedra import integer_rows, irredundant_and_vertices
+from test_polyhedra import (fraction_matrix_rank, integer_rows,
+                            irredundant_and_vertices)
 
 A2 = weyl_a_instance(3)
 HILB2 = hilb_instance(2, 0)
@@ -73,9 +74,9 @@ def alcove_contains(A, x, walls, strict=False):
 
 
 def reference_real_alcove(x, walls):
-    """real_alcove_of as first written: both bounds around x for every
-    class of sigma_tilde mod Z on every wall, then irredundant.  None for a
-    point on a hyperplane."""
+    """real_alcove_of's inequalities as first found: both bounds around x
+    for every class of sigma_tilde mod Z on every wall, then irredundant.
+    None for a point on a hyperplane."""
     x = vec(x)
     ineqs = []
     for w in walls:
@@ -87,9 +88,8 @@ def reference_real_alcove(x, walls):
             lo = rep + (t - rep).__floor__()
             ineqs += [(w.id, lo, GE), (w.id, lo + 1, LE)]
     ineqs = sorted(ineqs, key=lambda b: (b[0], b[2], b[1]))
-    kept = irredundant(RealAlcove(len(x), tuple(ineqs)).constraints(walls),
-                       len(x))
-    return RealAlcove(len(x), tuple(ineqs[i] for i in kept))
+    kept = irredundant(constraints_of(ineqs, walls), len(x))
+    return tuple(ineqs[i] for i in kept)
 
 
 DIFF_INSTANCES = ([hilb_instance(n, ell) for n in range(2, 9)
@@ -109,7 +109,7 @@ def test_real_alcove_matches_all_class_reference(data):
         with pytest.raises(SingularPointError):
             real_alcove_of(x, inst.walls)
     else:
-        assert real_alcove_of(x, inst.walls) == expected
+        assert real_alcove_of(x, inst.walls).inequalities == expected
 
 
 def test_same_alcove_same_inequalities():
@@ -193,8 +193,8 @@ def reference_faces(A, walls):
             active = [A.inequalities[i] for i, (coeffs, rhs, _) in
                       enumerate(cons)
                       if all(pairing(coeffs, v) == rhs for v in vset)]
-            dim = matrix_rank([tuple(a - b for a, b in zip(v, vset[0]))
-                               for v in vset[1:]]) if len(vset) > 1 else 0
+            dim = fraction_matrix_rank(
+                [tuple(a - b for a, b in zip(v, vset[0])) for v in vset[1:]])
             seen[vset] = Face(
                 parent=A,
                 active=tuple(sorted(active, key=lambda t: (t[0], t[2], t[1]))),
@@ -271,7 +271,7 @@ def fraction_alcove(x, walls, p=None, direction=None):
     with one pass over them in their own order."""
     rows = bracket_rows(x, walls, p, direction)
     kept, inc = facets_and_vertices(
-        integer_rows(RealAlcove(len(x), rows).constraints(walls)), len(x))
+        integer_rows(constraints_of(rows, walls)), len(x))
     return RealAlcove(len(x), tuple(rows[i] for i in kept), inc)
 
 
@@ -302,11 +302,11 @@ def test_alcove_facets_and_vertices_match_irredundant_and_vertices(data):
     if A is None:
         return
     rows = bracket_rows(x, walls)
-    cons = RealAlcove(rank, rows).constraints(walls)
+    cons = constraints_of(rows, walls)
     kept, inc = facets_and_vertices(integer_rows(cons), rank)
     assert (kept, inc.points()) == irredundant_and_vertices(cons, rank)
     assert A.inequalities == tuple(rows[i] for i in kept)
-    assert inc.points() == A.vertices(walls)
+    assert inc.points() == A.vertices()
     assert inc == A.incidence
 
 
@@ -359,7 +359,7 @@ def test_direction_build_matches_the_bracket_slopes(data):
     drawn = tuple(data.draw(st.lists(
         st.fractions(min_value=-2, max_value=2, max_denominator=7),
         min_size=rank, max_size=rank)))
-    for u in (vsub(f, A.interior_point(walls)), drawn):
+    for u in (vsub(f, A.interior_point()), drawn):
         assert build_outcome(_alcove_around, f, walls, None, u) == \
             build_outcome(fraction_alcove, f, walls, None, u)
 
@@ -372,21 +372,23 @@ def test_carried_vertices_leave_equality_hash_and_json_alone(data):
     x, A = regular_alcove(data, walls, rank)
     if A is None:
         return
-    bare = RealAlcove(A.rank, A.inequalities)
-    assert A.incidence is not None and bare.incidence is None
-    assert A == bare and hash(A) == hash(bare)
-    assert A.to_json() == bare.to_json()
-    assert A.vertices(walls) == bare.vertices(walls)
-    assert A.interior_point(walls) == interior_point(A.constraints(walls),
-                                                     rank)
+    # the carried record is the one a pass over the kept rows gives
+    cons = constraints_of(A.inequalities, walls)
+    kept, inc = facets_and_vertices(integer_rows(cons), rank)
+    assert kept == list(range(len(cons))) and inc == A.incidence
+    other = A.replace(incidence=polyhedra.VertexIncidence(1, (), ()))
+    assert A == other and hash(A) == hash(other)
+    assert A.to_json() == other.to_json()
+    assert A.vertices() == vertices(cons, rank)
+    assert A.interior_point() == interior_point(cons, rank)
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,
                                  max_size=rank)))
     B = A.translate(v, walls)
-    assert B == bare.translate(v, walls) == real_alcove_of(vadd(x, v), walls)
-    assert B.incidence == bare.translate(v, walls).incidence
-    assert B.vertices(walls) == vertices(B.constraints(walls), rank)
-    assert B.interior_point(walls) == interior_point(B.constraints(walls),
-                                                     rank)
+    assert B == real_alcove_of(vadd(x, v), walls)
+    assert B.incidence == facets_and_vertices(
+        integer_rows(B.constraints(walls)), rank)[1]
+    assert B.vertices() == vertices(B.constraints(walls), rank)
+    assert B.interior_point() == interior_point(B.constraints(walls), rank)
 
 
 def pairing_incidence(A, walls):
@@ -425,7 +427,7 @@ def test_carried_incidence_matches_pairing_tightness(data):
 def test_translate_by_a_non_lattice_vector_is_a_value_error():
     # A + (1/2,) would be [5/6, 1], but the alcove at 11/12 is [2/3, 4/3]
     A = real_alcove_of((F(5, 12),), HILB3.walls)
-    assert A.vertices(HILB3.walls) == [(F(1, 3),), (F(1, 2),)]
+    assert A.vertices() == [(F(1, 3),), (F(1, 2),)]
     with pytest.raises(ValueError, match=r"^translate: \(1/2\) is not a "
                                          r"lattice vector$"):
         A.translate((F(1, 2),), HILB3.walls)
@@ -457,37 +459,31 @@ def test_faces_and_opposite_alcoves_solve_no_vertices_again():
             assert counts == one_pass
             counts.clear()
             faces = faces_of(A, walls)
-            A.interior_point(walls)
+            A.interior_point()
             faces_of(A.translate((3,) * A.rank, walls), walls)
             assert counts == Counter()
             for face in faces[1:]:
                 opposite_alcove(A, face, walls)
                 assert counts == one_pass
                 counts.clear()
-        # an alcove made without its record solves for it, once
-        RealAlcove(A.rank, A.inequalities).interior_point(walls)
-        assert counts == one_pass
 
 
 def test_the_pass_reads_the_integer_rows_it_is_handed():
     # facets_and_vertices takes integer rows as its contract: the alcove
-    # build makes them, a bare alcove and a quantum chamber scale their
-    # Fraction rows, and the pass re-checks none
-    ran = AssertionError("polyhedra._integer_row ran")
+    # build makes them, a quantum chamber scales its rows by integer_row
+    # before the pass, and the pass re-checks none
+    ran = AssertionError("polyhedra.integer_row ran")
     cases = [((F(1, 3), F(1, 5)), A2.walls), ((F(1, 10),), HILB3.walls),
              ((F(1, 7), F(1, 5), F(-1, 3)), OCTAHEDRAL_WALLS)]
     for x, walls in cases:
         A = real_alcove_of(x, walls)
-        bare = RealAlcove(A.rank, A.inequalities)
         expected = vertices(A.constraints(walls), A.rank)
-        with mock.patch.object(polyhedra, "_integer_row", side_effect=ran):
-            assert real_alcove_of(x, walls).vertices(walls) == expected
-            assert bare.vertices(walls) == expected
-            assert bare.vertex_incidence(walls) == A.incidence
+        with mock.patch.object(polyhedra, "integer_row", side_effect=ran):
+            assert real_alcove_of(x, walls).vertices() == expected
     lam = (F(2), F(-1), F(3))
     walls = weyl_a_instance(4).walls
     _, chamber = integral_walls_and_positive_chamber(lam, walls)
-    with mock.patch.object(polyhedra, "_integer_row", side_effect=ran):
+    with mock.patch.object(polyhedra, "integer_row", side_effect=ran):
         got = quantum_chamber(lam, chamber, walls)
     assert got == quantum_chamber(lam, chamber, walls)
     assert len(got.inequalities) == 3
@@ -498,22 +494,27 @@ def test_walls_that_do_not_span_keep_irredundant_bounds():
     walls = [Wall(id=0, alpha=(1, 0), sigma_tilde=frozenset([F(0)]))]
     A = real_alcove_of((F(1, 3), F(5)), walls)
     assert A.inequalities == ((0, F(1), LE), (0, F(0), GE))
-    assert A.incidence.nums == () and A.interior_point(walls) is None
+    assert A.incidence.nums == () and A.interior_point() is None
     with pytest.raises(ValueError, match="^unbounded alcove: wall covectors "
                                          "do not span$"):
         faces_of(A, walls)
 
 
-def test_faces_of_a_bare_alcove_with_a_redundant_row_is_a_value_error():
-    # a bare alcove's masks cover only the rows its pass keeps, so faces_of
-    # would misname the active rows of [1/3, 1/2] with x >= 0 added
-    A = real_alcove_of((F(5, 12),), HILB3.walls)
-    bare = RealAlcove(1, ((0, F(0), GE),) + A.inequalities)
-    assert bare.vertices(HILB3.walls) == A.vertices(HILB3.walls)
-    assert bare.interior_point(HILB3.walls) == (F(5, 12),)
+def test_faces_of_a_build_with_a_row_on_no_vertex_is_a_value_error():
+    # a p-family build with no interior keeps every bound, and its masks
+    # leave out the rows tight on no vertex: Hilb(3, ell 1)'s shifts on
+    # three walls of the plane at p = 7 around (-14, -12), whose one vertex
+    # (-2, -5/3) lies on neither of wall 0's bounds, so faces_of would
+    # misname the active rows; it is p_membership's source alcove before
+    # PTooSmallError
+    walls = [Wall(id=i, alpha=a, sigma_tilde=hilb_sigma_tilde(3, 1))
+             for i, a in enumerate([(1, 0), (0, 1), (1, 1)])]
+    A = _alcove_around((-14, -12), walls, 7)
+    assert A.vertices() == [(F(-2), F(-5, 3))]
+    assert A.incidence.masks == (0b111100,)
     with pytest.raises(ValueError, match="^redundant inequalities: not an "
                                          "alcove's facets$"):
-        faces_of(bare, HILB3.walls)
+        faces_of(A, walls)
 
 
 @pytest.mark.parametrize("n, ell, p, x, bounds, verts", [
@@ -528,9 +529,9 @@ def test_small_p_alcoves_without_interior_keep_irredundant_bounds(
     # in rank 1 both bounds are irredundant, and the build keeps every bound
     walls = hilb_instance(n, ell).walls
     assert bracket_rows((x,), walls, p) == bounds
-    assert irredundant(RealAlcove(1, bounds).constraints(walls), 1) == [0, 1]
+    assert irredundant(constraints_of(bounds, walls), 1) == [0, 1]
     A = _alcove_around((x,), walls, p)
-    assert (A.inequalities, A.vertices(walls)) == (bounds, verts)
+    assert (A.inequalities, A.vertices()) == (bounds, verts)
     with pytest.raises(PTooSmallError):
         p_membership((x,), p, walls)
 
@@ -547,12 +548,12 @@ def test_small_p_alcove_without_interior_in_rank_2_keeps_every_bound():
     assert bounds == ((0, F(-5, 3), LE), (0, F(-7, 3), GE),
                       (1, F(-5, 3), LE), (1, F(-5, 3), GE),
                       (2, F(-11, 3), LE), (2, F(-11, 3), GE))
-    assert irredundant(RealAlcove(2, bounds).constraints(walls), 2) == \
+    assert irredundant(constraints_of(bounds, walls), 2) == \
         [2, 3, 4, 5]
     with mock.patch.object(polyhedra, "irredundant", must_not_run):
         A = _alcove_around(x, walls, p)
         assert A.inequalities == bounds
-        assert A.vertices(walls) == [(F(-2), F(-5, 3))]
+        assert A.vertices() == [(F(-2), F(-5, 3))]
         with pytest.raises(PTooSmallError):
             p_membership(x, p, walls)
 

@@ -97,17 +97,18 @@ def test_saturate_monotone(s, extra):
 
 
 def test_cmp_large_p_examples():
-    # the large-p order of AffineInP: the sign of f - g for every large p
+    # the large-p order of AffineInP (its _key): the sign of f - g for
+    # every large p
     for f, g, c in [(AffineInP(3, 0), AffineInP(0, 1), -1),
                     (AffineInP(1, 2), AffineInP(5, 2), -1),
                     (AffineInP(0, 0), AffineInP(0, 0), 0)]:
-        assert (f > g) - (f < g) == c
+        assert (f._key() > g._key()) - (f._key() < g._key()) == c
 
 
 @given(rationals, rationals, rationals, rationals)
 def test_cmp_agrees_with_eval_above_threshold(a1, b1, a2, b2):
     f, g = AffineInP(a1, b1), AffineInP(a2, b2)
-    c = (f > g) - (f < g)
+    c = (f._key() > g._key()) - (f._key() < g._key())
     t = f.crossing_threshold(g)
     start = 1 if t is None else math.ceil(t) + 1
     for p in (start, start + 100):
@@ -174,9 +175,13 @@ def test_affine_arithmetic_exact(a1, b1, a2, b2):
 
 
 def test_affine_ordering_operators():
-    assert AffineInP(5, 0) < AffineInP(0, F(1, 3))
-    assert AffineInP(1, 1) <= AffineInP(1, 1)
-    assert AffineInP(2, 1) > AffineInP(100, 0)
+    # the large-p order is the order of the keys; AffineInP defines no
+    # comparison operator of its own
+    assert AffineInP(5, 0)._key() < AffineInP(0, F(1, 3))._key()
+    assert AffineInP(1, 1)._key() <= AffineInP(1, 1)._key()
+    assert AffineInP(2, 1)._key() > AffineInP(100, 0)._key()
+    with pytest.raises(TypeError):
+        AffineInP(5, 0) < AffineInP(0, 1)
 
 
 def fraction_kappa_text(f):

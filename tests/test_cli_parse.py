@@ -120,7 +120,10 @@ def oracle_parser() -> argparse.ArgumentParser:
     s.add_argument("--window", required=True, help="kappa window z1:z2")
     s.add_argument("--m-window", default="-2:2", help="shift window m1:m2")
 
-    s = sub("wallcross", help="wall-crossing bijection table (Hilb case)")
+    s = sp.add_parser("wallcross",
+                      help="wall-crossing bijection table (Hilb case)")
+    s.add_argument("--n", type=int, required=True,
+                   help="the table lists the partitions of n")
     s.add_argument("--b", type=int, required=True)
     s.add_argument("--variant", default="plain")
     s.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")

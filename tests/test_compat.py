@@ -270,7 +270,7 @@ def probing_opposite_alcove(A, face, walls):
     """opposite_alcove as first written: step from the face witness away
     from A's interior by halving steps until the alcove there differs from
     A and shares the face."""
-    a = A.interior_point(walls)
+    a = A.interior_point()
     f = face.witness
     step = vsub(f, a)
     t = F(1, 2)

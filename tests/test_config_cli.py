@@ -98,9 +98,11 @@ def test_wall_config_schema_errors():
      "identify the alcove with --point or --alcove-id"),
     (None, ["alcove", "--point", "1"],
      "no instance: pass --config FILE or --builtin NAME"),
-    ({"rank": 1, "walls": [{"id": 0, "alpha": [1], "sigma_tilde": ["0"]}]},
-     ["wallcross", "--config", "{path}", "--b", "2"],
-     "wallcross needs --n or a hilb config"),
+    # weyl_a has no ell: a config's ell is named, not dropped (in the
+    # place of a deleted case, so that the ids of the cases after it stay)
+    ({"builtin": "weyl_a", "n": 3, "ell": 5},
+     ["alcove", "--config", "{path}", "--point", "1/3,1/3"],
+     "{path}: weyl_a takes no ell, got 5"),
     ({"rank": 2, "walls": [{"id": 0, "alpha": [1, 0], "sigma_tilde": ["0"]}]},
      ["faces", "--config", "{path}", "--point", "1/3,1/3"],
      "unbounded alcove: wall covectors do not span"),
@@ -158,6 +160,9 @@ def test_wall_config_schema_errors():
     # a file nested deeper than the JSON decoder's recursion limit
     pytest.param("[" * 100_000, ["export", "--in", "{path}"],
                  "{path}: JSON nested too deeply to read", id="deep-json"),
+    (None, ["alcove", "--builtin", "weyl_a", "--n", "3", "--ell", "5",
+            "--point", "1/3,1/3"],
+     "--builtin weyl_a --n 3 --ell 5: weyl_a takes no ell, got 5"),
 ])
 def test_cli_error_paths(tmp_path, config, argv, expected):
     """Each bad invocation exits 1 with one {"error": ...} line.  A config
@@ -364,23 +369,16 @@ def test_cli_wallcross_csv():
     assert "1+1+1,," in out  # EXTERNAL row has no image
 
 
-def test_cli_wallcross_bounds_n_before_listing_partitions(tmp_path):
+def test_cli_wallcross_bounds_n_before_listing_partitions():
     # p(4) = 5 and p(5) = 7: with the bound patched down to 5, n = 5 is
-    # rejected from --n and from a config's n before any partition is listed
-    path = tmp_path / "points.json"
-    table = {**POINTS_CONFIG, "points": [{**POINTS_CONFIG["points"][0],
-                                          "id": "1"}]}
-    path.write_text(json.dumps({**table, "meta": {"points": "partitions",
-                                                  "n": 5}}))
+    # rejected from --n before any partition is listed
     with mock.patch.object(instances, "MAX_POINTS", 5), \
             mock.patch.object(import_module("alcovelab.mullineux"),
                               "partitions",
                               side_effect=AssertionError("listed")) as listed:
-        for source, argv in (("--n 5", ["--n", "5"]),
-                             (path, ["--config", str(path)])):
-            assert run_cli(["wallcross", *argv, "--b", "2"]) == (
-                1, json.dumps({"error": f"{source}: n = 5 gives more than "
-                                        "5 fixed points (the bound)"}) + "\n")
+        assert run_cli(["wallcross", "--n", "5", "--b", "2"]) == (
+            1, json.dumps({"error": "--n 5: n = 5 gives more than 5 fixed "
+                                    "points (the bound)"}) + "\n")
         listed.assert_not_called()
     with mock.patch.object(instances, "MAX_POINTS", 5):
         code, out = run_cli(["wallcross", "--n", "4", "--b", "2"])
@@ -388,11 +386,6 @@ def test_cli_wallcross_bounds_n_before_listing_partitions(tmp_path):
     # a negative n passes the bound and meets the table's own check on n
     assert run_cli(["wallcross", "--n", "-1", "--b", "2"]) == (
         1, json.dumps({"error": "n must be at least 2, got -1"}) + "\n")
-    path.write_text(json.dumps({**table, "meta": {"points": "partitions",
-                                                  "n": "5"}}))
-    assert run_cli(["wallcross", "--config", str(path), "--b", "2"]) == (
-        1, json.dumps({"error": f"{path}: n must be an integer, not '5'"})
-        + "\n")
 
 
 def test_cli_export_roundtrip(tmp_path):

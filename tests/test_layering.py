@@ -1,5 +1,6 @@
 """The core modules never import the config module, the facet rule stays
-in alcoves, and polyhedra has one facet path.
+in alcoves, polyhedra has one facet path, and only alcoves builds a real
+alcove.
 
 Standard library only.  `config` is the one module that reads JSON input,
 so the modules below it know nothing of the input contract: a core module
@@ -8,7 +9,9 @@ is the one module that orients an alcove's inequalities: a module that
 used `oriented_facet` or the senses `GE`/`LE` would start a second copy of
 the p-alcove's facets.  `polyhedra.facets_and_vertices` reads the facets
 off its rays and keeps every row of a system with no interior: a call of
-`irredundant` or `is_redundant` would start a second facet path.
+`irredundant` or `is_redundant` would start a second facet path.  Every
+`RealAlcove` carries the incidence of that pass: a module outside
+`alcoves` that called `RealAlcove(` would build one the pass never saw.
 """
 
 import ast
@@ -134,3 +137,30 @@ def test_no_module_calls_irredundant_or_is_redundant():
     calls = [(path.stem, *call) for path in sorted(PACKAGE.glob("*.py"))
              for call in irredundant_calls(path.read_text(encoding="utf-8"))]
     assert calls == [("polyhedra", "irredundant", "is_redundant")]
+
+
+def real_alcove_calls(source):
+    """Line numbers of the calls of RealAlcove in source, by name or as an
+    attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "RealAlcove"]
+
+
+def test_the_check_sees_each_call_of_real_alcove():
+    source = ("from .alcoves import RealAlcove\n"
+              "from . import alcoves\n"
+              "A = RealAlcove(1, (), inc)\n"
+              "B = alcoves.RealAlcove(1, (), inc)\n"
+              "def f(x: RealAlcove) -> RealAlcove:\n"
+              "    return isinstance(x, RealAlcove)\n")
+    assert real_alcove_calls(source) == [3, 4]
+
+
+def test_only_alcoves_builds_a_real_alcove():
+    # every alcove comes from the one double-description pass, or from a
+    # translate of one, both in alcoves, and carries that pass's incidence
+    assert [path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if real_alcove_calls(path.read_text(encoding="utf-8"))] == \
+        ["alcoves"]

@@ -860,7 +860,8 @@ def test_crossing_threshold_bound():
     p = t + 1
     for a in pre.labels:
         for b in pre.labels:
-            sym = (a.kappa > b.kappa) - (a.kappa < b.kappa)
+            sym = ((a.kappa._key() > b.kappa._key())
+                   - (a.kappa._key() < b.kappa._key()))
             conc = ((a.kappa.eval_at(p) > b.kappa.eval_at(p))
                     - (a.kappa.eval_at(p) < b.kappa.eval_at(p)))
             assert sym == conc

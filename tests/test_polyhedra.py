@@ -53,6 +53,22 @@ def test_redundancy():
     assert irredundant(cons, 2) == [0, 1, 2]
 
 
+def test_a_fraction_covector_is_a_type_error_at_every_entry():
+    # integer_row scans the coefficients before any kernel runs: without
+    # it, _bareiss would floor-divide Fractions
+    cons = [((F(1, 2), 0), F(0), False)] + TRIANGLE
+    covectors = [c for c, _, _ in cons]
+    for call in (lambda: feasible(cons, 2), lambda: find_point(cons, 2),
+                 lambda: first_lattice_point(cons, 2),
+                 lambda: solve_linear(covectors[:2], (1, 2)),
+                 lambda: matrix_rank(covectors), lambda: vertices(cons, 2),
+                 lambda: interior_point(cons, 2)):
+        with pytest.raises(TypeError, match="must be ints"):
+            call()
+    # the same system as integer rows
+    assert vertices(integer_rows(cons), 2) == vertices(TRIANGLE, 2)
+
+
 def test_solve_linear_and_rank():
     assert solve_linear([(2, 0), (0, 4)], (1, 2)) == (F(1, 2), F(1, 2))
     assert solve_linear([(1, 1), (2, 2)], (1, 2)) is None  # singular
@@ -116,9 +132,16 @@ def test_irredundant_keeps_indices_implying_the_dropped_rows(system):
         assert is_redundant(kept_rows + [cons[j]], len(kept_rows), dim)
 
 
+def fraction_row(con):
+    """The row (coeffs, rhs, strict) with every entry, an int, a Fraction
+    or a "num/den" string, made a Fraction."""
+    coeffs, rhs, strict = con
+    return tuple(F(c) for c in coeffs), F(rhs), bool(strict)
+
+
 def unpruned_eliminate(constraints, dim):
     """polyhedra._eliminate without pruning: every derived row is kept."""
-    cons = [polyhedra._normalize(c) for c in constraints]
+    cons = [fraction_row(c) for c in constraints]
     levels = []
     for k in range(dim - 1, -1, -1):
         levels.append(cons)
@@ -251,13 +274,16 @@ def rational_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(rational_systems())
 def test_integer_rows_of_rational_systems_match_the_oracles(system):
+    # the kernels take integer covectors: a rational system goes in as its
+    # integer rows, and the answers are those of the rational rows
     cons, dim, radius = system
-    got = (feasible(cons, dim), find_point(cons, dim))
+    rows = integer_rows(cons)
+    got = (feasible(rows, dim), find_point(rows, dim))
     with mock.patch.object(polyhedra, "_eliminate", unpruned_eliminate):
         assert got == (feasible(cons, dim), find_point(cons, dim))
-    assert first_lattice_point(cons + box_rows(dim, radius), dim) == \
+    assert first_lattice_point(rows + box_rows(dim, radius), dim) == \
         lex_scan(cons, dim, radius)
-    levels, _ = polyhedra._eliminate(cons, dim)
+    levels, _ = polyhedra._eliminate(rows, dim)
     for level in levels:
         for coeffs, rhs, _ in level:
             assert all(type(c) is int for c in (*coeffs, rhs))
@@ -265,15 +291,16 @@ def test_integer_rows_of_rational_systems_match_the_oracles(system):
 
 
 def integer_rows(constraints):
-    """The rows as facets_and_vertices takes them: each made an integer
-    row (c, b, strict) by polyhedra._integer_row."""
-    return [polyhedra._integer_row(c) for c in constraints]
+    """The rows, of any rational entries, as the kernels take them: each
+    made an integer row (c, b, strict) by lcm_integer_row."""
+    return [lcm_integer_row(c) for c in constraints]
 
 
 def lcm_integer_row(con):
-    """Test-only oracle: polyhedra._integer_row's general path, the row
-    made Fractions and scaled by the lcm of all its denominators."""
-    coeffs, rhs, strict = polyhedra._normalize(con)
+    """Test-only oracle: the row made Fractions and scaled by the lcm of
+    all its denominators, as polyhedra scaled a row before its covectors
+    had to be integer."""
+    coeffs, rhs, strict = fraction_row(con)
     den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
     return (tuple(c.numerator * (den // c.denominator) for c in coeffs),
             rhs.numerator * (den // rhs.denominator), strict)
@@ -282,14 +309,12 @@ def lcm_integer_row(con):
 @settings(max_examples=300)
 @given(st.lists(st.integers(-30, 30), max_size=5),
        st.one_of(st.integers(-30, 30),
-                 st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
-                 st.builds("{}/{}".format, st.integers(-30, 30),
-                           st.integers(1, 12))),
+                 st.builds(F, st.integers(-30, 30), st.integers(1, 12))),
        st.booleans())
 def test_integer_row_of_int_coefficients_matches_the_lcm_oracle(coeffs, rhs,
                                                                  strict):
     con = (coeffs, rhs, strict)
-    row = polyhedra._integer_row(con)
+    row = polyhedra.integer_row(con)
     assert row == lcm_integer_row(con)
     assert all(type(x) is int for x in (*row[0], row[1]))
 
@@ -333,7 +358,7 @@ def fraction_matrix_rank(rows):
 
 
 def fraction_vertices(constraints, dim):
-    cons = [polyhedra._normalize(c) for c in constraints]
+    cons = [fraction_row(c) for c in constraints]
     verts = set()
     for subset in combinations(cons, dim):
         sol = fraction_solve_linear([c for c, _, _ in subset],
@@ -371,14 +396,15 @@ def linear_systems(draw):
 @settings(max_examples=400, deadline=None)
 @given(linear_systems())
 def test_bareiss_kernels_match_the_fraction_oracles(system):
+    # each rational equation scaled to an integer one, with the same
+    # solutions and, row by row, the same span
     rows, rhs = system
-    assert matrix_rank(rows) == fraction_matrix_rank(rows)
-    got = solve_linear(rows, rhs)
+    scaled = integer_rows([(row, b, False) for row, b in zip(rows, rhs)])
+    int_rows, int_rhs = [c for c, _, _ in scaled], [b for _, b, _ in scaled]
+    assert matrix_rank(int_rows) == fraction_matrix_rank(rows)
+    got = solve_linear(int_rows, int_rhs)
     assert got == fraction_solve_linear(rows, rhs)
     assert got is None or all(type(x) is F for x in got)
-    # as strings, so the integer scaling meets the "num/den" input form
-    as_text = [[str(a) for a in row] for row in rows]
-    assert solve_linear(as_text, [str(b) for b in rhs]) == got
 
 
 @st.composite
@@ -398,15 +424,16 @@ def vertex_systems(draw):
 @given(vertex_systems())
 def test_vertices_match_the_fraction_oracle(system):
     cons, dim = system
-    got = vertices(cons, dim)
+    rows = integer_rows(cons)
+    got = vertices(rows, dim)
     assert got == fraction_vertices(cons, dim) == subset_vertices(cons, dim)
     assert all(type(x) is F for v in got for x in v)
     if got:
         n = len(got)
-        assert interior_point(cons, dim) == tuple(
+        assert interior_point(rows, dim) == tuple(
             sum(v[j] for v in got) / n for j in range(dim))
     else:
-        assert interior_point(cons, dim) is None
+        assert interior_point(rows, dim) is None
 
 
 def feasible_is_redundant(constraints, idx, dim):

@@ -58,8 +58,7 @@ def mirror_of(cls):
     namespace = {}
     if cls is RealAlcove:
         fields[-1] = ("incidence", object,
-                      dataclasses.field(default=None, compare=False,
-                                        repr=False))
+                      dataclasses.field(compare=False, repr=False))
     if cls is AffineInP:
         namespace["__hash__"] = AffineInP.__hash__
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
@@ -163,7 +162,8 @@ def test_defaults_are_the_dataclass_defaults():
         "x", 1, (), {}, {}, (), (), (), {}))
     assert inst.meta == {} and inst.meta is not \
         FixedPointInstance("x", 1, (), {}, {}).meta
-    assert RealAlcove(1, ()).incidence is None
+    with pytest.raises(TypeError):   # an alcove carries its incidence
+        RealAlcove(1, ())
     with pytest.raises(TypeError):
         AffineInP().replace(offset=1)
 
