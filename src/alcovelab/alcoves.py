@@ -292,7 +292,8 @@ def faces_of(A: RealAlcove, walls):
     bitmask, picks the vertices whose masks contain it: those of the subset
     with its lowest bit cleared that are tight on that bit's inequality, one
     AND of two vertex bitmasks, and the face is keyed by the bitmask of its
-    vertices.  Its active inequalities, those in all of their masks, are the
+    vertices.  Its active inequalities, those in all of their masks, in A's
+    order, which is canonical for every built alcove and translate, are the
     rows tight on the whole face, and they cut out its affine hull
     (Schrijver, "Theory of Linear and Integer Programming", 1986, ch. 8), so
     its codimension is the rank of their covectors.  That rank is read off
@@ -347,7 +348,7 @@ def faces_of(A: RealAlcove, walls):
             codim = matrix_rank([alphas[i] for i in active_idx])
         seen[on_set] = Face(
             parent=A,
-            active=_canonical([A.inequalities[i] for i in active_idx]),
+            active=tuple(A.inequalities[i] for i in active_idx),
             codim=codim,
             witness=vertex_average([inc.nums[j] for j in on], inc.den),
             vertex_set=tuple(verts[j] for j in on),

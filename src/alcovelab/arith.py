@@ -113,11 +113,13 @@ def vscale(k, v):
 
 
 def _num_den(v):
-    """(numerator, denominator) of an int, or else of Fraction(v)."""
+    """(numerator, denominator) of an int or a Fraction; anything else,
+    a bool, a float or a string among them, is a TypeError."""
     if type(v) is int:
         return v, 1
     if type(v) is not Fraction:
-        v = Fraction(v)
+        raise TypeError(f"a pairing entry must be an int or a Fraction, "
+                        f"not {v!r}")
     return v.numerator, v.denominator
 
 
@@ -194,7 +196,7 @@ class Wall(Value):
     alpha: tuple
     sigma_tilde: frozenset
 
-    def __init__(self, id, alpha, sigma_tilde=frozenset()):
+    def __init__(self, id, alpha, sigma_tilde):
         alpha = primitivize(alpha)
         st = frozenset(rat(x) for x in sigma_tilde)
         if not st:

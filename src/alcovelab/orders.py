@@ -8,7 +8,6 @@ single scalar; higher rank is not implemented.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from functools import cached_property
 from math import inf, lcm
@@ -103,21 +102,6 @@ class LabeledPoset(Value):
                 above = above.union(level)
         return out
 
-    def above(self, a: Label):
-        """The labels b > a, one at a time: by ascending kappa, in label
-        order within a level."""
-        for level in self._levels[self.blocks[a]]:
-            if level[0].kappa > a.kappa:
-                yield from level
-
-    def less(self, a: Label, b: Label) -> bool:
-        return (a in self.blocks and self.blocks[a] == self.blocks.get(b)
-                and a.kappa < b.kappa)
-
-    def max_chain_length(self) -> int:
-        """Number of labels in the longest chain: the most levels of a block."""
-        return max(map(len, self._levels.values()), default=0)
-
     def to_json(self, instance=None):
         name = (instance.point_str if instance is not None else str)
         names = {x: name(x) for x in {l.point for l in self.labels}}
@@ -168,10 +152,11 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     (1) the shift acts freely with finitely many orbits; (2) the order is
     shift-invariant; (3) L < S L; (4) cofinality: L < L' admits n <= d_bound
     with L' < S^n L; (5) chains are bounded by d_bound (observed maximum
-    reported).  Axioms 2 and 4 are decided per block, each block's levels
-    read top down, as a walk over the pairs a < b (a in label order, b in
-    the order of LabeledPoset.above) decides them: the axiom 2 witness is
-    the first pair that fails, and max_n is the largest n over all pairs.
+    reported).  Axioms 2 to 5 are decided in one scan of each block's
+    levels, top down, with the same verdicts as a walk over the pairs
+    a < b: the axiom 2 witness is the first pair that fails, a in label
+    order and b by ascending kappa, in label order within a level, and
+    max_n is the largest n over all pairs.
     """
     p = poset.p
     z1, z2 = poset.window
@@ -191,16 +176,17 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     for l in poset.labels:
         shifted[l] = (blocks.get(shift(l, 1, p)), blocks.get(shift(l, -1, p)))
         orbits[l.point, l.kappa % p].add(blocks[l])
-    # Axiom 2: a < b fails when S^z a and S^z b lie in two blocks, so a has
-    # a failing b when the shifts S^z of the labels above a meet a block
-    # other than S^z a's; up and down keep two such blocks for z = 1, -1.
+    # Axiom 2: a < b fails when S^z a and S^z b lie in two blocks, so a
+    # fails when the shifts S^z of the labels above it meet a block other
+    # than S^z a's; up and down keep two such blocks for z = 1, -1.
+    # Axiom 3: S a lies above a, so a < S a iff S a is in a's block.
     # Axiom 4: n = (b.kappa - a.kappa) // p + 1 is largest on a block's end
-    # levels.  S^n a lies above b, so b < S^n a fails only when S^n a is in
-    # another block, which needs a's shift orbit to meet two blocks; then a
-    # bisect asks for a level in [a.kappa + (n-1)p, a.kappa + np) above a.
-    failing, cofinal, max_n = set(), True, 0
-    for levels in poset._levels.values():
+    # levels; S^n a lies above b, so b < S^n a fails only when S^n a is in
+    # another block, which needs a's shift orbit to meet two blocks.
+    failing, below_shift, cofinal, max_n, longest = set(), True, True, 0, 0
+    for block, levels in poset._levels.items():
         ks = [level[0].kappa for level in levels]
+        longest = max(longest, len(ks))
         max_n = max(max_n, (ks[-1] - ks[0]) // p + 1 if len(ks) > 1 else 0)
         up, down = set(), set()
         for j in reversed(range(len(ks))):
@@ -208,13 +194,11 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
                 t, u = shifted[a]
                 if t is not None and up - {t} or u is not None and down - {u}:
                     failing.add(a)
-                if len(orbits[a.point, a.kappa % p]) == 1:
-                    continue
-                for n in range(1, (ks[-1] - ks[j]) // p + 2):
-                    i = max(j + 1, bisect_left(ks, ks[j] + (n - 1) * p))
-                    if (blocks.get(shift(a, n, p), blocks[a]) != blocks[a]
-                            and i < len(ks) and ks[i] < ks[j] + n * p):
-                        cofinal = False
+                below_shift = below_shift and t in (None, block)
+                if len(orbits[a.point, a.kappa % p]) > 1:
+                    cofinal = cofinal and all(
+                        blocks.get(shift(a, (k - ks[j]) // p + 1, p),
+                                   block) == block for k in ks[j + 1:])
             for a in levels[j]:
                 t, u = shifted[a]
                 if t is not None and len(up) < 2:
@@ -222,27 +206,17 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
                 if u is not None and len(down) < 2:
                     down.add(u)
     witness = None
-    for a in poset.labels:
-        if a in failing:
-            t, u = shifted[a]
-            for b in poset.above(a):
-                v, w = shifted[b]
-                if (None not in (t, v) and t != v
-                        or None not in (u, w) and u != w):
-                    witness = (a, b)
-                    break
-            break
+    if failing:
+        a = next(a for a in poset.labels if a in failing)
+        witness = next(
+            (a, b) for level in poset._levels[blocks[a]]
+            if level[0].kappa > a.kappa for b in level
+            if any(None not in (s, t) and s != t
+                   for s, t in zip(shifted[a], shifted[b])))
     report["axiom2_invariance"] = {"ok": witness is None, "witness": witness}
-
-    below_shift = all(
-        poset.less(l, shift(l, 1, p))
-        for l in poset.labels if shift(l, 1, p) in blocks)
     report["axiom3_L_below_SL"] = {"ok": below_shift}
-
     report["axiom4_cofinality"] = {"ok": cofinal and max_n <= d_bound,
                                    "max_n": max_n}
-
-    longest = poset.max_chain_length()
     report["axiom5_chains"] = {"observed_max": longest,
                                "ok": longest <= d_bound}
 

@@ -162,9 +162,9 @@ def feasible(constraints, dim) -> bool:
 def _slab(level_cons, k, prefix):
     """Bounds (lo, lo_strict, hi, hi_strict) on x_k from the rows (c, b,
     strict) of one elimination level, with x_0..x_{k-1} fixed to prefix;
-    lo or hi is None where no row bounds that side.  A row bounds x_k by
-    the Fraction (b - sum_j c_j prefix_j) / c_k, whether its entries are
-    ints or Fractions."""
+    lo or hi is None where no row bounds that side.  The rows are integer,
+    as every level holds them, and a row bounds x_k by the Fraction
+    (b - sum_j c_j prefix_j) / c_k."""
     lo = hi = None
     lo_strict = hi_strict = False
     for c, b, strict in level_cons:

@@ -245,6 +245,24 @@ def test_faces_match_per_subset_reference(data):
         matrix_rank([alpha[wid] for wid, _, _ in f.active]) for f in faces]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_face_active_rows_keep_the_canonical_order(data):
+    """faces_of keeps each face's active rows in the alcove's order, which
+    is canonical for a built alcove and for its lattice translates."""
+    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
+                                      st.just((3, OCTAHEDRAL_WALLS))))
+    _, A = regular_alcove(data, walls, rank)
+    if A is None:
+        return
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                 max_size=rank)))
+    for B in (A, A.translate(v, walls)):
+        assert B.inequalities == _canonical(B.inequalities)
+        for f in faces_of(B, walls):
+            assert f.active == _canonical(f.active)
+
+
 def bracket(wall, t, p=None, slope=0):
     """The offsets (lo, hi) that _bracket_nums finds around the Fraction t,
     as two Fractions."""

@@ -1,4 +1,6 @@
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 from unittest import mock
 
@@ -227,6 +229,8 @@ def test_wall_normalizes_and_validates():
         Wall(id=2, alpha=(1,), sigma_tilde=frozenset([F(0), F(2)]))
     with pytest.raises(ValueError, match="nonempty"):
         Wall(id=3, alpha=(1,), sigma_tilde=frozenset())
+    with pytest.raises(TypeError):  # sigma_tilde has no default
+        Wall(id=3, alpha=(1,))
 
 
 def wall_json(w):
@@ -264,11 +268,10 @@ def test_wall_class_part_matches_the_fraction_rule(data):
                                      if (m - x).denominator == 1)
 
 
-# a pairing entry as an int, a Fraction or a "num/den" string
+# a pairing entry as an int or a Fraction
 pairing_entry = st.one_of(
     st.integers(-20, 20),
-    st.fractions(min_value=-20, max_value=20, max_denominator=12),
-    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 12)))
+    st.fractions(min_value=-20, max_value=20, max_denominator=12))
 
 
 @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
@@ -279,6 +282,16 @@ def test_pairing_matches_the_fraction_sum(vectors):
     got = pairing(alpha, x)
     assert type(got) is F
     assert got == sum((F(a) * F(b) for a, b in zip(alpha, x)), F(0))
+
+
+@pytest.mark.parametrize("entry", [0.1, "1/3", True, Decimal("0.5")],
+                         ids=["float", "str", "bool", "Decimal"])
+def test_a_pairing_entry_that_is_not_an_int_or_a_fraction_is_a_type_error(
+        entry):
+    for alpha, x in (((1,), (entry,)), ((entry,), (1,)),
+                     ((1, 2), (F(1, 2), entry))):
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            pairing(alpha, x)
 
 
 def test_pairing_length_mismatch_is_a_value_error():

@@ -29,8 +29,6 @@ PACKAGE = ROOT / "src" / "alcovelab"
 PERFBENCH = ROOT / "perfbench"
 
 NOT_ON_A_USER_PATH = {
-    # runs only when a poset fails axiom 2, which no user path's poset does
-    "LabeledPoset.above",
     # runs at import, once per value type, before any user path starts
     "Value.__init_subclass__",
     # run only on misuse: assigning or deleting a field of a value

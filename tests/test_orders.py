@@ -47,22 +47,37 @@ def test_c_bar_against_oracle():
         assert res[x] == residue_oracle(HILB2, lam, 5, x)
 
 
+def less(poset, a, b):
+    """Test-only oracle: a < b in poset by its definition, a and b in one
+    block and a.kappa < b.kappa."""
+    return (a in poset.blocks and poset.blocks[a] == poset.blocks.get(b)
+            and a.kappa < b.kappa)
+
+
+def above(poset, a):
+    """Test-only oracle: the labels b > a by ascending kappa, in label
+    order within a level, read off the poset's levels."""
+    for level in poset._levels[poset.blocks[a]]:
+        if level[0].kappa > a.kappa:
+            yield from level
+
+
 def test_hw_order_comparability_derived():
     poset = hw_order(HILB2, (5,), 5, (0, 15))
     # blocks: (2): -kappa mod 5; (1,1): (4-kappa) mod 5
     a, b = Label((1, 1), 0), Label((2,), 1)
     assert poset.blocks[a] == poset.blocks[b] == 4
-    assert poset.less(a, b) and not poset.less(b, a)
+    assert less(poset, a, b) and not less(poset, b, a)
     # different residues are incomparable
     c, d = Label((2,), 4), Label((1, 1), 1)
     assert poset.blocks[c] != poset.blocks[d]
-    assert not poset.less(c, d) and not poset.less(d, c)
+    assert not less(poset, c, d) and not less(poset, d, c)
 
 
 def test_hw_order_same_point_period():
     poset = hw_order(HILB2, (5,), 5, (0, 15))
     for x in HILB2.points:
-        assert poset.less(Label(x, 2), Label(x, 7))
+        assert less(poset, Label(x, 2), Label(x, 7))
 
 
 def test_hw_order_empty_window():
@@ -80,7 +95,7 @@ def test_hw_order_closure_matches_direct_definition():
             for b in poset.labels:
                 direct = ((res[a.point] - a.kappa) % p ==
                           (res[b.point] - b.kappa) % p and a.kappa < b.kappa)
-                assert poset.less(a, b) == direct
+                assert less(poset, a, b) == direct
 
 
 def test_hw_order_strict_partial_order():
@@ -141,7 +156,7 @@ def recursive_closure(labels, covers):
 
 def sorted_chain_length(labels, covers):
     """Test-only oracle: the longest chain by one pass over the labels
-    sorted by descending kappa, as max_chain_length first computed it."""
+    sorted by descending kappa, as LabeledPoset first computed it."""
     succ, depth = successors(covers), {}
     for v in sorted(labels, key=lambda l: -l.kappa):
         depth[v] = 1 + max((depth[w] for w in succ[v]), default=0)
@@ -209,9 +224,9 @@ PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_walk_matches_the_recursive_closure_and_sorted_chain(data):
-    """Every view of the blocks (covers, closure, less, max_chain_length and
-    the whole phw_axiom_check report) matches the cover-loop oracles, on
-    hw_order posets and on posets with one label moved to another block."""
+    """Every view of the blocks (covers, closure, the levels and the whole
+    phw_axiom_check report) matches the cover-loop oracles, on hw_order
+    posets and on posets with one label moved to another block."""
     inst = data.draw(st.sampled_from(ORDER_INSTANCES))
     p = data.draw(st.sampled_from(PRIMES_TO_31))
     # a lambda' with denominator p + 1 keeps (p + 1) * c integral
@@ -229,16 +244,19 @@ def test_walk_matches_the_recursive_closure_and_sorted_chain(data):
     closure = recursive_closure(poset.labels, covers)
     assert poset.closure == closure == recursive_closure(poset.labels,
                                                          poset.covers)
-    assert poset.max_chain_length() == sorted_chain_length(
-        poset.labels, covers) == sorted_chain_length(poset.labels,
-                                                     poset.covers)
-    assert all(poset.less(a, b) for a in closure for b in closure[a])
+    # the longest chain climbs every level of its block
+    assert max(map(len, poset._levels.values())) == sorted_chain_length(
+        poset.labels, covers)
+    assert all(less(poset, a, b) for a in closure for b in closure[a])
+    rank = {l: i for i, l in enumerate(poset.labels)}
+    assert all(list(above(poset, a)) == sorted(
+        closure[a], key=lambda l: (l.kappa, rank[l])) for a in poset.labels)
     outside = [Label(x, k) for x in inst.points for k in (z1 - 1, z1 + width)]
     sample = data.draw(st.lists(st.sampled_from(poset.labels + tuple(outside)),
                                 max_size=30))
     for a in sample:
         for b in sample:
-            assert poset.less(a, b) == (b in closure.get(a, ()))
+            assert less(poset, a, b) == (b in closure.get(a, ()))
     d_bound = data.draw(st.sampled_from((1, 2, 3, 2 * len(inst.points) * p)))
     assert phw_axiom_check(poset, d_bound) == closure_phw_check(poset,
                                                                 d_bound)
@@ -258,7 +276,7 @@ def test_shift_equivariance():
         for b in poset.closure.get(a, ()):
             sa, sb = shift(a, 1, 5), shift(b, 1, 5)
             if sa in labels and sb in labels:
-                assert poset.less(sa, sb)
+                assert less(poset, sa, sb)
 
 
 def test_phw_axioms_pass():
@@ -310,6 +328,48 @@ def test_cofinality_asks_only_the_n_that_a_pair_reaches():
     rep = phw_axiom_check(moved(poset, labels[4], 0), 10)
     assert rep["axiom4_cofinality"] == {"ok": False, "max_n": 2}
     assert rep == closure_phw_check(moved(poset, labels[4], 0), 10)
+
+
+PHW_INSTANCES = tuple(hilb_instance(n, 0) for n in range(2, 7)) + (A2,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_phw_axiom_check_matches_the_closure_oracle(data):
+    """Whole reports against the closure oracle, with d_bound on both sides
+    of max_n: on hw_order posets of hilb(2..6) and weyl_a(3) at p in
+    {5, 7, 11} over windows of 2-4 periods, on the same posets with one to
+    three labels moved to other blocks, and on sparse label sets of one to
+    three points with drawn blocks, whose shift orbits meet several
+    blocks."""
+    p = data.draw(st.sampled_from((5, 7, 11)))
+    z1 = data.draw(st.integers(-2 * p, 2 * p))
+    window = (z1, z1 + data.draw(st.integers(2 * p, 4 * p)))
+    kind = data.draw(st.sampled_from(("hw_order", "moved", "sparse")))
+    if kind == "sparse":
+        inst = hilb_instance(data.draw(st.integers(1, 3)), 0)
+        every = [Label(x, k) for x in inst.points for k in range(*window)]
+        labels = tuple(data.draw(st.lists(st.sampled_from(every), min_size=1,
+                                          max_size=40, unique=True)))
+        drawn = data.draw(st.lists(st.integers(0, 2), min_size=len(labels),
+                                   max_size=len(labels)))
+        poset = orders.LabeledPoset(labels, dict(zip(labels, drawn)), p,
+                                    window)
+    else:
+        inst = data.draw(st.sampled_from(PHW_INSTANCES))
+        den = data.draw(st.sampled_from((1, p + 1)))
+        lam = tuple(F(data.draw(st.integers(-40, 40)), den)
+                    for _ in range(inst.rank))
+        poset = hw_order(inst, lam, p, window)
+        if kind == "moved":
+            for _ in range(data.draw(st.integers(1, 3))):
+                l = data.draw(st.sampled_from(poset.labels))
+                poset = moved(poset, l, (poset.blocks[l] + data.draw(
+                    st.integers(1, p - 1))) % p)
+    max_n = closure_phw_check(poset, 0)["axiom4_cofinality"]["max_n"]
+    d_bound = max(0, max_n + data.draw(st.integers(-1, 1)))
+    assert phw_axiom_check(poset, d_bound) == closure_phw_check(poset,
+                                                                d_bound)
 
 
 def test_phw_single_orbit_line():
@@ -604,9 +664,9 @@ def pair_walk_compat_check(poset, pre, p):
             if a is b:
                 continue
             # a <= b in the pre-order iff slope(b) >= slope(a)
-            if a.kappa.slope < b.kappa.slope and not poset.less(ca, cb):
+            if a.kappa.slope < b.kappa.slope and not less(poset, ca, cb):
                 first, w1 = False, (a, b)
-            if poset.less(ca, cb) and b.kappa.slope < a.kappa.slope:
+            if less(poset, ca, cb) and b.kappa.slope < a.kappa.slope:
                 second, w2 = False, (a, b)
     for l in pre.labels:
         if not l.kappa.slope < shift(l, 1, p).kappa.slope:
