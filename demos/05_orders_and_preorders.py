@@ -40,10 +40,10 @@ print("longest chain in the window:",
 pre = ss_preorder(hilb, pair, (-3, 3))
 classes = equivalence_classes(pre)
 print("\npre-order classes (slope: members low to high):")
-for slope, cls in zip(pre.class_slopes, pre.classes):
+for cls in pre.classes:  # a class's labels share their slope
     members = [f"{partition_str(l.point)}(cont {cont(l.point)})"
                for l in pre.within_class_order(cls)]
-    print(f"  slope {slope}: " + " < ".join(members))
+    print(f"  slope {cls[0].kappa.slope}: " + " < ".join(members))
 # inside a class the order is cont-reversed: bigger content sits lower
 # (approaching the face from below mirrors the picture: lambda-bar turns
 # negative and the within-class order flips with it)

@@ -7,7 +7,7 @@ outside the b-regular support are delegated to an external construction and
 flagged rather than guessed.
 """
 
-from alcovelab import (MullineuxSymbol, mullineux, mullineux_oracle,
+from alcovelab import (mullineux, mullineux_oracle, mullineux_symbol,
                        wc_bijection_hilb)
 from alcovelab.partitions import e_regular_partitions, partition_str
 
@@ -18,7 +18,7 @@ print(f"Mullineux involution, e = {e}, partitions of {n}:")
 for mu in e_regular_partitions(n, e):
     img = mullineux(mu, e)
     check = mullineux_oracle(mu, e)
-    sym = MullineuxSymbol.of(mu, e).columns
+    sym = mullineux_symbol(mu, e)
     assert img == check
     print(f"  {partition_str(mu):10s} -> {partition_str(img):10s}"
           f"   symbol {sym}")

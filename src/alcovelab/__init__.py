@@ -20,7 +20,7 @@ from .compat import (CompatiblePair, find_compatible, opposite_alcove,
                      opposite_pair, verify_compatible)
 from .instances import (FixedPointInstance, builtin_instance, hilb_instance,
                         weyl_a_instance, wt_chi)
-from .mullineux import (MullineuxSymbol, mullineux, mullineux_oracle,
+from .mullineux import (mullineux, mullineux_oracle, mullineux_symbol,
                         wc_bijection_hilb)
 from .orders import (Label, LabeledPoset, PreOrder, c_bar,
                      crossing_threshold_bound, equivalence_classes,
@@ -30,6 +30,6 @@ from .partitions import (cont, e_regular_partitions, is_e_regular, n_stat,
                          partition_from_str, partition_str, partitions,
                          transpose)
 from .validate import validate_p
-from .config import InstanceConfig, load_instance, parse_config, run_report
+from .config import parse_config, run_report
 
 __version__ = "0.1.0"

@@ -296,19 +296,16 @@ def faces_of(A: RealAlcove, walls):
     order, which is canonical for every built alcove and translate, are the
     rows tight on the whole face, and they cut out its affine hull
     (Schrijver, "Theory of Linear and Integer Programming", 1986, ch. 8), so
-    its codimension is the rank of their covectors.  That rank is read off
-    without an elimination where it is known: a face of one vertex is a
-    point (codim d) and one of two vertices an edge (codim d - 1), since the
-    alcove is bounded.  A face holding a simple vertex, one on exactly d
-    inequalities, has as codim the number of its active inequalities: the
-    rows tight at a vertex have rank d, so d of them are independent, and so
-    is every subset, the face's active rows among them (every vertex of a
-    simplex is simple; Ziegler, "Lectures on Polytopes", 1995, ch. 3).  No
-    or one active inequality has rank 0 or 1 likewise.  Only a face of three
-    or more vertices, all on more than d inequalities, and two or more
-    active ones runs matrix_rank: none in rank 3, where such a face is a
-    facet, but a cross-polytope's triangles in rank 4.  Its witness is
-    polyhedra.vertex_average of their numerators.
+    its codimension is the rank of their covectors.  A face holding a
+    simple vertex, one on exactly d inequalities, has as codim the number
+    of its active inequalities, with no elimination: the rows tight at a
+    vertex have rank d, so d of them are independent, and so is every
+    subset, the face's active rows among them (every vertex of a simplex is
+    simple; Ziegler, "Lectures on Polytopes", 1995, ch. 3).  A face whose
+    vertices all lie on more than d inequalities runs matrix_rank: no face
+    of a simplex, so none of a builtin instance's alcoves, but every face
+    of a cross-polytope.  Its witness is polyhedra.vertex_average of their
+    numerators.
     Requires an irredundant bounded alcove (the wall covectors span).
     """
     wm = _wall_map(walls)
@@ -321,7 +318,9 @@ def faces_of(A: RealAlcove, walls):
     n = len(A.inequalities)
     if reduce(int.__or__, inc.masks) != (1 << n) - 1:  # a row on no vertex
         raise ValueError("redundant inequalities: not an alcove's facets")
-    simple = [mask.bit_count() == A.rank for mask in inc.masks]
+    # the bitmask of the simple vertices
+    simple = sum(1 << j for j, mask in enumerate(inc.masks)
+                 if mask.bit_count() == A.rank)
     # per inequality, the bitmask of the vertices it is tight on
     tight_on = [sum(1 << j for j, mask in enumerate(inc.masks)
                     if mask >> i & 1) for i in range(n)]
@@ -338,14 +337,8 @@ def faces_of(A: RealAlcove, walls):
         on = [j for j in range(len(verts)) if on_set >> j & 1]
         active = reduce(int.__and__, (inc.masks[j] for j in on))
         active_idx = [i for i in range(n) if active >> i & 1]
-        if len(on) == 1:  # a vertex
-            codim = A.rank
-        elif len(on) == 2:  # an edge
-            codim = A.rank - 1
-        elif len(active_idx) <= 1 or any(simple[j] for j in on):
-            codim = len(active_idx)
-        else:
-            codim = matrix_rank([alphas[i] for i in active_idx])
+        codim = (len(active_idx) if on_set & simple
+                 else matrix_rank([alphas[i] for i in active_idx]))
         seen[on_set] = Face(
             parent=A,
             active=tuple(A.inequalities[i] for i in active_idx),
@@ -380,9 +373,11 @@ class PAlcove(Value):
 
     def facets(self, walls, face=None):
         """(wall_id, c = orient * alpha, rhs, on_face) per inequality, with
-        on_face true when the face's active set holds its wall and side."""
+        on_face true when the face's active set holds its wall and side
+        (a >= inequality is side +1, as in p_alcove_of)."""
         wm = _wall_map(walls)
-        sides = _face_sides(face) if face else ()
+        sides = {(wid, 1 if sense == GE else -1)
+                 for wid, _, sense in (face.active if face else ())}
         return [(wid, tuple(orient * a for a in wm[wid].alpha), rhs,
                  (wid, orient) in sides)
                 for wid, orient, rhs in self.inequalities]
@@ -433,12 +428,6 @@ def p_alcove_of(A: RealAlcove, walls) -> PAlcove:
         orient, _, m_or, sigma = oriented_facet(wm[wid], m, sense)
         out.append((wid, orient, AffineInP(const=sigma, slope=m_or)))
     return PAlcove(A, tuple(sorted(out, key=lambda t: (t[0], t[1]))))
-
-
-def _face_sides(face: Face) -> set:
-    """The face's active inequalities (wall_id, m, sense) as the facets
-    (wall_id, orient) of ^pA, oriented as in p_alcove_of (>= is +1)."""
-    return {(wid, 1 if sense == GE else -1) for wid, _, sense in face.active}
 
 
 def p_membership(x, p: int, walls) -> PAlcove:

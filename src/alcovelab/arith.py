@@ -79,10 +79,11 @@ RATIONAL_LITERAL = re.compile(r"-?\d+(/0*[1-9]\d*)?")
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to an exact rational."""
+    """Coerce ints (not bools), Fractions and "num/den" strings to an exact
+    rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
         if not RATIONAL_LITERAL.fullmatch(x.strip()):
@@ -114,12 +115,11 @@ def vscale(k, v):
 
 def _num_den(v):
     """(numerator, denominator) of an int or a Fraction; anything else,
-    a bool, a float or a string among them, is a TypeError."""
+    a bool, a float or a string among them, is a TypeError naming it."""
     if type(v) is int:
         return v, 1
     if type(v) is not Fraction:
-        raise TypeError(f"a pairing entry must be an int or a Fraction, "
-                        f"not {v!r}")
+        raise TypeError(f"an entry must be an int or a Fraction, not {v!r}")
     return v.numerator, v.denominator
 
 
@@ -138,15 +138,19 @@ def pairing(alpha, x) -> Fraction:
 
 
 def is_lattice(v) -> bool:
-    return all(Fraction(c).denominator == 1 for c in v)
+    return all(_num_den(c)[1] == 1 for c in v)
 
 
 def primitivize(v) -> tuple:
     """Normal form of a nonzero integer covector.
 
     Divides by the gcd and forces the first nonzero coefficient positive, so
-    every rational ray has exactly one representative.
+    every rational ray has exactly one representative.  An entry that is
+    not an int or a Fraction of denominator 1 is a TypeError naming it.
     """
+    for c in v:
+        if _num_den(c)[1] != 1:
+            raise TypeError(f"a covector entry must be an integer, not {c!r}")
     v = tuple(int(c) for c in v)
     if all(c == 0 for c in v):
         raise ValueError("degenerate wall: zero covector")

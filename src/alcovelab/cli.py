@@ -24,8 +24,8 @@ from .alcoves import (faces_of, inequalities_to_json,
                       p_membership, quantum_chamber, real_alcove_of,
                       translation_path, RealAlcove)
 from .compat import find_compatible, opposite_pair, verify_compatible
-from .config import (ConfigError, load_instance, load_json, parse_alcove,
-                     parse_config, report_to_json, run_report)
+from .config import (ConfigError, load_json, parse_alcove, parse_config,
+                     report_to_json, run_report)
 from .instances import BUILTINS, check_point_count
 from .mullineux import wc_bijection_hilb
 from .orders import (LabelBudgetError, equivalence_classes, export_poset,
@@ -35,12 +35,12 @@ from .partitions import partition_numbers
 from .validate import validate_p
 
 
-def _parse_point(text: str, cfg, flag: str) -> tuple:
+def _parse_point(text: str, inst, flag: str) -> tuple:
     """A comma-separated rational point with one coordinate per rank."""
     x = vec(rat(part) for part in text.split(","))
-    if len(x) != cfg.instance.rank:
+    if len(x) != inst.rank:
         raise ConfigError(f"{flag} has {len(x)} coordinates but the "
-                          f"instance has rank {cfg.instance.rank}")
+                          f"instance has rank {inst.rank}")
     return x
 
 
@@ -133,27 +133,27 @@ def _windowed(build, flag, text, *args):
 
 
 def _load_config(args):
+    """(config JSON, the path its errors name) of --config or --builtin."""
     if args.config:
-        return load_instance(args.config)
+        return load_json(args.config), args.config
     if args.builtin:
         if args.n is None:
             raise ConfigError(f"--builtin {args.builtin} needs --n")
         data = {"builtin": args.builtin, "n": args.n}
         if args.ell is not None:
             data["ell"] = args.ell
-        return parse_config(data, " ".join(f"--{k} {v}"
-                                           for k, v in data.items()))
+        return data, " ".join(f"--{k} {v}" for k, v in data.items())
     raise ConfigError("no instance: pass --config FILE or --builtin NAME")
 
 
-def _alcove_at(text: str, cfg, flag: str = "--point") -> RealAlcove:
+def _alcove_at(text: str, inst, flag: str = "--point") -> RealAlcove:
     """The real alcove containing the point given by a flag."""
-    return real_alcove_of(_parse_point(text, cfg, flag), cfg.walls)
+    return real_alcove_of(_parse_point(text, inst, flag), inst.walls)
 
 
-def _face_of(args, cfg):
-    A = _alcove_at(args.point, cfg)
-    faces = faces_of(A, cfg.walls)
+def _face_of(args, inst):
+    A = _alcove_at(args.point, inst)
+    faces = faces_of(A, inst.walls)
     if args.face < 0 or args.face >= len(faces):
         raise ConfigError(f"--face must be in [0, {len(faces)})")
     return A, faces[args.face]
@@ -346,44 +346,44 @@ def _run(args, samples) -> int:
                 f"{key},{e['image'] or ''},{e['provenance']}"
                 for key, e in sorted(out["map"].items())])
     else:
-        cfg = _load_config(args)
+        data, path = _load_config(args)
+        inst, warnings = parse_config(data, path)
         inputs = {"cmd": cmd,
                   "argv": {k: v for k, v in sorted(vars(args).items())
                            if k != "cmd"},
-                  "config": cfg.raw}
-        out, checks = _outputs(args, cfg, samples)
+                  "config": data}
+        out, checks = _outputs(args, inst, warnings, samples)
     print(out if isinstance(out, str)
           else report_to_json(run_report(cmd, inputs, out, checks)),
           flush=True)   # a closed pipe fails here, not at exit
     return 0 if checks is None or checks["passed"] else 1
 
 
-def _outputs(args, cfg, samples):
-    """(outputs, checks) of a subcommand on a loaded instance; a DOT text
-    in place of the outputs for --format dot.  samples are the parsed
-    --p-samples entries."""
-    cmd = args.cmd
+def _outputs(args, inst, warnings, samples):
+    """(outputs, checks) of a subcommand on a loaded instance and the
+    warnings of its config; a DOT text in place of the outputs for
+    --format dot.  samples are the parsed --p-samples entries."""
+    cmd, walls = args.cmd, inst.walls
     if cmd == "alcove":
-        return {"alcove": _alcove_at(args.point, cfg).to_json(),
-                "warnings": list(cfg.warnings)}, None
+        return {"alcove": _alcove_at(args.point, inst).to_json(),
+                "warnings": list(warnings)}, None
 
     if cmd == "faces":
-        A = _alcove_at(args.point, cfg)
+        A = _alcove_at(args.point, inst)
         faces = [{"index": i, "codim": f.codim,
                   "witness": [rat_str(c) for c in f.witness],
                   "active": inequalities_to_json(f.active)}
-                 for i, f in enumerate(faces_of(A, cfg.walls))]
+                 for i, f in enumerate(faces_of(A, walls))]
         return {"alcove": A.to_json(), "faces": faces}, None
 
     if cmd == "palcove":
         if args.alcove_id:
-            A = parse_alcove(load_json(args.alcove_id), args.alcove_id,
-                             cfg.instance)
+            A = parse_alcove(load_json(args.alcove_id), args.alcove_id, inst)
         elif args.point:
-            A = _alcove_at(args.point, cfg)
+            A = _alcove_at(args.point, inst)
         else:
             raise ConfigError("identify the alcove with --point or --alcove-id")
-        pa = p_alcove_of(A, cfg.walls)
+        pa = p_alcove_of(A, walls)
         out = pa.to_json()
         if args.p:
             out["at_p"] = {str(args.p): [
@@ -392,67 +392,67 @@ def _outputs(args, cfg, samples):
         return {"palcove": out}, None
 
     if cmd == "membership":
-        pa = p_membership(_parse_point(args.point, cfg, "--point"), args.p,
-                          cfg.walls)
+        pa = p_membership(_parse_point(args.point, inst, "--point"), args.p,
+                          walls)
         return {"palcove": pa.to_json()}, None
 
     if cmd in ("chambers", "quantum"):
-        lam = _parse_point(args.lam, cfg, "--lambda")
-        int_walls, chamber = integral_walls_and_positive_chamber(lam, cfg.walls)
+        lam = _parse_point(args.lam, inst, "--lambda")
+        int_walls, chamber = integral_walls_and_positive_chamber(lam, walls)
         if cmd == "chambers":
             return {"integral_walls": [w.id for w in int_walls],
                     "positive_chamber": chamber.to_json()}, None
-        q = quantum_chamber(lam, chamber, cfg.walls)
+        q = quantum_chamber(lam, chamber, walls)
         return {"quantum_chamber": q.to_json()}, None
 
     if cmd == "validate-p":
-        alcoves = [_alcove_at(pt, cfg, "--alcove-point")
+        alcoves = [_alcove_at(pt, inst, "--alcove-point")
                    for pt in args.alcove_point]
-        return {}, validate_p(args.p, cfg.instance, alcoves=alcoves)
+        return {}, validate_p(args.p, inst, alcoves=alcoves)
 
     if cmd == "path":
-        src = _parse_point(args.src, cfg, "--from")
-        dst = _parse_point(args.dst, cfg, "--to")
-        pa = p_membership(src, args.p, cfg.walls)
+        src = _parse_point(args.src, inst, "--from")
+        dst = _parse_point(args.dst, inst, "--to")
+        pa = p_membership(src, args.p, walls)
         steps = translation_path(src, dst, pa, args.p,
-                                 cfg.instance.generators, cfg.walls)
+                                 inst.generators, walls)
         return {"steps": [[rat_str(c) for c in s] for s in steps]}, None
 
     if cmd == "compatible":
-        A, face = _face_of(args, cfg)
-        pair = find_compatible(A, face, cfg.walls)
-        report = verify_compatible(pair, cfg.walls, p_samples=samples)
+        A, face = _face_of(args, inst)
+        pair = find_compatible(A, face, walls)
+        report = verify_compatible(pair, walls, p_samples=samples)
         out = {"lambda": [rat_str(c) for c in pair.lam],
                "mu": [rat_str(c) for c in pair.mu],
                "alcove": A.to_json(),
                "face_active": inequalities_to_json(face.active)}
         if args.opposite:
-            pm, chi = opposite_pair(A, face, pair, cfg.walls)
+            pm, chi = opposite_pair(A, face, pair, walls)
             out["opposite"] = {"lambda": [rat_str(c) for c in pm.lam],
                                "chi": [rat_str(c) for c in chi]}
         return out, report
 
     if cmd in ("order", "check-phw"):
-        poset = _windowed(hw_order, "--window", args.window, cfg.instance,
-                          _parse_point(args.lam_prime, cfg, "--lambda-prime"),
+        poset = _windowed(hw_order, "--window", args.window, inst,
+                          _parse_point(args.lam_prime, inst, "--lambda-prime"),
                           args.p)
         if cmd == "check-phw":
             d_bound = args.d_bound
             if d_bound is None:
-                d_bound = 2 * len(cfg.instance.points) * args.p
+                d_bound = 2 * len(inst.points) * args.p
             elif d_bound < 0:
                 raise ConfigError(f"--d-bound {d_bound} is below 0")
             return {}, phw_axiom_check(poset, d_bound)
         if args.format == "dot":
-            return export_poset(poset, cfg.instance), None
-        return {"poset": poset.to_json(cfg.instance)}, None
+            return export_poset(poset, inst), None
+        return {"poset": poset.to_json(inst)}, None
 
     if cmd in ("preorder", "classes", "check-compat"):
-        A, face = _face_of(args, cfg)
-        pair = find_compatible(A, face, cfg.walls)
+        A, face = _face_of(args, inst)
+        pair = find_compatible(A, face, walls)
         flag, text = (("--m-window", args.m_window) if cmd == "check-compat"
                       else ("--window", args.window))
-        pre = _windowed(ss_preorder, flag, text, cfg.instance, pair)
+        pre = _windowed(ss_preorder, flag, text, inst, pair)
         if cmd == "preorder":
             if args.format == "dot":
                 return export_poset(pre), None

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .arith import (AffineInP, Value, is_lattice, pairing, set_field, vadd,
                     vscale, vsub)
-from .alcoves import (Face, PAlcove, RealAlcove, faces_of, opposite_alcove,
+from .alcoves import (Face, RealAlcove, faces_of, opposite_alcove,
                       p_alcove_of, translate_inequalities)
 from .polyhedra import first_lattice_point
 
@@ -38,9 +38,6 @@ class CompatiblePair(Value):
         """Per-coordinate affine-in-p description of the family."""
         return tuple(AffineInP(const=a, slope=b)
                      for a, b in zip(self.lam, self.mu))
-
-    def p_alcove(self, walls) -> PAlcove:
-        return p_alcove_of(self.alcove, walls)
 
 
 def _face_facets(A: RealAlcove, face: Face, walls):
@@ -116,7 +113,8 @@ def verify_compatible(pair: CompatiblePair, walls, p_samples=()) -> dict:
         "localization_conditions": "not verified",
     }
     margins = []
-    for wid, c, rhs, on_face in pair.p_alcove(walls).facets(walls, pair.face):
+    pa = p_alcove_of(pair.alcove, walls)
+    for wid, c, rhs, on_face in pa.facets(walls, pair.face):
         margin = AffineInP(pairing(c, pair.lam), pairing(c, pair.mu)) - rhs
         margins.append(margin)
         ok = (margin.slope == 0 and margin.const > 0 if on_face

@@ -32,20 +32,6 @@ class ConfigError(ValueError):
     pass
 
 
-class InstanceConfig:
-    """A parsed config: its instance, the warnings parsing it raised and
-    the JSON object it came from."""
-
-    def __init__(self, instance, warnings=(), raw=None):
-        self.instance = instance
-        self.warnings = warnings
-        self.raw = {} if raw is None else raw
-
-    @property
-    def walls(self):
-        return self.instance.walls
-
-
 def require_keys(entry, keys, where):
     """Raise a ConfigError naming where unless entry is a JSON object with
     every one of keys; the message names the first missing key."""
@@ -179,8 +165,8 @@ def _check_types(data, path):
                           '"partitions" or "permutations"')
 
 
-def parse_config(data: dict, path="config") -> InstanceConfig:
-    """The instance of a config in one of three forms: a builtin, a
+def parse_config(data: dict, path="config") -> tuple:
+    """(instance, warnings) of a config in one of three forms: a builtin, a
     points table, or walls alone over the single point "*".  Walls,
     lambdas and generators are read alike in every form and override a
     builtin's own; generators default to the unit vectors of Z^rank."""
@@ -234,7 +220,7 @@ def parse_config(data: dict, path="config") -> InstanceConfig:
     if "walls" in data or lambdas or generators:
         inst = base.replace(walls=walls, lambdas=lambdas,
                             generators=generators or base.generators)
-    return InstanceConfig(instance=inst, warnings=tuple(warnings), raw=data)
+    return inst, tuple(warnings)
 
 
 def _inequality(entry, where, wall_ids):
@@ -298,10 +284,6 @@ def load_json(path: str):
             from exc
     except RecursionError:
         raise ConfigError(f"{path}: JSON nested too deeply to read") from None
-
-
-def load_instance(path: str) -> InstanceConfig:
-    return parse_config(load_json(path), path)
 
 
 def run_report(command: str, inputs, outputs, checks=None) -> dict:

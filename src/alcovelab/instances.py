@@ -99,8 +99,12 @@ def hilb_instance(n: int, ell: int = 0) -> FixedPointInstance:
     c(mu; c) = c * cont(mu) - n(mu) in c-coordinates (c = lambda - 1/2).
 
     Single wall alpha = (1); real alcoves are the intervals between
-    consecutive rationals with denominators 2..n.
+    consecutive rationals with denominators 2..n.  A size that is not an
+    int, a bool among them, is a TypeError naming it.
     """
+    for key, size in (("n", n), ("ell", ell)):
+        if type(size) is not int:
+            raise TypeError(f"{key} must be an int, not {size!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if ell < 0:

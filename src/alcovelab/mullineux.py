@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .arith import LemmaError, Value, set_field
+from .arith import LemmaError
 from .partitions import (check_partition, e_regular_partitions, is_e_regular,
                          partition_str, partitions, transpose)
 
@@ -66,29 +66,21 @@ def remove_boxes(mu, boxes):
     return check_partition(out)
 
 
-class MullineuxSymbol(Value):
-    """Column pairs (a_i, r_i): e-rim size and row count per peeling step."""
+def mullineux_symbol(mu, e) -> tuple:
+    """The peeling symbol of mu: one pair (a_i, r_i) per peeling step, the
+    e-rim size and the row count."""
+    cols = []
+    cur = tuple(mu)
+    while cur:
+        rim = e_rim(cur, e)
+        cols.append((len(rim), len(cur)))
+        cur = remove_boxes(cur, rim)
+    return tuple(cols)
 
-    columns: tuple
 
-    def __init__(self, columns):
-        set_field(self, "columns",
-                  tuple((int(a), int(r)) for a, r in columns))
-
-    @classmethod
-    def of(cls, mu, e) -> "MullineuxSymbol":
-        cols = []
-        cur = tuple(mu)
-        while cur:
-            rim = e_rim(cur, e)
-            cols.append((len(rim), len(cur)))
-            cur = remove_boxes(cur, rim)
-        return cls(cols)
-
-    def conjugated(self, e) -> "MullineuxSymbol":
-        """The image symbol: s_i = a_i - r_i, plus 1 unless e divides a_i."""
-        return MullineuxSymbol(
-            (a, a - r + (0 if a % e == 0 else 1)) for a, r in self.columns)
+def _conjugated(symbol, e) -> tuple:
+    """The image symbol: s_i = a_i - r_i, plus 1 unless e divides a_i."""
+    return tuple((a, a - r + (0 if a % e == 0 else 1)) for a, r in symbol)
 
 
 @cache
@@ -97,7 +89,7 @@ def _symbol_table(n: int, e: int) -> dict:
     injective on them, so this inverts symbol -> partition."""
     table = {}
     for nu in e_regular_partitions(n, e):
-        table[MullineuxSymbol.of(nu, e)] = nu
+        table[mullineux_symbol(nu, e)] = nu
     return table
 
 
@@ -106,7 +98,7 @@ def mullineux(mu, e: int) -> tuple:
     mu = _require_regular(mu, e)
     if not mu:
         return ()
-    target = MullineuxSymbol.of(mu, e).conjugated(e)
+    target = _conjugated(mullineux_symbol(mu, e), e)
     try:
         return _symbol_table(sum(mu), e)[target]
     except KeyError:

@@ -50,9 +50,8 @@ def c_bar(instance: FixedPointInstance, lam, p: int) -> dict:
 
 
 def shift(label: Label, z: int, p: int) -> Label:
-    """The free Z-action z.(x, kappa) = (x, kappa + z*p)."""
-    if isinstance(label.kappa, AffineInP):
-        return Label(label.point, label.kappa + AffineInP(0, z))
+    """The free Z-action z.(x, kappa) = (x, kappa + z*p) on a label of a
+    concrete-prime poset, whose kappa is an int."""
     return Label(label.point, label.kappa + z * p)
 
 
@@ -102,8 +101,8 @@ class LabeledPoset(Value):
                 above = above.union(level)
         return out
 
-    def to_json(self, instance=None):
-        name = (instance.point_str if instance is not None else str)
+    def to_json(self, instance):
+        name = instance.point_str
         names = {x: name(x) for x in {l.point for l in self.labels}}
         return {
             "p": self.p,
@@ -242,15 +241,13 @@ class PreOrder(Value):
     mu: tuple
     labels: tuple
     classes: tuple        # tuple of tuples of labels, ascending slope
-    class_slopes: tuple
 
-    def __init__(self, instance, lam_bar, mu, labels, classes, class_slopes):
+    def __init__(self, instance, lam_bar, mu, labels, classes):
         set_field(self, "instance", instance)
         set_field(self, "lam_bar", lam_bar)
         set_field(self, "mu", mu)
         set_field(self, "labels", labels)
         set_field(self, "classes", classes)
-        set_field(self, "class_slopes", class_slopes)
 
     def within_class_order(self, cls) -> list:
         """Class members sorted ascending for the stratified side: the
@@ -272,10 +269,10 @@ class PreOrder(Value):
             "blocks": {f"{x}|{k}": 0 for x, k in text.values()},
             "covers": [[i, i + 1] for i in range(len(self.classes) - 1)],
             "classes": [{
-                "slope": rat_str(s),
+                "slope": rat_str(cls[0].kappa.slope),
                 "labels": [list(text[l]) for l in
                            self.within_class_order(cls)],
-            } for s, cls in zip(self.class_slopes, self.classes)],
+            } for cls in self.classes],
         }
 
 
@@ -307,11 +304,10 @@ def ss_preorder(instance: FixedPointInstance, pair, window) -> PreOrder:
         for l in labels:
             s = l.kappa.slope
             by_slope[s.numerator * (den // s.denominator)].append(l)
-    classes = tuple(tuple(by_slope[k]) for k in sorted(by_slope))
     return PreOrder(instance=instance, lam_bar=pair.lam, mu=pair.mu,
                     labels=tuple(l for _, labels in rows for l in labels),
-                    classes=classes,
-                    class_slopes=tuple(cls[0].kappa.slope for cls in classes))
+                    classes=tuple(tuple(by_slope[k])
+                                  for k in sorted(by_slope)))
 
 
 def equivalence_classes(pre: PreOrder) -> tuple:
@@ -363,8 +359,8 @@ def order_compat_check(poset: LabeledPoset, pre: PreOrder, p: int) -> dict:
     implications are decided from the in-window labels sorted by slope, and
     by block and kappa, with the witnesses of a double loop over them: the
     last failing pair of each.  L strictly below its shift always holds:
-    shift(l, 1, p) adds 1 to the slope of a symbolic kappa, and the
-    pre-order compares slopes, so that part of the report is fixed.
+    the shift by 1 adds 1 to the slope of a symbolic kappa (p at p), and
+    the pre-order compares slopes, so that part of the report is fixed.
     """
     return _compat_check(pre, p, poset.blocks.get, vacuous=True)
 

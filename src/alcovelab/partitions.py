@@ -10,7 +10,10 @@ from itertools import count
 
 
 def check_partition(mu) -> tuple:
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(mu)
+    for x in mu:
+        if type(x) is not int:
+            raise TypeError(f"partition parts must be ints, not {x!r}")
     if any(x <= 0 for x in mu):
         raise ValueError(f"partition parts must be positive: {mu}")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alcovelab.arith import (AffineInP, Wall, is_saturated, pairing,
-                             primitivize, rat, rat_str, saturate)
+from alcovelab.arith import (AffineInP, Wall, is_lattice, is_saturated,
+                             pairing, primitivize, rat, rat_str, saturate,
+                             vec)
 from alcovelab.config import parse_config
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -24,6 +25,18 @@ def test_primitivize_examples():
 def test_primitivize_zero_is_degenerate():
     with pytest.raises(ValueError, match="degenerate wall"):
         primitivize((0, 0, 0))
+
+
+@pytest.mark.parametrize("entry", [1.5, F(3, 2), "2", True],
+                         ids=["float", "fraction", "str", "bool"])
+def test_a_covector_entry_that_is_not_an_integer_is_a_type_error(entry):
+    # int() used to truncate: (1.5, 2) was (1, 2), and so a Wall's alpha
+    for v in ((entry, 2), (2, entry)):
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            primitivize(v)
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        Wall(0, (entry, 2), {0})
+    assert primitivize((F(2), F(-4))) == (1, -2)
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=5),
@@ -241,7 +254,7 @@ def wall_json(w):
 
 def test_wall_json_roundtrip():
     w = Wall(id=4, alpha=(1, -2), sigma_tilde=frozenset([F(-1, 2), F(1, 2)]))
-    assert parse_config({"rank": 2, "walls": [wall_json(w)]}).walls == (w,)
+    assert parse_config({"rank": 2, "walls": [wall_json(w)]})[0].walls == (w,)
 
 
 def test_wall_class_part_sorted():
@@ -292,6 +305,25 @@ def test_a_pairing_entry_that_is_not_an_int_or_a_fraction_is_a_type_error(
                      ((1, 2), (F(1, 2), entry))):
         with pytest.raises(TypeError, match=re.escape(repr(entry))):
             pairing(alpha, x)
+
+
+@pytest.mark.parametrize("entry", [2.0, "4", True, Decimal(3)],
+                         ids=["float", "str", "bool", "Decimal"])
+def test_a_lattice_entry_that_is_not_an_int_or_a_fraction_is_a_type_error(
+        entry):
+    # Fraction(c) used to read each of these as an integer coordinate
+    for v in ((entry,), (1, entry), (F(3), entry)):
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            is_lattice(v)
+    assert is_lattice((2, F(4))) and not is_lattice((2, F(1, 2)))
+
+
+def test_a_bool_is_not_a_rational():
+    for call in (lambda: rat(True), lambda: rat(False),
+                 lambda: vec((True, False)), lambda: vec((1, True))):
+        with pytest.raises(TypeError, match="True|False"):
+            call()
+    assert rat(1) == 1 and type(rat(1)) is F
 
 
 def test_pairing_length_mismatch_is_a_value_error():

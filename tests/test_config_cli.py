@@ -17,7 +17,7 @@ import pytest
 from alcovelab import cli, compat, config, instances
 from alcovelab.arith import LemmaError
 from alcovelab.cli import _is_prime, build_parser, dispatch
-from alcovelab.config import (ConfigError, load_instance, parse_config,
+from alcovelab.config import (ConfigError, load_json, parse_config,
                               run_report)
 from alcovelab.instances import (builtin_instance, hilb_instance,
                                  weyl_a_instance)
@@ -34,24 +34,24 @@ def run_cli(argv):
 def test_load_builtin_hilb(tmp_path):
     path = tmp_path / "hilb.json"
     path.write_text(json.dumps({"builtin": "hilb", "n": 3, "ell": 0}))
-    cfg = load_instance(str(path))
-    assert len(cfg.instance.points) == 3
-    assert len(cfg.walls) == 1
+    inst, _ = parse_config(load_json(str(path)), str(path))
+    assert len(inst.points) == 3
+    assert len(inst.walls) == 1
 
 
 def test_load_builtin_weyl(tmp_path):
     path = tmp_path / "weyl.json"
     path.write_text(json.dumps({"builtin": "weyl_a", "n": 3}))
-    cfg = load_instance(str(path))
-    assert len(cfg.instance.points) == 6
-    assert len(cfg.walls) == 3
+    inst, _ = parse_config(load_json(str(path)), str(path))
+    assert len(inst.points) == 6
+    assert len(inst.walls) == 3
 
 
 def test_malformed_json_reports_offset(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"builtin": "hilb", }')
     with pytest.raises(ConfigError, match="byte offset"):
-        load_instance(str(path))
+        load_json(str(path))
 
 
 def test_builtin_config_without_n_names_path_and_key(tmp_path):
@@ -67,7 +67,7 @@ def test_unknown_builtin_config_names_path_and_choices(tmp_path):
     path = tmp_path / "foo.json"
     path.write_text(json.dumps({"builtin": "foo", "n": 3}))
     with pytest.raises(ConfigError):
-        load_instance(str(path))
+        parse_config(load_json(str(path)), str(path))
     code, out = run_cli(["alcove", "--config", str(path), "--point", "1"])
     assert code == 1
     assert json.loads(out)["error"] == \
@@ -417,9 +417,9 @@ def test_inline_points_table_config(tmp_path):
     }
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(data))
-    cfg = load_instance(str(path))
-    assert cfg.instance.points == ("a", "b")
-    assert cfg.instance.c_value("a", (F(2),)) == 4
+    inst, _ = parse_config(load_json(str(path)), str(path))
+    assert inst.points == ("a", "b")
+    assert inst.c_value("a", (F(2),)) == 4
     code, out = run_cli(["validate-p", "--config", str(path), "--p", "23"])
     assert code == 0
     code, out = run_cli(["alcove", "--config", str(path), "--point", "1"])
@@ -496,11 +496,11 @@ WALLS_CONFIG = {"rank": 1, "walls": POINTS_CONFIG["walls"]}
 def test_unsaturated_sigma_warns_and_saturates():
     # in each of the three forms: walls only, builtin and points table
     for data in ({"rank": 1}, {"builtin": "hilb", "n": 2}, POINTS_CONFIG):
-        cfg = parse_config({**data, "walls": [
+        inst, warnings = parse_config({**data, "walls": [
             {"id": 0, "alpha": [1], "sigma_tilde": ["0", "2"]}]})
-        assert cfg.warnings == ("config.walls[0]: sigma_tilde was not "
-                                "saturated; saturated on load",)
-        assert sorted(cfg.walls[0].sigma_tilde) == [F(0), F(1), F(2)]
+        assert warnings == ("config.walls[0]: sigma_tilde was not "
+                            "saturated; saturated on load",)
+        assert sorted(inst.walls[0].sigma_tilde) == [F(0), F(1), F(2)]
 
 
 def test_saturation_span_is_bounded_before_saturating():
@@ -515,7 +515,7 @@ def test_saturation_span_is_bounded_before_saturating():
         "config.walls[0]: a Z-coset of sigma_tilde spans 1000000000 "
         f"(max - min); the bound is {config.MAX_SATURATED_SPAN}")
     with mock.patch.object(config, "MAX_SATURATED_SPAN", 2):
-        assert len(parse_config(walls_config("1/2", "5/2", "0")).walls[0]
+        assert len(parse_config(walls_config("1/2", "5/2", "0"))[0].walls[0]
                    .sigma_tilde) == 4
         with pytest.raises(ConfigError, match=r"spans 3 .* bound is 2$"):
             parse_config(walls_config("1/2", "7/2", "0"))
@@ -528,7 +528,7 @@ def test_rank_is_bounded_before_any_vector_is_built():
     assert str(info.value) == (
         f"config: key 'rank' is 2000; the bound is {config.MAX_RANK}")
     with mock.patch.object(config, "MAX_RANK", 2):
-        assert parse_config({"rank": 2, "walls": []}).instance.rank == 2
+        assert parse_config({"rank": 2, "walls": []})[0].rank == 2
         with pytest.raises(ConfigError, match=r"'rank' is 3; .* bound is 2$"):
             parse_config({**POINTS_CONFIG, "rank": 3})
 
@@ -721,7 +721,7 @@ def test_config_of_the_wrong_json_type_names_path_and_key(tmp_path, data,
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError) as info:
-        load_instance(str(path))
+        parse_config(load_json(str(path)), str(path))
     assert str(info.value) == f"{path}{where}: {what}"
     assert run_cli(["alcove", "--config", str(path), "--point", "1"]) == (
         1, json.dumps({"error": f"{path}{where}: {what}"}) + "\n")

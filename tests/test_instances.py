@@ -1,13 +1,16 @@
+import re
 from fractions import Fraction as F
 from itertools import islice, permutations
+
+import pytest
 
 from alcovelab.arith import rat_str
 from alcovelab.config import parse_config
 from alcovelab.instances import (POINT_KINDS, builtin_instance,
                                  hilb_instance, weyl_a_instance, wt_chi)
-from alcovelab.partitions import (cont, n_stat, partition_from_str,
-                                  partition_numbers, partition_str,
-                                  partitions, transpose)
+from alcovelab.partitions import (check_partition, cont, n_stat,
+                                  partition_from_str, partition_numbers,
+                                  partition_str, partitions, transpose)
 from test_arith import wall_json
 
 
@@ -57,6 +60,27 @@ def test_partition_counts_against_known():
 def test_partition_str_roundtrip():
     for mu in partitions(6):
         assert partition_from_str(partition_str(mu)) == mu
+
+
+@pytest.mark.parametrize("part", [2.7, F(3, 1), "2", True],
+                         ids=["float", "fraction", "str", "bool"])
+def test_a_partition_part_that_is_not_an_int_is_a_type_error(part):
+    # int() used to truncate: (2.7, 1) was (2, 1)
+    with pytest.raises(TypeError, match=re.escape(repr(part))):
+        check_partition((part, 1))
+    assert check_partition([3, 1]) == (3, 1)
+
+
+@pytest.mark.parametrize("size", [True, 3.0, F(3), "3"],
+                         ids=["bool", "float", "fraction", "str"])
+def test_a_hilb_size_that_is_not_an_int_is_a_type_error(size):
+    # hilb_instance(True) used to build hilb(True)
+    with pytest.raises(TypeError, match=f"n must be an int, not "
+                                        f"{re.escape(repr(size))}"):
+        hilb_instance(size)
+    with pytest.raises(TypeError, match=f"ell must be an int, not "
+                                        f"{re.escape(repr(size))}"):
+        hilb_instance(3, size)
 
 
 def test_hilb_values():
@@ -186,7 +210,7 @@ def instance_json(inst):
 
 def test_instance_json_roundtrip():
     for inst in (hilb_instance(3, 1), weyl_a_instance(3), weyl_a_instance(4)):
-        back = parse_config(instance_json(inst)).instance
+        back, _ = parse_config(instance_json(inst))
         for key in ("points", "c_const", "c_linear", "walls", "generators",
                     "meta"):
             assert getattr(back, key) == getattr(inst, key), key

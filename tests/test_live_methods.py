@@ -1,15 +1,17 @@
-"""Every method of the package's classes runs on a user path.
+"""Every function and method of the package runs on a user path.
 
 One process runs, under `sys.setprofile`, what a user runs: the six
 `demos/*.py`, every README command (with the substitutions of
 `test_readme_commands`) and the four perfbench smoke passes, each through
-`workloads.WORKLOADS` with a `worker.Ops()`.  The test fails on any method,
-property or cached property, dunders included, of a class defined under
-`src/alcovelab/` whose code never starts, unless NOT_ON_A_USER_PATH names
+`workloads.WORKLOADS` with a `worker.Ops()`.  The test fails on any
+function that a module of `src/alcovelab/` defines at its top level, and
+on any method, property or cached property, dunders included, of a class
+defined there, whose code never starts, unless NOT_ON_A_USER_PATH names
 it with its reason.  This covers what the static check of
-`test_dead_definitions` cannot see: a method whose name another class also
-defines, which that check counts as used when either is read, and a dunder,
-which that check never counts.
+`test_dead_definitions` cannot see: a name that a path reads but no path
+calls, a method whose name another class also defines, which that check
+counts as used when either is read, and a dunder, which that check never
+counts.
 """
 
 import io
@@ -19,13 +21,13 @@ import sys
 from contextlib import redirect_stdout
 from functools import cached_property
 from pathlib import Path
+from unittest import mock
 
 import alcovelab
 import alcovelab.cli
 from test_readme_commands import run, substituted_examples
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "alcovelab"
 PERFBENCH = ROOT / "perfbench"
 
 NOT_ON_A_USER_PATH = {
@@ -38,29 +40,63 @@ NOT_ON_A_USER_PATH = {
     # error paths: a singular query point, and a p too small for the
     # real/p-alcove bijection, which no user path's input meets
     "SingularPointError.__init__", "PTooSmallError.__init__",
+    # translation_path's general second stage, for dependent generators
+    # or when no monotone path stays inside the p-alcove
+    "alcoves._bfs_path",
+    # no library path calls them; only the benchmark tracer's spans name
+    # them (ROADMAP item 2)
+    "polyhedra.find_point", "polyhedra.is_redundant",
+    "polyhedra.irredundant",
+    # the codim of a face with no simple vertex, and the wording of the
+    # unbounded-alcove error: every builtin alcove is a simplex
+    "polyhedra.matrix_rank",
+    # a config whose sigma_tilde is not saturated
+    "arith.saturate",
+    # the console entry point: the user paths call dispatch in process
+    "cli.main",
+    # argparse's parser, which writes the usage and words a rejected
+    # call: every README and benchmark call is one that _parse reads
+    "cli.build_parser",
+    # runs at import, while config builds its type table, before any
+    # user path starts
+    "config._array_of",
 }
 
 
-def methods():
-    """{code object: "Class.name"} of every method, property and cached
-    property, dunders included, that a class of the package defines in its
-    own source."""
+def package_modules():
+    return [module for name, module in sorted(sys.modules.items())
+            if name.split(".")[0] == "alcovelab"]
+
+
+def code_of(value):
+    """The code object of a function, method, property or cached property,
+    under any functools cache; None for any other value."""
+    if isinstance(value, property):
+        value = value.fget
+    elif isinstance(value, cached_property):
+        value = value.func
+    value = getattr(value, "__func__", value)
+    return getattr(getattr(value, "__wrapped__", value), "__code__", None)
+
+
+def functions():
+    """{code object: name} of every function that a module of the package
+    defines at its top level, as "module.name", and of every method,
+    property and cached property, dunders included, that a class of the
+    package defines in its own source, as "Class.name"."""
     out = {}
-    for name, module in sorted(sys.modules.items()):
-        if name.split(".")[0] != "alcovelab":
-            continue
-        for cls in vars(module).values():
-            if not isinstance(cls, type) or cls.__module__ != name:
-                continue
-            for attr, value in vars(cls).items():
-                if isinstance(value, property):
-                    value = value.fget
-                elif isinstance(value, cached_property):
-                    value = value.func
-                code = getattr(getattr(value, "__func__", value),
-                               "__code__", None)
-                if code is not None and Path(code.co_filename).parent == PACKAGE:
-                    out[code] = f"{cls.__name__}.{attr}"
+    for module in package_modules():
+        name, source = module.__name__, Path(module.__file__)
+        for attr, obj in vars(module).items():
+            if not isinstance(obj, type):
+                code = code_of(obj)
+                if code is not None and Path(code.co_filename) == source:
+                    out[code] = f"{name.rpartition('.')[2]}.{attr}"
+            elif obj.__module__ == name:
+                for method, value in vars(obj).items():
+                    code = code_of(value)
+                    if code is not None and Path(code.co_filename) == source:
+                        out[code] = f"{obj.__name__}.{method}"
     return out
 
 
@@ -83,17 +119,39 @@ def user_paths(tmp):
         run_pass(alcovelab, state, Ops())
 
 
-def test_every_method_runs_on_a_user_path(tmp_path):
+def never_run(call):
+    """The names in functions() whose code never starts while call() runs
+    under sys.setprofile.  The package's caches start empty, as in a fresh
+    process, so a function whose result an earlier test cached must still
+    start: its functools caches are cleared, and compat's dict is emptied
+    for the run and then restored."""
     started = set()
 
     def profile(frame, event, arg):
         if event == "call":
             started.add(frame.f_code)
 
-    sys.setprofile(profile)
-    try:
-        user_paths(tmp_path)
-    finally:
-        sys.setprofile(None)
-    never = {name for code, name in methods().items() if code not in started}
-    assert never == NOT_ON_A_USER_PATH
+    for module in package_modules():
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    with mock.patch.dict(alcovelab.compat._cache, clear=True):
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+    return {name for code, name in functions().items()
+            if code not in started}
+
+
+def test_every_method_runs_on_a_user_path(tmp_path):
+    assert never_run(lambda: user_paths(tmp_path)) == NOT_ON_A_USER_PATH
+
+
+def test_the_check_names_a_function_that_never_runs():
+    never = never_run(lambda: alcovelab.arith.vadd((1,), (2,)))
+    assert "arith.vadd" not in never
+    # a module function, a method and one under a functools cache
+    assert {"arith.vsub", "Wall.class_part", "mullineux._symbol_table",
+            "instances.builtin_instance"} <= never

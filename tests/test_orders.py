@@ -528,17 +528,22 @@ def label_loop_preorder(instance, pair, window):
     by_slope = defaultdict(list)
     for l in labels:
         by_slope[l.kappa.slope].append(l)
-    slopes = tuple(sorted(by_slope))
     classes = tuple(tuple(sorted(by_slope[s], key=lambda l:
                                  (str(l.point), l.kappa.const)))
-                    for s in slopes)
-    return PreOrder(instance, pair.lam, pair.mu, tuple(labels), classes,
-                    slopes)
+                    for s in sorted(by_slope))
+    return PreOrder(instance, pair.lam, pair.mu, tuple(labels), classes)
+
+
+def one(values):
+    """The one distinct value among values; any other count fails."""
+    value, = set(values)
+    return value
 
 
 def label_loop_json(pre):
     """Test-only oracle: PreOrder.to_json as first written, each label named
-    and its kappa printed at every use."""
+    and its kappa printed at every use, and each class's slope the one
+    slope that all its labels share."""
     name = pre.instance.point_str
     return {
         "lambda_bar": [rat_str(c) for c in pre.lam_bar],
@@ -547,10 +552,10 @@ def label_loop_json(pre):
         "blocks": {f"{name(l.point)}|{l.kappa}": 0 for l in pre.labels},
         "covers": [[i, i + 1] for i in range(len(pre.classes) - 1)],
         "classes": [{
-            "slope": rat_str(s),
+            "slope": rat_str(one(l.kappa.slope for l in cls)),
             "labels": [[name(l.point), str(l.kappa)] for l in
                        pre.within_class_order(cls)],
-        } for s, cls in zip(pre.class_slopes, pre.classes)],
+        } for cls in pre.classes],
     }
 
 
@@ -574,7 +579,7 @@ def test_ss_preorder_matches_the_label_loop(data):
     m = data.draw(st.integers(0, 4))
     pre = ss_preorder(inst, pair, (-m, m))
     ref = label_loop_preorder(inst, pair, (-m, m))
-    # labels, classes and class slopes alike
+    # labels and classes alike
     assert pre == ref
     assert equivalence_classes(pre) == equivalence_classes(ref) == ref.classes
     assert pre.to_json() == label_loop_json(ref)
@@ -614,7 +619,7 @@ def test_equivalence_classes_rejects_one_slope_across_h_blocks():
                               {"a": F(0), "b": F(1, 2)},
                               {"a": (F(0),), "b": (F(0),)})
     labels = (Label("a", AffineInP(0, 1)), Label("b", AffineInP(F(1, 2), 1)))
-    pre = PreOrder(inst, (F(0),), (F(0),), labels, (labels,), (F(1),))
+    pre = PreOrder(inst, (F(0),), (F(0),), labels, (labels,))
     with pytest.raises(AssertionError, match="mismatch"):
         equivalence_classes(pre)
 
@@ -668,8 +673,8 @@ def pair_walk_compat_check(poset, pre, p):
                 first, w1 = False, (a, b)
             if less(poset, ca, cb) and b.kappa.slope < a.kappa.slope:
                 second, w2 = False, (a, b)
-    for l in pre.labels:
-        if not l.kappa.slope < shift(l, 1, p).kappa.slope:
+    for l in pre.labels:   # the shift by 1 adds 1 to a symbolic slope
+        if not l.kappa.slope < l.kappa.slope + 1:
             below = False
     report = {
         "strict_pre_implies_hw": {"ok": first, "witness": w1},
@@ -740,7 +745,7 @@ def test_order_compat_check_matches_the_pair_walk_on_any_blocks(data):
         Label, st.sampled_from(points),
         st.builds(AffineInP, st.integers(-8, 8), st.integers(-2, 2))),
         max_size=12))
-    pre = PreOrder(None, (), (), tuple(pre_labels), (), ())
+    pre = PreOrder(None, (), (), tuple(pre_labels), ())
     assert order_compat_check(poset, pre, p) == \
         pair_walk_compat_check(poset, pre, p)
 
@@ -927,10 +932,10 @@ def test_crossing_threshold_bound():
             assert sym == conc
 
 
-def name_loop_dot(poset, instance=None):
+def name_loop_dot(poset, instance):
     """export_poset's DOT of a LabeledPoset as first written: a name
     function applied to every label and cover end."""
-    name = instance.point_str if instance is not None else str
+    name = instance.point_str
     return orders.to_dot(
         [((name(l.point), l.kappa),
           orders.PALETTE[poset.blocks[l] % len(orders.PALETTE)])
@@ -943,7 +948,8 @@ def test_export_formats():
     poset = hw_order(HILB2, (5,), 5, (0, 10))
     dot = export_poset(poset, HILB2)
     assert dot.startswith("digraph") and "->" in dot
-    for inst in (HILB2, None):
+    # partition names, and str names under a meta without a points kind
+    for inst in (HILB2, HILB2.replace(meta={})):
         assert export_poset(poset, inst) == name_loop_dot(poset, inst)
     js = json.dumps(poset.to_json(HILB2), sort_keys=True, indent=2)
     assert '"covers"' in js

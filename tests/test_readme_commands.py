@@ -3,8 +3,8 @@
 The fenced `sh` block of that section is read, continuation lines are
 joined, and each `alcove-lab ...` line goes through `cli.dispatch` in
 process.  `[--csv]` stands for the optional flag `--csv`, `poset.json`
-for a poset written from the JSON of an `order` run, and each config file
-named under "## JSON schemas" for its example there.
+for a poset written from the JSON of an `order` run, and each config or
+alcove file named under "## JSON schemas" for its example there.
 """
 
 import io
@@ -63,8 +63,8 @@ def check_output(argv, out):
 def substituted_examples(tmp):
     """The README examples as they run: `[--csv]` as `--csv`,
     `poset.json` as a poset written into the directory tmp from the JSON
-    of an `order` run, and each config example written into tmp under its
-    name."""
+    of an `order` run, and each config or alcove example written into tmp
+    under its name."""
     code, out = run(["order", "--builtin", "hilb", "--n", "2",
                      "--lambda-prime", "5", "--p", "5", "--window", "0:15"])
     assert code == 0
@@ -81,7 +81,8 @@ def substituted_examples(tmp):
 
 def test_readme_command_line_examples_run():
     assert readme_examples()
-    assert sorted(config_examples()) == ["custom.json", "lambdas.json"]
+    assert sorted(config_examples()) == ["alcove.json", "custom.json",
+                                         "lambdas.json"]
     with tempfile.TemporaryDirectory() as tmp:
         for argv in substituted_examples(tmp):
             code, out = run(argv)

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcovelab import cli, config
-from alcovelab.config import report_to_json
+from alcovelab.config import parse_config, report_to_json
 from alcovelab.instances import builtin_instance
 from test_readme_commands import run, substituted_examples
 
@@ -191,7 +191,8 @@ def test_cached_builtin_instances_equal_fresh_builds():
 
 def test_load_config_shares_one_builtin_build():
     argv = ["alcove", "--builtin", "hilb", "--n", "3", "--point", "1/3"]
-    first, second = (cli._load_config(cli.build_parser().parse_args(argv))
-                     for _ in range(2))
-    assert first.instance is second.instance
-    assert first.instance is builtin_instance("hilb", n=3)
+    first, second = (
+        parse_config(*cli._load_config(cli.build_parser().parse_args(argv)))[0]
+        for _ in range(2))
+    assert first is second
+    assert first is builtin_instance("hilb", n=3)

@@ -25,7 +25,6 @@ from alcovelab.alcoves import (Chamber, Face, PAlcove, QuantumChamber,
 from alcovelab.arith import AffineInP, Wall, primitivize, saturate
 from alcovelab.compat import CompatiblePair
 from alcovelab.instances import FixedPointInstance
-from alcovelab.mullineux import MullineuxSymbol
 from alcovelab.orders import LabeledPoset, PreOrder
 from alcovelab.polyhedra import VertexIncidence
 
@@ -46,9 +45,7 @@ FIELDS = {
     FixedPointInstance: ("name", "rank", "points", "c_const", "c_linear",
                          "walls", "lambdas", "generators", "meta"),
     LabeledPoset: ("labels", "blocks", "p", "window"),
-    PreOrder: ("instance", "lam_bar", "mu", "labels", "classes",
-               "class_slopes"),
-    MullineuxSymbol: ("columns",),
+    PreOrder: ("instance", "lam_bar", "mu", "labels", "classes"),
 }
 
 
@@ -87,9 +84,6 @@ def field_values(cls):
                              .map(saturate)})
     if cls is AffineInP:
         return st.fixed_dictionaries({"const": fractions, "slope": fractions})
-    if cls is MullineuxSymbol:
-        return st.fixed_dictionaries({"columns": st.lists(st.tuples(
-            st.integers(0, 4), st.integers(0, 4)), max_size=3).map(tuple)})
     return st.fixed_dictionaries({
         name: dicts if name in ("c_const", "c_linear", "meta", "blocks")
         else nested for name in FIELDS[cls]})
