@@ -270,29 +270,16 @@ class AffineInP(Value):
         c, s = self.const, self.slope
         return hash((c.numerator, c.denominator, s.numerator, s.denominator))
 
-    def crossing_threshold(self, other) -> Fraction | None:
-        """The p-value where self and other cross, or None for parallel lines.
-
-        For every prime above the threshold the concrete comparison agrees
-        with the large-p order (_key).
-        """
-        other = affine(other)
-        if self.slope == other.slope:
-            return None
-        return (other.const - self.const) / (self.slope - other.slope)
-
     @staticmethod
     def max_crossing_threshold(fs) -> int:
-        """Smallest integer P >= 0 at or above every pairwise
-        crossing_threshold of the affine functions fs: for every prime above
-        P each pair compares as it does for all large p.  Only the n - 1
-        neighbours in the large-p order (_key) are compared: just right of
-        the last crossing no pair crosses again, so the lines through it are
-        contiguous in that order, and two neighbours among them with
+        """Smallest integer P >= 0 such that above P every pair of the
+        affine functions fs compares as for all large p: the threshold of
+        g - f over the neighbours f < g in the large-p order (_key).  Right
+        of the last crossing no pair crosses again, so the lines through it
+        are contiguous in that order, and two neighbours among them with
         different slopes cross there."""
-        fs = sorted(fs, key=AffineInP._key)
-        return max([0] + [t.__ceil__() for f, g in zip(fs, fs[1:])
-                          if (t := f.crossing_threshold(g)) is not None])
+        fs = sorted(set(fs), key=AffineInP._key)
+        return threshold(g - f for f, g in zip(fs, fs[1:]))
 
     def __str__(self):
         c, s = self.const, self.slope
@@ -313,3 +300,13 @@ def affine(x) -> AffineInP:
     if isinstance(x, AffineInP):
         return x
     return AffineInP(rat(x), Fraction(0))
+
+
+def threshold(fs) -> int | None:
+    """The least integer P >= 0 with f(p) > 0 for every affine f in fs and
+    every real p > P: the largest ceiling of a root -const/slope, floored
+    at 0.  None when some f is <= 0 for all large p."""
+    fs = list(fs)
+    if any(f._key() <= (0, 0) for f in fs):
+        return None
+    return max([0] + [-(f.const // f.slope) for f in fs if f.slope])

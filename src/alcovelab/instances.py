@@ -141,8 +141,11 @@ def weyl_a_instance(n: int) -> FixedPointInstance:
     c(w; lambda) = <w lambda, rho_vee>, nu = rho_vee.
 
     Coordinates are fundamental-weight coordinates (lattice Z^{n-1}); walls
-    are all positive coroots with sigma_tilde = {0}.
+    are all positive coroots with sigma_tilde = {0}.  An n that is not an
+    int, a bool among them, is a TypeError naming it.
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, not {n!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
     check_point_count(accumulate(count(1), mul, initial=1), n)  # n!
@@ -178,8 +181,9 @@ BUILTINS = ("hilb", "weyl_a")
 
 
 # An instance is frozen and no library path writes to its dicts, so one
-# build per (name, n, ell) serves every later call of the process.
-@lru_cache(maxsize=16)
+# build per (name, n, ell) serves every later call of the process; typed,
+# so n=True is not a hit on n=1's build but the builder's TypeError.
+@lru_cache(maxsize=16, typed=True)
 def builtin_instance(name: str, **params) -> FixedPointInstance:
     if name == "hilb":
         return hilb_instance(params["n"], params.get("ell", 0))

@@ -441,7 +441,7 @@ def _compat_check(pre: PreOrder, p: int, block, vacuous: bool) -> dict | None:
 def interval_image(pre: PreOrder, interval, chi) -> tuple:
     """Image of an interval of classes under label translation by chi,
     (x, kappa) -> (x, kappa + wt_chi(x)); every point's weight must be
-    integral, whatever the interval.
+    integral, whatever the interval.  An empty interval's image is ().
 
     The translate of each class is again a class, in the same order: an
     integer weight moves a kappa's constant and keeps its slope.
@@ -452,7 +452,7 @@ def interval_image(pre: PreOrder, interval, chi) -> tuple:
     except KeyError:
         raise ValueError("not an interval: a class is not one of the "
                          "pre-order's") from None
-    if idxs != list(range(idxs[0], idxs[-1] + 1)):
+    if idxs and idxs != list(range(idxs[0], idxs[-1] + 1)):
         raise ValueError("not an interval: classes are not contiguous")
     inst, weight = pre.instance, {}
     for cls in pre.classes:

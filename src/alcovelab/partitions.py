@@ -22,7 +22,10 @@ def check_partition(mu) -> tuple:
 
 
 def partitions(n: int):
-    """All partitions of n in reverse lexicographic order."""
+    """All partitions of n in reverse lexicographic order.  An n that is
+    not an int, a bool among them, is a TypeError naming it."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, not {n!r}")
     if n == 0:
         yield ()
         return

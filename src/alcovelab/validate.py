@@ -44,6 +44,9 @@ def validate_p(p: int, instance, alcoves=()) -> dict:
         lambda;
     (e) each supplied alcove's p-alcove holds a lattice point (p_lattice_point:
         the rounded vertex average, else the lexicographically first one).
+        Its "stable_above" is the prime bound above which the facets'
+        right-hand sides keep their large-p order (arith.threshold of the
+        differences of neighbours); it does not say that (e) holds there.
     """
     walls = instance.walls
     report = {"p": p}
@@ -101,8 +104,8 @@ def validate_p(p: int, instance, alcoves=()) -> dict:
             entry["ok"] = pt is not None
             if pt is not None:
                 entry["witness"] = [rat_str(c) for c in pt]
-            # above this bound the facet bound values keep a fixed order,
-            # the regime where the real/p-alcove correspondence is stable
+            # above this bound the facets' right-hand sides keep their
+            # large-p order; a lattice point is not promised there
             entry["stable_above"] = AffineInP.max_crossing_threshold(
                 rhs for _, _, rhs in pa.inequalities)
         except ValueError as exc:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from alcovelab import arith
 from alcovelab.arith import (AffineInP, Wall, is_lattice, is_saturated,
                              pairing, primitivize, rat, rat_str, saturate,
-                             vec)
+                             threshold, vec)
 from alcovelab.config import parse_config
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -120,18 +121,25 @@ def test_cmp_large_p_examples():
         assert (f._key() > g._key()) - (f._key() < g._key()) == c
 
 
+def crossing(f, g):
+    """Test-only oracle: the p where the lines f and g cross, or None for
+    parallel lines (the library's pairwise rule before arith.threshold)."""
+    if f.slope == g.slope:
+        return None
+    return (g.const - f.const) / (f.slope - g.slope)
+
+
 @given(rationals, rationals, rationals, rationals)
 def test_cmp_agrees_with_eval_above_threshold(a1, b1, a2, b2):
     f, g = AffineInP(a1, b1), AffineInP(a2, b2)
     c = (f._key() > g._key()) - (f._key() < g._key())
-    t = f.crossing_threshold(g)
+    t = crossing(f, g)
     start = 1 if t is None else math.ceil(t) + 1
     for p in (start, start + 100):
         diff = f.eval_at(p) - g.eval_at(p)
         if c == 0:
             assert diff == 0
         elif c < 0:
-            assert diff < 0 or (f.slope == g.slope and diff < 0)
             assert diff < 0
         else:
             assert diff > 0
@@ -144,7 +152,7 @@ def pairwise_max_crossing_threshold(fs):
     best = 0
     for i, f in enumerate(fs):
         for g in fs[i + 1:]:
-            t = f.crossing_threshold(g)
+            t = crossing(f, g)
             if t is not None:
                 best = max(best, t.__ceil__())
     return best
@@ -154,7 +162,7 @@ def pairwise_max_crossing_threshold(fs):
 def test_max_crossing_threshold_over_ordered_pairs(coeffs):
     fs = [AffineInP(a, b) for a, b in coeffs]
     expected = max([math.ceil(t) for f in fs for g in fs
-                    if (t := f.crossing_threshold(g)) is not None] + [0])
+                    if (t := crossing(f, g)) is not None] + [0])
     assert AffineInP.max_crossing_threshold(iter(fs)) == expected
 
 
@@ -162,6 +170,9 @@ def test_max_crossing_threshold_over_ordered_pairs(coeffs):
 # integers, at non-integers and below 0, are all common
 few = st.sampled_from([F(-3), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(2),
                        F(7)])
+affine_lists = st.lists(st.builds(AffineInP, few, few)
+                        | st.builds(AffineInP, rationals, rationals),
+                        max_size=9)
 
 
 @given(st.lists(st.builds(AffineInP, few, few), max_size=9))
@@ -172,11 +183,51 @@ def test_max_crossing_threshold_matches_the_pairwise_loop(fs):
 
 def test_max_crossing_threshold_compares_only_neighbours():
     fs = [AffineInP(c, s) for s in range(-4, 5) for c in range(-3, 4)]
-    with mock.patch.object(AffineInP, "crossing_threshold", autospec=True,
-                           side_effect=AffineInP.crossing_threshold) as spy:
+    received = []
+
+    def spy(diffs):
+        received.extend(diffs)
+        return threshold(received)
+
+    with mock.patch.object(arith, "threshold", spy):
         got = AffineInP.max_crossing_threshold(fs)
     assert got == pairwise_max_crossing_threshold(fs) == 6
-    assert spy.call_count <= len(fs) - 1
+    assert 0 < len(received) <= len(fs) - 1
+
+
+def eventually_nonpositive(f):
+    """f(p) <= 0 for every large p, read off the sign of f at a p above
+    every root the drawn coefficients allow."""
+    return f.eval_at(10**6) <= 0
+
+
+@given(affine_lists)
+@example([AffineInP(-7, 2)])           # root 7/2: P = 4, f(4) = 1
+@example([AffineInP(-6, 2)])           # root 3: P = 3, f(3) = 0
+@example([AffineInP(3, -1), AffineInP(1, 1)])
+@example([AffineInP(0, 0)])
+def test_threshold_is_the_least_bound_above_which_every_f_is_positive(fs):
+    P = threshold(fs)
+    assert (P is None) == any(eventually_nonpositive(f) for f in fs)
+    if P is None:
+        return
+    assert type(P) is int and P >= 0
+    for p in [P + F(1, 2)] + list(range(P + 1, P + 201)):
+        assert all(f.eval_at(p) > 0 for f in fs), p
+    if P > 0:
+        # least: some f is <= 0 at a real p > P - 1, one of the roots
+        roots = [-f.const / f.slope for f in fs if f.slope]
+        assert any(f.eval_at(t) <= 0 for f in fs for t in roots
+                   if t > P - 1)
+
+
+@given(affine_lists)
+def test_max_crossing_threshold_is_threshold_of_the_ordered_differences(fs):
+    # every pair f < g in the large-p order has g - f eventually positive
+    expected = threshold(g - f for f in fs for g in fs
+                         if f._key() < g._key())
+    assert AffineInP.max_crossing_threshold(fs) == expected == \
+        pairwise_max_crossing_threshold(fs)
 
 
 @given(rationals, rationals, rationals, rationals)

@@ -83,6 +83,39 @@ def test_a_hilb_size_that_is_not_an_int_is_a_type_error(size):
         hilb_instance(3, size)
 
 
+@pytest.mark.parametrize("size", [True, 3.0, F(3), "3"],
+                         ids=["bool", "float", "fraction", "str"])
+def test_a_weyl_a_size_that_is_not_an_int_is_a_type_error(size):
+    # weyl_a_instance(3.0) used to fail inside range, "3" inside a <, and
+    # True as "n must be >= 2"
+    with pytest.raises(TypeError, match=f"^n must be an int, not "
+                                        f"{re.escape(repr(size))}$"):
+        weyl_a_instance(size)
+
+
+@pytest.mark.parametrize("size", [True, 2.5, 3.0, F(3), "3"],
+                         ids=["bool", "half", "float", "fraction", "str"])
+def test_partitions_of_a_size_that_is_not_an_int_is_a_type_error(size):
+    # partitions(2.5) used to yield three half-integer "partitions" and then
+    # loop forever, partitions(3.0) float parts and partitions(True) (True,)
+    with pytest.raises(TypeError, match=f"^n must be an int, not "
+                                        f"{re.escape(repr(size))}$"):
+        next(partitions(size))
+
+
+def test_builtin_instance_does_not_take_a_bool_or_float_n_for_a_cached_int():
+    # True == 1 and 3.0 == 3 hash alike: an untyped cache answered them
+    # with the int's build, while a fresh process raised the TypeError
+    builtin_instance.cache_clear()
+    assert builtin_instance("hilb", n=1).name == "hilb(1)"
+    assert builtin_instance("weyl_a", n=3).name == "weyl_a(3)"
+    for name, size in (("hilb", True), ("weyl_a", 3.0)):
+        with pytest.raises(TypeError, match=f"^n must be an int, not "
+                                            f"{size!r}$"):
+            builtin_instance(name, n=size)
+    assert builtin_instance.cache_info().currsize == 2
+
+
 def test_hilb_values():
     inst = hilb_instance(2, 0)
     # c-coordinates: evaluate at c = 3/2 (the parameter lambda = 2)

@@ -817,6 +817,15 @@ def test_interval_image_properties():
     assert [set(c) for c in back] == [set(c) for c in interval]
 
 
+def test_interval_image_of_an_empty_interval():
+    pre = ss_preorder(HILB2, hilb_face_pair(HILB2, F(1, 2)), (-2, 2))
+    # idxs[0] of no class used to escape as an IndexError
+    assert interval_image(pre, [], (1,)) == ()
+    # whatever the interval, a non-integral weight is the ValueError
+    with pytest.raises(ValueError, match="^non-integral weight"):
+        interval_image(pre, [], (F(1, 2),))
+
+
 def test_interval_image_requires_contiguity():
     pair = hilb_face_pair(HILB2, F(1, 2))
     pre = ss_preorder(HILB2, pair, (-2, 2))
