@@ -12,7 +12,7 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, mul
 
 from .arith import (AffineInP, Value, Wall, is_lattice, pairing, rat, rat_str,
                     set_field, vec, vsub)
@@ -227,24 +227,23 @@ def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
     numerators X over one denominator D, so each wall's pairing is the
     integer <alpha, X> over D (_bracket_nums), and a direction to integer
     numerators too, whose pairings have the signs the slopes need.  Each
-    wall gives the rows (d*alpha, lo) for its lower bound lo/d and
-    (-d*alpha, -hi) for its upper bound hi/d, in _canonical's order (one
-    bound per wall and sense), which the pass takes as they are; only the
-    kept bounds become Fractions.
+    wall, by id, gives the rows (-d*alpha, -hi) for its upper bound hi/d
+    and (d*alpha, lo) for its lower bound lo/d, built once: _canonical's
+    order (one bound per wall and sense), which the pass takes as they
+    are; only the kept bounds become Fractions.
 
     The pass takes the bounds nearest the query point (x/p in the
-    p-family) first, so that the facets go in before the bounds they make
-    redundant.  The slack of a bound, <alpha, x> - scale*lo or
-    scale*hi - <alpha, x> over the wall's d, is brought to the lcm of every
-    wall's d and compared in integers."""
+    p-family) first, so the facets go in before the bounds they make
+    redundant: a bound's slack over its wall's d, brought to the lcm of
+    every d, is compared in integers."""
     x = vec(x)
     rank = len(x)
     big_x, den_x = _numerators(x)
     if direction is not None:
         big_u, _ = _numerators(direction)
     scale = 1 if p is None else p
-    bounds = []
-    for w in walls:
+    rows, bounds, big_d = [], [], 1
+    for w in sorted(walls, key=attrgetter("id")):  # _canonical's order
         alpha = w.alpha
         if len(alpha) != rank:
             raise ValueError(f"point has {rank} coordinates but the walls "
@@ -252,18 +251,17 @@ def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
         slope = 0 if direction is None else sum(map(mul, alpha, big_u))
         den, lo, hi, big_t = _bracket_nums(w, sum(map(mul, alpha, big_x)),
                                            den_x, p, slope)
-        bounds += [(w.id, GE, lo, den, big_t - scale * lo,
-                    (tuple(den * a for a in alpha), lo, False)),
-                   (w.id, LE, hi, den, scale * hi - big_t,
-                    (tuple(-den * a for a in alpha), -hi, False))]
-    bounds.sort(key=itemgetter(0, 1))  # _canonical's order
-    big_d = lcm(*(den for _, _, _, den, _, _ in bounds))
-    keys = [slack * (big_d // den) for _, _, _, den, slack, _ in bounds]
+        c = tuple([den * a for a in alpha])
+        rows += [(tuple([-a for a in c]), -hi, False), (c, lo, False)]
+        bounds += [(w.id, hi, den, LE, scale * hi - big_t),
+                   (w.id, lo, den, GE, big_t - scale * lo)]
+        big_d = lcm(big_d, den)
+    keys = [slack * (big_d // den) for _, _, den, _, slack in bounds]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    kept, inc = facets_and_vertices([row for *_, row in bounds], rank, order)
-    return RealAlcove(rank, tuple(
+    kept, inc = facets_and_vertices(rows, rank, order)
+    return RealAlcove(rank, tuple([
         (wid, Fraction(m, den), sense)
-        for wid, sense, m, den, _, _ in map(bounds.__getitem__, kept)), inc)
+        for wid, m, den, sense, _ in map(bounds.__getitem__, kept)]), inc)
 
 
 class Face(Value):
@@ -290,40 +288,41 @@ def faces_of(A: RealAlcove, walls):
     The vertex-facet incidence is A's VertexIncidence: each vertex's mask
     holds the inequalities tight on it.  A subset of the inequalities, as a
     bitmask, picks the vertices whose masks contain it: those of the subset
-    with its lowest bit cleared that are tight on that bit's inequality, one
-    AND of two vertex bitmasks, and the face is keyed by the bitmask of its
-    vertices.  Its active inequalities, those in all of their masks, in A's
-    order, which is canonical for every built alcove and translate, are the
-    rows tight on the whole face, and they cut out its affine hull
-    (Schrijver, "Theory of Linear and Integer Programming", 1986, ch. 8), so
-    its codimension is the rank of their covectors.  A face holding a
-    simple vertex, one on exactly d inequalities, has as codim the number
-    of its active inequalities, with no elimination: the rows tight at a
-    vertex have rank d, so d of them are independent, and so is every
-    subset, the face's active rows among them (every vertex of a simplex is
-    simple; Ziegler, "Lectures on Polytopes", 1995, ch. 3).  A face whose
-    vertices all lie on more than d inequalities runs matrix_rank: no face
-    of a simplex, so none of a builtin instance's alcoves, but every face
-    of a cross-polytope.  Its witness is polyhedra.vertex_average of their
-    numerators.
+    less its lowest bit that are tight on that bit's inequality, one AND,
+    and the face is keyed by the bitmask of its vertices.  A vertex set is
+    walked up to from itself less its highest vertex, memoized by bitmask,
+    and carries its vertices' integer column sums, its active mask (the AND
+    of their masks) and its vertex tuple: a vertex more costs one vector
+    add and one AND.  The active inequalities, in A's order (canonical for
+    every built alcove and translate), are the rows tight on the whole
+    face; they cut out its affine hull (Schrijver, "Theory of Linear and
+    Integer Programming", 1986, ch. 8), so its codim is the rank of their
+    covectors.  The rows tight at a simple vertex, one on exactly d rows,
+    are independent, so a face holding one has its active count as codim,
+    with no elimination (every vertex of a simplex is simple; Ziegler,
+    "Lectures on Polytopes", 1995, ch. 3); any other face, such as every
+    face of a cross-polytope, runs matrix_rank.  The witness is the vertex
+    average, the sums over den times the vertex count; a vertex is its own.
     Requires an irredundant bounded alcove (the wall covectors span).
     """
     wm = _wall_map(walls)
-    alphas = [wm[wid].alpha for wid, _, _ in A.inequalities]
+    ineqs = A.inequalities
+    alphas = [wm[wid].alpha for wid, _, _ in ineqs]
     inc = A.incidence
     if not inc.nums:  # a vertex needs rank many independent covectors
         raise ValueError("unbounded alcove: wall covectors do not span"
                          if matrix_rank(alphas) < A.rank else "empty alcove")
-    verts = inc.points()
-    n = len(A.inequalities)
-    if reduce(int.__or__, inc.masks) != (1 << n) - 1:  # a row on no vertex
+    verts, masks, n = inc.points(), inc.masks, len(ineqs)
+    if reduce(int.__or__, masks) != (1 << n) - 1:  # a row on no vertex
         raise ValueError("redundant inequalities: not an alcove's facets")
     # the bitmask of the simple vertices
-    simple = sum(1 << j for j, mask in enumerate(inc.masks)
+    simple = sum(1 << j for j, mask in enumerate(masks)
                  if mask.bit_count() == A.rank)
     # per inequality, the bitmask of the vertices it is tight on
-    tight_on = [sum(1 << j for j, mask in enumerate(inc.masks)
-                    if mask >> i & 1) for i in range(n)]
+    tight_on = [sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
+                for i in range(n)]
+    # per vertex bitmask: (column sums, active mask, vertex tuple)
+    walked = {0: ((0,) * A.rank, (1 << n) - 1, ())}
     on_sets = [(1 << len(verts)) - 1]  # the empty subset holds every vertex
     seen = {}
     for subset in range(1 << n):
@@ -334,18 +333,25 @@ def faces_of(A: RealAlcove, walls):
         on_set = on_sets[subset]
         if not on_set or on_set in seen:
             continue
-        on = [j for j in range(len(verts)) if on_set >> j & 1]
-        active = reduce(int.__and__, (inc.masks[j] for j in on))
-        active_idx = [i for i in range(n) if active >> i & 1]
-        codim = (len(active_idx) if on_set & simple
-                 else matrix_rank([alphas[i] for i in active_idx]))
-        seen[on_set] = Face(
-            parent=A,
-            active=tuple(A.inequalities[i] for i in active_idx),
-            codim=codim,
-            witness=vertex_average([inc.nums[j] for j in on], inc.den),
-            vertex_set=tuple(verts[j] for j in on),
-        )
+        # down to a walked set by the highest vertices, then back up
+        top, added = on_set, []
+        while top not in walked:
+            added.append(top.bit_length() - 1)
+            top ^= 1 << added[-1]
+        sums, active, vset = walked[top]
+        for j in reversed(added):
+            top |= 1 << j
+            sums, active, vset = walked[top] = (
+                tuple(map(add, sums, inc.nums[j])), active & masks[j],
+                vset + (verts[j],))
+        idx = [i for i in range(n) if active >> i & 1]
+        codim = (len(idx) if on_set & simple
+                 else matrix_rank([alphas[i] for i in idx]))
+        size = inc.den * len(vset)
+        witness = (vset[0] if len(vset) == 1
+                   else tuple([Fraction(s, size) for s in sums]))
+        seen[on_set] = Face(A, tuple([ineqs[i] for i in idx]), codim,
+                            witness, vset)
     return sorted(seen.values(), key=lambda f: (f.codim, f.active))
 
 

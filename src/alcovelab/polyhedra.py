@@ -45,25 +45,24 @@ double description method", 1953; Fukuda and Prodon, "Double description
 method revisited", 1996) serves `vertices`, `interior_point` and
 `facets_and_vertices`, the alcove build: it adds t >= 0 and then the rows,
 one at a time, to the cone {(x, t) : c.x >= b*t}, keeping its extreme rays
-as primitive integer vectors with the bitmask of the rows tight on each; two
-rays are adjacent when no third ray is tight on every row tight on both.
-The order in which the rows go in steers only the work, not the answer: it
-sets how many rays the pass holds on the way (Fukuda and Prodon), while bit
-i stays row i and the final rays and their tight rows are the same in every
-order.  The alcove build hands in its nearest bounds first, so the facets
-go in first and each redundant bound after them costs one scan of the rays.
-The rays with t > 0 are the vertices, read off as one `VertexIncidence`.
-The same rays, taken modulo the lineality space, give the facets of every
-system with an interior, bounded or not, which is every alcove and every
-quantum chamber: a row is a facet when its set of tight rays holds a ray
-with t > 0 and lies in no other row's set; of two rows with the same set
-the later is kept, as `irredundant` keeps it.  A system with no interior
-(empty or lower-dimensional) keeps every row, so the pass is the alcove
-build's one engine and no elimination runs in it.
+as primitive integer vectors with the bitmask of the rows tight on each.  A
+row with rays strictly on its negative side drops them and adds a ray for
+each adjacent pair across it (two rays are adjacent when no third ray is
+tight on every row tight on both); a row with none there only marks the rays
+tight on it, in one scan of the rays.  The row order steers only the work
+(Fukuda and Prodon): bit i stays row i, and the final rays and their tight
+rows are the same in every order.  The alcove build hands in its nearest
+bounds first, so the facets go in first and each redundant bound after them
+costs that one scan.  The rays with t > 0 are the vertices, one
+`VertexIncidence`; modulo the lineality space, the rays give the facets of
+every system with an interior, which is every alcove and quantum chamber: a
+row is a facet when its set of tight rays holds a ray with t > 0 and lies in
+no other row's set, the later of two rows with one set kept, as
+`irredundant` keeps it.  A system with no interior (empty or
+lower-dimensional) keeps every row, so no elimination runs in the build.
 
-One vertex average, `vertex_average`, serves every interior point and the
-face witnesses of `alcoves.faces_of`: it sums each coordinate of the
-vertices' numerators over their common denominator and divides once.
+One vertex average, `vertex_average`, serves every interior point: the
+vertices' numerators over one denominator, summed per coordinate.
 """
 
 from __future__ import annotations
@@ -310,10 +309,11 @@ class VertexIncidence(Value):
 def _incidence(lineality, rays, dim, kept=()):
     """The VertexIncidence of _extreme_rays' rays, masks over the kept rows."""
     verts = [] if lineality else [(r, mask) for r, mask in rays if r[dim]]
-    den = lcm(*(r[dim] for r, _ in verts))
-    pairs = sorted((tuple(x * (den // r[dim]) for x in r[:dim]),
-                    sum(1 << j for j, i in enumerate(kept) if mask >> i & 1))
-                   for r, mask in verts)
+    den = lcm(*[r[dim] for r, _ in verts])
+    bits = [(1 << i, 1 << j) for j, i in enumerate(kept)]  # row i to bit j
+    pairs = sorted([(tuple([x * (den // r[dim]) for x in r[:dim]]),
+                     sum([b for a, b in bits if mask & a]))
+                    for r, mask in verts])
     return VertexIncidence(den, tuple(v for v, _ in pairs),
                            tuple(m for _, m in pairs))
 
@@ -329,14 +329,9 @@ def facets_and_vertices(rows, dim, order=None):
     """(kept indices, VertexIncidence) of {x : c.x >= b} for integer rows
     (c, b, strict), every row read as non-strict: its facets, where it has
     an interior, and the vertices with their tight kept rows, from one
-    pass.  The rows are taken as they are: a caller scales its rows by
-    integer_row first.
-
-    The pass builds the extreme rays, modulo the lineality space, of the
-    cone {(x, t) : c.x >= b*t, t >= 0} over the integer rows (c, b), adding
-    t >= 0 and then the rows in `order` (row indices, by default
-    ascending), each ray with the bitmask of the rows tight on it.  The
-    order steers only the work: the answer is the same in every order.
+    pass of _extreme_rays over the rows in `order` (row indices, by
+    default ascending), which steers only the work.  The rows are taken as
+    they are: a caller scales its rows by integer_row first.
 
     The system has an interior when some ray has t > 0 (it is nonempty)
     and no row is tight on every ray (none is an implicit equality), be it
@@ -348,8 +343,7 @@ def facets_and_vertices(rows, dim, order=None):
     interior, empty or lower-dimensional, keeps every row: a superset of
     irredundant's rows with the same solutions, found without an
     elimination.  The rays with t > 0 are the vertices, none where there
-    is a lineality space, and their masks come from the rays in both
-    cases.
+    is a lineality space.
     """
     lineality, rays = _extreme_rays(rows, dim, order)
     # per row, the bitmask of the rays tight on it, from each ray's set bits
@@ -377,9 +371,8 @@ def facets_and_vertices(rows, dim, order=None):
 def _extreme_rays(rows, dim, order=None):
     """The cone {(x, t) : c.x >= b*t, t >= 0} of integer rows (c, b,
     strict), strict read as non-strict, by double description
-    (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, "Double
-    description method revisited", 1996), the rows added in `order` (row
-    indices, by default ascending).
+    (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996),
+    the rows added in `order` (row indices, by default ascending).
 
     Returns (lineality, rays): a basis of its lineality space and its
     extreme rays modulo that space, each ray as (primitive integer vector,
@@ -388,13 +381,13 @@ def _extreme_rays(rows, dim, order=None):
     the unit vectors of x as lineality.  A row nonzero on a lineality
     vector l (oriented to be positive on it) moves every other lineality
     vector and every ray into its hyperplane along l, and l becomes a ray:
-    this is an incremental echelon.  A row zero on the lineality space
-    keeps the rays on its side and adds the positive combination in its
-    hyperplane of each adjacent pair on opposite sides; two rays are
-    adjacent when no third ray is tight on every row tight on both (the
-    combinatorial test).  A pointed cone's extreme rays, as primitive
-    vectors, and the rows tight on each do not depend on the order, which
-    only sets how many rays the pass holds on the way.
+    an incremental echelon.  A row zero on the lineality space keeps the
+    rays on its side and adds the positive combination in its hyperplane
+    of each adjacent pair on opposite sides, two rays being adjacent when
+    no third ray is tight on every row tight on both; with no ray strictly
+    on its negative side, it costs one scan of the rays.  A pointed cone's
+    extreme rays, as primitive vectors, and the rows tight on each do not
+    depend on the order, which only sets how many rays the pass holds.
     """
     unit = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim + 1)]
     lineality, rays = unit[:dim], [(unit[dim], 0)]
@@ -423,16 +416,17 @@ def _extreme_rays(rows, dim, order=None):
                     neg.append((r, mask, s))
                 else:
                     kept.append((r, mask | bit))
-            # the rows tight on a 2-face have rank dim - 1 - len(lineality)
-            need = dim - 1 - len(lineality)
-            masks = [mask for _, mask in rays]
-            for r, rmask, rs in pos:
-                for q, qmask, qs in neg:
-                    common = rmask & qmask
-                    if common.bit_count() < need or sum(
-                            common & m == common for m in masks) > 2:
-                        continue
-                    kept.append((_combine(rs, q, -qs, r), common | bit))
+            if neg:  # else the row cuts no ray: one scan, no adjacency
+                # the rows tight on a 2-face have rank dim - 1 - len(lineality)
+                need = dim - 1 - len(lineality)
+                masks = [mask for _, mask in rays]
+                for r, rmask, rs in pos:
+                    for q, qmask, qs in neg:
+                        common = rmask & qmask
+                        if common.bit_count() < need or sum(
+                                common & m == common for m in masks) > 2:
+                            continue
+                        kept.append((_combine(rs, q, -qs, r), common | bit))
             rays = kept
         done |= bit
     return lineality, rays

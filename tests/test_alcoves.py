@@ -182,12 +182,15 @@ def reference_faces(A, walls):
     pairings."""
     cons = A.constraints(walls)
     verts = vertices(cons, A.rank)
+    # per inequality, the vertices tight on it, by pairing
+    tight = [frozenset(j for j, v in enumerate(verts) if pairing(c, v) == b)
+             for c, b, _ in cons]
+    every = frozenset(range(len(verts)))
     seen = {}
     for r in range(len(cons) + 1):
         for subset in combinations(range(len(cons)), r):
-            vset = tuple(v for v in verts
-                         if all(pairing(cons[i][0], v) == cons[i][1]
-                                for i in subset))
+            vset = tuple(verts[j] for j in sorted(
+                every.intersection(*[tight[i] for i in subset])))
             if not vset or vset in seen:
                 continue
             active = [A.inequalities[i] for i, (coeffs, rhs, _) in
@@ -217,12 +220,20 @@ OCTAHEDRAL_WALLS = tuple(
     for i, alpha in enumerate([(1, 1, 1), (1, 1, -1), (1, -1, 1),
                                (1, -1, -1)]))
 
+# <alpha, x> = 1/2 + k for the eight covectors (1, +-1, +-1, +-1): the
+# alcove at the origin is the cross-polytope |x_1| + ... + |x_4| <= 1/2,
+# whose eight vertices each lie on eight facets
+CROSS_WALLS = tuple(
+    Wall(id=i, alpha=(1,) + signs, sigma_tilde=frozenset([F(1, 2)]))
+    for i, signs in enumerate(product((1, -1), repeat=3)))
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_faces_match_per_subset_reference(data):
     rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
-                                      st.just((3, OCTAHEDRAL_WALLS))))
+                                      st.just((3, OCTAHEDRAL_WALLS)),
+                                      st.just((4, CROSS_WALLS))))
     x = data.draw(st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=13),
         min_size=rank, max_size=rank))
@@ -230,21 +241,29 @@ def test_faces_match_per_subset_reference(data):
         A = real_alcove_of(x, walls)
     except SingularPointError:
         return
-    # no face of a simplex needs a rank; an octahedron's faces run it
-    simplex = len(A.incidence.nums) == rank + 1
-    with (mock.patch.object(alcoves, "matrix_rank", must_not_run)
-          if simplex else ExitStack()):
-        faces = faces_of(A, walls)
-    assert faces == reference_faces(A, walls)
-    # each witness is the Fraction sum of the face's vertices over their count
-    assert [f.witness for f in faces] == [
-        tuple(sum(coords) / len(f.vertex_set) for coords in zip(*f.vertex_set))
-        for f in faces]
-    # faces_of reads a simplex's codims off the active count: each must
-    # still be the rank of the face's active covectors
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                 max_size=rank)))
     alpha = {w.id: w.alpha for w in walls}
-    assert [f.codim for f in faces] == [
-        matrix_rank([alpha[wid] for wid, _, _ in f.active]) for f in faces]
+    for B in (A, A.translate(v, walls)):
+        # no face of a simplex needs a rank; the faces of an octahedron or
+        # a cross-polytope run it
+        simplex = len(B.incidence.nums) == rank + 1
+        with (mock.patch.object(alcoves, "matrix_rank", must_not_run)
+              if simplex else ExitStack()):
+            faces = faces_of(B, walls)
+        assert faces == reference_faces(B, walls)
+        # each witness is the Fraction sum of the face's vertices over their
+        # count, and a vertex's witness is the vertex itself
+        assert [f.witness for f in faces] == [
+            tuple(sum(coords) / len(f.vertex_set)
+                  for coords in zip(*f.vertex_set)) for f in faces]
+        assert all(f.witness == f.vertex_set[0] for f in faces
+                   if len(f.vertex_set) == 1)
+        # faces_of reads a simplex's codims off the active count: each must
+        # still be the rank of the face's active covectors
+        assert [f.codim for f in faces] == [
+            matrix_rank([alpha[wid] for wid, _, _ in f.active])
+            for f in faces]
 
 
 @settings(max_examples=40, deadline=None)
@@ -611,14 +630,6 @@ def test_small_p_builds_with_at_most_rank_vertices_end_in_p_too_small():
 
 def must_not_run(*args, **kwargs):
     raise AssertionError("called")
-
-
-# <alpha, x> = 1/2 + k for the eight covectors (1, +-1, +-1, +-1): the
-# alcove at the origin is the cross-polytope |x_1| + ... + |x_4| <= 1/2,
-# whose eight vertices each lie on eight facets
-CROSS_WALLS = tuple(
-    Wall(id=i, alpha=(1,) + signs, sigma_tilde=frozenset([F(1, 2)]))
-    for i, signs in enumerate(product((1, -1), repeat=3)))
 
 
 def test_faces_of_the_cross_polytope_still_run_the_rank():

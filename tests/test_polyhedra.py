@@ -682,3 +682,58 @@ def test_facets_and_vertices_do_not_depend_on_the_insertion_order(drawn):
     assert (got_kept, got.den, got.nums, got.masks) == (
         kept, inc.den, inc.nums, inc.masks)
 
+
+
+@st.composite
+def simplices_with_redundant_rows(draw):
+    """(simplex, extra, dim, order): the integer rows of a simplex M x >= lo,
+    sum(M x) <= top, for an invertible integer M, and after them redundant
+    rows, none tight on a vertex: looser scaled copies of its rows and far
+    bounds below every vertex.  The order takes the simplex's rows first,
+    each part in a drawn order."""
+    dim = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    m = draw(st.lists(st.tuples(*[small] * dim), min_size=dim,
+                      max_size=dim).filter(lambda m: matrix_rank(m) == dim))
+    lo = draw(st.lists(small, min_size=dim, max_size=dim))
+    top = sum(lo) + draw(st.integers(1, 4))
+    simplex = [(row, b, False) for row, b in zip(m, lo)]
+    simplex.append((tuple(-sum(col) for col in zip(*m)), -top, False))
+    points = vertices(simplex, dim)
+    extra = []
+    for c, b, _ in draw(st.lists(st.sampled_from(simplex), min_size=1,
+                                 max_size=4)):
+        scale = draw(st.integers(1, 3))
+        extra.append((tuple(scale * a for a in c),
+                      scale * b - draw(st.integers(1, 5)), False))
+    for c in draw(st.lists(st.tuples(*[small] * dim).filter(any),
+                           max_size=3)):
+        low = min(sum(a * x for a, x in zip(c, v)) for v in points)
+        extra.append((c, low.__floor__() - draw(st.integers(1, 100)), False))
+    n = len(simplex)
+    order = (draw(st.permutations(range(n)))
+             + draw(st.permutations(range(n, n + len(extra)))))
+    return simplex, extra, dim, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplices_with_redundant_rows())
+def test_a_redundant_bound_costs_one_scan_of_the_rays(drawn):
+    # redundant rows added after a simplex's facets leave its facets and
+    # vertices as they are and combine no rays: each only marks the rays
+    simplex, extra, dim, order = drawn
+    combine, calls = polyhedra._combine, []
+
+    def spy(*args):
+        calls.append(args)
+        return combine(*args)
+
+    with mock.patch.object(polyhedra, "_combine", spy):
+        kept, inc = facets_and_vertices(simplex, dim, order[:len(simplex)])
+        alone = len(calls)
+        got = facets_and_vertices(simplex + extra, dim, order)
+    assert got == (kept, inc)
+    assert kept == list(range(dim + 1)) and len(inc.nums) == dim + 1
+    # the simplex's rows combine the same rays again, and no appended row
+    # combines any
+    assert calls[alone:] == calls[:alone]
