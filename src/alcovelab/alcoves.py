@@ -61,8 +61,10 @@ def _wall_map(walls):
 
 
 class RealAlcove(Value):
-    """Closure of a connected component of the hyperplane complement, as a
-    canonical irredundant list of (wall_id, offset, sense) constraints.
+    """Closure of a connected component of the hyperplane complement, as an
+    irredundant list of (wall_id, offset, sense) constraints in the one
+    order that _alcove_around makes, translate keeps and faces_of and
+    p_alcove_of index: walls by id, the upper bound (<=) before the lower.
 
     Every alcove is built by the one double-description pass
     (_alcove_around, through real_alcove_of, opposite_alcove and
@@ -132,16 +134,12 @@ def inequalities_to_json(ineqs):
     return [[wid, rat_str(m), sense] for wid, m, sense in ineqs]
 
 
-def _canonical(ineqs):
-    return tuple(sorted(ineqs, key=lambda t: (t[0], t[2], t[1])))
-
-
 def translate_inequalities(ineqs, v, walls):
     """The inequalities (wall_id, offset, sense) moved by a lattice vector
-    v, each offset m to m + <alpha, v>, in canonical order."""
+    v, each offset m to m + <alpha, v>, in the order given."""
     wm = _wall_map(walls)
-    return _canonical([(wid, m + pairing(wm[wid].alpha, v), sense)
-                       for wid, m, sense in ineqs])
+    return tuple([(wid, m + pairing(wm[wid].alpha, v), sense)
+                  for wid, m, sense in ineqs])
 
 
 def real_alcove_of(x, walls) -> RealAlcove:
@@ -228,9 +226,9 @@ def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
     integer <alpha, X> over D (_bracket_nums), and a direction to integer
     numerators too, whose pairings have the signs the slopes need.  Each
     wall, by id, gives the rows (-d*alpha, -hi) for its upper bound hi/d
-    and (d*alpha, lo) for its lower bound lo/d, built once: _canonical's
-    order (one bound per wall and sense), which the pass takes as they
-    are; only the kept bounds become Fractions.
+    and (d*alpha, lo) for its lower bound lo/d, built once in RealAlcove's
+    inequality order, which the pass keeps; only the kept bounds become
+    Fractions.
 
     The pass takes the bounds nearest the query point (x/p in the
     p-family) first, so the facets go in before the bounds they make
@@ -243,7 +241,7 @@ def _alcove_around(x, walls, p=None, direction=None) -> RealAlcove:
         big_u, _ = _numerators(direction)
     scale = 1 if p is None else p
     rows, bounds, big_d = [], [], 1
-    for w in sorted(walls, key=attrgetter("id")):  # _canonical's order
+    for w in sorted(walls, key=attrgetter("id")):  # RealAlcove's order
         alpha = w.alpha
         if len(alpha) != rank:
             raise ValueError(f"point has {rank} coordinates but the walls "
@@ -269,7 +267,7 @@ class Face(Value):
     equalities, with a rational point in its relative interior."""
 
     parent: RealAlcove
-    active: tuple       # subset of parent.inequalities, canonical order
+    active: tuple       # subset of parent.inequalities, in their order
     codim: int
     witness: tuple
     vertex_set: tuple
@@ -293,15 +291,15 @@ def faces_of(A: RealAlcove, walls):
     walked up to from itself less its highest vertex, memoized by bitmask,
     and carries its vertices' integer column sums, its active mask (the AND
     of their masks) and its vertex tuple: a vertex more costs one vector
-    add and one AND.  The active inequalities, in A's order (canonical for
-    every built alcove and translate), are the rows tight on the whole
-    face; they cut out its affine hull (Schrijver, "Theory of Linear and
-    Integer Programming", 1986, ch. 8), so its codim is the rank of their
-    covectors.  The rows tight at a simple vertex, one on exactly d rows,
-    are independent, so a face holding one has its active count as codim,
-    with no elimination (every vertex of a simplex is simple; Ziegler,
-    "Lectures on Polytopes", 1995, ch. 3); any other face, such as every
-    face of a cross-polytope, runs matrix_rank.  The witness is the vertex
+    add and one AND.  The active inequalities, in A's order (see
+    RealAlcove), are the rows tight on the whole face; they cut out its
+    affine hull (Schrijver, "Theory of Linear and Integer Programming",
+    1986, ch. 8), so its codim is the rank of their covectors.  The rows
+    tight at a simple vertex, one on exactly d rows, are independent, so a
+    face holding one has its active count as codim, with no elimination
+    (every vertex of a simplex is simple; Ziegler, "Lectures on Polytopes",
+    1995, ch. 3); any other face, such as every face of a cross-polytope,
+    runs matrix_rank.  The witness is the vertex
     average, the sums over den times the vertex count; a vertex is its own.
     Requires an irredundant bounded alcove (the wall covectors span).
     """
@@ -368,7 +366,8 @@ def opposite_alcove(A: RealAlcove, face: Face, walls) -> RealAlcove:
 class PAlcove(Value):
     """The p-alcove of a real alcove: strict inequalities
     <orient * alpha, x> > rhs(p) with rhs affine in the symbolic prime; the
-    one oriented form of an alcove's facets, which compat reads too."""
+    one oriented form of an alcove's facets, which compat reads too.
+    Inequality i is the source's inequality i (RealAlcove's order)."""
 
     source: RealAlcove
     inequalities: tuple  # ((wall_id, orient, rhs: AffineInP), ...)
@@ -426,14 +425,14 @@ def p_alcove_of(A: RealAlcove, walls) -> PAlcove:
     Each codimension-1 inequality <alpha, .> >= m of A becomes
     <alpha, .> > p*m + m~ where m~ is the largest element of
     sigma_tilde in the class of m (for the inequality oriented into the
-    alcove; upper bounds use the negated wall data).
+    alcove; upper bounds use the negated wall data), in A's order.
     """
     wm = _wall_map(walls)
     out = []
     for wid, m, sense in A.inequalities:
         orient, _, m_or, sigma = oriented_facet(wm[wid], m, sense)
         out.append((wid, orient, AffineInP(const=sigma, slope=m_or)))
-    return PAlcove(A, tuple(sorted(out, key=lambda t: (t[0], t[1]))))
+    return PAlcove(A, tuple(out))
 
 
 def p_membership(x, p: int, walls) -> PAlcove:

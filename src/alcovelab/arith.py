@@ -43,11 +43,8 @@ class Value:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._compared = tuple(name for name in cls._fields
                               if name not in cls._uncompared)
-        get = attrgetter(*cls._compared)
-        # the tuple of the compared fields; attrgetter of one name returns
-        # the bare value
-        cls._values = staticmethod(
-            get if len(cls._compared) > 1 else lambda v: (get(v),))
+        # the tuple of the compared fields (every value type has two or more)
+        cls._values = staticmethod(attrgetter(*cls._compared))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -176,6 +173,12 @@ def is_saturated(s) -> bool:
     elements are as many as the integers from its minimum to its maximum,
     so no gap value is built."""
     return all(int(max(e) - min(e)) + 1 == len(e) for e in z_classes(s))
+
+
+# shifts the saturated sigma_tilde of an instance's walls may list in all,
+# counted before any is listed; about 300 times hilb(14)'s 315 at ell 2,
+# the largest any test, demo, README command or workload builds
+MAX_SHIFTS = 100_000
 
 
 def saturate(s) -> frozenset:

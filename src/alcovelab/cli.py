@@ -349,7 +349,7 @@ def _run(args, samples) -> int:
         data, path = _load_config(args)
         inst, warnings = parse_config(data, path)
         inputs = {"cmd": cmd,
-                  "argv": {k: v for k, v in sorted(vars(args).items())
+                  "argv": {k: v for k, v in vars(args).items()
                            if k != "cmd"},
                   "config": data}
         out, checks = _outputs(args, inst, warnings, samples)

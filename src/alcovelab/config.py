@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii
 
 from .alcoves import (GE, LE, RealAlcove, SingularPointError, constraints_of,
                       real_alcove_of)
-from .arith import (RATIONAL_LITERAL, Wall, is_saturated, rat, rat_str,
+from .arith import (MAX_SHIFTS, RATIONAL_LITERAL, Wall, rat, rat_str,
                     saturate, vec, z_classes)
 from .instances import (BUILTINS, POINT_KINDS, FixedPointInstance,
                         builtin_instance)
@@ -20,9 +20,6 @@ from .polyhedra import feasible, interior_point
 
 TOOL_VERSION = "0.1.0"
 
-# Saturating a sigma_tilde lists every value of each Z-coset's integer
-# span, so a span (max - min) above this is rejected before any is listed.
-MAX_SATURATED_SPAN = 10_000
 # A points or walls-only config builds rank x rank default generator
 # entries, so a rank above this is rejected before any vector is built.
 MAX_RANK = 1000
@@ -89,8 +86,7 @@ def _vector(coords, rank, where):
 
 
 def _parse_walls(entries, path, rank):
-    walls = []
-    warnings = []
+    walls, warnings, shifts = [], [], 0
     for i, entry in enumerate(entries):
         where = f"{path}.walls[{i}]"
         _require_types(entry, WALL_TYPES, where)
@@ -100,12 +96,15 @@ def _parse_walls(entries, path, rank):
         st = frozenset(rat(x) for x in entry["sigma_tilde"])
         if not st:
             raise ConfigError(f"{where}: sigma_tilde must be nonempty")
-        span = max(int(max(e) - min(e)) for e in z_classes(st))
-        if span > MAX_SATURATED_SPAN:
+        # saturating lists every value of each Z-coset's span (max - min)
+        spans = [int(max(e) - min(e)) for e in z_classes(st)]
+        size = len(spans) + sum(spans)  # of the saturated sigma_tilde
+        shifts += size
+        if shifts > MAX_SHIFTS:
             raise ConfigError(
-                f"{where}: a Z-coset of sigma_tilde spans {span} (max - min); "
-                f"the bound is {MAX_SATURATED_SPAN}")
-        if not is_saturated(st):
+                f"{where}: sigma_tilde brings the walls to {shifts} shifts "
+                f"once saturated, more than {MAX_SHIFTS} (the bound)")
+        if size != len(st):
             st = saturate(st)
             warnings.append(
                 f"{where}: sigma_tilde was not saturated; saturated on load")

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count, permutations
+from itertools import accumulate, count, permutations, product
 from operator import mul
 
-from .arith import AffineInP, Value, Wall, pairing, set_field, vec
+from .arith import MAX_SHIFTS, AffineInP, Value, Wall, pairing, set_field, vec
 from .partitions import (cont, n_stat, partition_from_str, partition_numbers,
                          partition_str, partitions)
 
@@ -76,9 +76,15 @@ def wt_chi(instance: FixedPointInstance, x, chi) -> Fraction:
 
 def hilb_sigma_tilde(n: int, ell: int) -> frozenset:
     """Saturated shift set for Hilb_n in c-coordinates: a/b + k for reduced
-    values a/b in (0,1) with denominator 2..n and |k| <= ell."""
+    values a/b in (0,1) with denominator 2..n and |k| <= ell.  Its size,
+    2*ell + 1 shifts per a/b, is checked against MAX_SHIFTS before any
+    shift is listed."""
     base = {Fraction(a, b) for b in range(2, n + 1) for a in range(1, b)}
-    return frozenset(s + k for s in base for k in range(-ell, ell + 1))
+    shifts = len(base) * (2 * ell + 1)
+    if shifts > MAX_SHIFTS:
+        raise ValueError(f"n = {n} and ell = {ell} give {shifts} sigma_tilde "
+                         f"shifts, more than {MAX_SHIFTS} (the bound)")
+    return frozenset(s + k for s, k in product(base, range(-ell, ell + 1)))
 
 
 def check_point_count(counts, n):
@@ -110,12 +116,12 @@ def hilb_instance(n: int, ell: int = 0) -> FixedPointInstance:
     if ell < 0:
         raise ValueError("ell must be >= 0")
     check_point_count(partition_numbers(), n)
-    pts = tuple(partitions(n))
-    c_const = {mu: Fraction(-n_stat(mu)) for mu in pts}
-    c_linear = {mu: (Fraction(cont(mu)),) for mu in pts}
     walls = ()
     if n >= 2:
         walls = (Wall(id=0, alpha=(1,), sigma_tilde=hilb_sigma_tilde(n, ell)),)
+    pts = tuple(partitions(n))
+    c_const = {mu: Fraction(-n_stat(mu)) for mu in pts}
+    c_linear = {mu: (Fraction(cont(mu)),) for mu in pts}
     return FixedPointInstance(
         name=f"hilb({n})", rank=1, points=pts,
         c_const=c_const, c_linear=c_linear,
@@ -150,7 +156,7 @@ def weyl_a_instance(n: int) -> FixedPointInstance:
         raise ValueError("n must be >= 2")
     check_point_count(accumulate(count(1), mul, initial=1), n)  # n!
     r = n - 1
-    pts = tuple(sorted(permutations(range(1, n + 1))))
+    pts = tuple(permutations(range(1, n + 1)))  # in lexicographic order
     # rho_vee in epsilon coordinates: entry m is (n+1)/2 - m
     rho_vee = [Fraction(n + 1, 2) - m for m in range(1, n + 1)]
     c_linear = {}

@@ -19,8 +19,8 @@ from alcovelab import alcoves, polyhedra
 from alcovelab.alcoves import (GE, LE, Face, OnPWallError, NonRegularError,
                                PTooSmallError, QuantumChamber, RealAlcove,
                                SingularPointError, _alcove_around,
-                               _bracket_nums, _canonical, constraints_of,
-                               faces_of, integral_walls_and_positive_chamber,
+                               _bracket_nums, constraints_of, faces_of,
+                               integral_walls_and_positive_chamber,
                                opposite_alcove, p_alcove_of, p_membership,
                                quantum_chamber, real_alcove_of,
                                translation_path)
@@ -61,6 +61,12 @@ def test_real_alcove_singular_point():
     with pytest.raises(SingularPointError) as exc:
         real_alcove_of((F(1, 3), F(2, 3)), A2.walls)
     assert (exc.value.wall_id, exc.value.offset) == (1, F(1))
+
+
+def _canonical(ineqs):
+    """Test-only oracle: (wall_id, offset, sense) rows by wall id, the
+    upper bound (<=) before the lower, the order the alcove build makes."""
+    return tuple(sorted(ineqs, key=lambda t: (t[0], t[2], t[1])))
 
 
 def alcove_contains(A, x, walls, strict=False):
@@ -270,7 +276,8 @@ def test_faces_match_per_subset_reference(data):
 @given(st.data())
 def test_face_active_rows_keep_the_canonical_order(data):
     """faces_of keeps each face's active rows in the alcove's order, which
-    is canonical for a built alcove and for its lattice translates."""
+    is canonical for a built alcove and for its lattice translates; a
+    translate keeps each row's wall and sense at its position."""
     rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
                                       st.just((3, OCTAHEDRAL_WALLS))))
     _, A = regular_alcove(data, walls, rank)
@@ -278,7 +285,10 @@ def test_face_active_rows_keep_the_canonical_order(data):
         return
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,
                                  max_size=rank)))
-    for B in (A, A.translate(v, walls)):
+    T = A.translate(v, walls)
+    assert [(wid, sense) for wid, _, sense in T.inequalities] == [
+        (wid, sense) for wid, _, sense in A.inequalities]
+    for B in (A, T):
         assert B.inequalities == _canonical(B.inequalities)
         for f in faces_of(B, walls):
             assert f.active == _canonical(f.active)
@@ -356,6 +366,32 @@ BUILD_ARRANGEMENTS = ([(inst.rank, inst.walls) for inst in
                         for ell in range(3)]
                        + [weyl_a_instance(3), weyl_a_instance(4)]]
                       + [(3, OCTAHEDRAL_WALLS)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_p_alcove_facet_i_is_the_alcove_inequality_i(data):
+    """p_alcove_of keeps A's order: facet i of the p-alcove has the wall of
+    A's inequality i, oriented +1 for >= and -1 for <=, on drawn builtin,
+    octahedral and cross-polytope alcoves, their lattice translates and
+    p-family builds."""
+    rank, walls = data.draw(st.sampled_from(
+        FACE_ARRANGEMENTS + BUILD_ARRANGEMENTS + [(4, CROSS_WALLS)]))
+    v = tuple(data.draw(st.lists(st.integers(-40, 40), min_size=rank,
+                                 max_size=rank)))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
+    _, A = regular_alcove(data, walls, rank)
+    built = [] if A is None else [A, A.translate(v, walls)]
+    try:
+        built.append(_alcove_around(v, walls, p))
+    except OnPWallError:
+        pass
+    for B in built:
+        assert B.inequalities == _canonical(B.inequalities)
+        assert [(wid, orient) for wid, orient, _
+                in p_alcove_of(B, walls).inequalities] == [
+            (wid, 1 if sense == GE else -1) for wid, _, sense
+            in B.inequalities]
 
 
 @settings(max_examples=80, deadline=None)

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 
 from alcovelab import cli, compat, config, instances
-from alcovelab.arith import LemmaError
+from alcovelab.arith import MAX_SHIFTS, LemmaError
 from alcovelab.cli import _is_prime, build_parser, dispatch
 from alcovelab.config import (ConfigError, load_json, parse_config,
                               run_report)
@@ -512,13 +512,39 @@ def test_saturation_span_is_bounded_before_saturating():
     with pytest.raises(ConfigError) as info:
         parse_config(walls_config(0, 1000000000))
     assert str(info.value) == (
-        "config.walls[0]: a Z-coset of sigma_tilde spans 1000000000 "
-        f"(max - min); the bound is {config.MAX_SATURATED_SPAN}")
-    with mock.patch.object(config, "MAX_SATURATED_SPAN", 2):
+        "config.walls[0]: sigma_tilde brings the walls to 1000000001 shifts "
+        f"once saturated, more than {MAX_SHIFTS} (the bound)")
+    with mock.patch.object(config, "MAX_SHIFTS", 4):
         assert len(parse_config(walls_config("1/2", "5/2", "0"))[0].walls[0]
                    .sigma_tilde) == 4
-        with pytest.raises(ConfigError, match=r"spans 3 .* bound is 2$"):
+        with pytest.raises(ConfigError, match=r" to 5 shifts .* more than 4 "):
             parse_config(walls_config("1/2", "7/2", "0"))
+    # 20 Z-cosets of span 10000 each: 200020 shifts once saturated, from a
+    # config of a few hundred characters
+    sigma_tilde = [x for k in range(1, 21)
+                   for x in (f"{k}/21", f"{k + 210000}/21")]
+    data = {"rank": 1, "walls": [
+        {"id": 0, "alpha": [1], "sigma_tilde": sigma_tilde}]}
+    assert len(json.dumps(data)) < 600
+    with mock.patch.object(config, "saturate",
+                           side_effect=AssertionError("listed")) as listed:
+        with pytest.raises(ConfigError) as info:
+            parse_config(data)
+        assert str(info.value) == (
+            "config.walls[0]: sigma_tilde brings the walls to 200020 shifts "
+            f"once saturated, more than {MAX_SHIFTS} (the bound)")
+        listed.assert_not_called()
+    # the count runs over every wall, saturated on load or not
+    walls = [{"id": 0, "alpha": [1, 0], "sigma_tilde": ["0", "1"]},
+             {"id": 1, "alpha": [0, 1], "sigma_tilde": ["1/2", "5/2", "0"]}]
+    with mock.patch.object(config, "MAX_SHIFTS", 6):
+        inst, _ = parse_config({"rank": 2, "walls": walls})
+        assert [len(w.sigma_tilde) for w in inst.walls] == [2, 4]
+    with mock.patch.object(config, "MAX_SHIFTS", 5), \
+            pytest.raises(ConfigError, match=r"^config\.walls\[1\]: .* to "
+                          r"6 shifts once saturated, more than 5 \(the "
+                          r"bound\)$"):
+        parse_config({"rank": 2, "walls": walls})
 
 
 def test_rank_is_bounded_before_any_vector_is_built():
@@ -580,6 +606,30 @@ def test_builtin_point_count_is_bounded_before_any_point_is_listed():
             parse_config({"builtin": "hilb", "n": 6})
         assert str(info.value) == \
             "config: n = 6 gives more than 5 fixed points (the bound)"
+
+
+def test_hilb_shift_count_is_bounded_before_any_shift_is_listed():
+    error = ("n = 2 and ell = 1000000000 give 2000000001 sigma_tilde "
+             f"shifts, more than {MAX_SHIFTS} (the bound)")
+    with mock.patch.object(instances, "product",
+                           side_effect=AssertionError("listed")) as listed:
+        with pytest.raises(ValueError) as info:
+            hilb_instance(2, 10**9)
+        assert str(info.value) == error
+        assert run_cli(["alcove", "--builtin", "hilb", "--n", "2", "--ell",
+                        "1000000000", "--point", "1"]) == (1, json.dumps({
+                            "error": "--builtin hilb --n 2 --ell 1000000000: "
+                                     + error}) + "\n")
+        listed.assert_not_called()
+    # the count is the size of the set it guards, and the bound admits it
+    for n, ell in ((1, 5), (2, 0), (5, 1), (14, 2)):
+        shifts = sum(len(w.sigma_tilde) for w in hilb_instance(n, ell).walls)
+        with mock.patch.object(instances, "MAX_SHIFTS", shifts):
+            assert hilb_instance(n, ell).meta["ell"] == ell
+        if shifts:
+            with mock.patch.object(instances, "MAX_SHIFTS", shifts - 1), \
+                    pytest.raises(ValueError, match=f" give {shifts} "):
+                hilb_instance(n, ell)
 
 
 WALL = POINTS_CONFIG["walls"][0]

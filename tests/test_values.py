@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from alcovelab.alcoves import (Chamber, Face, PAlcove, QuantumChamber,
                                RealAlcove)
-from alcovelab.arith import AffineInP, Wall, primitivize, saturate
+from alcovelab.arith import AffineInP, Value, Wall, primitivize, saturate
 from alcovelab.compat import CompatiblePair
 from alcovelab.instances import FixedPointInstance
 from alcovelab.orders import LabeledPoset, PreOrder
@@ -147,6 +147,13 @@ def test_value_types_behave_as_their_frozen_dataclasses(drawn):
     with pytest.raises(AttributeError):
         real_a.not_a_field = new
     assert repr(real_a) == repr(mirror_a)
+
+
+def test_every_value_type_is_mirrored_and_compares_two_fields_or_more():
+    # Value reads the compared fields with one attrgetter, which returns a
+    # tuple only for two or more names
+    assert set(Value.__subclasses__()) == set(FIELDS)
+    assert all(len(cls._compared) >= 2 for cls in FIELDS)
 
 
 def test_defaults_are_the_dataclass_defaults():
