@@ -97,14 +97,16 @@ class RealAlcove(Value):
         return vertex_average(inc.nums, inc.den) if inc.nums else None
 
     def translate(self, v, walls):
-        """The alcove A + v for a lattice vector v (Z-periodicity), den * v
+        """The alcove A + v for a lattice vector v (Z-periodicity): each
+        offset m moved to m + <alpha, v>, rows in their order, and den * v
         added to its vertices' numerators; any other v is a ValueError."""
         if not is_lattice(v):
             raise ValueError("translate: (" + ", ".join(map(rat_str, v))
                              + ") is not a lattice vector")
-        inc = self.incidence
+        wm, inc = _wall_map(walls), self.incidence
         return RealAlcove(
-            self.rank, translate_inequalities(self.inequalities, v, walls),
+            self.rank, tuple([(wid, m + pairing(wm[wid].alpha, v), sense)
+                              for wid, m, sense in self.inequalities]),
             inc.replace(nums=tuple(tuple(x + inc.den * int(c) for x, c in
                                          zip(u, v)) for u in inc.nums)))
 
@@ -132,14 +134,6 @@ def inequalities_to_json(ineqs):
     """The JSON form of (wall_id, offset, sense) inequalities: a list of
     [wall_id, "num/den", sense]."""
     return [[wid, rat_str(m), sense] for wid, m, sense in ineqs]
-
-
-def translate_inequalities(ineqs, v, walls):
-    """The inequalities (wall_id, offset, sense) moved by a lattice vector
-    v, each offset m to m + <alpha, v>, in the order given."""
-    wm = _wall_map(walls)
-    return tuple([(wid, m + pairing(wm[wid].alpha, v), sense)
-                  for wid, m, sense in ineqs])
 
 
 def real_alcove_of(x, walls) -> RealAlcove:

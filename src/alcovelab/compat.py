@@ -14,7 +14,7 @@ from fractions import Fraction
 from .arith import (AffineInP, Value, is_lattice, pairing, set_field, vadd,
                     vscale, vsub)
 from .alcoves import (Face, RealAlcove, faces_of, opposite_alcove,
-                      p_alcove_of, translate_inequalities)
+                      p_alcove_of)
 from .polyhedra import first_lattice_point
 
 
@@ -50,13 +50,14 @@ _cache: dict = {}
 
 
 def _cache_key(A: RealAlcove, face: Face, walls):
-    """The cache key: (A, face) translated so the face witness lands in
-    [0,1)^d, with the wall data.  The witness moves with every lattice
-    translate of (A, face), so equal keys mean the same translated face."""
+    """The cache key: the face witness and A's interior point, both moved so
+    the witness lands in [0,1)^d, with the wall data.  An interior point
+    fixes its alcove and a relative-interior point its face, so equal keys
+    mean the same translated (alcove, face)."""
     shift = tuple(-(c.numerator // c.denominator) for c in face.witness)
     wall_key = tuple(sorted(walls, key=lambda w: w.id))
-    return (wall_key, translate_inequalities(A.inequalities, shift, walls),
-            translate_inequalities(face.active, shift, walls))
+    return (wall_key, vadd(face.witness, shift),
+            vadd(A.interior_point(), shift))
 
 
 def find_compatible(A: RealAlcove, face: Face, walls) -> CompatiblePair:

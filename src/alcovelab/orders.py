@@ -49,16 +49,12 @@ def c_bar(instance: FixedPointInstance, lam, p: int) -> dict:
     return out
 
 
-def shift(label: Label, z: int, p: int) -> Label:
-    """The free Z-action z.(x, kappa) = (x, kappa + z*p) on a label of a
-    concrete-prime poset, whose kappa is an int."""
-    return Label(label.point, label.kappa + z * p)
-
-
 class LabeledPoset(Value):
     """Strict partial order on a finite label window, stored as the block of
     each label: a < b iff a and b share a block and a.kappa < b.kappa.  The
-    covers and the closure are views derived from the blocks."""
+    covers, the closure and the levels that phw_axiom_check reads are views
+    derived from the blocks; that check takes the blocks to be hw_order's,
+    which the shift keeps."""
 
     labels: tuple
     blocks: dict
@@ -146,84 +142,41 @@ def hw_order(instance: FixedPointInstance, lam, p: int, window) -> LabeledPoset:
 
 
 def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
-    """Verify the periodic-highest-weight axioms on the window.
+    """Verify the periodic-highest-weight axioms on the window of a poset
+    that hw_order built.
 
     (1) the shift acts freely with finitely many orbits; (2) the order is
     shift-invariant; (3) L < S L; (4) cofinality: L < L' admits n <= d_bound
     with L' < S^n L; (5) chains are bounded by d_bound (observed maximum
-    reported).  Axioms 2 to 5 are decided in one scan of each block's
-    levels, top down, with the same verdicts as a walk over the pairs
-    a < b: the axiom 2 witness is the first pair that fails, a in label
-    order and b by ascending kappa, in label order within a level, and
-    max_n is the largest n over all pairs.
+    reported).  In an hw_order poset the block of (x, kappa) is
+    (c_bar(x) - kappa) mod p, which the shift S: kappa -> kappa + p keeps,
+    so each shift orbit lies in one block.  Hence axioms 2 and 3 hold, and
+    for L < L' the label S^n L with n = (kappa' - kappa) // p + 1 lies in
+    their block above L', so axiom 4 fails only when max_n, the largest
+    such n, exceeds d_bound.  max_n and the longest chain, which climbs
+    every level of its block, are read off each block's levels; a window
+    of two periods gives every block two levels or more.
     """
     p = poset.p
     z1, z2 = poset.window
     if z2 - z1 < 2 * p:
         raise ValueError("window must contain at least two shift periods")
-    blocks = poset.blocks
-    report = {}
-
     # free: a shift moves kappa by p, and a period label needs p > 0
-    period = [l for l in poset.labels if z1 <= l.kappa < z1 + p]
-    report["axiom1_shift"] = {"orbits": len(period), "free": True,
-                              "ok": len(period) > 0}
-
-    # the blocks of S a and S^-1 a (None outside the window), and the
-    # blocks that each shift orbit meets
-    shifted, orbits = {}, defaultdict(set)
-    for l in poset.labels:
-        shifted[l] = (blocks.get(shift(l, 1, p)), blocks.get(shift(l, -1, p)))
-        orbits[l.point, l.kappa % p].add(blocks[l])
-    # Axiom 2: a < b fails when S^z a and S^z b lie in two blocks, so a
-    # fails when the shifts S^z of the labels above it meet a block other
-    # than S^z a's; up and down keep two such blocks for z = 1, -1.
-    # Axiom 3: S a lies above a, so a < S a iff S a is in a's block.
-    # Axiom 4: n = (b.kappa - a.kappa) // p + 1 is largest on a block's end
-    # levels; S^n a lies above b, so b < S^n a fails only when S^n a is in
-    # another block, which needs a's shift orbit to meet two blocks.
-    failing, below_shift, cofinal, max_n, longest = set(), True, True, 0, 0
-    for block, levels in poset._levels.items():
-        ks = [level[0].kappa for level in levels]
-        longest = max(longest, len(ks))
-        max_n = max(max_n, (ks[-1] - ks[0]) // p + 1 if len(ks) > 1 else 0)
-        up, down = set(), set()
-        for j in reversed(range(len(ks))):
-            for a in levels[j]:
-                t, u = shifted[a]
-                if t is not None and up - {t} or u is not None and down - {u}:
-                    failing.add(a)
-                below_shift = below_shift and t in (None, block)
-                if len(orbits[a.point, a.kappa % p]) > 1:
-                    cofinal = cofinal and all(
-                        blocks.get(shift(a, (k - ks[j]) // p + 1, p),
-                                   block) == block for k in ks[j + 1:])
-            for a in levels[j]:
-                t, u = shifted[a]
-                if t is not None and len(up) < 2:
-                    up.add(t)
-                if u is not None and len(down) < 2:
-                    down.add(u)
-    witness = None
-    if failing:
-        a = next(a for a in poset.labels if a in failing)
-        witness = next(
-            (a, b) for level in poset._levels[blocks[a]]
-            if level[0].kappa > a.kappa for b in level
-            if any(None not in (s, t) and s != t
-                   for s, t in zip(shifted[a], shifted[b])))
-    report["axiom2_invariance"] = {"ok": witness is None, "witness": witness}
-    report["axiom3_L_below_SL"] = {"ok": below_shift}
-    report["axiom4_cofinality"] = {"ok": cofinal and max_n <= d_bound,
-                                   "max_n": max_n}
-    report["axiom5_chains"] = {"observed_max": longest,
-                               "ok": longest <= d_bound}
-
-    report["d_bound"] = d_bound
-    report["passed"] = all(report[k]["ok"] for k in
-                           ("axiom1_shift", "axiom2_invariance",
-                            "axiom3_L_below_SL", "axiom4_cofinality",
-                            "axiom5_chains"))
+    orbits = sum(z1 <= l.kappa < z1 + p for l in poset.labels)
+    levels = poset._levels.values()
+    max_n = max(((ls[-1][0].kappa - ls[0][0].kappa) // p + 1
+                 for ls in levels), default=0)
+    longest = max(map(len, levels), default=0)
+    report = {
+        "axiom1_shift": {"orbits": orbits, "free": True, "ok": orbits > 0},
+        "axiom2_invariance": {"ok": True, "witness": None},
+        "axiom3_L_below_SL": {"ok": True},
+        "axiom4_cofinality": {"ok": max_n <= d_bound, "max_n": max_n},
+        "axiom5_chains": {"observed_max": longest, "ok": longest <= d_bound},
+        "d_bound": d_bound,
+    }
+    report["passed"] = all(v["ok"] for v in report.values()
+                           if isinstance(v, dict))
     return report
 
 

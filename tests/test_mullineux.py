@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alcovelab.mullineux import (e_rim, mullineux, mullineux_oracle,
                                  mullineux_symbol, rim_path,
@@ -68,6 +72,69 @@ def test_singular_input_rejected():
         mullineux((1, 1, 1), 3)
     with pytest.raises(ValueError, match="not 2-regular"):
         mullineux_oracle((2, 2), 2)
+
+
+def b_core(mu, b):
+    """Test-only: the b-core of mu by the abacus.  The beta numbers
+    mu_i + r - 1 - i of its r parts lie on b runners by residue; each
+    runner's beads slide to its top, and the slid beta numbers, descending,
+    read back as a partition."""
+    r = len(mu)
+    beads = Counter((part + r - 1 - i) % b for i, part in enumerate(mu))
+    slid = sorted((j + k * b for j, count in beads.items()
+                   for k in range(count)), reverse=True)
+    return tuple(x - (r - 1 - i) for i, x in enumerate(slid)
+                 if x > r - 1 - i)
+
+
+def rim_hook_core(mu, b):
+    """Test-only oracle: the b-core of mu by removing b-rim hooks, one at a
+    time, while some box has hook length b.  The rim hook of box (i, j)
+    spans rows i to i + leg: each of them but the last takes the length of
+    the next row less one, and the last keeps j boxes."""
+    mu = list(mu)
+    while True:
+        conj = transpose(mu)
+        box = next(((i, j) for i in range(len(mu)) for j in range(mu[i])
+                    if mu[i] - j + conj[j] - i - 1 == b), None)
+        if box is None:
+            return tuple(mu)
+        i, j = box
+        leg = conj[j] - i - 1
+        mu[i:i + leg + 1] = [part - 1 for part in mu[i + 1:i + leg + 1]] + [j]
+        mu = [part for part in mu if part]
+
+
+def test_core_examples():
+    # (3, 1) loses two 2-hooks; (4, 2) has hook lengths 5 4 2 1 / 2 1, so
+    # no 3-hook, and one 4-hook, whose removal leaves (1, 1)
+    for core in (b_core, rim_hook_core):
+        assert core((), 3) == ()
+        assert core((3, 1), 2) == ()
+        assert core((2, 1), 2) == (2, 1)
+        assert core((5,), 3) == (2,)
+        assert core((4, 2), 3) == (4, 2)
+        assert core((4, 2), 4) == (1, 1)
+        assert core((6, 3, 1), 3) == (2, 1, 1)
+
+
+@given(st.lists(st.integers(1, 12), max_size=10), st.integers(1, 8))
+def test_abacus_core_matches_rim_hook_removal(parts, b):
+    mu = tuple(sorted(parts, reverse=True))
+    assert b_core(mu, b) == rim_hook_core(mu, b)
+
+
+def test_mullineux_transposes_the_b_core():
+    """Tensoring with the sign sends the block of core kappa to the block
+    of the transposed core, so the Mullineux map does too, on every
+    b-regular partition of n <= 12 and 2 <= b <= n."""
+    checked = 0
+    for n in range(2, 13):
+        for b in range(2, n + 1):
+            for mu in e_regular_partitions(n, b):
+                assert b_core(mullineux(mu, b), b) == transpose(b_core(mu, b))
+                checked += 1
+    assert checked == 1842
 
 
 def test_wc_bijection_n2_b2():
