@@ -221,10 +221,10 @@ class Wall(Value):
         integer numerator over den; class_part, the alcove brackets and
         validate_p's denominator check read this one ordering.  Cached on
         first use; not a field, so equality and hashing do not see it."""
-        ordered = sorted(self.sigma_tilde)
-        den = lcm(*(s.denominator for s in ordered))
-        return den, tuple((s, s.numerator * (den // s.denominator))
-                          for s in ordered)
+        den = lcm(*(s.denominator for s in self.sigma_tilde))
+        pairs = [(s, s.numerator * (den // s.denominator))
+                 for s in self.sigma_tilde]
+        return den, tuple(sorted(pairs, key=lambda pair: pair[1]))
 
     def class_part(self, m) -> list[Fraction]:
         """Elements of sigma_tilde in the Z-coset of m (sorted, possibly

@@ -84,27 +84,30 @@ def _conjugated(symbol, e) -> tuple:
 
 
 @cache
-def _symbol_table(n: int, e: int) -> dict:
-    """Peeling symbols of all e-regular partitions of n; the peeling map is
-    injective on them, so this inverts symbol -> partition."""
-    table = {}
+def _images(n: int, e: int) -> dict:
+    """mu -> its Mullineux image, the partition with mu's conjugated symbol,
+    for each e-regular mu |- n, from one peel of each partition."""
+    owner = {}
     for nu in e_regular_partitions(n, e):
-        table[mullineux_symbol(nu, e)] = nu
-    return table
+        if (first := owner.setdefault(mullineux_symbol(nu, e), nu)) != nu:
+            raise LemmaError(f"{e}-regular partitions {partition_str(first)} "
+                             f"and {partition_str(nu)} share a peeling "
+                             "symbol; the rim peeling is inconsistent")
+    images = {}
+    for symbol, mu in owner.items():
+        try:
+            images[mu] = owner[_conjugated(symbol, e)]
+        except KeyError:
+            raise LemmaError(f"no {e}-regular partition carries the "
+                             f"conjugated symbol of {partition_str(mu)}; "
+                             "the rim peeling is inconsistent") from None
+    return images
 
 
 def mullineux(mu, e: int) -> tuple:
-    """Mullineux image by the rim peeling / symbol algorithm."""
+    """Mullineux image by the rim peeling / symbol algorithm (_images)."""
     mu = _require_regular(mu, e)
-    if not mu:
-        return ()
-    target = _conjugated(mullineux_symbol(mu, e), e)
-    try:
-        return _symbol_table(sum(mu), e)[target]
-    except KeyError:
-        raise LemmaError(
-            f"no {e}-regular partition carries the conjugated symbol of "
-            f"{partition_str(mu)}; the rim peeling is inconsistent") from None
+    return _images(sum(mu), e)[mu]
 
 
 def _residue(i, j, e):
@@ -202,21 +205,16 @@ def wc_bijection_hilb(n: int, b: int, variant: str = "plain") -> dict:
         raise ValueError(f"b must satisfy 2 <= b <= n, got {b}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    images = None if variant == "transpose" else _images(n, b)
     table = {}
     for mu in partitions(n):
-        key = partition_str(mu)
-        if variant == "transpose":
-            table[key] = {"image": partition_str(transpose(mu)),
-                          "provenance": "transpose"}
-            continue
-        if not is_e_regular(mu, b):
-            table[key] = {"image": None, "provenance": "EXTERNAL"}
-            continue
-        img = mullineux(mu, b)
-        if variant == "mullineux+transpose":
-            img = transpose(img)
-            prov = "mullineux+transpose"
+        if images is None:
+            image, prov = partition_str(transpose(mu)), "transpose"
+        elif mu not in images:
+            image, prov = None, "EXTERNAL"
+        elif variant == "plain":
+            image, prov = partition_str(images[mu]), "mullineux"
         else:
-            prov = "mullineux"
-        table[key] = {"image": partition_str(img), "provenance": prov}
+            image, prov = partition_str(transpose(images[mu])), variant
+        table[partition_str(mu)] = {"image": image, "provenance": prov}
     return {"n": n, "b": b, "variant": variant, "map": table}

@@ -297,6 +297,22 @@ def test_wall_normalizes_and_validates():
         Wall(id=3, alpha=(1,))
 
 
+@given(st.dictionaries(
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
+        lambda x: x < 1),
+    st.tuples(st.integers(-6, 6), st.integers(1, 5)), min_size=1, max_size=4))
+def test_offsets_are_sigma_tilde_ascending_over_one_denominator(runs):
+    """A saturated sigma_tilde of runs lo, ..., lo + length - 1 in drawn
+    Z-cosets of mixed denominators, negative values among them."""
+    sigma_tilde = {base + lo + j for base, (lo, length) in runs.items()
+                   for j in range(length)}
+    den, offsets = Wall(0, (1,), sigma_tilde).offsets
+    assert den == math.lcm(*(s.denominator for s in sigma_tilde))
+    assert [s for s, _ in offsets] == sorted(sigma_tilde)
+    assert all(type(big_s) is int and big_s == s * den
+               for s, big_s in offsets)
+
+
 def wall_json(w):
     """Test-only writer: a wall as the config reader takes it."""
     return {"id": w.id, "alpha": list(w.alpha),

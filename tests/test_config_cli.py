@@ -265,7 +265,7 @@ def test_every_lemma_site_raises_lemma_error():
                     bare.append(f"{path.name}:{node.lineno}")
                 lemma += name == "LemmaError"
     assert bare == []
-    assert lemma == 4
+    assert lemma == 5
 
 
 def test_cli_unknown_subcommand():

@@ -153,5 +153,5 @@ def test_the_check_names_a_function_that_never_runs():
     never = never_run(lambda: alcovelab.arith.vadd((1,), (2,)))
     assert "arith.vadd" not in never
     # a module function, a method and one under a functools cache
-    assert {"arith.vsub", "Wall.class_part", "mullineux._symbol_table",
+    assert {"arith.vsub", "Wall.class_part", "mullineux._images",
             "instances.builtin_instance"} <= never

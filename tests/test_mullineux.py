@@ -1,14 +1,19 @@
+import importlib
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from alcovelab.arith import LemmaError
 from alcovelab.mullineux import (e_rim, mullineux, mullineux_oracle,
                                  mullineux_symbol, rim_path,
                                  wc_bijection_hilb)
 from alcovelab.partitions import (e_regular_partitions, is_e_regular,
                                   partitions, transpose)
+
+# the package re-exports the function mullineux under the module's name
+mullineux_module = importlib.import_module("alcovelab.mullineux")
 
 
 def test_fixed_points():
@@ -172,3 +177,53 @@ def test_wc_bijection_variants():
 def test_wc_bijection_bad_b():
     with pytest.raises(ValueError, match="2 <= b <= n"):
         wc_bijection_hilb(3, 7)
+
+
+@pytest.fixture
+def cold_images():
+    """The Mullineux tables start and end empty, as in a fresh process."""
+    mullineux_module._images.cache_clear()
+    yield mullineux_module._images
+    mullineux_module._images.cache_clear()
+
+
+def test_the_table_peels_each_regular_partition_once(cold_images,
+                                                     monkeypatch):
+    peels = Counter()
+
+    def spy(mu, e):
+        peels[mu, e] += 1
+        return mullineux_symbol(mu, e)
+
+    monkeypatch.setattr(mullineux_module, "mullineux_symbol", spy)
+    for n, b in ((10, 3), (12, 4)):
+        regular = e_regular_partitions(n, b)
+        wc_bijection_hilb(n, b, "plain")
+        assert peels == Counter({(mu, b): 1 for mu in regular})
+        peels.clear()
+        wc_bijection_hilb(n, b, "plain")
+        for mu in regular:
+            mullineux(mu, b)
+        assert not peels
+    cold_images.cache_clear()
+    wc_bijection_hilb(10, 3, "transpose")
+    assert not peels and cold_images.cache_info().currsize == 0
+
+
+def test_an_unmatched_symbol_names_the_first_partition(cold_images,
+                                                       monkeypatch):
+    monkeypatch.setattr(mullineux_module, "_conjugated",
+                        lambda symbol, e: ((0, 0),))
+    # 5 is the first 3-regular partition of 5 in partitions order
+    with pytest.raises(LemmaError, match="conjugated symbol of 5;"):
+        wc_bijection_hilb(5, 3)
+    with pytest.raises(LemmaError, match="conjugated symbol of 5;"):
+        mullineux((3, 2), 3)
+
+
+def test_a_shared_symbol_is_a_lemma_error(cold_images, monkeypatch):
+    monkeypatch.setattr(mullineux_module, "mullineux_symbol",
+                        lambda mu, e: ((1, 1),))
+    with pytest.raises(LemmaError, match="partitions 5 and 4\\+1 share a "
+                                         "peeling symbol"):
+        wc_bijection_hilb(5, 3)

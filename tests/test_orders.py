@@ -274,23 +274,6 @@ def test_walk_matches_the_recursive_closure_and_sorted_chain(data):
                                                                     d_bound)
 
 
-def test_shift_trivia():
-    l = Label((2,), 4)
-    assert shift(l, 1, 5) == Label((2,), 9)
-    assert shift(l, 0, 5) == l
-    assert shift(shift(l, 3, 5), -3, 5) == l
-
-
-def test_shift_equivariance():
-    poset = hw_order(HILB2, (5,), 5, (0, 20))
-    labels = set(poset.labels)
-    for a in poset.labels:
-        for b in poset.closure.get(a, ()):
-            sa, sb = shift(a, 1, 5), shift(b, 1, 5)
-            if sa in labels and sb in labels:
-                assert less(poset, sa, sb)
-
-
 def test_phw_axioms_pass():
     poset = hw_order(HILB2, (5,), 5, (0, 15))
     rep = phw_axiom_check(poset, d_bound=2 * 2 * 5)
@@ -320,14 +303,22 @@ def draw_hw_order(data, instances, p):
 def test_hw_order_blocks_are_kept_by_the_shift(data):
     """The premise of phw_axiom_check, on hw_order posets of hilb(1..8) and
     weyl_a(3) at p <= 31: each label's in-window shifts by +-1 lie in its
-    own block, and the closure oracle finds axioms 2 and 3 hold with no
-    witness, and cofinality exactly when max_n <= d_bound."""
+    own block, the shift keeps every in-window pair a < b, and the closure
+    oracle finds axioms 2 and 3 hold with no witness, and cofinality
+    exactly when max_n <= d_bound."""
     p = data.draw(st.sampled_from(PRIMES_TO_31))
     poset = draw_hw_order(data, ORDER_INSTANCES, p)
-    blocks = poset.blocks
-    for l in poset.labels:
+    blocks, labels = poset.blocks, set(poset.labels)
+    for a in poset.labels:
         for z in (1, -1):
-            assert blocks.get(shift(l, z, p), blocks[l]) == blocks[l]
+            sa = shift(a, z, p)
+            # the shift moves kappa by z * p, so no check here is vacuous
+            assert sa == Label(a.point, a.kappa + z * p)
+            assert blocks.get(sa, blocks[a]) == blocks[a]
+            for b in poset.closure.get(a, ()):
+                sb = shift(b, z, p)
+                if sa in labels and sb in labels:
+                    assert less(poset, sa, sb)
     # a window of at most 4 periods has max_n at most 4
     d_bound = data.draw(st.integers(0, 5))
     rep = closure_phw_check(poset, d_bound)
