@@ -15,7 +15,7 @@ from math import lcm
 from operator import add, attrgetter, mul
 
 from .arith import (AffineInP, Value, Wall, is_lattice, pairing, rat, rat_str,
-                    set_field, vec, vsub)
+                    vec, vsub)
 from .polyhedra import (VertexIncidence, facets_and_vertices, feasible,
                         integer_row, matrix_rank, solve_linear,
                         vertex_average)
@@ -79,11 +79,6 @@ class RealAlcove(Value):
 
     _uncompared = frozenset({"incidence"})
 
-    def __init__(self, rank, inequalities, incidence):
-        set_field(self, "rank", rank)
-        set_field(self, "inequalities", inequalities)
-        set_field(self, "incidence", incidence)
-
     def constraints(self, walls):
         """The inequalities as constraints_of gives them."""
         return constraints_of(self.inequalities, walls)
@@ -104,11 +99,12 @@ class RealAlcove(Value):
             raise ValueError("translate: (" + ", ".join(map(rat_str, v))
                              + ") is not a lattice vector")
         wm, inc = _wall_map(walls), self.incidence
+        shift = [inc.den * int(c) for c in v]
         return RealAlcove(
             self.rank, tuple([(wid, m + pairing(wm[wid].alpha, v), sense)
                               for wid, m, sense in self.inequalities]),
-            inc.replace(nums=tuple(tuple(x + inc.den * int(c) for x, c in
-                                         zip(u, v)) for u in inc.nums)))
+            VertexIncidence(inc.den, tuple([tuple(map(add, u, shift))
+                                            for u in inc.nums]), inc.masks))
 
     def to_json(self):
         return {"rank": self.rank,
@@ -266,13 +262,6 @@ class Face(Value):
     witness: tuple
     vertex_set: tuple
 
-    def __init__(self, parent, active, codim, witness, vertex_set):
-        set_field(self, "parent", parent)
-        set_field(self, "active", active)
-        set_field(self, "codim", codim)
-        set_field(self, "witness", witness)
-        set_field(self, "vertex_set", vertex_set)
-
 
 def faces_of(A: RealAlcove, walls):
     """All faces of all codimensions, duplicates (same vertex set) merged.
@@ -366,10 +355,6 @@ class PAlcove(Value):
     source: RealAlcove
     inequalities: tuple  # ((wall_id, orient, rhs: AffineInP), ...)
 
-    def __init__(self, source, inequalities):
-        set_field(self, "source", source)
-        set_field(self, "inequalities", inequalities)
-
     def facets(self, walls, face=None):
         """(wall_id, c = orient * alpha, rhs, on_face) per inequality, with
         on_face true when the face's active set holds its wall and side
@@ -452,10 +437,6 @@ class Chamber(Value):
     rank: int
     covectors: tuple  # oriented covectors
 
-    def __init__(self, rank, covectors):
-        set_field(self, "rank", rank)
-        set_field(self, "covectors", covectors)
-
     def to_json(self):
         return {"rank": self.rank, "covectors": [list(a) for a in self.covectors]}
 
@@ -503,10 +484,6 @@ class QuantumChamber(Value):
 
     lam: tuple
     inequalities: tuple  # ((wall_id, orient_covector, m~), ...)
-
-    def __init__(self, lam, inequalities):
-        set_field(self, "lam", lam)
-        set_field(self, "inequalities", inequalities)
 
     def to_json(self):
         return {"lambda": [rat_str(c) for c in self.lam],

@@ -19,21 +19,20 @@ class LemmaError(AssertionError):
     library, not of its input."""
 
 
-# writes a field in a value type's __init__, past Value's frozen __setattr__
-set_field = object.__setattr__
-
-
 class Value:
     """Base of the library's immutable value types.
 
     A subclass lists its fields as annotations, which __init_subclass__
-    reads once, and writes each in its own __init__ with set_field.  Those
-    not named in _uncompared are the compared fields: equality holds
-    between instances of the same class whose compared fields are equal,
-    the hash is that of the tuple of them, and the repr lists them as
-    `Class(name=value, ...)`.  Assigning or deleting an attribute is an
-    AttributeError.  There are no __slots__: cached properties live in the
-    instance __dict__.
+    reads once, and __init__ stores them, given by position or by name: a
+    missing, unknown or repeated field is a TypeError.  A subclass that
+    normalizes or defaults a field keeps its own __init__ and hands the
+    values to Value.__init__ by position, which binds no name and checks
+    only their count.  Fields not named in _uncompared are the compared
+    fields: equality holds between instances of the same class whose
+    compared fields are equal, the hash is that of the tuple of them, and
+    the repr lists them as `Class(name=value, ...)`.  Assigning or deleting
+    an attribute is an AttributeError.  There are no __slots__: cached
+    properties live in the instance __dict__.
     """
 
     _uncompared = frozenset()
@@ -45,6 +44,29 @@ class Value:
                               if name not in cls._uncompared)
         # the tuple of the compared fields (every value type has two or more)
         cls._values = staticmethod(attrgetter(*cls._compared))
+
+    def __init__(self, /, *args, **named):
+        fields = self._fields
+        if named or len(args) != len(fields):
+            args = self._bind(args, named)
+        self.__dict__.update(zip(fields, args))
+
+    @classmethod
+    def _bind(cls, args, named):
+        """The field values of a call, in field order; a TypeError lists
+        each argument past the last field and each unknown, repeated or
+        missing field."""
+        fields = cls._fields
+        values = dict(zip(fields, args)) | named
+        errors = ([f"{len(args)} by position of {len(fields)} fields"]
+                  * (len(args) > len(fields))
+                  + [f"unknown {n!r}" for n in named if n not in fields]
+                  + [f"repeated {n!r}" for n in fields[:len(args)]
+                     if n in named]
+                  + [f"missing {n!r}" for n in fields if n not in values])
+        if errors:
+            raise TypeError(f"{cls.__qualname__}(): " + ", ".join(errors))
+        return [values[n] for n in fields]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -66,7 +88,8 @@ class Value:
                             for name in self._compared) + ")")
 
     def replace(self, **changes):
-        """A copy with the given fields changed, built by __init__."""
+        """A copy with the given fields changed, built by __init__; an
+        unknown field is a TypeError."""
         return type(self)(**{name: getattr(self, name)
                              for name in self._fields} | changes)
 
@@ -210,9 +233,7 @@ class Wall(Value):
             raise ValueError(f"wall {id}: sigma_tilde must be nonempty")
         if not is_saturated(st):
             raise ValueError(f"wall {id}: sigma_tilde is not saturated")
-        set_field(self, "id", id)
-        set_field(self, "alpha", alpha)
-        set_field(self, "sigma_tilde", st)
+        Value.__init__(self, id, alpha, st)
 
     @cached_property
     def offsets(self) -> tuple:
@@ -246,8 +267,7 @@ class AffineInP(Value):
     slope: Fraction
 
     def __init__(self, const=0, slope=0):
-        set_field(self, "const", rat(const))
-        set_field(self, "slope", rat(slope))
+        Value.__init__(self, rat(const), rat(slope))
 
     def eval_at(self, p) -> Fraction:
         return self.const + self.slope * p

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import (AffineInP, Value, is_lattice, pairing, set_field, vadd,
-                    vscale, vsub)
+from .arith import (AffineInP, Value, is_lattice, pairing, vadd, vscale,
+                    vsub)
 from .alcoves import (Face, RealAlcove, faces_of, opposite_alcove,
                       p_alcove_of)
 from .polyhedra import first_lattice_point
@@ -23,12 +23,6 @@ class CompatiblePair(Value):
     mu: tuple
     alcove: RealAlcove
     face: Face
-
-    def __init__(self, lam, mu, alcove, face):
-        set_field(self, "lam", lam)
-        set_field(self, "mu", mu)
-        set_field(self, "alcove", alcove)
-        set_field(self, "face", face)
 
     def p_point(self, p) -> tuple:
         """lambda + p*mu for a concrete prime p."""

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import accumulate, count, permutations, product
 from operator import mul
 
-from .arith import MAX_SHIFTS, AffineInP, Value, Wall, pairing, set_field, vec
+from .arith import MAX_SHIFTS, AffineInP, Value, Wall, pairing, vec
 from .partitions import (cont, n_stat, partition_from_str, partition_numbers,
                          partition_str, partitions)
 
@@ -42,15 +42,8 @@ class FixedPointInstance(Value):
 
     def __init__(self, name, rank, points, c_const, c_linear, walls=(),
                  lambdas=(), generators=(), meta=None):
-        set_field(self, "name", name)
-        set_field(self, "rank", rank)
-        set_field(self, "points", points)
-        set_field(self, "c_const", c_const)
-        set_field(self, "c_linear", c_linear)
-        set_field(self, "walls", walls)
-        set_field(self, "lambdas", lambdas)
-        set_field(self, "generators", generators)
-        set_field(self, "meta", {} if meta is None else meta)
+        Value.__init__(self, name, rank, points, c_const, c_linear, walls,
+                       lambdas, generators, {} if meta is None else meta)
 
     def c_value(self, x, lam) -> Fraction:
         """c(x; lambda) for a rational parameter vector lambda."""

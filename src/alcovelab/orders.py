@@ -13,7 +13,7 @@ from functools import cached_property
 from math import inf, lcm
 from typing import NamedTuple
 
-from .arith import AffineInP, LemmaError, Value, rat_str, set_field
+from .arith import AffineInP, LemmaError, Value, rat_str
 from .instances import FixedPointInstance, wt_chi
 
 
@@ -60,12 +60,6 @@ class LabeledPoset(Value):
     blocks: dict
     p: int
     window: tuple
-
-    def __init__(self, labels, blocks, p, window):
-        set_field(self, "labels", labels)
-        set_field(self, "blocks", blocks)
-        set_field(self, "p", p)
-        set_field(self, "window", window)
 
     @cached_property
     def _levels(self):
@@ -137,8 +131,7 @@ def hw_order(instance: FixedPointInstance, lam, p: int, window) -> LabeledPoset:
     block = window_blocks(instance, lam, p, window)
     z1, z2 = window
     labels = tuple(Label(x, k) for x in instance.points for k in range(z1, z2))
-    return LabeledPoset(labels=labels, blocks={l: block(l) for l in labels},
-                        p=p, window=(z1, z2))
+    return LabeledPoset(labels, {l: block(l) for l in labels}, p, (z1, z2))
 
 
 def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
@@ -195,13 +188,6 @@ class PreOrder(Value):
     labels: tuple
     classes: tuple        # tuple of tuples of labels, ascending slope
 
-    def __init__(self, instance, lam_bar, mu, labels, classes):
-        set_field(self, "instance", instance)
-        set_field(self, "lam_bar", lam_bar)
-        set_field(self, "mu", mu)
-        set_field(self, "labels", labels)
-        set_field(self, "classes", classes)
-
     def within_class_order(self, cls) -> list:
         """Class members sorted ascending for the stratified side: the
         symbolic hw comparison (by constant term) reversed."""
@@ -257,10 +243,9 @@ def ss_preorder(instance: FixedPointInstance, pair, window) -> PreOrder:
         for l in labels:
             s = l.kappa.slope
             by_slope[s.numerator * (den // s.denominator)].append(l)
-    return PreOrder(instance=instance, lam_bar=pair.lam, mu=pair.mu,
-                    labels=tuple(l for _, labels in rows for l in labels),
-                    classes=tuple(tuple(by_slope[k])
-                                  for k in sorted(by_slope)))
+    return PreOrder(instance, pair.lam, pair.mu,
+                    tuple(l for _, labels in rows for l in labels),
+                    tuple(tuple(by_slope[k]) for k in sorted(by_slope)))
 
 
 def equivalence_classes(pre: PreOrder) -> tuple:

@@ -71,7 +71,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .arith import Value, set_field
+from .arith import Value
 
 
 def integer_row(con):
@@ -226,7 +226,6 @@ def first_lattice_point(constraints, dim):
     return search([]) if ok else None
 
 
-
 def _bareiss(m, n_cols):
     """Fraction-free Gauss-Jordan elimination of the integer rows of m, in
     place, on their first n_cols columns (later columns ride along).
@@ -295,11 +294,6 @@ class VertexIncidence(Value):
     den: int
     nums: tuple   # one tuple of integer numerators per vertex
     masks: tuple  # one bitmask per vertex
-
-    def __init__(self, den, nums, masks):
-        set_field(self, "den", den)
-        set_field(self, "nums", nums)
-        set_field(self, "masks", masks)
 
     def points(self):
         """The vertices as Fraction tuples."""

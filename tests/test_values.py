@@ -3,9 +3,18 @@ package imports without `dataclasses`.
 
 Each value type has a test-only mirror here: a frozen dataclass with the
 same name, fields and field options (RealAlcove's incidence is left out of
-equality, hash and repr; AffineInP keeps its own hash).  Drawn field values
-must give the same repr, equality, hash and replace results on both, and
-assigning or deleting a field of a value must be an AttributeError.
+equality, hash and repr; AffineInP keeps its own hash; the defaults of
+AffineInP and FixedPointInstance).  Drawn field values must give the same
+repr, equality, hash and replace results on both, and assigning or
+deleting a field of a value must be an AttributeError.  Drawn calls, their
+fields given by position, by name or both, must store the same fields,
+and raise a TypeError on a value type exactly when they do on its mirror:
+a field missing, one argument too many, an unknown name or a field given
+twice.  Every value
+type is built by the one constructor, `arith.Value.__init__`: a stdlib
+`ast` check fails on any other `__init__` of a value type but those of
+OWN_INIT, which normalize or default a field, and on any write of a field
+past the frozen `__setattr__`.
 """
 
 import ast
@@ -49,6 +58,11 @@ FIELDS = {
 }
 
 
+# the value types that keep an __init__ of their own, for what they
+# normalize or default; it hands the values to Value.__init__
+OWN_INIT = {"Wall", "AffineInP", "FixedPointInstance"}
+
+
 def mirror_of(cls):
     """The frozen dataclass cls was: its name, fields and field options."""
     fields = [(name, object) for name in FIELDS[cls]]
@@ -58,6 +72,11 @@ def mirror_of(cls):
                       dataclasses.field(compare=False, repr=False))
     if cls is AffineInP:
         namespace["__hash__"] = AffineInP.__hash__
+        fields = [(name, object, F(0)) for name in FIELDS[cls]]
+    if cls is FixedPointInstance:
+        fields[5:] = [("walls", object, ()), ("lambdas", object, ()),
+                      ("generators", object, ()),
+                      ("meta", object, dataclasses.field(default_factory=dict))]
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
                                       namespace=namespace)
 
@@ -146,7 +165,52 @@ def test_value_types_behave_as_their_frozen_dataclasses(drawn):
         delattr(real_a, name)
     with pytest.raises(AttributeError):
         real_a.not_a_field = new
+    with pytest.raises(TypeError):
+        real_a.replace(not_a_field=new)
     assert repr(real_a) == repr(mirror_a)
+
+
+@st.composite
+def calls(draw):
+    """(cls, values, args, named, shape): drawn values of cls's fields, the
+    first k given by position and the rest by name, then bent to shape:
+    one field left out, one argument past the last field, an unknown name,
+    a positional field given by name too, or none of these."""
+    cls = draw(st.sampled_from(sorted(FIELDS, key=lambda c: c.__name__)))
+    values, fields = draw(field_values(cls)), FIELDS[cls]
+    shape = draw(st.sampled_from(["valid", "missing", "too many", "unknown",
+                                  "repeated"]))
+    k = draw(st.integers(shape == "repeated", len(fields)))
+    if shape == "missing":
+        gone = draw(st.sampled_from(fields))
+        k = min(k, fields.index(gone))
+        fields = tuple(name for name in fields if name != gone)
+    args = [values[name] for name in fields[:k]]
+    named = {name: values[name] for name in fields[k:]}
+    if shape == "too many":
+        args = [values[name] for name in FIELDS[cls]] + [draw(nested)]
+        named = {}
+    elif shape == "unknown":
+        named["not_a_field"] = draw(nested)
+    elif shape == "repeated":
+        name = draw(st.sampled_from(fields[:k]))
+        named[name] = values[name]
+    return cls, values, args, named, shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls())
+def test_calls_bind_as_on_the_dataclasses(drawn):
+    cls, values, args, named, shape = drawn
+    real = outcome(lambda: cls(*args, **named))
+    mirror = outcome(lambda: MIRRORS[cls](*args, **named))
+    assert (real is TypeError) == (mirror is TypeError)
+    if shape != "missing":   # a missing field may have a default
+        assert (real is TypeError) == (shape != "valid")
+    if shape == "valid":
+        by_position = cls(*[values[name] for name in FIELDS[cls]])
+        assert stored(real) == stored(by_position) == stored(
+            cls(**values)) == values
 
 
 def test_every_value_type_is_mirrored_and_compares_two_fields_or_more():
@@ -157,16 +221,15 @@ def test_every_value_type_is_mirrored_and_compares_two_fields_or_more():
 
 
 def test_defaults_are_the_dataclass_defaults():
-    assert repr(AffineInP()) == repr(MIRRORS[AffineInP](F(0), F(0)))
+    assert repr(AffineInP()) == repr(MIRRORS[AffineInP]())
+    assert repr(AffineInP(slope=2)) == repr(MIRRORS[AffineInP](F(0), F(2)))
     inst = FixedPointInstance("x", 1, (), {}, {})
     assert repr(inst) == repr(MIRRORS[FixedPointInstance](
-        "x", 1, (), {}, {}, (), (), (), {}))
+        "x", 1, (), {}, {}))
     assert inst.meta == {} and inst.meta is not \
         FixedPointInstance("x", 1, (), {}, {}).meta
     with pytest.raises(TypeError):   # an alcove carries its incidence
         RealAlcove(1, ())
-    with pytest.raises(TypeError):
-        AffineInP().replace(offset=1)
 
 
 def test_the_cli_imports_without_dataclasses_or_inspect():
@@ -202,3 +265,38 @@ def test_the_check_sees_each_import_form():
 def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in imported_modules(
         path.read_text(encoding="utf-8"))
+
+
+def constructor_breaches(source):
+    """Each __init__ of a Value subclass not in OWN_INIT, and each
+    set_field or object.__setattr__, in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ClassDef) and node.name not in OWN_INIT
+                and "Value" in map(ast.unparse, node.bases)):
+            found += [f"{node.name}.__init__" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and item.name == "__init__"]
+        elif isinstance(node, (ast.Name, ast.alias)) and "set_field" in (
+                getattr(node, "id", None), getattr(node, "name", None)):
+            found.append("set_field")
+        elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+              and ast.unparse(node.value) == "object"):
+            found.append("object.__setattr__")
+    return found
+
+
+def test_the_constructor_check_sees_each_breach():
+    source = ("from .arith import set_field\n"
+              "class Face(Value):\n    def __init__(self): pass\n"
+              "class Wall(Value):\n    def __init__(self): pass\n"
+              "class Plain:\n    def __init__(self): pass\n"
+              "object.__setattr__(x, 'a', 1)\n")
+    assert sorted(constructor_breaches(source)) == [
+        "Face.__init__", "object.__setattr__", "set_field"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_value_types_are_built_by_the_one_constructor(path):
+    assert constructor_breaches(path.read_text(encoding="utf-8")) == []
