@@ -23,16 +23,17 @@ class Value:
     """Base of the library's immutable value types.
 
     A subclass lists its fields as annotations, which __init_subclass__
-    reads once, and __init__ stores them, given by position or by name: a
-    missing, unknown or repeated field is a TypeError.  A subclass that
-    normalizes or defaults a field keeps its own __init__ and hands the
-    values to Value.__init__ by position, which binds no name and checks
-    only their count.  Fields not named in _uncompared are the compared
-    fields: equality holds between instances of the same class whose
-    compared fields are equal, the hash is that of the tuple of them, and
-    the repr lists them as `Class(name=value, ...)`.  Assigning or deleting
-    an attribute is an AttributeError.  There are no __slots__: cached
-    properties live in the instance __dict__.
+    reads once.  __init__ stores them, given by position or by name, in one
+    pass: it takes each field past the positional ones from the names, and
+    a name left over or a count other than the number of fields is a
+    TypeError.  A subclass that normalizes or defaults a field keeps its
+    own __init__ and hands the values to Value.__init__ by position.
+    Fields not named in _uncompared are the compared fields: equality
+    holds between instances of the same class whose compared fields are
+    equal, the hash is that of the tuple of them, and the repr lists them
+    as `Class(name=value, ...)`.  Assigning or deleting an attribute is an
+    AttributeError.  There are no __slots__: cached properties live in the
+    instance __dict__.
     """
 
     _uncompared = frozenset()
@@ -47,26 +48,13 @@ class Value:
 
     def __init__(self, /, *args, **named):
         fields = self._fields
+        if named:
+            args += tuple([named.pop(name) for name in fields[len(args):]
+                           if name in named])
         if named or len(args) != len(fields):
-            args = self._bind(args, named)
+            raise TypeError(f"{type(self).__qualname__}{fields} got "
+                            f"{len(args)} values, names left: {[*named]}")
         self.__dict__.update(zip(fields, args))
-
-    @classmethod
-    def _bind(cls, args, named):
-        """The field values of a call, in field order; a TypeError lists
-        each argument past the last field and each unknown, repeated or
-        missing field."""
-        fields = cls._fields
-        values = dict(zip(fields, args)) | named
-        errors = ([f"{len(args)} by position of {len(fields)} fields"]
-                  * (len(args) > len(fields))
-                  + [f"unknown {n!r}" for n in named if n not in fields]
-                  + [f"repeated {n!r}" for n in fields[:len(args)]
-                     if n in named]
-                  + [f"missing {n!r}" for n in fields if n not in values])
-        if errors:
-            raise TypeError(f"{cls.__qualname__}(): " + ", ".join(errors))
-        return [values[n] for n in fields]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

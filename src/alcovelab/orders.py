@@ -154,8 +154,8 @@ def phw_axiom_check(poset: LabeledPoset, d_bound: int) -> dict:
     z1, z2 = poset.window
     if z2 - z1 < 2 * p:
         raise ValueError("window must contain at least two shift periods")
-    # free: a shift moves kappa by p, and a period label needs p > 0
-    orbits = sum(z1 <= l.kappa < z1 + p for l in poset.labels)
+    # S moves kappa by p: free, one orbit per label of points x [z1, z1+p)
+    orbits = len(poset.labels) // (z2 - z1) * p
     levels = poset._levels.values()
     max_n = max(((ls[-1][0].kappa - ls[0][0].kappa) // p + 1
                  for ls in levels), default=0)

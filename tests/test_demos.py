@@ -1,4 +1,6 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion in development mode, with every
+warning an error, and prints something: a deprecation or resource warning
+fails here, on every Python the suite runs on."""
 
 import os
 import subprocess
@@ -16,7 +18,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                           str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

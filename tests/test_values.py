@@ -10,11 +10,11 @@ deleting a field of a value must be an AttributeError.  Drawn calls, their
 fields given by position, by name or both, must store the same fields,
 and raise a TypeError on a value type exactly when they do on its mirror:
 a field missing, one argument too many, an unknown name or a field given
-twice.  Every value
-type is built by the one constructor, `arith.Value.__init__`: a stdlib
-`ast` check fails on any other `__init__` of a value type but those of
-OWN_INIT, which normalize or default a field, and on any write of a field
-past the frozen `__setattr__`.
+twice; the TypeError of a call by name names the class, its fields and
+each name left over.  Every value type is built by the one constructor,
+`arith.Value.__init__`: a stdlib `ast` check fails on any other `__init__`
+of a value type but those of OWN_INIT, which normalize or default a field,
+and on any write of a field past the frozen `__setattr__`.
 """
 
 import ast
@@ -211,6 +211,27 @@ def test_calls_bind_as_on_the_dataclasses(drawn):
         by_position = cls(*[values[name] for name in FIELDS[cls]])
         assert stored(real) == stored(by_position) == stored(
             cls(**values)) == values
+
+
+@pytest.mark.parametrize("cls", [cls for cls in FIELDS
+                                 if cls.__name__ not in OWN_INIT],
+                         ids=lambda cls: cls.__name__)
+def test_a_bad_call_by_name_names_the_class_and_each_name_left(cls):
+    # an unknown field, a field given by position and by name, and both;
+    # the types of OWN_INIT bind names by their own signature
+    values, first = dict.fromkeys(FIELDS[cls]), FIELDS[cls][0]
+    for args, named, left in [
+            ((), values | {"not_a_field": 0}, ["not_a_field"]),
+            ((None,), values, [first]),
+            ((None,), values | {"not_a_field": 0, "nor_this": 0},
+             [first, "not_a_field", "nor_this"])]:
+        with pytest.raises(TypeError) as raised:
+            cls(*args, **named)
+        text = str(raised.value)
+        assert text.startswith(cls.__qualname__), text
+        # the fields are named once, and each name left once more
+        assert all(text.count(repr(name)) == (name in values) + (name in left)
+                   for name in [*values, *left]), text
 
 
 def test_every_value_type_is_mirrored_and_compares_two_fields_or_more():
