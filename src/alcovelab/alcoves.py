@@ -70,14 +70,13 @@ class RealAlcove(Value):
     (_alcove_around, through real_alcove_of, opposite_alcove and
     p_membership) or moved from one by translate, and carries the pass's
     vertices and their tight inequalities (VertexIncidence), which
-    vertices, interior_point and faces_of read; equality, hash and JSON
-    see only rank and inequalities."""
+    vertices, interior_point and faces_of read.  The incidence is a
+    function of rank and inequalities, so it adds nothing to equality or
+    hash, and JSON leaves it out."""
 
     rank: int
     inequalities: tuple  # ((wall_id, offset: Fraction, sense), ...)
     incidence: VertexIncidence
-
-    _uncompared = frozenset({"incidence"})
 
     def constraints(self, walls):
         """The inequalities as constraints_of gives them."""
@@ -410,7 +409,7 @@ def p_alcove_of(A: RealAlcove, walls) -> PAlcove:
     out = []
     for wid, m, sense in A.inequalities:
         orient, _, m_or, sigma = oriented_facet(wm[wid], m, sense)
-        out.append((wid, orient, AffineInP(const=sigma, slope=m_or)))
+        out.append((wid, orient, AffineInP(sigma, m_or)))
     return PAlcove(A, tuple(out))
 
 

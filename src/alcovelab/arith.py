@@ -23,28 +23,23 @@ class Value:
     """Base of the library's immutable value types.
 
     A subclass lists its fields as annotations, which __init_subclass__
-    reads once.  __init__ stores them, given by position or by name, in one
-    pass: it takes each field past the positional ones from the names, and
-    a name left over or a count other than the number of fields is a
-    TypeError.  A subclass that normalizes or defaults a field keeps its
-    own __init__ and hands the values to Value.__init__ by position.
-    Fields not named in _uncompared are the compared fields: equality
-    holds between instances of the same class whose compared fields are
-    equal, the hash is that of the tuple of them, and the repr lists them
-    as `Class(name=value, ...)`.  Assigning or deleting an attribute is an
-    AttributeError.  There are no __slots__: cached properties live in the
-    instance __dict__.
+    reads once.  __init__ stores them as given, by position or by name, in
+    one pass: it takes each field past the positional ones from the names,
+    and a name left over or a count other than the number of fields is a
+    TypeError.  No field has a default; only Wall, which checks and
+    normalizes its input, keeps its own __init__ and hands the values to
+    Value.__init__ by position.  Equality holds between instances of the
+    same class whose fields are equal, the hash is that of the tuple of
+    the fields, and the repr lists them as `Class(name=value, ...)`.
+    Assigning or deleting an attribute is an AttributeError.  There are no
+    __slots__: cached properties live in the instance __dict__.
     """
-
-    _uncompared = frozenset()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._compared = tuple(name for name in cls._fields
-                              if name not in cls._uncompared)
-        # the tuple of the compared fields (every value type has two or more)
-        cls._values = staticmethod(attrgetter(*cls._compared))
+        # the tuple of the fields (every value type has two or more)
+        cls._values = staticmethod(attrgetter(*cls._fields))
 
     def __init__(self, /, *args, **named):
         fields = self._fields
@@ -73,7 +68,7 @@ class Value:
     def __repr__(self):
         return (f"{type(self).__qualname__}("
                 + ", ".join(f"{name}={getattr(self, name)!r}"
-                            for name in self._compared) + ")")
+                            for name in self._fields) + ")")
 
     def replace(self, **changes):
         """A copy with the given fields changed, built by __init__; an
@@ -248,14 +243,12 @@ class Wall(Value):
 
 
 class AffineInP(Value):
-    """An exact affine function a + b*p of a symbolic (large) prime p.
-    Use eval_at for a concrete prime."""
+    """An exact affine function a + b*p of a symbolic (large) prime p,
+    built from two Fractions; affine() gives the constant function of any
+    rational.  Use eval_at for a concrete prime."""
 
     const: Fraction
     slope: Fraction
-
-    def __init__(self, const=0, slope=0):
-        Value.__init__(self, rat(const), rat(slope))
 
     def eval_at(self, p) -> Fraction:
         return self.const + self.slope * p

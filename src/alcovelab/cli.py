@@ -469,8 +469,6 @@ def _outputs(args, inst, warnings, samples):
                               f"pre-order at p = {args.p}")
         return {"lambda_prime": [rat_str(c) for c in lam_prime]}, report
 
-    raise ConfigError(f"unknown subcommand: {cmd}")
-
 
 def main() -> None:
     try:

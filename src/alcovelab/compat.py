@@ -30,8 +30,7 @@ class CompatiblePair(Value):
 
     def p_point_affine(self) -> tuple:
         """Per-coordinate affine-in-p description of the family."""
-        return tuple(AffineInP(const=a, slope=b)
-                     for a, b in zip(self.lam, self.mu))
+        return tuple(AffineInP(a, b) for a, b in zip(self.lam, self.mu))
 
 
 def _face_facets(A: RealAlcove, face: Face, walls):

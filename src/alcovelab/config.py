@@ -198,9 +198,9 @@ def parse_config(data: dict, path="config") -> tuple:
         else:
             table = ("*",), {"*": rat(0)}, {"*": (rat(0),) * rank}
         base = FixedPointInstance(
-            data.get("name", "walls-only"), rank, *table,
-            generators=tuple(tuple(int(i == j) for j in range(rank))
-                             for i in range(rank)),
+            data.get("name", "walls-only"), rank, *table, walls=(),
+            lambdas=(), generators=tuple(
+                tuple(int(i == j) for j in range(rank)) for i in range(rank)),
             meta=meta)
     else:
         raise ConfigError(

@@ -40,19 +40,14 @@ class FixedPointInstance(Value):
     generators: tuple   # lattice generators (the set P_2)
     meta: dict
 
-    def __init__(self, name, rank, points, c_const, c_linear, walls=(),
-                 lambdas=(), generators=(), meta=None):
-        Value.__init__(self, name, rank, points, c_const, c_linear, walls,
-                       lambdas, generators, {} if meta is None else meta)
-
     def c_value(self, x, lam) -> Fraction:
         """c(x; lambda) for a rational parameter vector lambda."""
         return self.c_const[x] + pairing(self.c_linear[x], vec(lam))
 
     def c_affine(self, x, lam_bar, mu) -> AffineInP:
         """c(x; lambda_bar + p*mu) as an affine function of p."""
-        return AffineInP(const=self.c_value(x, lam_bar),
-                         slope=pairing(self.c_linear[x], vec(mu)))
+        return AffineInP(self.c_value(x, lam_bar),
+                         pairing(self.c_linear[x], vec(mu)))
 
     def point_str(self, x) -> str:
         return POINT_KINDS[self.meta.get("points")][1](x)
@@ -118,7 +113,7 @@ def hilb_instance(n: int, ell: int = 0) -> FixedPointInstance:
     return FixedPointInstance(
         name=f"hilb({n})", rank=1, points=pts,
         c_const=c_const, c_linear=c_linear,
-        walls=walls, generators=((1,),),
+        walls=walls, lambdas=(), generators=((1,),),
         meta={"points": "partitions", "n": n, "ell": ell,
               "coords": "c = lambda - 1/2"},
     )
@@ -168,7 +163,7 @@ def weyl_a_instance(n: int) -> FixedPointInstance:
     return FixedPointInstance(
         name=f"weyl_a({n})", rank=r, points=pts,
         c_const=c_const, c_linear=c_linear,
-        walls=walls,
+        walls=walls, lambdas=(),
         generators=tuple(tuple(1 if k == i else 0 for k in range(r))
                          for i in range(r)),
         meta={"points": "permutations", "n": n, "nu": "rho_vee",

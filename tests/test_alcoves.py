@@ -441,7 +441,7 @@ def test_direction_build_matches_the_bracket_slopes(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_carried_vertices_leave_equality_hash_and_json_alone(data):
+def test_carried_vertices_are_compared_and_left_out_of_json(data):
     rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
                                       st.just((3, OCTAHEDRAL_WALLS))))
     x, A = regular_alcove(data, walls, rank)
@@ -452,8 +452,7 @@ def test_carried_vertices_leave_equality_hash_and_json_alone(data):
     kept, inc = facets_and_vertices(integer_rows(cons), rank)
     assert kept == list(range(len(cons))) and inc == A.incidence
     other = A.replace(incidence=polyhedra.VertexIncidence(1, (), ()))
-    assert A == other and hash(A) == hash(other)
-    assert A.to_json() == other.to_json()
+    assert A != other and A.to_json() == other.to_json()
     assert A.vertices() == vertices(cons, rank)
     assert A.interior_point() == interior_point(cons, rank)
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,

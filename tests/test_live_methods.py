@@ -19,12 +19,14 @@ import random
 import runpy
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from unittest import mock
 
 import alcovelab
 import alcovelab.cli
+from alcovelab.arith import AffineInP, Value
 from test_readme_commands import run, substituted_examples
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -119,34 +121,57 @@ def user_paths(tmp):
         run_pass(alcovelab, state, Ops())
 
 
+def from_empty_caches(call):
+    """call() with the package's caches empty, as in a fresh process, so
+    that no result an earlier test cached is skipped: its functools caches
+    are cleared, and compat's dict is emptied for the run and then
+    restored."""
+    for module in package_modules():
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    with mock.patch.dict(alcovelab.compat._cache, clear=True):
+        call()
+
+
 def never_run(call):
     """The names in functions() whose code never starts while call() runs
-    under sys.setprofile.  The package's caches start empty, as in a fresh
-    process, so a function whose result an earlier test cached must still
-    start: its functools caches are cleared, and compat's dict is emptied
-    for the run and then restored."""
+    under sys.setprofile, from empty caches."""
     started = set()
 
     def profile(frame, event, arg):
         if event == "call":
             started.add(frame.f_code)
 
-    for module in package_modules():
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-    with mock.patch.dict(alcovelab.compat._cache, clear=True):
+    def profiled():
         sys.setprofile(profile)
         try:
             call()
         finally:
             sys.setprofile(None)
+
+    from_empty_caches(profiled)
     return {name for code, name in functions().items()
             if code not in started}
 
 
 def test_every_method_runs_on_a_user_path(tmp_path):
     assert never_run(lambda: user_paths(tmp_path)) == NOT_ON_A_USER_PATH
+
+
+def test_every_affine_function_a_user_path_builds_holds_two_fractions(
+        tmp_path):
+    # AffineInP stores its fields as given, with no coercion: the library
+    # hands it Fractions, and only affine() makes one of an int
+    kinds = set()
+
+    def recording_init(self, *args, **named):
+        Value.__init__(self, *args, **named)
+        kinds.add((type(self.const), type(self.slope)))
+
+    with mock.patch.object(AffineInP, "__init__", recording_init):
+        from_empty_caches(lambda: user_paths(tmp_path))
+    assert kinds == {(Fraction, Fraction)}
 
 
 def test_the_check_names_a_function_that_never_runs():

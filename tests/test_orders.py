@@ -587,7 +587,7 @@ def test_equivalence_classes_rejects_one_slope_across_h_blocks():
     # equal slope and equal c - kappa, but c(b) - c(a) = 1/2 is no integer
     inst = FixedPointInstance("split", 1, ("a", "b"),
                               {"a": F(0), "b": F(1, 2)},
-                              {"a": (F(0),), "b": (F(0),)})
+                              {"a": (F(0),), "b": (F(0),)}, (), (), (), {})
     labels = (Label("a", AffineInP(0, 1)), Label("b", AffineInP(F(1, 2), 1)))
     pre = PreOrder(inst, (F(0),), (F(0),), labels, (labels,))
     with pytest.raises(AssertionError, match="mismatch"):

@@ -2,19 +2,19 @@
 package imports without `dataclasses`.
 
 Each value type has a test-only mirror here: a frozen dataclass with the
-same name, fields and field options (RealAlcove's incidence is left out of
-equality, hash and repr; AffineInP keeps its own hash; the defaults of
-AffineInP and FixedPointInstance).  Drawn field values must give the same
-repr, equality, hash and replace results on both, and assigning or
-deleting a field of a value must be an AttributeError.  Drawn calls, their
-fields given by position, by name or both, must store the same fields,
-and raise a TypeError on a value type exactly when they do on its mirror:
-a field missing, one argument too many, an unknown name or a field given
-twice; the TypeError of a call by name names the class, its fields and
-each name left over.  Every value type is built by the one constructor,
-`arith.Value.__init__`: a stdlib `ast` check fails on any other `__init__`
-of a value type but those of OWN_INIT, which normalize or default a field,
-and on any write of a field past the frozen `__setattr__`.
+same name and fields, none with a default, every one compared, hashed and
+shown in the repr (AffineInP keeps its own hash).  Drawn field values
+must give the same repr, equality, hash and replace results on both, and
+assigning or deleting a field of a value must be an AttributeError.
+Drawn calls, their fields given by position, by name or both, must store
+the same fields, and raise a TypeError on a value type exactly when they
+do on its mirror: a field missing, one argument too many, an unknown name
+or a field given twice; the TypeError of a call by name names the class,
+its fields and each name left over.  Every value type is built by the one
+constructor, `arith.Value.__init__`: a stdlib `ast` check fails on any
+other `__init__` of a value type but that of OWN_INIT, which checks and
+normalizes its input, and on any write of a field past the frozen
+`__setattr__`.
 """
 
 import ast
@@ -58,26 +58,16 @@ FIELDS = {
 }
 
 
-# the value types that keep an __init__ of their own, for what they
-# normalize or default; it hands the values to Value.__init__
-OWN_INIT = {"Wall", "AffineInP", "FixedPointInstance"}
+# the value type that keeps an __init__ of its own, for what it checks
+# and normalizes; it hands the values to Value.__init__
+OWN_INIT = {"Wall"}
 
 
 def mirror_of(cls):
-    """The frozen dataclass cls was: its name, fields and field options."""
-    fields = [(name, object) for name in FIELDS[cls]]
-    namespace = {}
-    if cls is RealAlcove:
-        fields[-1] = ("incidence", object,
-                      dataclasses.field(compare=False, repr=False))
-    if cls is AffineInP:
-        namespace["__hash__"] = AffineInP.__hash__
-        fields = [(name, object, F(0)) for name in FIELDS[cls]]
-    if cls is FixedPointInstance:
-        fields[5:] = [("walls", object, ()), ("lambdas", object, ()),
-                      ("generators", object, ()),
-                      ("meta", object, dataclasses.field(default_factory=dict))]
-    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
+    """The frozen dataclass of cls's name and fields, with AffineInP's
+    hash."""
+    namespace = {"__hash__": AffineInP.__hash__} if cls is AffineInP else {}
+    return dataclasses.make_dataclass(cls.__name__, FIELDS[cls], frozen=True,
                                       namespace=namespace)
 
 
@@ -204,9 +194,7 @@ def test_calls_bind_as_on_the_dataclasses(drawn):
     cls, values, args, named, shape = drawn
     real = outcome(lambda: cls(*args, **named))
     mirror = outcome(lambda: MIRRORS[cls](*args, **named))
-    assert (real is TypeError) == (mirror is TypeError)
-    if shape != "missing":   # a missing field may have a default
-        assert (real is TypeError) == (shape != "valid")
+    assert (real is TypeError) == (mirror is TypeError) == (shape != "valid")
     if shape == "valid":
         by_position = cls(*[values[name] for name in FIELDS[cls]])
         assert stored(real) == stored(by_position) == stored(
@@ -235,22 +223,21 @@ def test_a_bad_call_by_name_names_the_class_and_each_name_left(cls):
 
 
 def test_every_value_type_is_mirrored_and_compares_two_fields_or_more():
-    # Value reads the compared fields with one attrgetter, which returns a
-    # tuple only for two or more names
+    # Value reads the fields with one attrgetter, which returns a tuple
+    # only for two or more names
     assert set(Value.__subclasses__()) == set(FIELDS)
-    assert all(len(cls._compared) >= 2 for cls in FIELDS)
+    assert all(cls._fields == FIELDS[cls] for cls in FIELDS)
+    assert all(len(cls._fields) >= 2 for cls in FIELDS)
 
 
-def test_defaults_are_the_dataclass_defaults():
-    assert repr(AffineInP()) == repr(MIRRORS[AffineInP]())
-    assert repr(AffineInP(slope=2)) == repr(MIRRORS[AffineInP](F(0), F(2)))
-    inst = FixedPointInstance("x", 1, (), {}, {})
-    assert repr(inst) == repr(MIRRORS[FixedPointInstance](
-        "x", 1, (), {}, {}))
-    assert inst.meta == {} and inst.meta is not \
-        FixedPointInstance("x", 1, (), {}, {}).meta
-    with pytest.raises(TypeError):   # an alcove carries its incidence
-        RealAlcove(1, ())
+def test_no_field_has_a_default():
+    # an alcove carries its incidence; an affine function and an instance
+    # are given every field, an instance's meta among them
+    for call in [lambda: RealAlcove(1, ()), lambda: AffineInP(),
+                 lambda: AffineInP(slope=F(2)),
+                 lambda: FixedPointInstance("x", 1, (), {}, {}, (), (), ())]:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_the_cli_imports_without_dataclasses_or_inspect():
