@@ -13,11 +13,11 @@ from .arith import (AffineInP, Wall, affine, is_saturated, pairing,
 from .alcoves import (Chamber, Face, NonRegularError, OnPWallError, PAlcove,
                       PTooSmallError, QuantumChamber, RealAlcove,
                       SingularPointError, faces_of,
-                      integral_walls_and_positive_chamber, p_alcove_of,
-                      p_membership, quantum_chamber, real_alcove_of,
-                      translation_path)
-from .compat import (CompatiblePair, find_compatible, opposite_alcove,
-                     opposite_pair, verify_compatible)
+                      integral_walls_and_positive_chamber, opposite_alcove,
+                      p_alcove_of, p_membership, quantum_chamber,
+                      real_alcove_of, translation_path)
+from .compat import (CompatiblePair, find_compatible, opposite_pair,
+                     verify_compatible)
 from .instances import (FixedPointInstance, builtin_instance, hilb_instance,
                         weyl_a_instance, wt_chi)
 from .mullineux import (mullineux, mullineux_oracle, mullineux_symbol,

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .arith import (AffineInP, Value, is_lattice, pairing, vadd, vscale,
                     vsub)
-from .alcoves import (Face, RealAlcove, faces_of, opposite_alcove,
-                      p_alcove_of)
+from .alcoves import Face, RealAlcove, opposite_alcove, p_alcove_of
 from .polyhedra import first_lattice_point
 
 
@@ -131,13 +130,6 @@ def verify_compatible(pair: CompatiblePair, walls, p_samples=()) -> dict:
     return report
 
 
-def matching_face(B: RealAlcove, face: Face, walls) -> Face:
-    for g in faces_of(B, walls):
-        if g.vertex_set == face.vertex_set:
-            return g
-    raise ValueError("alcove does not share the given face")
-
-
 def opposite_pair(A: RealAlcove, face: Face, pair: CompatiblePair, walls):
     """A parameter compatible with (A_minus, face), differing from pair.lam
     by a lattice vector; returns (pair_minus, chi) with chi = lam_minus - lam.
@@ -145,15 +137,20 @@ def opposite_pair(A: RealAlcove, face: Face, pair: CompatiblePair, walls):
     The reflected candidate 2*mu - lambda is preferred; when it violates the
     opposite margins the lexicographic box search runs on the other side.
 
-    B's face has the same vertex set as the given one, so the same vertex
-    average mu as its witness.  chi is integral whenever lambda - mu is, as
-    for every pair find_compatible returns (on a cache hit too, since the
-    cached lambda and the translate's witness differ by a lattice vector):
-    the candidate differs from lambda by 2 * (mu - lambda), and the
-    search's answer from mu by a lattice vector.
+    face must be a face of A, as for find_compatible.  A_minus holds it
+    too, with the same vertices, witness mu and codim; its active rows are
+    its own on the face's hyperplanes.  chi is integral whenever
+    lambda - mu is, as for every pair find_compatible returns (on a cache
+    hit too, since the cached lambda and the translate's witness differ by
+    a lattice vector): the candidate differs from lambda by
+    2 * (mu - lambda), and the search's answer from mu by a lattice vector.
     """
     B = opposite_alcove(A, face, walls)
-    face_b = matching_face(B, face, walls)
+    # near the witness A is a cell of the central arrangement through the
+    # face, and B that cell negated: the same face, each row's sense flipped
+    on_face = {(wid, m) for wid, m, _ in face.active}
+    face_b = face.replace(parent=B, active=tuple(
+        row for row in B.inequalities if row[:2] in on_face))
     mu = pair.mu
     candidate = vsub(vscale(2, mu), pair.lam)
     if all(pairing(c, candidate) > rhs.const

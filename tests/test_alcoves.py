@@ -439,6 +439,44 @@ def test_direction_build_matches_the_bracket_slopes(data):
             build_outcome(fraction_alcove, f, walls, None, u)
 
 
+def matching_face(B, face, walls):
+    """Test-only oracle: the face of B with face's vertex set, found by a
+    search over faces_of(B), as opposite_pair first found it."""
+    return next(g for g in faces_of(B, walls)
+                if g.vertex_set == face.vertex_set)
+
+
+# weyl_a(4) with a second wall on the hyperplanes <(1, 1, 0), x> in Z,
+# which also has the hyperplanes <(1, 1, 0), x> in 1/2 + Z
+TWIN_WALLS = weyl_a_instance(4).walls + (
+    Wall(id=6, alpha=(1, 1, 0), sigma_tilde=frozenset([F(0), F(1, 2)])),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_opposite_alcove_holds_the_crossed_face(data):
+    """Near its witness a face's alcove is a cell of the central
+    arrangement through the face, and the opposite alcove that cell
+    negated (Bjorner et al., "Oriented Matroids", 1993, 4.1): it holds the
+    same face, with its own rows on the face's hyperplanes, each of the
+    opposite sense, as opposite_pair reads it."""
+    rank, walls = data.draw(st.one_of(
+        st.sampled_from(FACE_ARRANGEMENTS + BUILD_ARRANGEMENTS),
+        st.sampled_from([(3, OCTAHEDRAL_WALLS), (4, CROSS_WALLS),
+                         (3, TWIN_WALLS)])))
+    _, A = regular_alcove(data, walls, rank)
+    assume(A is not None)
+    flip = {GE: LE, LE: GE}
+    for face in faces_of(A, walls)[1:]:
+        B = opposite_alcove(A, face, walls)
+        on_face = {(wid, m) for wid, m, _ in face.active}
+        crossed = face.replace(parent=B, active=tuple(
+            row for row in B.inequalities if row[:2] in on_face))
+        assert matching_face(B, face, walls) == crossed
+        assert sorted(crossed.active) == sorted(
+            (wid, m, flip[sense]) for wid, m, sense in face.active)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_carried_vertices_are_compared_and_left_out_of_json(data):

@@ -12,10 +12,11 @@ from alcovelab.alcoves import (SingularPointError, faces_of, p_membership,
 from alcovelab.arith import (AffineInP, is_lattice, pairing, vadd, vscale,
                              vsub)
 from alcovelab.compat import (CompatiblePair, find_compatible,
-                              matching_face, opposite_alcove, opposite_pair,
+                              opposite_alcove, opposite_pair,
                               verify_compatible)
 from alcovelab.instances import hilb_instance, weyl_a_instance
-from test_alcoves import OCTAHEDRAL_WALLS, alcove_contains
+from test_alcoves import (OCTAHEDRAL_WALLS, alcove_contains,
+                          matching_face)
 
 HILB2 = hilb_instance(2, 0)
 A2 = weyl_a_instance(3)
