@@ -70,9 +70,9 @@ class RealAlcove(Value):
     (_alcove_around, through real_alcove_of, opposite_alcove and
     p_membership) or moved from one by translate, and carries the pass's
     vertices and their tight inequalities (VertexIncidence), which
-    vertices, interior_point and faces_of read.  The incidence is a
-    function of rank and inequalities, so it adds nothing to equality or
-    hash, and JSON leaves it out."""
+    vertices, interior_point and faces_of read.  The incidence is compared
+    and hashed, but it is a function of rank and inequalities, so it
+    changes no equality between built alcoves; JSON leaves it out."""
 
     rank: int
     inequalities: tuple  # ((wall_id, offset: Fraction, sense), ...)

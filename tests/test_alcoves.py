@@ -31,6 +31,8 @@ from alcovelab.polyhedra import (facets_and_vertices, feasible, find_point,
                                  interior_point, irredundant, matrix_rank,
                                  vertices)
 from alcovelab.validate import p_lattice_point, validate_p
+from strategies import (CROSS_WALLS, HILB, OCTAHEDRAL_WALLS, TWIN_WALLS, WEYL,
+                        arrangements, far_alcove, points, regular_alcove)
 from test_polyhedra import (fraction_matrix_rank, integer_rows,
                             irredundant_and_vertices)
 
@@ -98,24 +100,49 @@ def reference_real_alcove(x, walls):
     return tuple(ineqs[i] for i in kept)
 
 
-DIFF_INSTANCES = ([hilb_instance(n, ell) for n in range(2, 9)
-                   for ell in (0, 1)]
-                  + [weyl_a_instance(3), weyl_a_instance(4)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_real_alcove_matches_all_class_reference(data):
-    inst = data.draw(st.sampled_from(DIFF_INSTANCES))
+    # small denominators, so that a point may lie on a hyperplane
+    rank, walls = data.draw(arrangements())
     x = data.draw(st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=13),
-        min_size=inst.rank, max_size=inst.rank))
-    expected = reference_real_alcove(x, inst.walls)
+        min_size=rank, max_size=rank))
+    expected = reference_real_alcove(x, walls)
     if expected is None:
         with pytest.raises(SingularPointError):
-            real_alcove_of(x, inst.walls)
+            real_alcove_of(x, walls)
     else:
-        assert real_alcove_of(x, inst.walls).inequalities == expected
+        assert real_alcove_of(x, walls).inequalities == expected
+
+
+def test_the_draws_reach_every_table_and_mostly_regular_points():
+    """arrangements draws every table, rank 2 and up at least a third of
+    the time, and regular_alcove's point draw lands on a hyperplane of
+    those in at most a quarter of its draws."""
+    drawn = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(arrangements(CROSS_WALLS, TWIN_WALLS), st.data())
+    def draw(arrangement, data):
+        rank, walls = arrangement
+        x = data.draw(points(rank))
+        drawn[walls] += 1
+        drawn["draws"] += 1
+        if rank >= 2:
+            drawn["rank >= 2"] += 1
+            try:
+                real_alcove_of(x, walls)
+            except SingularPointError:
+                drawn["singular"] += 1
+
+    draw()
+    for table in (HILB, WEYL, [(3, OCTAHEDRAL_WALLS)], [(4, CROSS_WALLS)],
+                  [(3, TWIN_WALLS)]):
+        assert any(drawn[walls] for _, walls in table)
+    assert 3 * drawn["rank >= 2"] >= drawn["draws"]
+    assert 4 * drawn["singular"] <= drawn["rank >= 2"]
 
 
 def test_same_alcove_same_inequalities():
@@ -214,39 +241,11 @@ def reference_faces(A, walls):
     return sorted(seen.values(), key=lambda f: (f.codim, f.active))
 
 
-# (rank, walls): every builtin alcove is a simplex, where each vertex lies
-# on exactly rank facets
-FACE_ARRANGEMENTS = [(inst.rank, inst.walls) for inst in
-                     [hilb_instance(n) for n in range(2, 9)]
-                     + [weyl_a_instance(n) for n in range(3, 6)]]
-# <alpha, x> = 1/2 + k for the four covectors (1, +-1, +-1): its alcoves
-# are octahedra, whose vertices lie on four facets each, and tetrahedra
-OCTAHEDRAL_WALLS = tuple(
-    Wall(id=i, alpha=alpha, sigma_tilde=frozenset([F(1, 2)]))
-    for i, alpha in enumerate([(1, 1, 1), (1, 1, -1), (1, -1, 1),
-                               (1, -1, -1)]))
-
-# <alpha, x> = 1/2 + k for the eight covectors (1, +-1, +-1, +-1): the
-# alcove at the origin is the cross-polytope |x_1| + ... + |x_4| <= 1/2,
-# whose eight vertices each lie on eight facets
-CROSS_WALLS = tuple(
-    Wall(id=i, alpha=(1,) + signs, sigma_tilde=frozenset([F(1, 2)]))
-    for i, signs in enumerate(product((1, -1), repeat=3)))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_faces_match_per_subset_reference(data):
-    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
-                                      st.just((3, OCTAHEDRAL_WALLS)),
-                                      st.just((4, CROSS_WALLS))))
-    x = data.draw(st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=13),
-        min_size=rank, max_size=rank))
-    try:
-        A = real_alcove_of(x, walls)
-    except SingularPointError:
-        return
+    rank, walls = data.draw(arrangements(CROSS_WALLS))
+    _, A = regular_alcove(data, walls, rank)
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,
                                  max_size=rank)))
     alpha = {w.id: w.alpha for w in walls}
@@ -278,11 +277,8 @@ def test_face_active_rows_keep_the_canonical_order(data):
     """faces_of keeps each face's active rows in the alcove's order, which
     is canonical for a built alcove and for its lattice translates; a
     translate keeps each row's wall and sense at its position."""
-    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
-                                      st.just((3, OCTAHEDRAL_WALLS))))
+    rank, walls = data.draw(arrangements())
     _, A = regular_alcove(data, walls, rank)
-    if A is None:
-        return
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,
                                  max_size=rank)))
     T = A.translate(v, walls)
@@ -331,25 +327,11 @@ def build_outcome(build, *args):
     return (got, got.incidence) if isinstance(got, RealAlcove) else got
 
 
-def regular_alcove(data, walls, rank):
-    """The alcove of a drawn point off every hyperplane, or None."""
-    x = data.draw(st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=13),
-        min_size=rank, max_size=rank))
-    try:
-        return x, real_alcove_of(x, walls)
-    except SingularPointError:
-        return x, None
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_alcove_facets_and_vertices_match_irredundant_and_vertices(data):
-    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
-                                      st.just((3, OCTAHEDRAL_WALLS))))
+    rank, walls = data.draw(arrangements())
     x, A = regular_alcove(data, walls, rank)
-    if A is None:
-        return
     rows = bracket_rows(x, walls)
     cons = constraints_of(rows, walls)
     kept, inc = facets_and_vertices(integer_rows(cons), rank)
@@ -359,15 +341,6 @@ def test_alcove_facets_and_vertices_match_irredundant_and_vertices(data):
     assert inc == A.incidence
 
 
-# hilb with ell 0-2 (sigma_tilde of several classes), weyl_a(3..4) and the
-# octahedral arrangement
-BUILD_ARRANGEMENTS = ([(inst.rank, inst.walls) for inst in
-                       [hilb_instance(n, ell) for n in range(2, 9)
-                        for ell in range(3)]
-                       + [weyl_a_instance(3), weyl_a_instance(4)]]
-                      + [(3, OCTAHEDRAL_WALLS)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_p_alcove_facet_i_is_the_alcove_inequality_i(data):
@@ -375,13 +348,12 @@ def test_p_alcove_facet_i_is_the_alcove_inequality_i(data):
     A's inequality i, oriented +1 for >= and -1 for <=, on drawn builtin,
     octahedral and cross-polytope alcoves, their lattice translates and
     p-family builds."""
-    rank, walls = data.draw(st.sampled_from(
-        FACE_ARRANGEMENTS + BUILD_ARRANGEMENTS + [(4, CROSS_WALLS)]))
+    rank, walls = data.draw(arrangements(CROSS_WALLS))
     v = tuple(data.draw(st.lists(st.integers(-40, 40), min_size=rank,
                                  max_size=rank)))
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
     _, A = regular_alcove(data, walls, rank)
-    built = [] if A is None else [A, A.translate(v, walls)]
+    built = [A, A.translate(v, walls)]
     try:
         built.append(_alcove_around(v, walls, p))
     except OnPWallError:
@@ -397,7 +369,7 @@ def test_p_alcove_facet_i_is_the_alcove_inequality_i(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_p_family_build_matches_the_fraction_rows(data):
-    rank, walls = data.draw(st.sampled_from(BUILD_ARRANGEMENTS))
+    rank, walls = data.draw(arrangements())
     x = tuple(data.draw(st.lists(st.integers(-40, 40), min_size=rank,
                                  max_size=rank)))
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
@@ -409,7 +381,7 @@ def test_p_family_build_matches_the_fraction_rows(data):
 @given(st.data())
 def test_build_matches_the_fraction_rows_far_out(data):
     # denominators up to 10**6, lattice translates up to 10**15
-    rank, walls = data.draw(st.sampled_from(BUILD_ARRANGEMENTS))
+    rank, walls = data.draw(arrangements())
     x = tuple(data.draw(st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
         min_size=rank, max_size=rank)))
@@ -425,12 +397,9 @@ def test_build_matches_the_fraction_rows_far_out(data):
 def test_direction_build_matches_the_bracket_slopes(data):
     # from a face witness, on the face's walls, as opposite_alcove steps
     # from it, and along a drawn direction, which may lie in a wall
-    rank, walls = data.draw(st.sampled_from(BUILD_ARRANGEMENTS))
+    rank, walls = data.draw(arrangements())
     _, A = regular_alcove(data, walls, rank)
-    if A is None:
-        return
-    faces = faces_of(A, walls)
-    f = data.draw(st.sampled_from(faces[1:])).witness
+    f = data.draw(st.sampled_from(faces_of(A, walls)[1:])).witness
     drawn = tuple(data.draw(st.lists(
         st.fractions(min_value=-2, max_value=2, max_denominator=7),
         min_size=rank, max_size=rank)))
@@ -446,12 +415,6 @@ def matching_face(B, face, walls):
                 if g.vertex_set == face.vertex_set)
 
 
-# weyl_a(4) with a second wall on the hyperplanes <(1, 1, 0), x> in Z,
-# which also has the hyperplanes <(1, 1, 0), x> in 1/2 + Z
-TWIN_WALLS = weyl_a_instance(4).walls + (
-    Wall(id=6, alpha=(1, 1, 0), sigma_tilde=frozenset([F(0), F(1, 2)])),)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_the_opposite_alcove_holds_the_crossed_face(data):
@@ -460,12 +423,8 @@ def test_the_opposite_alcove_holds_the_crossed_face(data):
     negated (Bjorner et al., "Oriented Matroids", 1993, 4.1): it holds the
     same face, with its own rows on the face's hyperplanes, each of the
     opposite sense, as opposite_pair reads it."""
-    rank, walls = data.draw(st.one_of(
-        st.sampled_from(FACE_ARRANGEMENTS + BUILD_ARRANGEMENTS),
-        st.sampled_from([(3, OCTAHEDRAL_WALLS), (4, CROSS_WALLS),
-                         (3, TWIN_WALLS)])))
+    rank, walls = data.draw(arrangements(CROSS_WALLS, TWIN_WALLS))
     _, A = regular_alcove(data, walls, rank)
-    assume(A is not None)
     flip = {GE: LE, LE: GE}
     for face in faces_of(A, walls)[1:]:
         B = opposite_alcove(A, face, walls)
@@ -480,11 +439,8 @@ def test_the_opposite_alcove_holds_the_crossed_face(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_carried_vertices_are_compared_and_left_out_of_json(data):
-    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
-                                      st.just((3, OCTAHEDRAL_WALLS))))
+    rank, walls = data.draw(arrangements())
     x, A = regular_alcove(data, walls, rank)
-    if A is None:
-        return
     # the carried record is the one a pass over the kept rows gives
     cons = constraints_of(A.inequalities, walls)
     kept, inc = facets_and_vertices(integer_rows(cons), rank)
@@ -523,11 +479,8 @@ def pairing_incidence(A, walls):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_carried_incidence_matches_pairing_tightness(data):
-    rank, walls = data.draw(st.one_of(st.sampled_from(FACE_ARRANGEMENTS),
-                                      st.just((3, OCTAHEDRAL_WALLS))))
+    rank, walls = data.draw(arrangements())
     x, A = regular_alcove(data, walls, rank)
-    if A is None:
-        return
     assert A.incidence == pairing_incidence(A, walls)
     v = tuple(data.draw(st.lists(st.integers(-10**15, 10**15),
                                  min_size=rank, max_size=rank)))
@@ -1100,12 +1053,7 @@ def capped_scan_lattice_point(pa, p, walls, limit=100_000):
 @given(st.data())
 def test_p_lattice_point_matches_capped_scan(data):
     inst = data.draw(st.sampled_from(BLOCK_INSTANCES))
-    point = tuple(F(data.draw(st.integers(-90, 90)),
-                    data.draw(st.integers(7, 31))) for _ in range(inst.rank))
-    try:
-        A = real_alcove_of(point, inst.walls)
-    except SingularPointError:
-        assume(False)
+    A = far_alcove(data.draw, inst.walls, inst.rank)
     p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
     pa = p_alcove_of(A, inst.walls)
     assert p_lattice_point(pa, p, inst.walls) == \

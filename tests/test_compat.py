@@ -3,20 +3,20 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcovelab import compat
-from alcovelab.alcoves import (SingularPointError, faces_of, p_membership,
-                               real_alcove_of)
+from alcovelab.alcoves import faces_of, p_membership, real_alcove_of
 from alcovelab.arith import (AffineInP, is_lattice, pairing, vadd, vscale,
                              vsub)
 from alcovelab.compat import (CompatiblePair, find_compatible,
                               opposite_alcove, opposite_pair,
                               verify_compatible)
 from alcovelab.instances import hilb_instance, weyl_a_instance
-from test_alcoves import (OCTAHEDRAL_WALLS, alcove_contains,
-                          matching_face)
+from strategies import (HILB, OCTAHEDRAL_WALLS, WEYL, arrangements,
+                        far_alcove, regular_alcove)
+from test_alcoves import alcove_contains, matching_face
 
 HILB2 = hilb_instance(2, 0)
 A2 = weyl_a_instance(3)
@@ -237,12 +237,7 @@ SCAN_INSTANCES = ([hilb_instance(n, 0) for n in range(2, 7)]
 @given(st.data())
 def test_find_compatible_matches_sorted_scan(data):
     inst = data.draw(st.sampled_from(SCAN_INSTANCES))
-    point = tuple(F(data.draw(st.integers(-90, 90)),
-                    data.draw(st.integers(7, 31))) for _ in range(inst.rank))
-    try:
-        A = real_alcove_of(point, inst.walls)
-    except SingularPointError:
-        assume(False)
+    A = far_alcove(data.draw, inst.walls, inst.rank)
     faces = faces_of(A, inst.walls)
     face = faces[data.draw(st.integers(0, len(faces) - 1))]
     with mock.patch.dict(compat._cache, clear=True):
@@ -289,49 +284,27 @@ def probing_opposite_alcove(A, face, walls):
     raise ValueError("could not locate the opposite alcove")
 
 
-OPPOSITE_INSTANCES = ([hilb_instance(n) for n in range(2, 9)]
-                      + [weyl_a_instance(n) for n in range(3, 6)])
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_opposite_alcove_matches_probing_oracle(data):
-    inst = data.draw(st.sampled_from(OPPOSITE_INSTANCES))
-    x = data.draw(st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=13),
-        min_size=inst.rank, max_size=inst.rank))
-    try:
-        A = real_alcove_of(x, inst.walls)
-    except SingularPointError:
-        assume(False)
-    for face in faces_of(A, inst.walls):
+    rank, walls = data.draw(arrangements())
+    _, A = regular_alcove(data, walls, rank)
+    for face in faces_of(A, walls):
         if face.codim == 0:
             with pytest.raises(ValueError, match="codimension-0"):
-                opposite_alcove(A, face, inst.walls)
+                opposite_alcove(A, face, walls)
         else:
-            assert opposite_alcove(A, face, inst.walls) == \
-                probing_opposite_alcove(A, face, inst.walls)
-
-
-# (rank, walls) of hilb(2..8) with ell 0-2 and weyl_a(3..5); the margin
-# check draws these or the octahedra and tetrahedra of OCTAHEDRAL_WALLS
-MARGIN_ARRANGEMENTS = [(inst.rank, inst.walls) for inst in
-                       [hilb_instance(n, ell) for n in range(2, 9)
-                        for ell in range(3)]
-                       + [weyl_a_instance(n) for n in range(3, 6)]]
+            assert opposite_alcove(A, face, walls) == \
+                probing_opposite_alcove(A, face, walls)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_margin_report_matches_the_hand_oriented_facets(data):
-    rank, walls = data.draw(st.one_of(st.sampled_from(MARGIN_ARRANGEMENTS),
+    # not arrangements(): as crossed_faces, keep far_alcove's far octahedra
+    rank, walls = data.draw(st.one_of(st.sampled_from(HILB + WEYL),
                                       st.just((3, OCTAHEDRAL_WALLS))))
-    x = tuple(F(data.draw(st.integers(-90, 90)),
-                data.draw(st.integers(7, 31))) for _ in range(rank))
-    try:
-        A = real_alcove_of(x, walls)
-    except SingularPointError:
-        assume(False)
+    A = far_alcove(data.draw, walls, rank)
     faces = faces_of(A, walls)
     face = faces[data.draw(st.integers(0, len(faces) - 1))]
     mu = face.witness
@@ -372,14 +345,9 @@ def crossed_faces(draw):
     """(walls, A, face, pair): a face of codim >= 1 of a drawn alcove and
     find_compatible's pair for it, fresh or, after a first call on a drawn
     lattice translate of (A, face), a cache hit; run with an empty cache."""
-    rank, walls = draw(st.one_of(st.sampled_from(MARGIN_ARRANGEMENTS),
+    rank, walls = draw(st.one_of(st.sampled_from(HILB + WEYL),
                                  st.just((3, OCTAHEDRAL_WALLS))))
-    x = tuple(F(draw(st.integers(-90, 90)), draw(st.integers(7, 31)))
-              for _ in range(rank))
-    try:
-        A = real_alcove_of(x, walls)
-    except SingularPointError:
-        assume(False)
+    A = far_alcove(draw, walls, rank)
     face = draw(st.sampled_from([f for f in faces_of(A, walls) if f.codim]))
     if draw(st.booleans()):
         shift = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank,

@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, tests and demos uses each name it imports.
 
 Standard library only: the names an import binds are compared with the
 names the module reads.  `__init__.py` re-exports by importing, and
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "alcovelab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "alcovelab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source):
@@ -35,6 +37,7 @@ def test_the_check_sees_an_unused_name():
     assert unused_imports(source) == [(1, "os"), (2, "c")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: (
+    p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}"))
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
