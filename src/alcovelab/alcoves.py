@@ -12,7 +12,7 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, mul, sub
 
 from .arith import (AffineInP, Value, Wall, is_lattice, pairing, rat, rat_str,
                     vec, vsub)
@@ -263,26 +263,26 @@ class Face(Value):
 
 
 def faces_of(A: RealAlcove, walls):
-    """All faces of all codimensions, duplicates (same vertex set) merged.
+    """All faces of all codimensions, each once.
 
     The vertex-facet incidence is A's VertexIncidence: each vertex's mask
-    holds the inequalities tight on it.  A subset of the inequalities, as a
-    bitmask, picks the vertices whose masks contain it: those of the subset
-    less its lowest bit that are tight on that bit's inequality, one AND,
-    and the face is keyed by the bitmask of its vertices.  A vertex set is
-    walked up to from itself less its highest vertex, memoized by bitmask,
-    and carries its vertices' integer column sums, its active mask (the AND
-    of their masks) and its vertex tuple: a vertex more costs one vector
-    add and one AND.  The active inequalities, in A's order (see
-    RealAlcove), are the rows tight on the whole face; they cut out its
-    affine hull (Schrijver, "Theory of Linear and Integer Programming",
-    1986, ch. 8), so its codim is the rank of their covectors.  The rows
-    tight at a simple vertex, one on exactly d rows, are independent, so a
-    face holding one has its active count as codim, with no elimination
-    (every vertex of a simplex is simple; Ziegler, "Lectures on Polytopes",
-    1995, ch. 3); any other face, such as every face of a cross-polytope,
-    runs matrix_rank.  The witness is the vertex
-    average, the sums over den times the vertex count; a vertex is its own.
+    holds the inequalities tight on it.  Every face is the meet of the
+    facets through it (Ziegler, "Lectures on Polytopes", 1995, ch. 2), so
+    the faces' vertex sets, as bitmasks, are A's own and every nonempty
+    meet (AND) of one of them with the vertices an inequality is tight
+    on, found breadth first: faces times facets ANDs in all.  A meet that
+    keeps the whole face marks an active inequality, one tight on the
+    face; a smaller one is a new face, which carries its vertices' integer
+    column sums, its parent's less the rows of the vertices the meet drops
+    (one on a simplex).  The active inequalities, in A's order (see
+    RealAlcove), cut out the face's affine hull (Schrijver, "Theory of
+    Linear and Integer Programming", 1986, ch. 8), so its codim is the
+    rank of their covectors.  The rows tight at a simple vertex, one on
+    exactly d rows, are independent, so a face holding one has its active
+    count as codim, with no elimination (every vertex of a simplex is
+    simple; Ziegler, ch. 3); any other face, such as every face of a
+    cross-polytope, runs matrix_rank.  The witness is the vertex average,
+    the sums over den times the vertex count; a vertex is its own.
     Requires an irredundant bounded alcove (the wall covectors span).
     """
     wm = _wall_map(walls)
@@ -301,38 +301,34 @@ def faces_of(A: RealAlcove, walls):
     # per inequality, the bitmask of the vertices it is tight on
     tight_on = [sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
                 for i in range(n)]
-    # per vertex bitmask: (column sums, active mask, vertex tuple)
-    walked = {0: ((0,) * A.rank, (1 << n) - 1, ())}
-    on_sets = [(1 << len(verts)) - 1]  # the empty subset holds every vertex
-    seen = {}
-    for subset in range(1 << n):
-        if subset:  # the vertices of the subset less its lowest bit, on it
-            low = subset & -subset
-            on_sets.append(on_sets[subset ^ low]
-                           & tight_on[low.bit_length() - 1])
-        on_set = on_sets[subset]
-        if not on_set or on_set in seen:
-            continue
-        # down to a walked set by the highest vertices, then back up
-        top, added = on_set, []
-        while top not in walked:
-            added.append(top.bit_length() - 1)
-            top ^= 1 << added[-1]
-        sums, active, vset = walked[top]
-        for j in reversed(added):
-            top |= 1 << j
-            sums, active, vset = walked[top] = (
-                tuple(map(add, sums, inc.nums[j])), active & masks[j],
-                vset + (verts[j],))
-        idx = [i for i in range(n) if active >> i & 1]
+    # (vertex bitmask, vertex indices, column sums) per face, breadth first:
+    # walk grows while it is read
+    walk = [((1 << len(verts)) - 1, range(len(verts)),
+             tuple(map(sum, zip(*inc.nums))))]
+    seen, faces = {walk[0][0]}, []
+    for on_set, js, sums in walk:
+        idx = []  # the inequalities tight on the whole face
+        for i, tight in enumerate(tight_on):
+            meet = on_set & tight
+            if meet == on_set:
+                idx.append(i)
+            elif meet and meet not in seen:
+                seen.add(meet)
+                kept, rest = [], sums
+                for j in js:
+                    if meet >> j & 1:
+                        kept.append(j)
+                    else:
+                        rest = tuple(map(sub, rest, inc.nums[j]))
+                walk.append((meet, kept, rest))
         codim = (len(idx) if on_set & simple
                  else matrix_rank([alphas[i] for i in idx]))
-        size = inc.den * len(vset)
-        witness = (vset[0] if len(vset) == 1
+        size = inc.den * len(js)
+        witness = (verts[js[0]] if len(js) == 1
                    else tuple([Fraction(s, size) for s in sums]))
-        seen[on_set] = Face(A, tuple([ineqs[i] for i in idx]), codim,
-                            witness, vset)
-    return sorted(seen.values(), key=lambda f: (f.codim, f.active))
+        faces.append(Face(A, tuple([ineqs[i] for i in idx]), codim, witness,
+                          tuple([verts[j] for j in js])))
+    return sorted(faces, key=lambda f: (f.codim, f.active))
 
 
 def opposite_alcove(A: RealAlcove, face: Face, walls) -> RealAlcove:

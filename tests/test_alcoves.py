@@ -697,6 +697,43 @@ def test_faces_of_the_octahedron_at_the_origin():
     assert all(len(f.active) == 4 for f in vertex_faces)
 
 
+# <alpha, x> = 1/2 + k for the sixteen covectors (1, +-1, +-1, +-1, +-1):
+# the alcove at RANK5_POINT is the 5-cross-polytope |x_1| + ... + |x_5| <=
+# 1/2, with 32 facets and 10 vertices, each on 16 facets; its first 9 and
+# 11 walls bound alcoves of 18 and 22 facets
+RANK5_WALLS = tuple(
+    Wall(id=i, alpha=(1,) + signs, sigma_tilde=frozenset([F(1, 2)]))
+    for i, signs in enumerate(product((1, -1), repeat=4)))
+RANK5_POINT = (F(1, 97), F(1, 89), F(1, 83), F(1, 79), F(1, 73))
+
+
+def test_faces_of_the_5_cross_polytope_are_its_f_vector():
+    A = real_alcove_of(RANK5_POINT, RANK5_WALLS)
+    assert len(A.inequalities) == 32
+    faces = faces_of(A, RANK5_WALLS)
+    assert len(faces) == 243
+    assert Counter(f.codim for f in faces) == {0: 1, 1: 32, 2: 80, 3: 80,
+                                               4: 40, 5: 10}
+
+
+def test_faces_of_takes_time_by_faces_not_by_subsets_of_facets():
+    """faces_of walks the face lattice: at 22 facets (279 faces) it takes
+    about its time at 18 (243 faces), not the 16 times that 2^22 / 2^18
+    subsets would."""
+    best = []
+    for k, n_facets in [(9, 18), (11, 22)]:
+        walls = RANK5_WALLS[:k]
+        A = real_alcove_of(RANK5_POINT, walls)
+        assert len(A.inequalities) == n_facets
+        times = []
+        for _ in range(3):
+            start = perf_counter()
+            faces_of(A, walls)
+            times.append(perf_counter() - start)
+        best.append(min(times))
+    assert best[1] <= 4 * best[0]
+
+
 def test_faces_weyl_a6_simplex():
     inst = weyl_a_instance(6)
     A = real_alcove_of(tuple(F(1, 11) for _ in range(inst.rank)), inst.walls)

@@ -163,6 +163,27 @@ def test_wall_config_schema_errors():
     (None, ["alcove", "--builtin", "weyl_a", "--n", "3", "--ell", "5",
             "--point", "1/3,1/3"],
      "--builtin weyl_a --n 3 --ell 5: weyl_a takes no ell, got 5"),
+    ({}, ["alcove", "--config", "{path}", "--point", "1"],
+     "{path}: expected a builtin name, an inline points table, or a walls "
+     "array"),
+    ({"rank": 1, "walls": [{"id": 0, "alpha": [1], "sigma_tilde": []}]},
+     ["alcove", "--config", "{path}", "--point", "1/3"],
+     "{path}.walls[0]: sigma_tilde must be nonempty"),
+    # an id of integer parts that check_partition rejects: they increase
+    ({"name": "custom", "rank": 1, "meta": {"points": "partitions"},
+      "points": [{"id": "1+2", "c_const": "0", "c_linear": ["2"]}],
+      "walls": [{"id": 0, "alpha": [1], "sigma_tilde": ["-1/2", "1/2"]}]},
+     ["alcove", "--config", "{path}", "--point", "1"],
+     "{path}.points[0]: id '1+2' does not parse under meta points "
+     "'partitions'"),
+    # lambda = (1, 1) pairs to 1 above 0 on walls 0 and 1 and to 2 below 5
+    # on wall 2: x_1 > 0, x_2 > 0 and x_1 + x_2 < 0 have no solution
+    ({"rank": 2, "walls": [
+        {"id": 0, "alpha": [1, 0], "sigma_tilde": ["0"]},
+        {"id": 1, "alpha": [0, 1], "sigma_tilde": ["0"]},
+        {"id": 2, "alpha": [1, 1], "sigma_tilde": ["5"]}]},
+     ["chambers", "--config", "{path}", "--lambda=1,1"],
+     "no positive chamber: forced escape signs are infeasible"),
 ])
 def test_cli_error_paths(tmp_path, config, argv, expected):
     """Each bad invocation exits 1 with one {"error": ...} line.  A config

@@ -49,9 +49,6 @@ NOT_ON_A_USER_PATH = {
     # them (ROADMAP item 2)
     "polyhedra.find_point", "polyhedra.is_redundant",
     "polyhedra.irredundant",
-    # the codim of a face with no simple vertex, and the wording of the
-    # unbounded-alcove error: every builtin alcove is a simplex
-    "polyhedra.matrix_rank",
     # a config whose sigma_tilde is not saturated
     "arith.saturate",
     # the console entry point: the user paths call dispatch in process

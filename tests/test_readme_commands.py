@@ -82,7 +82,7 @@ def substituted_examples(tmp):
 def test_readme_command_line_examples_run():
     assert readme_examples()
     assert sorted(config_examples()) == ["alcove.json", "custom.json",
-                                         "lambdas.json"]
+                                         "lambdas.json", "octahedra.json"]
     with tempfile.TemporaryDirectory() as tmp:
         for argv in substituted_examples(tmp):
             code, out = run(argv)
